@@ -25,13 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
                      IndexOutOfRange)
-from .linalg import MatrixQ
+from .linalg import MatrixQ, _frac
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class Vec:
         return self.coords[k - 1]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not any(self.coords)
 
     def __iter__(self):
         return iter(self.coords)
@@ -162,15 +158,15 @@ def bracket(algebra: StructureTensor, x: Vec, y: Vec) -> Vec:
         raise DimensionMismatch(
             f"vectors of dimension {x.dim}, {y.dim} in an algebra of dimension {n}")
     out = [Fraction(0)] * n
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
-            c = xi * yj
-            for k, v in algebra.table.get((i + 1, j + 1), ()):
-                out[k - 1] += c * v
+    ys = [(j, yj) for j, yj in enumerate(y.coords, 1) if yj]
+    for i, xi in enumerate(x.coords, 1):
+        if xi:
+            for j, yj in ys:
+                terms = algebra.table.get((i, j))
+                if terms:
+                    c = xi * yj
+                    for k, v in terms:
+                        out[k - 1] += c * v
     return Vec(tuple(out))
 
 
@@ -201,14 +197,21 @@ class Residual:
 
 
 def leibniz_residual(algebra: StructureTensor) -> Residual:
-    """Exact defect of the Leibniz identity over all n^3 basis triples."""
+    """Exact defect of the Leibniz identity over all n^3 basis triples.
+
+    Only triples that can fail are visited: every term needs i to be a left
+    index of the table and k a right index, and j to be either.
+    """
     n = algebra.dim
     table = algebra.table
+    lefts = sorted({i for i, _ in table})
+    rights = sorted({j for _, j in table})
+    either = sorted(set(lefts) | set(rights))
     violations = []
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
+    for j in either:
+        for k in rights:
             w_jk = table.get((j, k), ())
-            for i in range(1, n + 1):
+            for i in lefts:
                 acc: dict = {}
                 for m, c in w_jk:
                     for t, v in table.get((i, m), ()):
@@ -249,16 +252,13 @@ def right_mul_matrix(algebra: StructureTensor, x: Vec) -> MatrixQ:
     n = algebra.dim
     if x.dim != n:
         raise DimensionMismatch(f"vector of dimension {x.dim} in dimension {n}")
-    cols = []
-    for i in range(1, n + 1):
-        col = [Fraction(0)] * n
-        for j, xj in enumerate(x.coords):
-            if xj == 0:
-                continue
-            for k, c in algebra.table.get((i, j + 1), ()):
-                col[k - 1] += xj * c
-        cols.append(col)
-    return MatrixQ(n, n, tuple(cols[i][r] for r in range(n) for i in range(n)))
+    entries = [Fraction(0)] * (n * n)
+    for (i, j), terms in algebra.table.items():
+        xj = x.coords[j - 1]
+        if xj:
+            for k, c in terms:
+                entries[(k - 1) * n + i - 1] += xj * c
+    return MatrixQ(n, n, tuple(entries))
 
 
 def binomial_product_check(algebra: StructureTensor, betas: Sequence) -> bool:
@@ -290,6 +290,26 @@ def binomial_product_check(algebra: StructureTensor, betas: Sequence) -> bool:
 # ----------------------------------------------------------------------
 # documents
 
+def _digits_to_fraction(raw: str, where: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except ValueError:  # more digits than the interpreter converts
+        raise DocumentError(f"{where} has too many digits") from None
+
+
+def _load_json(text: str, prefix: str = ""):
+    """json.loads with every failure, including integers over the
+    interpreter's digit limit and deep nesting, as a DocumentError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(prefix + exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:
+        raise DocumentError(prefix + "an integer has too many digits") from None
+    except RecursionError:
+        raise DocumentError(prefix + "nested too deeply") from None
+
+
 def parse_fraction(text: str) -> Fraction:
     """Exact fraction from a string like '-3/4' or '2'.
 
@@ -299,7 +319,7 @@ def parse_fraction(text: str) -> Fraction:
     raw = text.strip()
     if not _FRACTION_RE.match(raw):
         raise DocumentError(f"{text!r} is not an exact fraction like '-3/4'")
-    return Fraction(raw)
+    return _digits_to_fraction(raw, "fraction")
 
 
 def _coeff_from_document(raw, where: str) -> Fraction:
@@ -307,7 +327,7 @@ def _coeff_from_document(raw, where: str) -> Fraction:
         if not _FRACTION_RE.match(raw):
             raise DocumentError(f"coefficient {raw!r} at {where} is not an exact "
                                 "fraction string like '-3/4'")
-        return Fraction(raw)
+        return _digits_to_fraction(raw, f"coefficient at {where}")
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise DocumentError(f"coefficient at {where} must be an exact fraction "
@@ -321,10 +341,7 @@ def parse(text: str) -> StructureTensor:
     when the JSON reader reports one), IndexOutOfRange for basis indices
     outside 1..dim, and DuplicateEntry for repeated cells.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(exc.msg, exc.lineno, exc.colno) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
     unknown = set(doc) - {"dim", "name", "table"}

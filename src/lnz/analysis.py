@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import StructureTensor, Vec, bracket, right_mul_matrix
 from .errors import (DimensionMismatch, ElementInDerivedSubalgebra,
                      NonNilpotent)
 from .linalg import (EchelonSpan, MatrixQ, kernel_basis,
-                     nilpotent_block_sizes, rref)
+                     nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -44,24 +45,36 @@ class CentralSeries:
         return len(self.terms)
 
 
-def _span_product(algebra: StructureTensor, left: EchelonSpan,
-                  right_basis) -> EchelonSpan:
-    out = EchelonSpan(algebra.dim)
-    for u in left.basis():
-        for v in right_basis:
-            out.add(bracket(algebra, Vec(u), v))
-    return out
+def _cells_by_left(algebra: StructureTensor) -> list:
+    """The table read once as sparse integer rows: entry i lists (j, {k: c})
+    for each nonzero cell [e_{i+1}, e_{j+1}], all 0-based.  Every cell is
+    scaled by one lcm of the denominators, which leaves every span as it is.
+    """
+    scale = lcm(*(c.denominator for terms in algebra.table.values()
+                  for _, c in terms))
+    cells: list = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.table.items():
+        cells[i - 1].append((j - 1, {k - 1: c.numerator * (scale // c.denominator)
+                                     for k, c in terms}))
+    return cells
 
 
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
-    whole = EchelonSpan(n)
-    basis = [Vec.basis(n, i) for i in range(1, n + 1)]
-    for b in basis:
-        whole.add(b)
-    terms = [whole]
+    cells = _cells_by_left(algebra)
+    terms = [EchelonSpan(n, ({i: 1} for i in range(n)))]
     while True:
-        nxt = _span_product(algebra, terms[-1], basis)
+        # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
+        nxt = EchelonSpan(n)
+        for u in terms[-1].sparse_rows():
+            products: dict = {}
+            for i, x in u.items():
+                for j, cell in cells[i]:
+                    acc = products.setdefault(j, {})
+                    for k, c in cell.items():
+                        acc[k] = acc.get(k, 0) + x * c
+            for prod in products.values():
+                nxt.add(prod)
         if nxt.dim == 0:
             terms.append(nxt)
             nilpotent = True
@@ -118,14 +131,10 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     series = lower_central_series(algebra)
     if not series.nilpotent:
         raise NonNilpotent("gradation needs a nilpotent algebra")
-    spans = []
-    for term in series.terms:
-        if term:
-            m = MatrixQ.from_rows([v.coords for v in term])
-            r, pivots = rref(m)
-            spans.append((tuple(r.row(k) for k in range(len(pivots))), pivots))
-        else:
-            spans.append(((), ()))
+    # the terms are already in reduced echelon form
+    spans = [(tuple(v.coords for v in term),
+              tuple(next(c for c, x in enumerate(v.coords) if x) for v in term))
+             for term in series.terms]
     sections = []       # flat list of Vec
     piece_dims = []
     pivot_of = []       # pivot column of each section, for coordinates
@@ -202,14 +211,8 @@ class CharSequence:
 
 def derived_span(algebra: StructureTensor) -> EchelonSpan:
     """Echelon span of [L, L]."""
-    span = EchelonSpan(algebra.dim)
-    n = algebra.dim
-    for (i, j), terms in algebra.table.items():
-        v = [Fraction(0)] * n
-        for k, c in terms:
-            v[k - 1] = c
-        span.add(Vec(tuple(v)))
-    return span
+    return EchelonSpan(algebra.dim, ({k - 1: c for k, c in terms}
+                                     for terms in algebra.table.values()))
 
 
 def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
@@ -245,7 +248,7 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     for x in candidates:
         if x.is_zero() or derived.contains(x):
             continue
-        seq = char_sequence_at(algebra, x)
+        seq = CharSequence(nilpotent_block_sizes(right_mul_matrix(algebra, x)))
         if best is None or best < seq:
             best = seq
     if best is None:
@@ -261,14 +264,10 @@ def right_annihilator(algebra: StructureTensor) -> tuple:
     sum_j c^k_{i,j} x_j and returns the kernel.
     """
     n = algebra.dim
-    rows = []
-    for i in range(1, n + 1):
-        cols = {}
-        for j in range(1, n + 1):
-            for k, c in algebra.table.get((i, j), ()):
-                cols.setdefault(k, [Fraction(0)] * n)[j - 1] = c
-        rows.extend(cols.values())
+    rows: dict = {}     # (i, k) -> coefficients of x_1 .. x_n
+    for (i, j), terms in algebra.table.items():
+        for k, c in terms:
+            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] = c
     if not rows:
         return tuple(Vec.basis(n, i) for i in range(1, n + 1))
-    m = MatrixQ.from_rows(rows)
-    return tuple(Vec(v) for v in kernel_basis(m))
+    return tuple(Vec(v) for v in kernel_basis(MatrixQ.from_rows(rows.values())))

@@ -23,12 +23,9 @@ from typing import NamedTuple, Sequence
 from .algebra import StructureTensor
 from .errors import (DimensionTooSmall, InadmissibleParams, ParityViolation,
                      UnknownFamily)
+from .linalg import _frac
 
 Q = Fraction
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 DEFAULT_FREE_SAMPLES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2))

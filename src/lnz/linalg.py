@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries, so results are
-exact; there is no floating point anywhere in the package.  The convention
-throughout is that operators act on column vectors: the matrix of a linear
-map holds the image of the i-th basis vector in column i.
+Everything here is exact; there is no floating point anywhere in the
+package.  The convention throughout is that operators act on column
+vectors: the matrix of a linear map holds the image of the i-th basis
+vector in column i.
 
-Elimination is fraction-free where it matters.  ``rank`` clears
-denominators row by row and then runs Bareiss elimination on integers, so
-intermediate entries stay integral and the division steps are exact.
+Spans, ranks, inverses and Jordan block profiles all go through one
+elimination kernel, ``_reduce``, on sparse integer rows ({column: int}).
+Rational input is scaled once by the lcm of its denominators, which
+changes no span and no block profile.  Reduction cross-multiplies
+(fraction-free, in the spirit of Bareiss 1968) and divides each finished
+row by its gcd, so entries stay small and zero cells cost nothing.
+``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
+it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
+Above it, the central series feeds it the structure table as integer
+cells, and the characteristic sequence feeds it right multiplications.
+Only ``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in
+canonical RREF.  The polynomial code below is separate.
 """
 
 from __future__ import annotations
@@ -15,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotNilpotent
-
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -118,76 +125,61 @@ class MatrixQ:
         return result
 
 
-def _integer_rows(m: MatrixQ) -> list:
-    """Row-scaled integer copy of m (same row space, so same rank)."""
-    out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+def _int_rows(rows) -> list:
+    """Sparse integer rows {column: int} for rational rows.
+
+    ``rows`` holds dense sequences or sparse mappings.  All rows are scaled
+    by one lcm of their denominators, so spans are unchanged and a matrix
+    keeps its Jordan block profile.  Zero entries are dropped.
+    """
+    rows = [r if isinstance(r, Mapping) else dict(enumerate(r)) for r in rows]
+    scale = lcm(*(x.denominator for r in rows for x in r.values()))
+    return [{c: x.numerator * (scale // x.denominator)
+             for c, x in r.items() if x} for r in rows]
 
 
-def _int_rank(rows: list, ncols: int) -> int:
-    """Rank by fraction-free Bareiss elimination on integer rows (mutates rows)."""
-    rank_so_far = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank_so_far, nrows):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank_so_far], rows[pivot] = rows[pivot], rows[rank_so_far]
-        lead = rows[rank_so_far][c]
-        for r in range(rank_so_far + 1, nrows):
-            below = rows[r][c]
-            row_r, row_p = rows[r], rows[rank_so_far]
-            # every row below gets the full cross-multiplied update, even
-            # when its pivot-column entry is zero; Sylvester's identity
-            # (and hence the exactness of the division by the previous
-            # pivot) assumes complete update history.
-            for j in range(c + 1, ncols):
-                row_r[j] = (lead * row_r[j] - below * row_p[j]) // prev
-            rows[r][c] = 0
-        prev = lead
-        rank_so_far += 1
-        if rank_so_far == nrows:
-            break
-    return rank_so_far
+def _reduce(ech: dict, row: dict) -> tuple:
+    """The elimination kernel: reduce a sparse integer row against echelon
+    rows ``ech`` (pivot column -> row).
+
+    Each step cross-multiplies away the row's leading entry, so nothing
+    leaves the integers; it stops when the leading column is no pivot.
+    Returns that column and the gcd-normalised remainder, or
+    ``(None, {})`` when the row lies in the span.
+    """
+    while row:
+        lead = min(row)
+        prow = ech.get(lead)
+        if prow is None:
+            g = gcd(*row.values())
+            return lead, ({c: x // g for c, x in row.items()} if g > 1
+                          else row)
+        a, b = prow[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        row = {c: a * x for c, x in row.items()}
+        for c, y in prow.items():
+            x = row.get(c, 0) - b * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+    return None, row
+
+
+def _echelon(rows) -> dict:
+    """Echelon basis {pivot column: row} of the span of sparse integer rows."""
+    ech: dict = {}
+    for row in rows:
+        lead, row = _reduce(ech, row)
+        if row:
+            ech[lead] = row
+    return ech
 
 
 def rank(m: MatrixQ) -> int:
     """Rank of a rational matrix, computed without ever leaving the integers."""
-    return _int_rank(_integer_rows(m), m.cols)
-
-
-def _int_echelon_basis(rows: list) -> list:
-    """Echelon row basis of the span of integer rows, gcd-normalized.
-
-    Reduction uses cross-multiplication only, so everything stays in the
-    integers; dividing each finished row by its gcd keeps entries small.
-    """
-    ech: list = []          # (pivot column, row), sorted by pivot column
-    for row in rows:
-        row = row[:]
-        for p, prow in ech:
-            if row[p]:
-                f = row[p]
-                lead = prow[p]
-                row = [lead * x - f * y for x, y in zip(row, prow)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        g = gcd(*(abs(x) for x in row))
-        if g > 1:
-            row = [x // g for x in row]
-        ech.append((pivot, row))
-        ech.sort(key=lambda t: t[0])
-    return [r for _, r in ech]
+    return len(_echelon(_int_rows(m.row(r) for r in range(m.rows))))
 
 
 def nilpotent_block_sizes(m: MatrixQ) -> tuple:
@@ -206,27 +198,27 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     n = m.rows
     if n == 0:
         return ()
-    scale = lcm(*(x.denominator for x in m.entries)) if m.entries else 1
-    base = [[int(x * scale) for x in m.row(r)] for r in range(n)]
+    base = _int_rows(m.row(r) for r in range(n))
 
     ranks = [n]
-    basis = _int_echelon_basis(base)
+    basis = _echelon(base)
     while basis:
         ranks.append(len(basis))
         if ranks[-1] == ranks[-2]:
             raise NotNilpotent(
                 f"matrix is not nilpotent: rank stabilises at {ranks[-1]}")
-        pushed = [[sum(row[k] * base[k][j] for k in range(n) if row[k])
-                   for j in range(n)] for row in basis]
-        basis = _int_echelon_basis(pushed)
+        pushed = []
+        for row in basis.values():
+            out: dict = {}
+            for k, x in row.items():
+                for j, y in base[k].items():
+                    out[j] = out.get(j, 0) + x * y
+            pushed.append({j: x for j, x in out.items() if x})
+        basis = _echelon(pushed)
     ranks.append(0)
-    index = len(ranks) - 1  # smallest k with N^k = 0
-    at_least = [ranks[k - 1] - ranks[k] for k in range(1, index + 1)]
-    at_least.append(0)
-    sizes = []
-    for k in range(index, 0, -1):
-        sizes.extend([k] * (at_least[k - 1] - at_least[k]))
-    return tuple(sizes)
+    # at_least[k-1] blocks have size >= k; the sizes are its transpose
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
 
 
 def jordan_block(size: int) -> MatrixQ:
@@ -252,25 +244,10 @@ def block_diag(*blocks: MatrixQ) -> MatrixQ:
 
 def rref(m: MatrixQ) -> tuple:
     """Reduced row echelon form over Q.  Returns (MatrixQ, pivot column tuple)."""
-    rows = m.row_list()
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return MatrixQ.from_rows(rows), tuple(pivots)
+    span = EchelonSpan(m.cols, (m.row(r) for r in range(m.rows)))
+    rows = span.basis()
+    rows += ((Fraction(0),) * m.cols,) * (m.rows - len(rows))
+    return MatrixQ.from_rows(rows), span.pivots()
 
 
 def invert(m: MatrixQ):
@@ -278,20 +255,12 @@ def invert(m: MatrixQ):
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return MatrixQ.from_rows([row[n:] for row in aug])
+    # the RREF of [M | I] is [I | M^-1] exactly when M is invertible
+    span = EchelonSpan(2 * n, ({**{c: x for c, x in enumerate(m.row(i)) if x},
+                                n + i: 1} for i in range(n)))
+    if span.pivots() != tuple(range(n)):
+        return None
+    return MatrixQ.from_rows([row[n:] for row in span.basis()])
 
 
 def kernel_basis(m: MatrixQ) -> list:
@@ -311,16 +280,18 @@ def kernel_basis(m: MatrixQ) -> list:
 
 
 class EchelonSpan:
-    """Incrementally maintained reduced-echelon basis of a span of row vectors.
+    """Incrementally maintained echelon basis of a span of row vectors.
 
-    The basis it keeps is the canonical RREF of the span, so two spans are
-    equal exactly when their ``basis()`` tuples are equal.
+    A vector is a sequence of ``ambient_dim`` rationals or a sparse mapping
+    from 0-based column to rational.  Rows are kept as gcd-normalised
+    sparse integer rows of the kernel above; ``basis()`` converts them to
+    the canonical RREF over Q, so two spans are equal exactly when their
+    ``basis()`` tuples are equal.
     """
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        self._rows = []     # list[list[Fraction]], sorted by pivot position
-        self._pivots = []   # pivot column of each row
+        self._rows: dict = {}   # pivot column -> sparse integer row
         for v in vectors:
             self.add(v)
 
@@ -329,43 +300,51 @@ class EchelonSpan:
         return len(self._rows)
 
     def pivots(self) -> tuple:
-        return tuple(self._pivots)
+        return tuple(sorted(self._rows))
+
+    def sparse_rows(self) -> list:
+        """The kept integer rows {column: int}, by pivot; they span the space."""
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def basis(self) -> tuple:
-        return tuple(tuple(row) for row in self._rows)
+        reduced: dict = {}
+        for p in sorted(self._rows, reverse=True):
+            row = self._rows[p]
+            v = {c: Fraction(x, row[p]) for c, x in row.items()}
+            for q in [c for c in v if c != p and c in reduced]:
+                f = v[q]
+                for c, y in reduced[q].items():
+                    v[c] = v.get(c, 0) - f * y
+            reduced[p] = {c: x for c, x in v.items() if x}
+        out = []
+        for p in sorted(reduced):
+            dense = [Fraction(0)] * self.ambient_dim
+            for c, x in reduced[p].items():
+                dense[c] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
-    def _reduce(self, vector) -> list:
-        v = [_frac(x) for x in vector]
-        if len(v) != self.ambient_dim:
+    def _integral(self, vector) -> dict:
+        n = self.ambient_dim
+        if isinstance(vector, Mapping):
+            if vector and not (0 <= min(vector) and max(vector) < n):
+                raise DimensionMismatch(
+                    f"sparse vector has columns outside 0..{n - 1}")
+            return _int_rows([vector])[0]
+        if len(vector) != n:
             raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
-        for row, p in zip(self._rows, self._pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(p, self.ambient_dim):
-                    v[j] -= f * row[j]
-        return v
+                f"vector of length {len(vector)} in ambient dimension {n}")
+        return _int_rows([[_frac(x) for x in vector]])[0]
 
     def contains(self, vector) -> bool:
-        return all(x == 0 for x in self._reduce(vector))
+        return _reduce(self._rows, self._integral(vector))[0] is None
 
     def add(self, vector) -> bool:
         """Insert a vector; returns True when the span grew."""
-        v = self._reduce(vector)
-        pivot = next((j for j, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        lead, row = _reduce(self._rows, self._integral(vector))
+        if lead is None:
             return False
-        lead = v[pivot]
-        v = [x / lead for x in v]
-        for row in self._rows:
-            if row[pivot] != 0:
-                f = row[pivot]
-                for j in range(pivot, self.ambient_dim):
-                    row[j] -= f * v[j]
-        at = next((idx for idx, p in enumerate(self._pivots) if p > pivot),
-                  len(self._pivots))
-        self._rows.insert(at, v)
-        self._pivots.insert(at, pivot)
+        self._rows[lead] = row
         return True
 
 

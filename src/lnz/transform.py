@@ -28,19 +28,17 @@ from math import gcd, isqrt
 
 import json
 
-from .algebra import StructureTensor, Vec, _coeff_from_document, bracket
+from .algebra import (StructureTensor, Vec, _coeff_from_document, _load_json,
+                      bracket)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
                      InadmissibleParams, NotNormalForm, RestrictionViolated,
                      SingularChange, ToolkitError)
-from .linalg import MatrixQ, PolyQ, invert, poly_gcd, rational_roots, resultant
+from .linalg import (MatrixQ, PolyQ, _frac, invert, poly_gcd, rational_roots,
+                     resultant)
 
 Q = Fraction
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ----------------------------------------------------------------------
@@ -80,26 +78,38 @@ class BasisChange:
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
     """The same algebra written on the new basis.
 
-    c'[i][j] expands [e'_i, e'_j] in the primed basis: bracket the two
-    columns in old coordinates, then pull the result back through the
-    inverse matrix.
+    c'[i][j] expands [e'_i, e'_j] in the primed basis.  Each [e_a, e'_j]
+    is pulled back through the inverse matrix once, then combined along
+    column i.  Columns and the inverse are read as sparse rows, so zero
+    entries cost nothing.
     """
     n = algebra.dim
     if change.dim != n:
         raise DimensionMismatch(
             f"change on {change.dim} coordinates, algebra has {n}")
-    inv = change.inverse
-    cols = [change.column(i) for i in range(1, n + 1)]
+    cols = [{a: x for a, x in enumerate(change.matrix.column(i), 1) if x}
+            for i in range(n)]
+    back = [{k: x for k, x in enumerate(change.inverse.column(t), 1) if x}
+            for t in range(n)]
+    right = []      # right[j][a]: [e_a, e'_{j+1}] in new coordinates
+    for col in cols:
+        prods: dict = {}
+        for (a, b), terms in algebra.table.items():
+            if b in col:
+                acc = prods.setdefault(a, {})
+                for k, c in terms:
+                    yc = col[b] * c
+                    for t, w in back[k - 1].items():
+                        acc[t] = acc.get(t, 0) + yc * w
+        right.append(prods)
     table = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            old = bracket(algebra, cols[i - 1], cols[j - 1])
-            if old.is_zero():
-                continue
-            new = inv.apply(old.coords)
-            terms = tuple((k + 1, c) for k, c in enumerate(new) if c != 0)
-            if terms:
-                table[(i, j)] = terms
+    for i in range(n):
+        for j in range(n):
+            new: dict = {}
+            for a, x in cols[i].items():
+                for k, v in right[j].get(a, {}).items():
+                    new[k] = new.get(k, 0) + x * v
+            table[(i + 1, j + 1)] = new
     return StructureTensor(n, table, algebra.name)
 
 
@@ -110,11 +120,7 @@ def parse_change(text: str) -> BasisChange:
     given as dim rows of dim exact fraction strings, rows of the same
     matrix whose columns are the new basis vectors.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DocumentError(f"not valid JSON: {err.msg}",
-                            line=err.lineno, column=err.colno) from err
+    doc = _load_json(text, "not valid JSON: ")
     if not isinstance(doc, dict):
         raise DocumentError("change document must be a JSON object")
     extra = set(doc) - {"dim", "matrix"}

@@ -486,8 +486,9 @@ def _check_small_oracles(report, instances, seed):
             break
 
     lcs_checked = 0
+    smallest = min(inst.n for inst in instances)
     for inst in instances:
-        if inst.n != 9:
+        if inst.n != smallest:
             continue
         series = lower_central_series(inst.tensor)
         naive = _naive_series_dims(inst.tensor)
@@ -497,7 +498,7 @@ def _check_small_oracles(report, instances, seed):
                             f"{list(series.dims)} vs naive {naive}")
             break
     subject = (f"{trials} conjugated nilpotent matrices, "
-               f"{lcs_checked} series recomputations at n=9")
+               f"{lcs_checked} series recomputations at n={smallest}")
     if failures:
         report.add("small-oracles", subject, "fail", "; ".join(failures))
     else:

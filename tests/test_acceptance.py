@@ -5,9 +5,12 @@ prints the formatted pass/fail line, and asserts on the recorded status.
 Run with -s (or look at the captured stdout of a failure) to see the lines.
 """
 
+import re
+
 import pytest
 
-from lnz import verify_all
+from lnz import enumerate_catalog, verify_all
+from lnz.verify import Report, _check_small_oracles
 
 CRITERIA = (
     "catalog-consistency",
@@ -60,3 +63,12 @@ def test_overall_report_state(report):
     counts = report.counts
     assert counts["fail"] == 0
     assert counts["pass"] >= len(CRITERIA)
+
+
+def test_small_oracles_recompute_series_at_smallest_dimension():
+    report = Report()
+    _check_small_oracles(report, list(enumerate_catalog((10,))), seed=0)
+    record = report.record("small-oracles")
+    found = re.search(r"(\d+) series recomputations at n=10", record.subject)
+    assert record.status == "pass"
+    assert found and int(found.group(1)) > 0

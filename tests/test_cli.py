@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lnz
 from lnz import (
     GradedChange2,
     SecondTypeParams,
@@ -83,6 +88,41 @@ def test_check_rejects_malformed_document(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(doc))
     assert code == 65
     assert "malformed document" in err
+
+
+def hostile_text(kind, wrap):
+    """Document text that must end in exit 65, not a traceback.
+    ``wrap`` builds a document around one coefficient's JSON text."""
+    if kind == "nested":
+        return "[" * 100_000 + "]" * 100_000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "7" * (limit + 1)
+    return wrap(f'"{digits}"' if kind == "string" else digits)
+
+
+@pytest.mark.parametrize("kind", ["string", "integer", "nested"])
+def test_check_rejects_hostile_document(capsys, tmp_path, kind):
+    doc = tmp_path / "hostile.json"
+    doc.write_text(hostile_text(kind, lambda c: (
+        '{"dim": 2, "table": [{"i": 1, "j": 1, "terms": [[2, %s]]}]}' % c)))
+    code, _, err = run(capsys, "check", str(doc))
+    assert code == 65
+    assert "malformed document" in err
+
+
+def test_check_empty_table_in_huge_dimension(tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"dim": 100000, "table": []}')
+    # a child process, so that a slow check fails the test instead of hanging it
+    src = str(Path(lnz.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "lnz.cli", "check", str(doc)],
+        capture_output=True, text=True, timeout=2,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert done.stdout.startswith("ok: identity holds on all 100000^3")
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +285,19 @@ def test_transform_malformed_change(capsys, tmp_path, chain_doc):
     code, _, err = run(capsys, "transform", str(chain_doc), "--change",
                        str(change_doc))
     assert code == 65
+
+
+@pytest.mark.parametrize("kind", ["string", "integer", "nested"])
+def test_transform_rejects_hostile_change(capsys, tmp_path, kind):
+    doc = tmp_path / "plane.json"
+    doc.write_text('{"dim": 2, "table": []}')
+    change_doc = tmp_path / "hostile.json"
+    change_doc.write_text(hostile_text(kind, lambda c: (
+        '{"dim": 2, "matrix": [[%s, "0"], ["0", "1"]]}' % c)))
+    code, _, err = run(capsys, "transform", str(doc), "--change",
+                       str(change_doc))
+    assert code == 65
+    assert "malformed document" in err
 
 
 # ----------------------------------------------------------------------
