@@ -38,8 +38,8 @@ from .transform import (BasisChange, Distinct, Equivalent, GradedChange2,
                         extract_second_type, extract_type1_a, extract_type1_b,
                         nullity_signature, param_map_case1, param_map_case2,
                         param_map_type1_a, param_map_type1_b, parse_change,
-                        scale_identities_hold, serialize_change,
-                        verify_homogeneity)
-from .verify import Record, Report, verify_all
+                        serialize_change)
+from .verify import (Record, Report, scale_identities_hold, verify_all,
+                     verify_homogeneity)
 
 __version__ = "0.1.0"

@@ -213,6 +213,13 @@ class CatalogRow:
                                     family_label=self.family_label)
         return FirstTypeParams(self.family_id, filled)
 
+    def build(self, n: int, values: Sequence = ()) -> StructureTensor:
+        """The algebra this row denotes at dimension n and the values."""
+        params = self.make_params(values)
+        if self.kind == "second":
+            return build_second_type(n, params)
+        return build_first_type(n, params)
+
     def violations(self, values: Sequence, n: int | None = None) -> list:
         """Human-readable admissibility problems; empty when fine."""
         problems = []
@@ -455,9 +462,7 @@ def build_second_type(n: int, params: SecondTypeParams,
             f"no catalog row has epsilon={params.epsilon}, "
             f"alphas={params.alphas}, beta={beta}")
     t = _TableBuilder(n)
-    for i in range(1, n):
-        if i != 3:
-            t.put(i, 1, (i + 1, 1))
+    _chain_products(t, n, 3)
     t.put(1, 4, (2, a1), (5, beta))
     t.put(2, 4, (3, a2))
     t.put(4, 4, (2, a3))
@@ -630,13 +635,8 @@ def enumerate_catalog(dims: Sequence[int],
             if row.parity == "even" and n % 2:
                 continue
             for values in grids:
-                params = row.make_params(values)
-                if row.kind == "second":
-                    tensor = build_second_type(n, params)
-                else:
-                    tensor = build_first_type(n, params)
-                inst = CatalogInstance(row, n, tensor, values)
-                yield inst._replace(tensor=tensor.renamed(inst.label()))
+                inst = CatalogInstance(row, n, row.build(n, values), values)
+                yield inst._replace(tensor=inst.tensor.renamed(inst.label()))
 
 
 def catalog_index_document() -> str:
@@ -693,9 +693,7 @@ def build_construction_stage(n: int, alphas: Sequence,
         raise InadmissibleParams(f"betas must cover subscripts 1..{n - 1}")
     a1, a2, a3, a4 = alphas
     t = _TableBuilder(n)
-    for i in range(1, n):
-        if i != 3:
-            t.put(i, 1, (i + 1, 1))
+    _chain_products(t, n, 3)
     t.put(1, 4, (2, a1), (5, betas[1]))
     t.put(2, 4, (3, a2), (6, betas[2]))
     t.put(3, 4, (7, betas[3]))

@@ -16,10 +16,9 @@ from pathlib import Path
 from .algebra import leibniz_residual, parse, parse_fraction, serialize
 from .analysis import (char_sequence_estimate, lower_central_series,
                        natural_gradation, right_annihilator)
-from .catalog import (DEFAULT_FREE_SAMPLES, build_first_type,
-                      build_second_type, catalog_index_document, row_by_id,
+from .catalog import (DEFAULT_FREE_SAMPLES, CatalogInstance,
+                      SecondTypeParams, catalog_index_document, row_by_id,
                       rows_by_label, validate_params)
-from .catalog import SecondTypeParams
 from .errors import (DimensionTooSmall, DocumentError,
                      ElementInDerivedSubalgebra, IndexOutOfRange,
                      ParityViolation, ToolkitError, UnknownFamily)
@@ -194,15 +193,8 @@ def cmd_catalog(args) -> int:
         for problem in report.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EX_INADMISSIBLE
-    params = row.make_params(values)
-    if row.kind == "second":
-        tensor = build_second_type(args.dim, params)
-    else:
-        tensor = build_first_type(args.dim, params)
-    vals = ", ".join(f"{s.name}={v}" for s, v in zip(row.params, values))
-    label = (f"l({row.row_id})" + (f"[{vals}]" if vals else "")
-             + f" n={args.dim}")
-    _emit(serialize(tensor.renamed(label)), args.output)
+    inst = CatalogInstance(row, args.dim, row.build(args.dim, values), values)
+    _emit(serialize(inst.tensor.renamed(inst.label())), args.output)
     return EX_OK
 
 

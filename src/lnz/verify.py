@@ -27,7 +27,7 @@ from .analysis import (char_sequence_at, char_sequence_estimate,
 from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       build_second_type, build_type1_branch_a,
                       build_type1_branch_b, enumerate_catalog, row_by_id)
-from .errors import DimensionTooSmall, RestrictionViolated
+from .errors import DimensionTooSmall, NotNormalForm, RestrictionViolated
 from .linalg import (EchelonSpan, MatrixQ, block_diag, invert, jordan_block,
                      nilpotent_block_sizes, rank, rref)
 from .transform import (Distinct, Equivalent, GradedChange2, apply_change,
@@ -35,8 +35,7 @@ from .transform import (Distinct, Equivalent, GradedChange2, apply_change,
                         completed_second_type_change, decide_equivalence,
                         extract_second_type, extract_type1_a, extract_type1_b,
                         nullity_signature, param_map_case1, param_map_case2,
-                        param_map_type1_a, param_map_type1_b,
-                        scale_identities_hold, verify_homogeneity)
+                        param_map_type1_a, param_map_type1_b)
 
 Q = Fraction
 
@@ -98,6 +97,64 @@ def _rand_graded_change(rng) -> GradedChange2:
                          rng.choice(_NONZERO))
 
 
+#: The four closed-form maps, named as the failure records name them; the
+#: first two are the second-type maps at epsilon 0 and 1.
+_FAMILIES = ("no-alternating", "alternating", "first-branch-a",
+             "first-branch-b")
+
+
+def _draw_mapped(rng, family: str):
+    """Random parameters of a map family and a random graded change that
+    its map admits, with the mapped parameters: (p, g, mapped)."""
+    fn = {"no-alternating": param_map_case1, "alternating": param_map_case2,
+          "first-branch-a": param_map_type1_a,
+          "first-branch-b": param_map_type1_b}[family]
+    while True:
+        if family in _FAMILIES[:2]:
+            alphas = tuple(rng.choice(_POOL) for _ in range(4))
+            p = SecondTypeParams(_FAMILIES.index(family), alphas, Q(-1))
+        else:
+            p = tuple(rng.choice(_POOL) for _ in range(3))
+        g = _rand_graded_change(rng)
+        try:
+            return p, g, fn(p, g)
+        except RestrictionViolated:
+            continue
+
+
+def _replay(family: str, n: int, p, g):
+    """The parameters that the normal form of ``p`` at dimension n has
+    after the full basis change of ``g``, read back off the moved
+    tensor; None when the moved tensor is not in normal form."""
+    if family in _FAMILIES[:2]:
+        tensor = build_second_type(n, p)
+        change = completed_second_type_change(tensor, g)
+        extract = extract_second_type
+    else:
+        branch_a = family == "first-branch-a"
+        tensor = (build_type1_branch_a if branch_a
+                  else build_type1_branch_b)(n, *p)
+        change = completed_first_type_change(tensor, g)
+        extract = extract_type1_a if branch_a else extract_type1_b
+    try:
+        return extract(apply_change(tensor, change))
+    except NotNormalForm:
+        return None
+
+
+def _conclude(report, name, subject, failures, passed, elapsed=None,
+              gate=None):
+    """Record a check's verdict: its failures, else a blown time gate (in
+    seconds), else the ``passed`` detail."""
+    if failures:
+        report.add(name, subject, "fail", "; ".join(failures))
+    elif gate is not None and elapsed > gate:
+        report.add(name, subject, "fail",
+                   f"took {elapsed:.1f}s, budget is {gate}s")
+    else:
+        report.add(name, subject, "pass", passed)
+
+
 def _expected_gradation(n: int) -> tuple:
     return (2, 2, 2) + (1,) * (n - 6)
 
@@ -140,19 +197,13 @@ def _check_residuals(report, instances):
         if not res.is_empty():
             bad.append(f"{inst.label()} ({len(res)} violations)")
     elapsed = time.monotonic() - t0
-    subject = f"{len(instances)} catalog instances"
     if bad:
-        report.add("catalog-consistency", subject, "fail",
-                   "nonzero residual at " + "; ".join(bad[:5]))
+        bad = ["nonzero residual at " + "; ".join(bad[:5])]
     elif len(instances) < 150:
-        report.add("catalog-consistency", subject, "fail",
-                   "expected at least 150 instances")
-    elif elapsed > 60:
-        report.add("catalog-consistency", subject, "fail",
-                   f"took {elapsed:.1f}s, budget is 60s")
-    else:
-        report.add("catalog-consistency", subject, "pass",
-                   f"all residuals empty in {elapsed:.1f}s")
+        bad = ["expected at least 150 instances"]
+    _conclude(report, "catalog-consistency",
+              f"{len(instances)} catalog instances", bad,
+              f"all residuals empty in {elapsed:.1f}s", elapsed, gate=60)
 
 
 def _check_gradation(report, instances):
@@ -161,12 +212,8 @@ def _check_gradation(report, instances):
         grading = natural_gradation(inst.tensor)
         if grading.piece_dims != _expected_gradation(inst.n):
             bad.append(f"{inst.label()}: {list(grading.piece_dims)}")
-    subject = f"{len(instances)} instances"
-    if bad:
-        report.add("gradation-dims", subject, "fail", "; ".join(bad[:5]))
-    else:
-        report.add("gradation-dims", subject, "pass",
-                   "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
+    _conclude(report, "gradation-dims", f"{len(instances)} instances",
+              bad[:5], "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
 
 
 def _check_char_sequence(report, instances, budget, seed):
@@ -186,16 +233,10 @@ def _check_char_sequence(report, instances, budget, seed):
         if est != expected:
             bad.append(f"{inst.label()}: estimate {est}")
     elapsed = time.monotonic() - t0
-    subject = (f"{len(instances)} instances, {len(reps)} sampled estimates "
-               f"(budget {budget})")
-    if bad:
-        report.add("char-sequence", subject, "fail", "; ".join(bad[:5]))
-    elif elapsed > 30:
-        report.add("char-sequence", subject, "fail",
-                   f"took {elapsed:.1f}s, budget is 30s")
-    else:
-        report.add("char-sequence", subject, "pass",
-                   f"(n-3, 3) everywhere in {elapsed:.1f}s")
+    _conclude(report, "char-sequence",
+              f"{len(instances)} instances, {len(reps)} sampled estimates "
+              f"(budget {budget})", bad[:5],
+              f"(n-3, 3) everywhere in {elapsed:.1f}s", elapsed, gate=30)
 
 
 def _check_nilindex(report, instances):
@@ -207,13 +248,8 @@ def _check_nilindex(report, instances):
                 and dims[-1] == 0 and dims[-2] > 0)
         if not okay:
             bad.append(f"{inst.label()}: series dims {list(dims)}")
-    subject = f"{len(instances)} instances"
-    if bad:
-        report.add("nilindex", subject, "fail", "; ".join(bad[:5]))
-    else:
-        report.add("nilindex", subject, "pass",
-                   "term n-3 nonzero and term n-2 zero everywhere "
-                   "(nilindex n-2)")
+    _conclude(report, "nilindex", f"{len(instances)} instances", bad[:5],
+              "term n-3 nonzero and term n-2 zero everywhere (nilindex n-2)")
 
 
 def _check_annihilator(report, instances):
@@ -226,136 +262,122 @@ def _check_annihilator(report, instances):
         missing = [i for i in need if not span.contains(Vec.basis(n, i))]
         if missing:
             bad.append(f"{inst.label()}: e_{missing} outside annihilator")
-    subject = f"{len(instances)} instances"
-    if bad:
-        report.add("right-annihilator", subject, "fail", "; ".join(bad[:5]))
-    else:
-        report.add("right-annihilator", subject, "pass",
-                   "contains e_2, e_3 (second type) and e_2..e_{n-3} "
-                   "(first type)")
-
-
-def _oracle_trial_case(rng, eps: int, n: int):
-    """One random oracle comparison for a second-type map.  Returns True
-    when the closed form and the direct recomputation agree."""
-    while True:
-        alphas = tuple(rng.choice(_POOL) for _ in range(4))
-        p = SecondTypeParams(eps, alphas, Q(-1))
-        g = _rand_graded_change(rng)
-        try:
-            mapped = (param_map_case1(p, g) if eps == 0
-                      else param_map_case2(p, g))
-        except RestrictionViolated:
-            continue
-        tensor = build_second_type(n, p)
-        change = completed_second_type_change(tensor, g)
-        got = extract_second_type(apply_change(tensor, change))
-        return got.alphas == mapped.alphas and got.beta == mapped.beta
-
-
-def _oracle_trial_t1(rng, branch: str, n: int):
-    while True:
-        triple = tuple(rng.choice(_POOL) for _ in range(3))
-        g = _rand_graded_change(rng)
-        try:
-            mapped = (param_map_type1_a(triple, g) if branch == "a"
-                      else param_map_type1_b(triple, g))
-        except RestrictionViolated:
-            continue
-        if branch == "a":
-            tensor = build_type1_branch_a(n, *triple)
-        else:
-            tensor = build_type1_branch_b(n, *triple)
-        change = completed_first_type_change(tensor, g)
-        moved = apply_change(tensor, change)
-        got = extract_type1_a(moved) if branch == "a" else extract_type1_b(moved)
-        return got == mapped
+    _conclude(report, "right-annihilator", f"{len(instances)} instances",
+              bad[:5], "contains e_2, e_3 (second type) and e_2..e_{n-3} "
+              "(first type)")
 
 
 def _check_formula_oracle(report, dims, trials, seed):
     t0 = time.monotonic()
     rng = random.Random(seed + 1)
     failures = []
-    even = [n for n in dims if n % 2 == 0]
-    jobs = [("no-alternating", lambda i: _oracle_trial_case(
-                rng, 0, dims[i % len(dims)])),
-            ("alternating", lambda i: _oracle_trial_case(
-                rng, 1, even[i % len(even)])),
-            ("first-branch-a", lambda i: _oracle_trial_t1(
-                rng, "a", dims[i % len(dims)])),
-            ("first-branch-b", lambda i: _oracle_trial_t1(
-                rng, "b", dims[i % len(dims)]))]
-    for label, trial in jobs:
+    for family in _FAMILIES:
         for i in range(trials):
-            if not trial(i):
-                failures.append(f"{label} trial {i}")
+            n = dims[i % len(dims)]
+            if family == "alternating":
+                n += n % 2      # alternating products need even n
+            p, g, mapped = _draw_mapped(rng, family)
+            if _replay(family, n, p, g) != mapped:
+                failures.append(f"{family} trial {i}")
                 break
     elapsed = time.monotonic() - t0
-    subject = f"{trials} random changes per map"
-    if failures:
-        report.add("formula-oracle", subject, "fail", "; ".join(failures))
-    elif elapsed > 30:
-        report.add("formula-oracle", subject, "fail",
-                   f"took {elapsed:.1f}s, budget is 30s")
-    else:
-        report.add("formula-oracle", subject, "pass",
-                   f"closed forms match direct recomputation in {elapsed:.1f}s")
+    _conclude(report, "formula-oracle", f"{trials} random changes per map",
+              failures, f"closed forms match direct recomputation in "
+              f"{elapsed:.1f}s", elapsed, gate=30)
 
 
 def _check_invariance(report, trials, seed):
     rng = random.Random(seed + 2)
     failures = []
-    done_scale = 0
-
-    for label, eps in (("no-alternating", 0), ("alternating", 1)):
-        done = 0
-        while done < trials:
-            alphas = tuple(rng.choice(_POOL) for _ in range(4))
-            p = SecondTypeParams(eps, alphas, Q(-1))
-            g = _rand_graded_change(rng)
-            try:
-                mapped = (param_map_case1(p, g) if eps == 0
-                          else param_map_case2(p, g))
-            except RestrictionViolated:
-                continue
-            if nullity_signature(mapped) != nullity_signature(p):
-                failures.append(f"{label}: signature moved at {alphas}, "
-                                f"change {g}")
+    for family in _FAMILIES:
+        second = family in _FAMILIES[:2]
+        for _ in range(trials):
+            p, g, mapped = _draw_mapped(rng, family)
+            if second:
+                moved = nullity_signature(mapped) != nullity_signature(p)
+                where = f"{p.alphas}, change {g}"
+            else:
+                branch = family[-1]
+                moved = (nullity_signature((branch, p))
+                         != nullity_signature((branch, mapped)))
+                where = p
+            if moved:
+                failures.append(f"{family}: signature moved at {where}")
                 break
-            if not scale_identities_hold(p, g):
-                failures.append(f"{label}: scale identity failed at {alphas}")
+            if second and not scale_identities_hold(p, g):
+                failures.append(f"{family}: scale identity failed at "
+                                f"{p.alphas}")
                 break
-            done += 1
-            done_scale += 1
-
-    for branch in ("a", "b"):
-        done = 0
-        while done < trials:
-            triple = tuple(rng.choice(_POOL) for _ in range(3))
-            g = _rand_graded_change(rng)
-            try:
-                mapped = (param_map_type1_a(triple, g) if branch == "a"
-                          else param_map_type1_b(triple, g))
-            except RestrictionViolated:
-                continue
-            sig_p = nullity_signature((branch, triple))
-            sig_q = nullity_signature((branch, mapped))
-            if sig_p != sig_q:
-                failures.append(f"first-branch-{branch}: signature moved "
-                                f"at {triple}")
-                break
-            done += 1
 
     if not verify_homogeneity(trials=min(trials, 100), seed=seed + 3):
         failures.append("scaling (A1,A4,B4) by a common factor moved a map")
+    _conclude(report, "nullity-invariance",
+              f"{trials} random changes per case", failures,
+              f"signatures and scale identities exact "
+              f"({2 * trials} identity checks)")
 
-    subject = f"{trials} random changes per case"
-    if failures:
-        report.add("nullity-invariance", subject, "fail", "; ".join(failures))
+
+def scale_identities_hold(p: SecondTypeParams, g: GradedChange2) -> bool:
+    """Exact check of the quadratic-combination transformation laws.
+
+    With D = A1^2 + alpha1*A1*A4 + alpha3*A4^2 and E = A1 + alpha2*A4:
+
+        alpha1'^2 - 4*alpha3'  = (alpha1^2 - 4*alpha3) * A1^2 B4^2 / D^2
+        alpha1'*alpha2' - 2*alpha3' = (alpha1*alpha2 - 2*alpha3) * A1 B4^2 / (E D)
+        alpha1'*alpha2' - 2*alpha4' = (alpha1*alpha2 - 2*alpha4) * A1 B4^2 / (E D)
+
+    and additionally, when the alternating products are present,
+
+        alpha1' + 2*alpha3' = (alpha1 + 2*alpha3) * A1 (A1 - A4) / D.
+
+    The third line for epsilon = 1 is stated elsewhere with a stray minus
+    sign; the positive form is what the map actually satisfies, as these
+    checks confirm on every run.
+    """
+    a1, a2, a3, a4 = p.alphas
+    A1, A4 = g.A1, g.A4
+    if p.epsilon == 0:
+        q = param_map_case1(p, g)
+        B4 = g.B4
     else:
-        report.add("nullity-invariance", subject, "pass",
-                   f"signatures and scale identities exact "
-                   f"({done_scale} identity checks)")
+        q = param_map_case2(p, g)
+        B4 = A1 - A4
+    b1, b2, b3, b4 = q.alphas
+    D = A1 * A1 + a1 * A1 * A4 + a3 * A4 * A4
+    E = A1 + a2 * A4
+    ok = (b1 * b1 - 4 * b3 == (a1 * a1 - 4 * a3) * A1 * A1 * B4 * B4 / (D * D)
+          and b1 * b2 - 2 * b3 == (a1 * a2 - 2 * a3) * A1 * B4 * B4 / (E * D)
+          and b1 * b2 - 2 * b4 == (a1 * a2 - 2 * a4) * A1 * B4 * B4 / (E * D))
+    if p.epsilon == 1:
+        ok = ok and b1 + 2 * b3 == (a1 + 2 * a3) * A1 * (A1 - A4) / D
+    return ok
+
+
+def verify_homogeneity(trials: int = 100, seed: int = 0) -> bool:
+    """Check that scaling (A1, A4, B4) by a common factor never moves the
+    mapped parameters, for all four maps.  This is what licenses the
+    A1 = 1 normalisation inside decide_equivalence."""
+    rng = random.Random(seed)
+    done = 0
+    while done < trials:
+        alphas = tuple(rng.choice(_POOL) for _ in range(4))
+        g = _rand_graded_change(rng)
+        c = rng.choice([v for v in _NONZERO if v != 1])
+        gc = GradedChange2(c * g.A1, c * g.A4, c * g.B4)
+        p0 = SecondTypeParams(0, alphas, Q(-1))
+        p1 = SecondTypeParams(1, alphas, Q(-1))
+        triple = tuple(rng.choice(_POOL) for _ in range(3))
+        checks = [(param_map_case1, p0), (param_map_case2, p1),
+                  (param_map_type1_a, triple), (param_map_type1_b, triple)]
+        for fn, arg in checks:
+            try:
+                base = fn(arg, g)
+            except RestrictionViolated:
+                continue
+            if fn(arg, gc) != base:
+                return False
+            done += 1
+    return True
 
 
 def _check_non_lie(report, instances):
@@ -365,12 +387,8 @@ def _check_non_lie(report, instances):
             bad.append(inst.label())
         elif inst.tensor.coefficient(1, 1, 2) != 1:
             bad.append(f"{inst.label()}: [e_1,e_1] is not e_2")
-    subject = f"{len(instances)} instances"
-    if bad:
-        report.add("non-lie", subject, "fail", "; ".join(bad[:5]))
-    else:
-        report.add("non-lie", subject, "pass",
-                   "antisymmetry fails everywhere, witness [e_1,e_1] = e_2")
+    _conclude(report, "non-lie", f"{len(instances)} instances", bad[:5],
+              "antisymmetry fails everywhere, witness [e_1,e_1] = e_2")
 
 
 def _spot_pairs():
@@ -398,17 +416,13 @@ def _spot_pairs():
 
 def _witness_is_sound(p, q, witness) -> bool:
     n = 10 if p.epsilon == 1 else 9
-    tensor = build_second_type(n, p)
-    change = completed_second_type_change(tensor, witness)
-    got = extract_second_type(apply_change(tensor, change))
-    return got.alphas == q.alphas and got.beta == q.beta
+    return _replay(_FAMILIES[p.epsilon], n, p, witness) == q
 
 
 def _check_equivalence_spots(report):
     failures = []
-    count = 0
-    for p, q, expected, note in _spot_pairs():
-        count += 1
+    pairs = _spot_pairs()
+    for p, q, expected, note in pairs:
         verdict = decide_equivalence(p, q, budget=6)
         if verdict.kind != expected:
             failures.append(f"{p.alphas} vs {q.alphas}: got {verdict.kind}, "
@@ -422,13 +436,9 @@ def _check_equivalence_spots(report):
             if not _witness_is_sound(p, q, verdict.witness):
                 failures.append(f"{p.alphas} vs {q.alphas}: witness "
                                 f"{verdict.witness} does not reproduce q")
-    subject = f"{count} spot pairs"
-    if failures:
-        report.add("equivalence-spots", subject, "fail", "; ".join(failures))
-    else:
-        report.add("equivalence-spots", subject, "pass",
-                   "all verdicts correct; every witness verified by direct "
-                   "basis change")
+    _conclude(report, "equivalence-spots", f"{len(pairs)} spot pairs",
+              failures, "all verdicts correct; every witness verified by "
+              "direct basis change")
 
 
 def _unimodular(rng, n: int) -> MatrixQ:
@@ -497,14 +507,11 @@ def _check_small_oracles(report, instances, seed):
             failures.append(f"{inst.label()}: series dims "
                             f"{list(series.dims)} vs naive {naive}")
             break
-    subject = (f"{trials} conjugated nilpotent matrices, "
-               f"{lcs_checked} series recomputations at n={smallest}")
-    if failures:
-        report.add("small-oracles", subject, "fail", "; ".join(failures))
-    else:
-        report.add("small-oracles", subject, "pass",
-                   "rank-difference block sizes and central series match "
-                   "brute-force recomputation")
+    _conclude(report, "small-oracles",
+              f"{trials} conjugated nilpotent matrices, "
+              f"{lcs_checked} series recomputations at n={smallest}",
+              failures, "rank-difference block sizes and central series "
+              "match brute-force recomputation")
 
 
 def _naive_series_dims(algebra) -> list:

@@ -9,8 +9,11 @@ import re
 
 import pytest
 
-from lnz import enumerate_catalog, verify_all
-from lnz.verify import Report, _check_small_oracles
+import lnz.verify
+from lnz import (BasisChange, MatrixQ, completed_second_type_change,
+                 enumerate_catalog, verify_all)
+from lnz.verify import (Report, _check_equivalence_spots,
+                        _check_formula_oracle, _check_small_oracles)
 
 CRITERIA = (
     "catalog-consistency",
@@ -72,3 +75,25 @@ def test_small_oracles_recompute_series_at_smallest_dimension():
     found = re.search(r"(\d+) series recomputations at n=10", record.subject)
     assert record.status == "pass"
     assert found and int(found.group(1)) > 0
+
+
+def test_formula_oracle_on_odd_dimensions_only():
+    # the alternating map runs at the next even dimension
+    report = Report()
+    _check_formula_oracle(report, (9,), 3, 0)
+    assert report.record("formula-oracle").status == "pass"
+
+
+def test_replay_leaving_normal_form_is_a_failure_record(monkeypatch):
+    def e2_into_first_column(algebra, g):
+        rows = completed_second_type_change(algebra, g).matrix.row_list()
+        rows[1][0] += 1         # e'_1 gains e_2
+        return BasisChange(MatrixQ.from_rows(rows))
+
+    monkeypatch.setattr(lnz.verify, "completed_second_type_change",
+                        e2_into_first_column)
+    report = Report()
+    _check_formula_oracle(report, (9, 10), 3, 0)
+    _check_equivalence_spots(report)
+    assert [(r.name, r.status) for r in report.records] == [
+        ("formula-oracle", "fail"), ("equivalence-spots", "fail")]

@@ -132,6 +132,12 @@ def test_restriction_factor_names():
     assert violated_factor(
         param_map_case2, SecondTypeParams(1, (0, 0, 0, 0), -1),
         GradedChange2(Q(1), Q(1))) == "A1-A4"
+    # two factors vanish: the first one in the docstring's order is named
+    assert violated_factor(param_map_case1, p0,
+                           GradedChange2(1, -1, 0)) == "A1+alpha2*A4"
+    assert violated_factor(
+        param_map_case2, SecondTypeParams(1, (0, -1, 0, 0), -1),
+        GradedChange2(1, 1)) == "A1-A4"
     assert violated_factor(param_map_type1_a, (1, 0, 2),
                            GradedChange2(Q(1), Q(-1))) == "A1+alpha1*A(n-2)"
     assert violated_factor(param_map_type1_a, (1, 0, 2),
@@ -300,6 +306,27 @@ def test_decide_epsilon_one_pair():
     out = decide_equivalence(p, q)
     assert isinstance(out, Equivalent)
     assert param_map_case2(p, out.witness).alphas == q.alphas
+
+
+def fracs(text):
+    return tuple(Q(x) for x in text.split(","))
+
+
+@pytest.mark.parametrize("eps, p, q, witness", [
+    # A4 = 0 with B4 scaling
+    (0, "1/2,1/2,0,-2", "4/11,4/11,0,-128/121", "1,0,8/11"),
+    # s eliminated through the alpha2 equation
+    (0, "1/3,-1,1/2,3", "14/11,2,6/11,-24/11", "1,2,2"),
+    # s eliminated by resultants (alpha2 = 0)
+    (0, "0,0,1/2,-2", "-14/9,0,49/54,-98/27", "1,-2,7/3"),
+    # root of the gcd at B4 = 1 - A4; the witness keeps B4 = 1
+    (1, "1/3,1/3,3,-1/2", "-37/41,-1/5,9/41,27/410", "1,2,1"),
+])
+def test_decide_witness_from_each_candidate_source(eps, p, q, witness):
+    out = decide_equivalence(SecondTypeParams(eps, fracs(p), -1),
+                             SecondTypeParams(eps, fracs(q), -1), budget=6)
+    assert isinstance(out, Equivalent)
+    assert (out.witness.A1, out.witness.A4, out.witness.B4) == fracs(witness)
 
 
 def test_decide_unknown_when_witness_is_irrational():
