@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help="alpha1,alpha2,alpha3,alpha4")
     p.add_argument("--q", required=True, help="alpha1,alpha2,alpha3,alpha4")
     p.add_argument("--budget", type=int, default=6,
-                   help="height bound for the witness search")
+                   help="height bound (at most 8) of the epsilon = 0 "
+                        "witness grid; epsilon = 1 searches roots only")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")

@@ -18,8 +18,15 @@ second-type maps are one set of formulas that differ only in that pin.
 name the same algebra.  It is deliberately three-valued: Distinct is
 claimed only from the printed nullity invariants, Equivalent only with a
 verified witness, and everything else is Unknown (a witness may exist
-over the complex numbers that has no rational coordinates).  The
-epsilon = 1 search solves the epsilon = 0 equations with B4 = 1 - A4.
+over the complex numbers that has no rational coordinates).  Both
+epsilons share one witness rule: A4 runs over 0 and the rational roots of
+the matching equations with B4 eliminated (for epsilon = 1 by the pin
+B4 = 1 - A4).  Nothing rational is lost by stopping there for epsilon =
+1: a witness A4 is a common root of the four equations, which vanish
+identically only when q = p.  For epsilon = 0, B4 at a fixed A4 comes
+from any equation with a nonzero B4 coefficient, and such an equation
+exists unless every alpha is 0.  The search budget bounds only the
+epsilon = 0 height grid that follows.
 """
 
 from __future__ import annotations
@@ -505,11 +512,23 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     Distinct comes only from a nullity-signature mismatch.  Equivalent
     always carries a witness that has been verified by the forward map
     (normalised to A1 = 1; the maps are homogeneous of degree zero in
-    (A1, A4, B4), which verify.verify_homogeneity checks).  Candidate
-    witnesses come from the moves used in the classification itself
-    (A4 = 0 with B4 scaling), from eliminating B4 by resultants and
-    solving for rational A4, and from a small grid of heights up to
-    ``budget``; anything else is Unknown.
+    (A1, A4, B4), which verify.verify_homogeneity checks).  A4 candidates
+    come in one order: 0, then the rational roots left after eliminating
+    B4 from the matching equations.  For epsilon = 1 the map pins B4
+    itself and the witness keeps B4 = 1; for epsilon = 0 each A4 gets the
+    B4 values ``_solve_s_at`` finds.  Only epsilon = 0 then falls back on
+    a grid of heights up to ``budget`` (at most 8); anything else is
+    Unknown.
+
+    Why no rational witness is missed by the two roots-only paths:
+
+    * epsilon = 1: a witness A4 is a common root of the four equations
+      at B4 = 1 - A4, so it is a root of their gcd.  The equations vanish
+      identically only when q = p, which returns earlier; A4 = 0 is the
+      identity and likewise matches only q = p.
+    * epsilon = 0, A4 fixed: any equation whose B4 coefficient is nonzero
+      (alpha2, alpha1 + 2*alpha3*A4, alpha3 or alpha4 + alpha2*alpha3*A4)
+      fixes B4 up to sign, and all four vanish only when every alpha is 0.
     """
     if p.epsilon != q.epsilon:
         raise EpsilonMismatch(
@@ -526,22 +545,12 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
         # q.beta = 0 too, and distinct all-zero tuples cannot happen
         return Unknown("beta = 0 leaves no free parameters")
 
-    height = max(1, min(int(budget), 8))
     candidates: dict = {}       # (A4, B4) in first-seen order
-    if p.epsilon == 1:
-        # the map pins B4 to A1 - A4 itself, so the witness keeps B4 = 1
-        for t in _case2_candidates(p, q, height):
-            candidates[(t, Q(1))] = None
-    else:
-        # the classification's own moves: A4 = 0, scale B4
-        for s in _scaling_candidates(p.alphas, q.alphas):
-            candidates[(Q(0), s)] = None
-        # eliminate s, solve for t
-        for t in _case1_eliminated_roots(p.alphas, q.alphas):
-            for s in _solve_s_at(p.alphas, q.alphas, t):
-                candidates[(t, s)] = None
-        # grid
-        axis = _grid_axis(height)
+    for t in [Q(0)] + _eliminated_roots(p, q):
+        for s in [Q(1)] if p.epsilon else _solve_s_at(p.alphas, q.alphas, t):
+            candidates[(t, s)] = None
+    if p.epsilon == 0:
+        axis = _grid_axis(max(1, min(int(budget), 8)))
         for t in axis:
             for s in axis:
                 if s != 0:
@@ -551,26 +560,6 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
         if _forward_matches(p, q, g):
             return Equivalent(g)
     return Unknown("no rational witness found")
-
-
-def _scaling_candidates(p_alphas, q_alphas) -> list:
-    """B4 values that could map p to q with A4 = 0 (pure rescaling)."""
-    a1, a2, a3, a4 = p_alphas
-    q1, q2, q3, q4 = q_alphas
-    out = []
-    if a1 != 0:
-        out.append(q1 / a1)
-    if a2 != 0:
-        out.append(q2 / a2)
-    if a3 != 0:
-        r = _rational_sqrt(q3 / a3)
-        if r is not None:
-            out.extend([r, -r])
-    if a4 != 0:
-        r = _rational_sqrt(q4 / a4)
-        if r is not None:
-            out.extend([r, -r])
-    return [s for s in out if s != 0]
 
 
 def _case1_equations(p_alphas, q_alphas) -> list:
@@ -615,24 +604,28 @@ def _common_roots(polys) -> list:
     return rational_roots(g, bound=10000)
 
 
-def _case1_eliminated_roots(p_alphas, q_alphas) -> list:
-    """Rational t candidates after eliminating s from the equations."""
-    eqs = _case1_equations(p_alphas, q_alphas)
-    a2 = p_alphas[1]
-    q2 = q_alphas[1]
-    if a2 != 0:
-        # s is linear in t through the second equation: s = q2 E / a2
+def _eliminated_roots(p: SecondTypeParams, q: SecondTypeParams) -> list:
+    """Rational t candidates after eliminating s from the equations: s is
+    1 - t for epsilon = 1, else q2 E / a2 when a2 != 0, else resultants."""
+    eqs = _case1_equations(p.alphas, q.alphas)
+    a2, q2 = p.alphas[1], q.alphas[1]
+    if p.epsilon:
+        s = PolyQ.of(1, -1)
+    elif a2 != 0:
         s = PolyQ.of(1, a2) * (q2 / a2)
-        return _common_roots(_substitute(eqs[k], s) for k in (0, 2, 3))
-    if q2 != 0:
+    elif q2 != 0:
         return []
-    eqs = [eqs[k] for k in (0, 2, 3) if any(not c.is_zero() for c in eqs[k])]
-    return _common_roots(resultant(lhs, rhs)
-                         for lhs, rhs in combinations(eqs, 2))
+    else:
+        eqs = [eq for eq in (eqs[0], eqs[2], eqs[3])
+               if any(not c.is_zero() for c in eq)]
+        return _common_roots(resultant(lhs, rhs)
+                             for lhs, rhs in combinations(eqs, 2))
+    return _common_roots(_substitute(eq, s) for eq in eqs)
 
 
 def _solve_s_at(p_alphas, q_alphas, t: Fraction) -> list:
-    """Exact s candidates at a fixed t, from whichever equation pins s."""
+    """Exact s candidates at a fixed t, from whichever equation pins s;
+    at t = 0 these are the pure rescalings."""
     a1, a2, a3, a4 = p_alphas
     q1, q2, q3, q4 = q_alphas
     D = 1 + a1 * t + a3 * t * t
@@ -643,18 +636,9 @@ def _solve_s_at(p_alphas, q_alphas, t: Fraction) -> list:
     n1 = a1 + 2 * a3 * t
     if n1 != 0:
         out.append(q1 * D / n1)
-    if a3 != 0:
-        r = _rational_sqrt(q3 * D / a3)
-        if r is not None:
-            out.extend([r, -r])
+    for lead, rhs in ((a3, q3 * D), (a4 + a2 * a3 * t, q4 * E * D)):
+        if lead != 0:
+            r = _rational_sqrt(rhs / lead)
+            if r is not None:
+                out.extend([r, -r])
     return [s for s in out if s != 0]
-
-
-def _case2_candidates(p: SecondTypeParams, q: SecondTypeParams,
-                      height: int) -> list:
-    """Rational A4 candidates with A1 = 1 and the pinned B4 = 1 - A4: the
-    epsilon = 0 equations at s = 1 - t, then the height-8 grid."""
-    B = PolyQ.of(1, -1)              # 1 - t
-    roots = _common_roots(_substitute(eq, B)
-                          for eq in _case1_equations(p.alphas, q.alphas))
-    return roots + _grid_axis(max(height, 8))

@@ -24,7 +24,7 @@ from .algebra import Vec, bracket, is_lie, leibniz_residual
 from .analysis import (char_sequence_at, char_sequence_estimate,
                        lower_central_series, natural_gradation,
                        right_annihilator)
-from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
+from .catalog import (CATALOG_ROWS, DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       build_second_type, build_type1_branch_a,
                       build_type1_branch_b, enumerate_catalog, row_by_id)
 from .errors import DimensionTooSmall, NotNormalForm, RestrictionViolated
@@ -197,10 +197,15 @@ def _check_residuals(report, instances):
         if not res.is_empty():
             bad.append(f"{inst.label()} ({len(res)} violations)")
     elapsed = time.monotonic() - t0
+    dims = {inst.n for inst in instances}
+    seen = {inst.row.row_id for inst in instances}
+    missing = [row.row_id for row in CATALOG_ROWS
+               if row.row_id not in seen
+               and any(row.parity == "any" or n % 2 == 0 for n in dims)]
     if bad:
         bad = ["nonzero residual at " + "; ".join(bad[:5])]
-    elif len(instances) < 150:
-        bad = ["expected at least 150 instances"]
+    elif missing:
+        bad = ["no instances of rows " + ", ".join(missing)]
     _conclude(report, "catalog-consistency",
               f"{len(instances)} catalog instances", bad,
               f"all residuals empty in {elapsed:.1f}s", elapsed, gate=60)

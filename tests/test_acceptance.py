@@ -13,7 +13,8 @@ import lnz.verify
 from lnz import (BasisChange, MatrixQ, completed_second_type_change,
                  enumerate_catalog, verify_all)
 from lnz.verify import (Report, _check_equivalence_spots,
-                        _check_formula_oracle, _check_small_oracles)
+                        _check_formula_oracle, _check_residuals,
+                        _check_small_oracles)
 
 CRITERIA = (
     "catalog-consistency",
@@ -82,6 +83,20 @@ def test_formula_oracle_on_odd_dimensions_only():
     report = Report()
     _check_formula_oracle(report, (9,), 3, 0)
     assert report.record("formula-oracle").status == "pass"
+
+
+def test_residuals_need_every_admitted_row_not_a_count():
+    instances = list(enumerate_catalog((9,)))
+    report = Report()
+    _check_residuals(report, instances)
+    assert report.record("catalog-consistency").status == "pass"
+    dropped = instances[0].row.row_id
+    report = Report()
+    _check_residuals(report, [i for i in instances
+                              if i.row.row_id != dropped])
+    record = report.record("catalog-consistency")
+    assert record.status == "fail"
+    assert record.detail == f"no instances of rows {dropped}"
 
 
 def test_replay_leaving_normal_form_is_a_failure_record(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lnz.transform
 from lnz import (
     BasisChange,
     Distinct,
@@ -315,6 +316,8 @@ def fracs(text):
 @pytest.mark.parametrize("eps, p, q, witness", [
     # A4 = 0 with B4 scaling
     (0, "1/2,1/2,0,-2", "4/11,4/11,0,-128/121", "1,0,8/11"),
+    # A4 = 0 with B4 from the alpha4 equation alone
+    (0, "0,0,0,1", "0,0,0,4", "1,0,2"),
     # s eliminated through the alpha2 equation
     (0, "1/3,-1,1/2,3", "14/11,2,6/11,-24/11", "1,2,2"),
     # s eliminated by resultants (alpha2 = 0)
@@ -327,6 +330,23 @@ def test_decide_witness_from_each_candidate_source(eps, p, q, witness):
                              SecondTypeParams(eps, fracs(q), -1), budget=6)
     assert isinstance(out, Equivalent)
     assert (out.witness.A1, out.witness.A4, out.witness.B4) == fracs(witness)
+
+
+@pytest.mark.parametrize("budget", [1, 8])
+def test_decide_epsilon_one_tries_roots_only(monkeypatch, budget):
+    # no grid for epsilon = 1: A4 = 0 and the gcd roots are all it tries
+    calls = []
+
+    def counted(p, g):
+        calls.append(g)
+        return param_map_case2(p, g)
+
+    monkeypatch.setattr(lnz.transform, "param_map_case2", counted)
+    out = decide_equivalence(SecondTypeParams(1, (0, 0, 0, 0), -1),
+                             SecondTypeParams(1, (0, 1, 0, 0), -1),
+                             budget=budget)
+    assert isinstance(out, Unknown)
+    assert len(calls) <= 2
 
 
 def test_decide_unknown_when_witness_is_irrational():
