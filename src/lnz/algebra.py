@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
@@ -196,36 +196,49 @@ class Residual:
         return len(self.violations)
 
 
+def _integer_cells(algebra: StructureTensor) -> tuple:
+    """``(scale, {(i, j): ((k, int), ...)})``: the table read once as
+    integer cells, times ``scale``, the lcm of its denominators.  A positive
+    multiple of the table has the same spans and Jordan block profiles."""
+    scale = lcm(*(c.denominator for terms in algebra.table.values()
+                  for _, c in terms))
+    return scale, {key: tuple((k, c.numerator * (scale // c.denominator))
+                              for k, c in terms)
+                   for key, terms in algebra.table.items()}
+
+
 def leibniz_residual(algebra: StructureTensor) -> Residual:
     """Exact defect of the Leibniz identity over all n^3 basis triples.
 
     Only triples that can fail are visited: every term needs i to be a left
-    index of the table and k a right index, and j to be either.
+    index of the table and k a right index, and j to be either.  Sums run
+    on the integer cells; only a failing triple goes back to ``Fraction``.
     """
     n = algebra.dim
-    table = algebra.table
-    lefts = sorted({i for i, _ in table})
-    rights = sorted({j for _, j in table})
+    scale, cells = _integer_cells(algebra)
+    get = cells.get
+    lefts = sorted({i for i, _ in cells})
+    rights = sorted({j for _, j in cells})
     either = sorted(set(lefts) | set(rights))
     violations = []
     for j in either:
         for k in rights:
-            w_jk = table.get((j, k), ())
+            w_jk = get((j, k), ())
             for i in lefts:
                 acc: dict = {}
                 for m, c in w_jk:
-                    for t, v in table.get((i, m), ()):
-                        acc[t] = acc.get(t, Fraction(0)) + c * v
-                for m, c in table.get((i, j), ()):
-                    for t, v in table.get((m, k), ()):
-                        acc[t] = acc.get(t, Fraction(0)) - c * v
-                for m, c in table.get((i, k), ()):
-                    for t, v in table.get((m, j), ()):
-                        acc[t] = acc.get(t, Fraction(0)) + c * v
-                if any(v != 0 for v in acc.values()):
+                    for t, v in get((i, m), ()):
+                        acc[t] = acc.get(t, 0) + c * v
+                for m, c in get((i, j), ()):
+                    for t, v in get((m, k), ()):
+                        acc[t] = acc.get(t, 0) - c * v
+                for m, c in get((i, k), ()):
+                    for t, v in get((m, j), ()):
+                        acc[t] = acc.get(t, 0) + c * v
+                if any(acc.values()):
                     defect = [Fraction(0)] * n
                     for t, v in acc.items():
-                        defect[t - 1] = v
+                        defect[t - 1] = Fraction(v, scale ** 2)
                     violations.append((i, j, k, Vec(tuple(defect))))
     return Residual(n, tuple(violations))
 

@@ -15,11 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .algebra import StructureTensor, Vec, bracket, right_mul_matrix
-from .errors import (DimensionMismatch, ElementInDerivedSubalgebra,
-                     NonNilpotent)
+from .algebra import StructureTensor, Vec, _integer_cells
+from .errors import ElementInDerivedSubalgebra, NonNilpotent
 from .linalg import (EchelonSpan, MatrixQ, kernel_basis,
                      nilpotent_block_sizes)
 
@@ -45,23 +43,20 @@ class CentralSeries:
         return len(self.terms)
 
 
-def _cells_by_left(algebra: StructureTensor) -> list:
-    """The table read once as sparse integer rows: entry i lists (j, {k: c})
-    for each nonzero cell [e_{i+1}, e_{j+1}], all 0-based.  Every cell is
-    scaled by one lcm of the denominators, which leaves every span as it is.
-    """
-    scale = lcm(*(c.denominator for terms in algebra.table.values()
-                  for _, c in terms))
-    cells: list = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in algebra.table.items():
-        cells[i - 1].append((j - 1, {k - 1: c.numerator * (scale // c.denominator)
-                                     for k, c in terms}))
-    return cells
+def _cells_by(algebra: StructureTensor, side: int) -> tuple:
+    """The scale and the integer cells by left (side 0) or right (side 1)
+    index: entry a lists (b, ((k, c), ...)) per cell, all 0-based."""
+    scale, cells = _integer_cells(algebra)
+    grouped: list = [[] for _ in range(algebra.dim)]
+    for key, terms in cells.items():
+        grouped[key[side] - 1].append(
+            (key[1 - side] - 1, tuple((k - 1, c) for k, c in terms)))
+    return scale, grouped
 
 
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
-    cells = _cells_by_left(algebra)
+    _, by_left = _cells_by(algebra, 0)
     terms = [EchelonSpan(n, ({i: 1} for i in range(n)))]
     while True:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
@@ -69,9 +64,9 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
         for u in terms[-1].sparse_rows():
             products: dict = {}
             for i, x in u.items():
-                for j, cell in cells[i]:
+                for j, cell in by_left[i]:
                     acc = products.setdefault(j, {})
-                    for k, c in cell.items():
+                    for k, c in cell:
                         acc[k] = acc.get(k, 0) + x * c
             for prod in products.values():
                 nxt.add(prod)
@@ -131,63 +126,59 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     series = lower_central_series(algebra)
     if not series.nilpotent:
         raise NonNilpotent("gradation needs a nilpotent algebra")
-    # the terms are already in reduced echelon form
-    spans = [(tuple(v.coords for v in term),
-              tuple(next(c for c, x in enumerate(v.coords) if x) for v in term))
+    # the terms are already in reduced echelon form; keep them sparse
+    spans = [[{c: x for c, x in enumerate(v.coords) if x} for v in term]
              for term in series.terms]
-    sections = []       # flat list of Vec
-    piece_dims = []
-    pivot_of = []       # pivot column of each section, for coordinates
-    degree_of = []
-    for d in range(len(spans) - 1):
-        rows, pivots = spans[d]
-        later = set(spans[d + 1][1])
-        fresh = [(p, rows[k]) for k, p in enumerate(pivots) if p not in later]
-        piece_dims.append(len(fresh))
-        for p, row in fresh:
-            pivot_of.append(p)
-            degree_of.append(d + 1)
-            sections.append(Vec(row))
-    m = len(sections)
-    if sum(piece_dims) != n:
+    sections, rows, degree_of = [], [], []      # listed degree by degree
+    for d in range(1, len(spans)):
+        later = {min(row) for row in spans[d]}
+        for v, row in zip(series.terms[d - 1], spans[d - 1]):
+            if min(row) not in later:
+                sections.append(v)
+                rows.append(row)
+                degree_of.append(d)
+    m, top = len(sections), len(spans) - 1
+    if m != n:
         raise NonNilpotent("section extraction lost dimensions")  # pragma: no cover
+    piece_dims = tuple(degree_of.count(d) for d in range(1, top + 1))
+    start = [sum(piece_dims[:d]) for d in range(top + 1)]
+    pivot_of = [min(row) for row in rows]
 
-    # coordinates of an ambient vector in the section basis.  Peel the
-    # deepest sections first: a degree-d section row vanishes at every
-    # pivot of degree >= d (those are pivot columns of L^d), but may be
-    # nonzero at shallower pivots, so the residue at a pivot is exact
-    # only once no deeper section remains.
-    by_degree = sorted(range(m), key=lambda s: -degree_of[s])
-
-    def section_coords(vec: Vec) -> list:
-        residue = list(vec.coords)
-        out = [Fraction(0)] * m
-        for s in by_degree:
-            c = residue[pivot_of[s]]
-            if c != 0:
-                out[s] = c
-                for t, x in enumerate(sections[s].coords):
-                    residue[t] -= c * x
-        if any(x != 0 for x in residue):
-            raise DimensionMismatch("vector outside the section span")  # pragma: no cover
-        return out
-
+    # Degree-d sections are start[d - 1] .. start[d] - 1.  A degree-d row
+    # vanishes at every other pivot of degree >= d (a pivot column of L^d)
+    # but may not at shallower ones.  So once the sections deeper than
+    # i + j are peeled, deepest first, the residue at a degree-(i+j) pivot
+    # is a coordinate of the product of a degree-i and a degree-j section.
+    scale, by_left = _cells_by(algebra, 0)
     table = {}
-    for a in range(m):
-        for b in range(m):
-            prod = bracket(algebra, sections[a], sections[b])
-            if prod.is_zero():
-                continue
+    for a in range(start[top - 1]):
+        # [s_a, e_j] for every j, times scale
+        right: dict = {}
+        for i, x in rows[a].items():
+            for j, cell in by_left[i]:
+                acc = right.setdefault(j, {})
+                for k, c in cell:
+                    acc[k] = acc.get(k, 0) + x * c
+        for b in range(start[top - degree_of[a]]):
             target = degree_of[a] + degree_of[b]
-            coords = section_coords(prod)
-            terms = tuple((s + 1, coords[s]) for s in range(m)
-                          if coords[s] != 0 and degree_of[s] == target)
+            residue: dict = {}
+            for j, y in rows[b].items():
+                for k, v in right.get(j, {}).items():
+                    residue[k] = residue.get(k, 0) + y * v
+            for s in range(m - 1, start[target] - 1, -1):
+                c = residue.get(pivot_of[s])
+                if c:
+                    for t, x in rows[s].items():
+                        residue[t] = residue.get(t, 0) - c * x
+            terms = tuple((s + 1, residue[pivot_of[s]] / scale)
+                          for s in range(start[target - 1], start[target])
+                          if residue.get(pivot_of[s]))
             if terms:
                 table[(a + 1, b + 1)] = terms
     graded = StructureTensor(n, table,
                              None if algebra.name is None
                              else f"gr({algebra.name})")
-    return Gradation(tuple(piece_dims), tuple(sections), graded)
+    return Gradation(piece_dims, tuple(sections), graded)
 
 
 @dataclass(frozen=True)
@@ -215,6 +206,19 @@ def derived_span(algebra: StructureTensor) -> EchelonSpan:
                                      for terms in algebra.table.values()))
 
 
+def _profile(by_right: list, x) -> CharSequence:
+    """Block profile of y -> [y, x], read off a positive multiple of its
+    matrix built from the integer cells by right index."""
+    n = len(by_right)
+    entries = [0] * (n * n)
+    for j, xj in enumerate(x):
+        if xj:
+            for i, cell in by_right[j]:
+                for k, c in cell:
+                    entries[k * n + i] += xj * c
+    return CharSequence(nilpotent_block_sizes(MatrixQ(n, n, tuple(entries))))
+
+
 def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     """Jordan block sizes of right multiplication by x, descending.
 
@@ -224,7 +228,7 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     if derived_span(algebra).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return CharSequence(nilpotent_block_sizes(right_mul_matrix(algebra, x)))
+    return _profile(_cells_by(algebra, 1)[1], x.coords)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
@@ -232,23 +236,26 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     """Lexicographic maximum of the block profile over sampled elements.
 
     Tries every basis vector outside [L, L], then ``budget`` random
-    rational vectors with small numerators and denominators.  A lower
-    bound for the true maximum; on the catalogued algebras the maximum is
+    vectors whose coordinates a/b have -3 <= a <= 3 and 1 <= b <= 3.
+    Each is scaled to the integer vector with coordinates a * (6 // b),
+    which lies in [L, L] exactly when the rational one does and has the
+    same block profile.  The answer is a sampled lower bound for the true
+    maximum, not a certificate; on the catalogued algebras the maximum is
     already attained at a generator of the long chain.
     """
     n = algebra.dim
     derived = derived_span(algebra)
-    best = None
-    candidates = [Vec.basis(n, i) for i in range(1, n + 1)]
+    _, by_right = _cells_by(algebra, 1)
+    candidates = [[int(k == i) for k in range(n)] for i in range(n)]
     rng = random.Random(seed)
     for _ in range(budget):
-        coords = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                       for _ in range(n))
-        candidates.append(Vec(coords))
+        candidates.append([rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+                           for _ in range(n)])
+    best = None
     for x in candidates:
-        if x.is_zero() or derived.contains(x):
+        if derived.contains({c: v for c, v in enumerate(x) if v}):
             continue
-        seq = CharSequence(nilpotent_block_sizes(right_mul_matrix(algebra, x)))
+        seq = _profile(by_right, x)
         if best is None or best < seq:
             best = seq
     if best is None:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or Equivalent), 1 for a failed check or a Distinct
 verdict, 2 for inadmissible parameters, 3 for an Unknown equivalence
-verdict, 64 for usage errors, 65 for malformed documents.
+verdict, 64 for usage errors, 65 for malformed documents, 141 (128 +
+SIGPIPE) when the reader of standard output goes away, as in ``| head``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EX_INADMISSIBLE = 2
 EX_UNKNOWN = 3
 EX_USAGE = 64
 EX_DATA = 65
+EX_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -338,7 +340,13 @@ def main(argv=None) -> int:
         print("lnz: error: a subcommand is required", file=sys.stderr)
         return EX_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except _UsageError as err:
         print(f"lnz: error: {err}", file=sys.stderr)
         return EX_USAGE

@@ -13,10 +13,12 @@ changes no span and no block profile.  Reduction cross-multiplies
 row by its gcd, so entries stay small and zero cells cost nothing.
 ``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
 it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
-Above it, the central series feeds it the structure table as integer
-cells, and the characteristic sequence feeds it right multiplications.
-Only ``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in
-canonical RREF.  The polynomial code below is separate.
+Above it, one integer view of the structure table, read once per call
+(``algebra._integer_cells``), serves the Leibniz residual, the central
+series, the right multiplications of the characteristic sequence and
+the gradation.  Only ``EchelonSpan.basis()`` converts back to
+``Fraction`` rows, in canonical RREF.  The polynomial code below is
+separate.
 """
 
 from __future__ import annotations

@@ -125,6 +125,25 @@ def test_check_empty_table_in_huge_dimension(tmp_path):
     assert done.stdout.startswith("ok: identity holds on all 100000^3")
 
 
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # [e_i, e_1] = e_1 for every i, so all 100^2 triples (i, j, 1) fail: the
+    # report outgrows the pipe buffer, and the child writes to a closed pipe
+    doc = tmp_path / "loud.json"
+    doc.write_text(serialize(StructureTensor(
+        100, {(i, 1): ((1, 1),) for i in range(1, 101)})))
+    src = str(Path(lnz.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lnz.cli", "check", str(doc)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert child.stdout.readline() == "(1,1,1): e_1\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=30) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 # ----------------------------------------------------------------------
 # analyze
 

@@ -3,7 +3,8 @@
 sympy checks ranks and Jordan block sizes.  A dense ``Fraction`` RREF
 span, kept here as the reference the kernel must agree with, checks the
 central series, the gradation and the sampled characteristic sequence on
-catalog algebras moved into a dense basis.
+catalog algebras moved into a dense basis, with and without denominators.
+Public ``bracket`` over all basis triples checks the Leibniz residual.
 """
 
 import random
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, MatrixQ, Vec, apply_change, block_diag, bracket,
-                 build_first_type, build_second_type, char_sequence_estimate,
-                 invert, jordan_block, lower_central_series, natural_gradation,
+from lnz import (BasisChange, MatrixQ, StructureTensor, Vec, apply_change,
+                 block_diag, bracket, build_first_type, build_second_type,
+                 char_sequence_estimate, invert, jordan_block,
+                 leibniz_residual, lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, row_by_id)
 
 
@@ -149,6 +151,30 @@ def ref_estimate(algebra, budget, seed=0):
     return best
 
 
+def ref_graded_table(algebra, terms):
+    """The graded product in section coordinates: every pair of sections
+    is bracketed densely and its product peeled, deepest section first."""
+    pivots = [[next(c for c, x in enumerate(r) if x) for r in t] for t in terms]
+    sections = [(d + 1, p, r) for d in range(len(terms) - 1)
+                for r, p in zip(terms[d], pivots[d]) if p not in pivots[d + 1]]
+    deepest_first = sorted(range(len(sections)), key=lambda s: -sections[s][0])
+    table = {}
+    for a, (da, _, ra) in enumerate(sections):
+        for b, (db, _, rb) in enumerate(sections):
+            residue = list(bracket(algebra, Vec(ra), Vec(rb)).coords)
+            coords = {}
+            for s in deepest_first:
+                _, p, rs = sections[s]
+                coords[s] = c = residue[p]
+                residue = [x - c * y for x, y in zip(residue, rs)]
+            assert not any(residue)
+            cell = [(s + 1, coords[s]) for s in sorted(coords)
+                    if coords[s] and sections[s][0] == da + db]
+            if cell:
+                table[(a + 1, b + 1)] = cell
+    return StructureTensor(algebra.dim, table)
+
+
 def dense_change(n, seed):
     """M0 * P: M0[i][j] = min(i, j) + 1 has determinant 1, P is a seeded
     signed permutation, and the moved table is dense."""
@@ -160,14 +186,16 @@ def dense_change(n, seed):
          for i in range(n)]))
 
 
-@pytest.mark.parametrize("row_id, values", [("1,7", (1, 2, -1)),
-                                            ("40", (1, 2))])
-def test_kernel_matches_dense_reference_at_16(row_id, values):
+def catalog_algebra(row_id, values, n):
     row = row_by_id(row_id)
     params = row.make_params(tuple(map(Fraction, values)))
     build = build_second_type if row.kind == "second" else build_first_type
-    algebra = apply_change(build(16, params), dense_change(16, seed=7))
-    assert len(algebra.table) > 100
+    return build(n, params)
+
+
+def check_against_reference(algebra, budget):
+    n = algebra.dim
+    assert leibniz_residual(algebra).is_empty()
 
     terms = ref_series(algebra)
     series = lower_central_series(algebra)
@@ -181,6 +209,60 @@ def test_kernel_matches_dense_reference_at_16(row_id, values):
     assert grading.piece_dims == tuple(len(terms[d]) - len(terms[d + 1])
                                        for d in range(len(terms) - 1))
     assert [tuple(v.coords) for v in grading.sections] == sections
+    assert grading.algebra == ref_graded_table(algebra, terms)
 
-    assert char_sequence_estimate(algebra, budget=20).parts \
-        == ref_estimate(algebra, budget=20) == (13, 3)
+    assert char_sequence_estimate(algebra, budget=budget).parts \
+        == ref_estimate(algebra, budget=budget) == (n - 3, 3)
+
+
+@pytest.mark.parametrize("row_id, values", [("1,7", (1, 2, -1)),
+                                            ("40", (1, 2))])
+def test_kernel_matches_dense_reference_at_16(row_id, values):
+    algebra = apply_change(catalog_algebra(row_id, values, 16),
+                           dense_change(16, seed=7))
+    assert len(algebra.table) > 100
+    check_against_reference(algebra, budget=20)
+
+
+@pytest.mark.parametrize("row_id, values", [("1,7", (1, 2, -1)),
+                                            ("40", (1, 2))])
+def test_kernel_matches_dense_reference_with_denominators(row_id, values):
+    # the unimodular change keeps every coefficient integral; a diagonal
+    # change with denominators makes the integer cells carry a scale > 1
+    n = 12
+    diagonal = MatrixQ.from_rows([[Fraction(int(i == j), j + 1)
+                                   for j in range(n)] for i in range(n)])
+    change = BasisChange(dense_change(n, seed=5).matrix @ diagonal)
+    algebra = apply_change(catalog_algebra(row_id, values, n), change)
+    assert len(algebra.table) > 100
+    assert max(c.denominator for terms in algebra.table.values()
+               for _, c in terms) > 1
+    check_against_reference(algebra, budget=20)
+
+
+def test_residual_matches_brackets_on_random_rational_tables():
+    rng = random.Random(1987)
+    failing = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        table = {(i, j): [(k, Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+                          for k in rng.sample(range(1, n + 1), 2)]
+                 for i in range(1, n + 1) for j in range(1, n + 1)
+                 if rng.random() < 0.3}
+        algebra = StructureTensor(n, table)
+        e = [None] + [Vec.basis(n, i) for i in range(1, n + 1)]
+
+        def br(x, y):
+            return bracket(algebra, x, y)
+        # the residual's visit order: j, then k, then i
+        expected = []
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for i in range(1, n + 1):
+                    defect = (br(e[i], br(e[j], e[k])) - br(br(e[i], e[j]), e[k])
+                              + br(br(e[i], e[k]), e[j]))
+                    if not defect.is_zero():
+                        expected.append((i, j, k, defect))
+        assert leibniz_residual(algebra).violations == tuple(expected)
+        failing += bool(expected)
+    assert failing >= 30
