@@ -7,7 +7,10 @@ materialises that graded algebra on a concatenated section basis.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
-takes the lexicographic maximum over all such x.
+takes the lexicographic maximum over all such x.  ``char_sequence_estimate``
+certifies that maximum when a nilpotent algebra has an element whose
+powers R_x^k reach the ranks dim L^{k+1} of the central series, and
+otherwise returns a sampled lower bound.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import StructureTensor, Vec, _integer_cells
 from .errors import ElementInDerivedSubalgebra, NonNilpotent
@@ -122,8 +126,12 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     The induced product of degree-i and degree-j sections keeps exactly
     the degree-(i+j) part of their bracket.
     """
+    return _gradation(algebra, lower_central_series(algebra))
+
+
+def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
+    """``natural_gradation`` of algebra, given its central series."""
     n = algebra.dim
-    series = lower_central_series(algebra)
     if not series.nilpotent:
         raise NonNilpotent("gradation needs a nilpotent algebra")
     # the terms are already in reduced echelon form; keep them sparse
@@ -239,25 +247,35 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     vectors whose coordinates a/b have -3 <= a <= 3 and 1 <= b <= 3.
     Each is scaled to the integer vector with coordinates a * (6 // b),
     which lies in [L, L] exactly when the rational one does and has the
-    same block profile.  The answer is a sampled lower bound for the true
-    maximum, not a certificate; on the catalogued algebras the maximum is
-    already attained at a generator of the long chain.
+    same block profile.
+
+    For every x, R_x^k(L) lies in L^{k+1}, so rank(R_x^k) <= dim L^{k+1}.
+    A profile whose ranks sum(max(p - k, 0)) meet all these bounds
+    dominates every other profile, hence is the maximum.  On a nilpotent
+    algebra the search stops at the first candidate that meets them, and
+    the answer is certified; on the catalogued algebras the first basis
+    vector does.  Otherwise every candidate is tried and the answer is a
+    sampled lower bound for the true maximum.
     """
     n = algebra.dim
     derived = derived_span(algebra)
     _, by_right = _cells_by(algebra, 1)
-    candidates = [[int(k == i) for k in range(n)] for i in range(n)]
+    series = lower_central_series(algebra)
+    bound = series.dims if series.nilpotent else None
     rng = random.Random(seed)
-    for _ in range(budget):
-        candidates.append([rng.randint(-3, 3) * (6 // rng.randint(1, 3))
-                           for _ in range(n)])
+    basis = ([int(k == i) for k in range(n)] for i in range(n))
+    drawn = ([rng.randint(-3, 3) * (6 // rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(budget))
     best = None
-    for x in candidates:
+    for x in chain(basis, drawn):
         if derived.contains({c: v for c, v in enumerate(x) if v}):
             continue
         seq = _profile(by_right, x)
         if best is None or best < seq:
             best = seq
+        if bound and all(sum(max(p - k, 0) for p in seq.parts) == d
+                         for k, d in enumerate(bound)):
+            return seq
     if best is None:
         raise ElementInDerivedSubalgebra(
             "no sampled element lies outside [L, L]")

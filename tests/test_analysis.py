@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lnz.analysis
 from lnz import (
     BasisChange,
     MatrixQ,
@@ -140,6 +141,88 @@ def test_estimate_is_deterministic():
     a = char_sequence_estimate(algebra, budget=25, seed=7)
     b = char_sequence_estimate(algebra, budget=25, seed=7)
     assert a == b
+
+
+def sampled_candidates(n, budget, seed):
+    """The estimate's candidates as rational vectors: the basis, then
+    ``budget`` seeded draws with coordinates a/b."""
+    yield from (Vec.basis(n, i) for i in range(1, n + 1))
+    rng = random.Random(seed)
+    for _ in range(budget):
+        yield Vec(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(n)))
+
+
+def outside_derived(algebra, budget, seed):
+    derived = derived_span(algebra)
+    return [x for x in sampled_candidates(algebra.dim, budget, seed)
+            if not derived.contains(x)]
+
+
+def count_profiles(monkeypatch, kernel):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel(m)
+    monkeypatch.setattr(lnz.analysis, "nilpotent_block_sizes", counted)
+    return calls
+
+
+def random_triangular(rng, n):
+    """A table with [e_i, e_j] in span(e_k : k > max(i, j)): nilpotent, but
+    in general neither Lie nor Leibniz."""
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            terms = tuple((k, rng.randint(-2, 2))
+                          for k in range(max(i, j) + 1, n + 1)
+                          if rng.random() < 0.4)
+            terms = tuple(t for t in terms if t[1])
+            if terms and rng.random() < 0.5:
+                table[(i, j)] = terms
+    return StructureTensor(n, table)
+
+
+def test_estimate_equals_sampled_maximum_on_random_tables():
+    # on three of these tables, stopping once rank R_x = dim L^2 alone
+    # would miss the maximum
+    rng = random.Random(7)
+    for seed in range(30):
+        algebra = random_triangular(rng, rng.randint(2, 8))
+        # e_1 is never in [L, L] here, so there is always a candidate
+        reference = max((char_sequence_at(algebra, x)
+                         for x in outside_derived(algebra, 200, seed)),
+                        key=lambda seq: seq.parts)
+        assert char_sequence_estimate(algebra, budget=200, seed=seed) \
+            == reference
+
+
+def test_estimate_samples_all_when_ranks_miss_the_series(monkeypatch):
+    # free 2-step nilpotent Lie algebra on e_1, e_2, e_3: dim L^2 = 3, but
+    # [L, x] is spanned by the [e_i, x] with [x, x] = 0, so rank R_x <= 2
+    table = {}
+    for (i, j), k in (((1, 2), 4), ((1, 3), 5), ((2, 3), 6)):
+        table[(i, j)] = ((k, 1),)
+        table[(j, i)] = ((k, -1),)
+    algebra = StructureTensor(6, table)
+    assert lower_central_series(algebra).dims == (6, 3, 0)
+    calls = count_profiles(monkeypatch, lnz.analysis.nilpotent_block_sizes)
+    assert char_sequence_estimate(algebra) == CharSequence((2, 2, 1, 1))
+    assert len(calls) == len(outside_derived(algebra, 200, 0))
+
+
+def test_estimate_never_certifies_a_non_nilpotent_algebra(monkeypatch):
+    # [e_2, e_1] = e_2: the series stabilises at span(e_2), dims (2, 1);
+    # the fake profile (2,) has rank 1 = dim L^2, which must not stop the
+    # search, because a later x could still beat it
+    algebra = StructureTensor(2, {(2, 1): ((2, 1),)})
+    series = lower_central_series(algebra)
+    assert series.dims == (2, 1) and not series.nilpotent
+    calls = count_profiles(monkeypatch, lambda m: (2,))
+    assert char_sequence_estimate(algebra, budget=40, seed=3) \
+        == CharSequence((2,))
+    assert len(calls) == len(outside_derived(algebra, 40, 3)) > 1
 
 
 def test_annihilator_of_chain_algebra():

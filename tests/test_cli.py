@@ -125,6 +125,24 @@ def test_check_empty_table_in_huge_dimension(tmp_path):
     assert done.stdout.startswith("ok: identity holds on all 100000^3")
 
 
+def test_analyze_empty_table_in_large_dimension(tmp_path):
+    doc = tmp_path / "wide.json"
+    doc.write_text('{"dim": 400, "table": []}')
+    # e_1 meets the series bound, so none of the 200 samples is profiled
+    src = str(Path(lnz.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "lnz.cli", "analyze", str(doc)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert lines[1:4] == ["central series dims: 400 0", "nilindex: 2",
+                          "gradation dims: 400"]
+    assert lines[4] == ("characteristic sequence (sampled): ("
+                        + ", ".join(["1"] * 400) + ")")
+    assert lines[5] == "right annihilator dim: 400"
+
+
 def test_closed_stdout_pipe_exits_quietly(tmp_path):
     # [e_i, e_1] = e_1 for every i, so all 100^2 triples (i, j, 1) fail: the
     # report outgrows the pipe buffer, and the child writes to a closed pipe
