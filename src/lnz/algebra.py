@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
                      IndexOutOfRange)
 from .linalg import MatrixQ, _frac
 
-_FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,10 @@ class Vec:
 
 
 def _normalize_table(dim: int, table) -> dict:
-    """Validate indices, merge duplicate targets, drop zeros, sort."""
+    """Validate indices, merge duplicate targets, drop zeros, sort.
+
+    A target's first coefficient is stored as it is; only a repeated target
+    is summed."""
     out = {}
     for (i, j), terms in table.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -102,7 +105,7 @@ def _normalize_table(dim: int, table) -> dict:
             if not 1 <= k <= dim:
                 raise IndexOutOfRange(f"target index {k} outside 1..{dim} at ({i},{j})")
             c = _frac(c)
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc[k] + c if k in acc else c
         cleaned = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
         if cleaned:
             out[(i, j)] = cleaned
@@ -303,11 +306,12 @@ def binomial_product_check(algebra: StructureTensor, betas: Sequence) -> bool:
 # ----------------------------------------------------------------------
 # documents
 
-def _digits_to_fraction(raw: str, where: str) -> Fraction:
+def _digits_to_fraction(raw: str, where) -> Fraction:
+    """``where()`` names the value; it is formatted only for an error."""
     try:
         return Fraction(raw)
     except ValueError:  # more digits than the interpreter converts
-        raise DocumentError(f"{where} has too many digits") from None
+        raise DocumentError(f"{where()} has too many digits") from None
 
 
 def _load_json(text: str, prefix: str = ""):
@@ -330,20 +334,22 @@ def parse_fraction(text: str) -> Fraction:
     exact binary meaning and would poison every later computation.
     """
     raw = text.strip()
-    if not _FRACTION_RE.match(raw):
+    if not _FRACTION_RE.fullmatch(raw):
         raise DocumentError(f"{text!r} is not an exact fraction like '-3/4'")
-    return _digits_to_fraction(raw, "fraction")
+    return _digits_to_fraction(raw, lambda: "fraction")
 
 
-def _coeff_from_document(raw, where: str) -> Fraction:
+def _coeff_from_document(raw, where) -> Fraction:
+    """A document coefficient.  ``where()`` names its location; it is
+    formatted only for an error."""
     if isinstance(raw, str):
-        if not _FRACTION_RE.match(raw):
-            raise DocumentError(f"coefficient {raw!r} at {where} is not an exact "
-                                "fraction string like '-3/4'")
-        return _digits_to_fraction(raw, f"coefficient at {where}")
+        if not _FRACTION_RE.fullmatch(raw):
+            raise DocumentError(f"coefficient {raw!r} at {where()} is not an "
+                                "exact fraction string like '-3/4'")
+        return _digits_to_fraction(raw, lambda: f"coefficient at {where()}")
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
-    raise DocumentError(f"coefficient at {where} must be an exact fraction "
+    raise DocumentError(f"coefficient at {where()} must be an exact fraction "
                         f"string, got {type(raw).__name__}")
 
 
@@ -387,14 +393,16 @@ def parse(text: str) -> StructureTensor:
         seen = set()
         terms = []
         for t_pos, term in enumerate(entry["terms"]):
-            t_where = f"{where}.terms[{t_pos}]"
+            def t_where():
+                return f"{where}.terms[{t_pos}]"
             if not isinstance(term, list) or len(term) != 2:
-                raise DocumentError(f"{t_where} must be a [target, coefficient] pair")
+                raise DocumentError(
+                    f"{t_where()} must be a [target, coefficient] pair")
             k, raw = term
             if not isinstance(k, int) or isinstance(k, bool):
-                raise DocumentError(f"{t_where} target must be an integer")
+                raise DocumentError(f"{t_where()} target must be an integer")
             if not 1 <= k <= dim:
-                raise IndexOutOfRange(f"{t_where} target {k} outside 1..{dim}")
+                raise IndexOutOfRange(f"{t_where()} target {k} outside 1..{dim}")
             if k in seen:
                 raise DuplicateEntry(f"target {k} appears twice in cell ({i},{j})")
             seen.add(k)

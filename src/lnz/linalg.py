@@ -14,19 +14,19 @@ row by its gcd, so entries stay small and zero cells cost nothing.
 ``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
 it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
 Above it, one integer view of the structure table, read once per call
-(``algebra._integer_cells``), serves the Leibniz residual, the central
-series, the right multiplications of the characteristic sequence and
-the gradation.  Only ``EchelonSpan.basis()`` converts back to
-``Fraction`` rows, in canonical RREF.  The polynomial code below is
-separate.
+(``algebra._integer_cells``), serves the Leibniz residual, the basis
+changes of ``transform.apply_change``, the central series, the right
+multiplications of the characteristic sequence and the gradation.  Only
+``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in canonical
+RREF.  The polynomial code below is separate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotNilpotent
 

@@ -34,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import json
 
-from .algebra import (StructureTensor, Vec, _coeff_from_document, _load_json,
-                      bracket)
+from .algebra import (StructureTensor, Vec, _coeff_from_document,
+                      _integer_cells, _load_json, bracket)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
@@ -85,41 +85,63 @@ class BasisChange:
         return BasisChange(self._inverse)
 
 
+def _int_columns(matrix: MatrixQ) -> tuple:
+    """``(scale, columns)``: column i of ``matrix`` as a sparse {row: int}
+    (1-based rows), all times ``scale``, the lcm of the denominators."""
+    nonzero = [(p, x) for p, x in enumerate(matrix.entries) if x]
+    scale = lcm(*(x.denominator for _, x in nonzero))
+    columns = [{} for _ in range(matrix.cols)]
+    for p, x in nonzero:
+        a, i = divmod(p, matrix.cols)
+        columns[i][a + 1] = x.numerator * (scale // x.denominator)
+    return scale, columns
+
+
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
     """The same algebra written on the new basis.
 
-    c'[i][j] expands [e'_i, e'_j] in the primed basis.  Each [e_a, e'_j]
-    is pulled back through the inverse matrix once, then combined along
-    column i.  Columns and the inverse are read as sparse rows, so zero
-    entries cost nothing.
+    c'[i][j] expands [e'_i, e'_j] in the primed basis.  Each cell [e_a, e_b]
+    is pulled back through the inverse matrix once, combined along column j
+    into [e_a, e'_j], then along column i.  Everything runs on sparse
+    integers: the integer cells of the table (``algebra._integer_cells``)
+    and the columns of the matrix and of its inverse, each scaled by the lcm
+    of its denominators, so zero entries cost nothing and each nonzero
+    output term makes one ``Fraction``.
     """
     n = algebra.dim
     if change.dim != n:
         raise DimensionMismatch(
             f"change on {change.dim} coordinates, algebra has {n}")
-    cols = [{a: x for a, x in enumerate(change.matrix.column(i), 1) if x}
-            for i in range(n)]
-    back = [{k: x for k, x in enumerate(change.inverse.column(t), 1) if x}
-            for t in range(n)]
-    right = []      # right[j][a]: [e_a, e'_{j+1}] in new coordinates
+    s_table, cells = _integer_cells(algebra)
+    s_matrix, cols = _int_columns(change.matrix)
+    s_inverse, back = _int_columns(change.inverse)
+    pulled: dict = {}   # pulled[b]: [(a, [e_a, e_b] in new coordinates)]
+    for (a, b), terms in cells.items():
+        acc: dict = {}
+        for k, c in terms:
+            for t, w in back[k - 1].items():
+                acc[t] = acc.get(t, 0) + c * w
+        pulled.setdefault(b, []).append((a, acc))
+    right = []          # right[j][a]: [e_a, e'_{j+1}] in new coordinates
     for col in cols:
         prods: dict = {}
-        for (a, b), terms in algebra.table.items():
-            if b in col:
+        for b, y in col.items():
+            for a, vec in pulled.get(b, ()):
                 acc = prods.setdefault(a, {})
-                for k, c in terms:
-                    yc = col[b] * c
-                    for t, w in back[k - 1].items():
-                        acc[t] = acc.get(t, 0) + yc * w
+                for t, w in vec.items():
+                    acc[t] = acc.get(t, 0) + y * w
         right.append(prods)
+    scale = s_table * s_matrix ** 2 * s_inverse
     table = {}
-    for i in range(n):
-        for j in range(n):
-            new: dict = {}
-            for a, x in cols[i].items():
-                for k, v in right[j].get(a, {}).items():
-                    new[k] = new.get(k, 0) + x * v
-            table[(i + 1, j + 1)] = new
+    for i, col in enumerate(cols, 1):
+        for j, prods in enumerate(right, 1):
+            acc = {}
+            for a, x in col.items():
+                for t, v in prods.get(a, {}).items():
+                    acc[t] = acc.get(t, 0) + x * v
+            cell = [(t, Fraction(v, scale)) for t, v in acc.items() if v]
+            if cell:
+                table[(i, j)] = cell
     return StructureTensor(n, table, algebra.name)
 
 
@@ -146,7 +168,7 @@ def parse_change(text: str) -> BasisChange:
     for r, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"matrix row {r} must hold {dim} entries")
-        rows.append([_coeff_from_document(x, f"matrix[{r}][{c}]")
+        rows.append([_coeff_from_document(x, lambda: f"matrix[{r}][{c}]")
                      for c, x in enumerate(row)])
     return BasisChange(MatrixQ.from_rows(rows))
 

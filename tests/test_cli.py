@@ -90,9 +90,18 @@ def test_check_rejects_malformed_document(capsys, tmp_path):
     assert "malformed document" in err
 
 
+# coefficient strings that are no exact fraction: "$" would match before a
+# final newline, and "\d" matches non-ASCII digits
+INEXACT = {"newline": "3\n", "fraction-newline": "1/2\n",
+           "arabic-indic": "\u0663"}
+HOSTILE = ["string", "integer", "nested", *INEXACT]
+
+
 def hostile_text(kind, wrap):
     """Document text that must end in exit 65, not a traceback.
     ``wrap`` builds a document around one coefficient's JSON text."""
+    if kind in INEXACT:
+        return wrap(json.dumps(INEXACT[kind]))
     if kind == "nested":
         return "[" * 100_000 + "]" * 100_000
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -102,7 +111,7 @@ def hostile_text(kind, wrap):
     return wrap(f'"{digits}"' if kind == "string" else digits)
 
 
-@pytest.mark.parametrize("kind", ["string", "integer", "nested"])
+@pytest.mark.parametrize("kind", HOSTILE)
 def test_check_rejects_hostile_document(capsys, tmp_path, kind):
     doc = tmp_path / "hostile.json"
     doc.write_text(hostile_text(kind, lambda c: (
@@ -324,7 +333,7 @@ def test_transform_malformed_change(capsys, tmp_path, chain_doc):
     assert code == 65
 
 
-@pytest.mark.parametrize("kind", ["string", "integer", "nested"])
+@pytest.mark.parametrize("kind", HOSTILE)
 def test_transform_rejects_hostile_change(capsys, tmp_path, kind):
     doc = tmp_path / "plane.json"
     doc.write_text('{"dim": 2, "table": []}')

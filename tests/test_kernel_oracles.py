@@ -4,7 +4,8 @@ sympy checks ranks and Jordan block sizes.  A dense ``Fraction`` RREF
 span, kept here as the reference the kernel must agree with, checks the
 central series, the gradation and the sampled characteristic sequence on
 catalog algebras moved into a dense basis, with and without denominators.
-Public ``bracket`` over all basis triples checks the Leibniz residual.
+Public ``bracket`` over all basis triples checks the Leibniz residual, and
+over all pairs of moved basis vectors checks ``apply_change``.
 """
 
 import random
@@ -16,7 +17,7 @@ from lnz import (BasisChange, MatrixQ, StructureTensor, Vec, apply_change,
                  block_diag, bracket, build_first_type, build_second_type,
                  char_sequence_estimate, invert, jordan_block,
                  leibniz_residual, lower_central_series, natural_gradation,
-                 nilpotent_block_sizes, rank, row_by_id)
+                 nilpotent_block_sizes, rank, row_by_id, serialize)
 
 
 def unimodular(rng, n):
@@ -186,6 +187,13 @@ def dense_change(n, seed):
          for i in range(n)]))
 
 
+def dense_change_with_denominators(n, seed):
+    """``dense_change`` times diag(1, 1/2, ..., 1/n)."""
+    diagonal = MatrixQ.from_rows([[Fraction(int(i == j), j + 1)
+                                   for j in range(n)] for i in range(n)])
+    return BasisChange(dense_change(n, seed).matrix @ diagonal)
+
+
 def catalog_algebra(row_id, values, n):
     row = row_by_id(row_id)
     params = row.make_params(tuple(map(Fraction, values)))
@@ -230,9 +238,7 @@ def test_kernel_matches_dense_reference_with_denominators(row_id, values):
     # the unimodular change keeps every coefficient integral; a diagonal
     # change with denominators makes the integer cells carry a scale > 1
     n = 12
-    diagonal = MatrixQ.from_rows([[Fraction(int(i == j), j + 1)
-                                   for j in range(n)] for i in range(n)])
-    change = BasisChange(dense_change(n, seed=5).matrix @ diagonal)
+    change = dense_change_with_denominators(n, seed=5)
     algebra = apply_change(catalog_algebra(row_id, values, n), change)
     assert len(algebra.table) > 100
     assert max(c.denominator for terms in algebra.table.values()
@@ -266,3 +272,55 @@ def test_residual_matches_brackets_on_random_rational_tables():
         assert leibniz_residual(algebra).violations == tuple(expected)
         failing += bool(expected)
     assert failing >= 30
+
+
+def ref_apply_change(algebra, change):
+    """c'(i, j) = M^-1 [M e_i, M e_j], one dense bracket per pair."""
+    n = algebra.dim
+    moved = [Vec(change.matrix.apply(Vec.basis(n, i).coords))
+             for i in range(1, n + 1)]
+    table = {}
+    for i, x in enumerate(moved, 1):
+        for j, y in enumerate(moved, 1):
+            image = change.inverse.apply(bracket(algebra, x, y).coords)
+            table[(i, j)] = [(k, c) for k, c in enumerate(image, 1) if c]
+    return StructureTensor(n, table, algebra.name)
+
+
+def random_rational_change(rng, n):
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(n)]
+        if rank(MatrixQ.from_rows(rows)) == n:
+            return BasisChange(MatrixQ.from_rows(rows))
+
+
+def apply_change_cases():
+    rng = random.Random(1933)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        density = rng.choice((0.1, 0.4, 0.9))
+        table = {(i, j): [(k, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                          for k in rng.sample(range(1, n + 1),
+                                              rng.randint(1, n))]
+                 for i in range(1, n + 1) for j in range(1, n + 1)
+                 if rng.random() < density}
+        yield StructureTensor(n, table, "random"), random_rational_change(rng, n)
+    yield (catalog_algebra("1,7", (1, 2, -1), 12),
+           dense_change_with_denominators(12, seed=5))
+    yield StructureTensor(5), random_rational_change(rng, 5)
+    yield (StructureTensor(1, {(1, 1): [(1, Fraction(-3, 7))]}),
+           BasisChange(MatrixQ.from_rows([[Fraction(2, 5)]])))
+
+
+def test_apply_change_matches_dense_brackets():
+    with_denominators = 0
+    for algebra, change in apply_change_cases():
+        got = apply_change(algebra, change)
+        expected = ref_apply_change(algebra, change)
+        assert got == expected
+        assert serialize(got) == serialize(expected)
+        with_denominators += any(c.denominator > 1 for terms in got.table.values()
+                                 for _, c in terms)
+    assert with_denominators >= 50
