@@ -48,8 +48,7 @@ class Vec:
         """The basis vector e_i (1-based)."""
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"basis index {i} outside 1..{n}")
-        return Vec(tuple(Fraction(1) if k == i - 1 else Fraction(0)
-                         for k in range(n)))
+        return _vec(tuple(_ONE if k == i - 1 else _ZERO for k in range(n)))
 
     @property
     def dim(self) -> int:
@@ -88,6 +87,16 @@ class Vec:
         return Vec(tuple(c * a for a in self.coords))
 
     __rmul__ = scale
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _vec(coords: tuple) -> Vec:
+    """A Vec of a tuple of ``Fraction``s, taken as it is."""
+    vec = object.__new__(Vec)
+    object.__setattr__(vec, "coords", coords)
+    return vec
 
 
 def _normalize_table(dim: int, table) -> dict:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
-from .algebra import StructureTensor, Vec, _integer_cells
+from .algebra import StructureTensor, Vec, _integer_cells, _vec
 from .errors import ElementInDerivedSubalgebra, NonNilpotent
-from .linalg import (EchelonSpan, MatrixQ, kernel_basis,
-                     nilpotent_block_sizes)
+from .linalg import EchelonSpan, MatrixQ, _kernel, nilpotent_block_sizes
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,12 @@ def _cells_by(algebra: StructureTensor, side: int) -> tuple:
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _cells_by(algebra, 0)
-    terms = [EchelonSpan(n, ({i: 1} for i in range(n)))]
+    rows = [{i: 1} for i in range(n)]           # L^1 = L, already echelon
+    terms = [tuple(Vec.basis(n, i) for i in range(1, n + 1))]
     while True:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
         nxt = EchelonSpan(n)
-        for u in terms[-1].sparse_rows():
+        for u in rows:
             products: dict = {}
             for i, x in u.items():
                 for j, cell in by_left[i]:
@@ -75,15 +74,15 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
             for prod in products.values():
                 nxt.add(prod)
         if nxt.dim == 0:
-            terms.append(nxt)
+            terms.append(())
             nilpotent = True
             break
-        if nxt.dim == terms[-1].dim:
+        if nxt.dim == len(rows):
             nilpotent = False
             break
-        terms.append(nxt)
-    return CentralSeries(tuple(tuple(Vec(v) for v in t.basis()) for t in terms),
-                         nilpotent)
+        terms.append(tuple(_vec(v) for v in nxt.basis()))
+        rows = nxt.sparse_rows()
+    return CentralSeries(tuple(terms), nilpotent)
 
 
 def nilindex(algebra: StructureTensor) -> int:
@@ -286,13 +285,12 @@ def right_annihilator(algebra: StructureTensor) -> tuple:
     """Basis of {x : [y, x] = 0 for all y}, as a tuple of Vec.
 
     Stacks, for every basis row i and target k, the linear functional
-    sum_j c^k_{i,j} x_j and returns the kernel.
+    sum_j c^k_{i,j} x_j on the integer cells, and reads the kernel off the
+    reduced basis of their span, as ``kernel_basis`` does.
     """
-    n = algebra.dim
-    rows: dict = {}     # (i, k) -> coefficients of x_1 .. x_n
-    for (i, j), terms in algebra.table.items():
+    functionals: dict = {}      # (i, k) -> {j - 1: c^k_{i,j} times scale}
+    for (i, j), terms in _integer_cells(algebra)[1].items():
         for k, c in terms:
-            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] = c
-    if not rows:
-        return tuple(Vec.basis(n, i) for i in range(1, n + 1))
-    return tuple(Vec(v) for v in kernel_basis(MatrixQ.from_rows(rows.values())))
+            functionals.setdefault((i, k), {})[j - 1] = c
+    return tuple(_vec(v) for v in
+                 _kernel(EchelonSpan(algebra.dim, functionals.values())))

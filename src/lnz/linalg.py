@@ -16,9 +16,10 @@ it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
 Above it, one integer view of the structure table, read once per call
 (``algebra._integer_cells``), serves the Leibniz residual, the basis
 changes of ``transform.apply_change``, the central series, the right
-multiplications of the characteristic sequence and the gradation.  Only
-``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in canonical
-RREF.  The polynomial code below is separate.
+multiplications of the characteristic sequence, the gradation and the
+right annihilator.  Only ``EchelonSpan.basis()`` converts back to
+``Fraction`` rows, in canonical RREF.  The polynomial code below is
+separate.
 """
 
 from __future__ import annotations
@@ -267,17 +268,21 @@ def invert(m: MatrixQ):
 
 def kernel_basis(m: MatrixQ) -> list:
     """Basis of the right kernel, one vector per free column, in column order."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
+    return _kernel(EchelonSpan(m.cols, (m.row(r) for r in range(m.rows))))
+
+
+def _kernel(span: EchelonSpan) -> list:
+    """``kernel_basis`` of the rows that ``span`` holds, read off its RREF."""
+    n = span.ambient_dim
+    reduced = dict(zip(span.pivots(), span.basis()))
     basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -reduced[row_idx, free]
-        basis.append(tuple(v))
+    for free in range(n):
+        if free not in reduced:
+            v = [Fraction(0)] * n
+            v[free] = Fraction(1)
+            for p, row in reduced.items():
+                v[p] = -row[free]
+            basis.append(tuple(v))
     return basis
 
 
@@ -285,7 +290,8 @@ class EchelonSpan:
     """Incrementally maintained echelon basis of a span of row vectors.
 
     A vector is a sequence of ``ambient_dim`` rationals or a sparse mapping
-    from 0-based column to rational.  Rows are kept as gcd-normalised
+    from 0-based column to rational; entries are anything ``Fraction``
+    accepts, and ints need no conversion.  Rows are kept as gcd-normalised
     sparse integer rows of the kernel above; ``basis()`` converts them to
     the canonical RREF over Q, so two spans are equal exactly when their
     ``basis()`` tuples are equal.
@@ -327,16 +333,23 @@ class EchelonSpan:
         return tuple(out)
 
     def _integral(self, vector) -> dict:
+        """The vector as a sparse integer row; int entries are kept as
+        they are, anything else is coerced like ``Fraction`` and scaled."""
         n = self.ambient_dim
         if isinstance(vector, Mapping):
             if vector and not (0 <= min(vector) and max(vector) < n):
                 raise DimensionMismatch(
                     f"sparse vector has columns outside 0..{n - 1}")
-            return _int_rows([vector])[0]
-        if len(vector) != n:
+            items = vector.items()
+        elif len(vector) != n:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in ambient dimension {n}")
-        return _int_rows([[_frac(x) for x in vector]])[0]
+        else:
+            items = enumerate(vector)
+        row = {c: x for c, x in items if x}
+        if all(type(x) is int for x in row.values()):
+            return row
+        return _int_rows([{c: _frac(x) for c, x in row.items()}])[0]
 
     def contains(self, vector) -> bool:
         return _reduce(self._rows, self._integral(vector))[0] is None

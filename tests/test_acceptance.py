@@ -9,9 +9,10 @@ import re
 
 import pytest
 
+import lnz.analysis
 import lnz.verify
-from lnz import (BasisChange, MatrixQ, completed_second_type_change,
-                 enumerate_catalog, verify_all)
+from lnz import (BasisChange, MatrixQ, StructureTensor,
+                 completed_second_type_change, enumerate_catalog, verify_all)
 from lnz.verify import (Report, _check_equivalence_spots,
                         _check_formula_oracle, _check_residuals,
                         _check_small_oracles)
@@ -27,6 +28,14 @@ CRITERIA = (
     "non-lie",
     "equivalence-spots",
     "small-oracles",
+)
+
+FLAGGED = (
+    "reading-beta-e6",
+    "parity-asymmetry",
+    "alternating-identity-sign",
+    "nilindex-observed",
+    "label-0,6-overlap",
 )
 
 
@@ -54,9 +63,7 @@ def test_every_criterion_is_present(report):
 
 def test_flagged_notes_are_present(report):
     flagged = {r.name for r in report.records if r.status == "flagged"}
-    assert {"reading-beta-e6", "parity-asymmetry",
-            "alternating-identity-sign", "nilindex-observed",
-            "label-0,6-overlap"} <= flagged
+    assert set(FLAGGED) <= flagged
     for record in report.records:
         if record.status == "flagged":
             print(line_for(record))
@@ -112,3 +119,39 @@ def test_replay_leaving_normal_form_is_a_failure_record(monkeypatch):
     _check_equivalence_spots(report)
     assert [(r.name, r.status) for r in report.records] == [
         ("formula-oracle", "fail"), ("equivalence-spots", "fail")]
+
+
+def test_non_nilpotent_instance_is_a_failure_record(monkeypatch):
+    first = next(iter(enumerate_catalog((9,))))
+    # [e_2, e_1] = e_2: the series stops at span(e_2)
+    bad = first._replace(tensor=StructureTensor(9, {(2, 1): [(2, 1)]}))
+    monkeypatch.setattr(lnz.verify, "enumerate_catalog",
+                        lambda dims, samples: [bad])
+    report = verify_all(dims=(9,), oracle_trials=1)
+    assert report.record("gradation-dims").status == "fail"
+    nilindex = report.record("nilindex")
+    assert nilindex.status == "fail"
+    assert nilindex.detail == f"{bad.label()}: series dims [9, 1]"
+    assert report.record("char-sequence").status == "fail"
+
+
+def test_one_series_per_battery_instance(monkeypatch):
+    calls = []
+    series = lnz.analysis.lower_central_series
+
+    def counted(algebra):
+        calls.append(algebra.dim)
+        return series(algebra)
+
+    for module in (lnz.analysis, lnz.verify):
+        monkeypatch.setattr(module, "lower_central_series", counted)
+    report = verify_all(dims=(9,), oracle_trials=3)
+    instances = len(list(enumerate_catalog((9,))))
+    estimates = int(re.search(r"(\d+) sampled estimates",
+                              report.record("char-sequence").subject)[1])
+    rechecks = int(re.search(r"(\d+) series recomputations",
+                             report.record("small-oracles").subject)[1])
+    assert estimates > 0 and rechecks == instances
+    assert len(calls) == instances + estimates + rechecks
+    assert [r.name for r in report.records] == list(CRITERIA + FLAGGED)
+    assert report.ok

@@ -5,7 +5,8 @@ span, kept here as the reference the kernel must agree with, checks the
 central series, the gradation and the sampled characteristic sequence on
 catalog algebras moved into a dense basis, with and without denominators.
 Public ``bracket`` over all basis triples checks the Leibniz residual, and
-over all pairs of moved basis vectors checks ``apply_change``.
+over all pairs of moved basis vectors checks ``apply_change``.  A dense
+``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
 """
 
 import random
@@ -15,9 +16,11 @@ import pytest
 
 from lnz import (BasisChange, MatrixQ, StructureTensor, Vec, apply_change,
                  block_diag, bracket, build_first_type, build_second_type,
-                 char_sequence_estimate, invert, jordan_block,
-                 leibniz_residual, lower_central_series, natural_gradation,
-                 nilpotent_block_sizes, rank, row_by_id, serialize)
+                 char_sequence_estimate, enumerate_catalog, invert,
+                 jordan_block, kernel_basis, leibniz_residual,
+                 lower_central_series, natural_gradation,
+                 nilpotent_block_sizes, rank, right_annihilator, row_by_id,
+                 serialize)
 
 
 def unimodular(rng, n):
@@ -324,3 +327,50 @@ def test_apply_change_matches_dense_brackets():
         with_denominators += any(c.denominator > 1 for terms in got.table.values()
                                  for _, c in terms)
     assert with_denominators >= 50
+
+
+def ref_right_annihilator(algebra):
+    """One dense Fraction functional sum_j c^k_{i,j} x_j per (i, k), and
+    the kernel of the stacked matrix."""
+    n = algebra.dim
+    rows = {}
+    for (i, j), terms in algebra.table.items():
+        for k, c in terms:
+            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] = c
+    if not rows:
+        return tuple(Vec.basis(n, i) for i in range(1, n + 1))
+    return tuple(Vec(v) for v in kernel_basis(MatrixQ.from_rows(rows.values())))
+
+
+def annihilator_cases():
+    rng = random.Random(1961)
+    for t in range(48):
+        n = rng.randint(2, 8)
+        # every other table has few left indices and targets, so few
+        # dense functionals and a kernel with fractional coordinates
+        few = rng.sample(range(1, n + 1), min(n, 2)) if t % 2 else None
+        density = 0.8 if few else rng.choice((0.1, 0.3, 0.6))
+        table = {(i, j): [(k, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                          for k in rng.sample(few or range(1, n + 1),
+                                              rng.randint(1, 2))]
+                 for i in (few or range(1, n + 1)) for j in range(1, n + 1)
+                 if rng.random() < density}
+        yield StructureTensor(n, table, "random")
+    yield StructureTensor(6)
+    yield StructureTensor(1)
+    yield StructureTensor(1, {(1, 1): [(1, Fraction(-3, 7))]})
+    for inst in enumerate_catalog((9,)):
+        yield inst.tensor
+
+
+def test_right_annihilator_matches_dense_kernel():
+    cases = proper = fractional = 0
+    for algebra in annihilator_cases():
+        got = right_annihilator(algebra)
+        assert got == ref_right_annihilator(algebra)
+        assert all(type(v) is Vec for v in got)
+        cases += 1
+        proper += 0 < len(got) < algebra.dim
+        fractional += any(x.denominator > 1 for v in got for x in v.coords)
+    assert cases == 48 + 3 + 97
+    assert proper >= 110 and fractional >= 12

@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (MatrixQ, NotNilpotent, PolyQ, SecondTypeParams, Vec,
-                 block_diag, build_second_type, invert, jordan_block,
+from lnz import (EchelonSpan, MatrixQ, NotNilpotent, PolyQ,
+                 SecondTypeParams, Vec, block_diag, build_second_type, invert, jordan_block,
                  kernel_basis, nilpotent_block_sizes, poly_gcd, rank,
                  rational_roots, resultant, right_mul_matrix, rref)
 
@@ -122,6 +122,35 @@ def test_invert_and_kernel():
         else:
             assert (m @ inv).entries == MatrixQ.identity(n).entries
             assert kernel_basis(m) == []
+
+
+@pytest.mark.parametrize("dense, sparse", [
+    ([0.5, 0, 1], {0: 0.5, 2: 1}),
+    (["1/2", "0", "1"], {0: "1/2", 1: "0", 2: "1"}),
+    ([Q(1, 2), 0, Q(1)], {0: Q(1, 2), 2: Q(1)}),
+    ([1, 0, 2], {0: 1, 1: 0, 2: 2}),
+])
+def test_echelon_span_coerces_sparse_like_dense(dense, sparse):
+    expected = ((Q(1), Q(0), Q(2)),)
+    for vector, other in ((dense, sparse), (sparse, dense)):
+        span = EchelonSpan(3)
+        assert span.add(vector)
+        assert span.basis() == expected
+        assert span.contains(vector) and span.contains(other)
+        assert not span.add(other)
+        assert not span.contains({1: 3}) and not span.contains([0, 3, 0])
+
+
+def test_echelon_span_takes_int_rows_as_they_are():
+    span = EchelonSpan(4)
+    assert span.add({2: 0, 1: 6, 3: -4})
+    assert span.sparse_rows() == [{1: 3, 3: -2}]
+    assert not span.add({1: 0, 2: 0})
+    assert not span.add({})
+    assert span.add({0: 2, 1: 3, 3: -2})
+    assert span.basis() == ((Q(1), Q(0), Q(0), Q(0)),
+                            (Q(0), Q(1), Q(0), Q(-2, 3)))
+    assert span.contains([Q(1, 2), Q(3, 2), 0, -1])
 
 
 def test_rref_idempotent():
