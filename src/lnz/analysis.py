@@ -56,6 +56,18 @@ def _cells_by(algebra: StructureTensor, side: int) -> tuple:
     return scale, grouped
 
 
+def _times_basis(by_left: list, row: dict) -> dict:
+    """[row, e_j] for every j, as {j: {k: int}}, from a sparse integer
+    row and the integer cells by left index (all 0-based)."""
+    products: dict = {}
+    for i, x in row.items():
+        for j, cell in by_left[i]:
+            acc = products.setdefault(j, {})
+            for k, c in cell:
+                acc[k] = acc.get(k, 0) + x * c
+    return products
+
+
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _cells_by(algebra, 0)
@@ -65,13 +77,7 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
         nxt = EchelonSpan(n)
         for u in rows:
-            products: dict = {}
-            for i, x in u.items():
-                for j, cell in by_left[i]:
-                    acc = products.setdefault(j, {})
-                    for k, c in cell:
-                        acc[k] = acc.get(k, 0) + x * c
-            for prod in products.values():
+            for prod in _times_basis(by_left, u).values():
                 nxt.add(prod)
         if nxt.dim == 0:
             terms.append(())
@@ -159,13 +165,7 @@ def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
     scale, by_left = _cells_by(algebra, 0)
     table = {}
     for a in range(start[top - 1]):
-        # [s_a, e_j] for every j, times scale
-        right: dict = {}
-        for i, x in rows[a].items():
-            for j, cell in by_left[i]:
-                acc = right.setdefault(j, {})
-                for k, c in cell:
-                    acc[k] = acc.get(k, 0) + x * c
+        right = _times_basis(by_left, rows[a])    # [s_a, e_j], times scale
         for b in range(start[top - degree_of[a]]):
             target = degree_of[a] + degree_of[b]
             residue: dict = {}
@@ -208,9 +208,9 @@ class CharSequence:
 
 
 def derived_span(algebra: StructureTensor) -> EchelonSpan:
-    """Echelon span of [L, L]."""
-    return EchelonSpan(algebra.dim, ({k - 1: c for k, c in terms}
-                                     for terms in algebra.table.values()))
+    """Echelon span of [L, L], read off the integer cells."""
+    return EchelonSpan(algebra.dim, ({k - 1: c for k, c in terms} for terms
+                                     in _integer_cells(algebra)[1].values()))
 
 
 def _profile(by_right: list, x) -> CharSequence:

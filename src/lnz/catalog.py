@@ -36,7 +36,9 @@ DEFAULT_FREE_SAMPLES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2))
 
 @dataclass(frozen=True)
 class SecondTypeParams:
-    """The data (epsilon, alpha1..alpha4, beta) of a second-type algebra."""
+    """The data (epsilon, alpha1..alpha4, beta) of a second-type algebra.
+
+    beta is -1 or 0, and beta = 0 forces every alpha to 0."""
 
     epsilon: int
     alphas: tuple
@@ -53,6 +55,10 @@ class SecondTypeParams:
         beta = _frac(self.beta)
         if beta not in (Q(-1), Q(0)):
             raise InadmissibleParams(f"beta must be -1 or 0, got {beta}")
+        if beta == 0 and any(alphas):
+            raise InadmissibleParams(
+                "beta = 0 forces alpha1 = alpha2 = alpha3 = alpha4 = 0; got "
+                f"alphas ({', '.join(str(a) for a in alphas)})")
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -418,20 +424,18 @@ def rows_by_label(label: str) -> tuple:
 # building
 
 class _TableBuilder:
+    """Collects each cell's (k, c) terms as they are laid down;
+    ``StructureTensor`` merges repeated targets, drops zeros and sorts."""
+
     def __init__(self, n: int):
         self.n = n
         self.cells: dict = {}
 
     def put(self, i, j, *terms):
-        cell = self.cells.setdefault((i, j), {})
-        for k, c in terms:
-            c = _frac(c)
-            if c != 0:
-                cell[k] = cell.get(k, Q(0)) + c
+        self.cells.setdefault((i, j), []).extend(terms)
 
     def tensor(self, name=None) -> StructureTensor:
-        table = {key: tuple(sorted(v.items())) for key, v in self.cells.items()}
-        return StructureTensor(self.n, table, name)
+        return StructureTensor(self.n, self.cells, name)
 
 
 def build_second_type(n: int, params: SecondTypeParams,
@@ -453,10 +457,6 @@ def build_second_type(n: int, params: SecondTypeParams,
             f"epsilon = 1 products need even dimension, got {n}")
     a1, a2, a3, a4 = params.alphas
     beta = params.beta
-    if beta == 0 and any(a != 0 for a in params.alphas):
-        raise InadmissibleParams(
-            "beta = 0 forces alpha1 = alpha2 = alpha3 = alpha4 = 0; "
-            f"got alphas {params.alphas}")
     if strict and find_second_type_row(params) is None:
         raise InadmissibleParams(
             f"no catalog row has epsilon={params.epsilon}, "
@@ -702,30 +702,14 @@ def build_construction_stage(n: int, alphas: Sequence,
     for i in range(6, n):
         t.put(i, 4, (i + 1, betas[i]))
 
-    def times_e1(vec: dict) -> dict:
-        out = {}
-        for k, c in vec.items():
-            if k != 3 and k < n:
-                out[k + 1] = out.get(k + 1, Q(0)) + c
-        return {k: c for k, c in out.items() if c != 0}
-
-    def times_col(vec: dict, j: int) -> dict:
-        out: dict = {}
-        for k, c in vec.items():
-            for m, v in t.cells.get((k, j), {}).items():
-                out[m] = out.get(m, Q(0)) + c * v
-        return {k: c for k, c in out.items() if c != 0}
-
+    # [e_k, e_1] = e_{k+1} except for k = 3 and k = n, so the left term
+    # shifts [e_i, e_{j-1}] up by one and the right term is [e_{i+1}, e_{j-1}]
     for j in range(5, n + 1):
+        prev = StructureTensor(n, {key: terms for key, terms in t.cells.items()
+                                   if key[1] == j - 1}).table   # merged
         for i in range(1, n + 1):
-            left = times_e1(times_col({i: Q(1)}, j - 1))
-            right = times_col(times_e1({i: Q(1)}), j - 1)
-            cell = {}
-            for k, c in left.items():
-                cell[k] = cell.get(k, Q(0)) + c
-            for k, c in right.items():
-                cell[k] = cell.get(k, Q(0)) - c
-            cell = {k: c for k, c in cell.items() if c != 0}
-            if cell:
-                t.cells[(i, j)] = cell
+            left = prev.get((i, j - 1), ())
+            right = prev.get((i + 1, j - 1), ()) if i != 3 and i < n else ()
+            t.put(i, j, *((k + 1, c) for k, c in left if k != 3 and k < n),
+                  *((k, -c) for k, c in right))
     return t.tensor(f"construction-stage n={n}")

@@ -15,11 +15,12 @@ row by its gcd, so entries stay small and zero cells cost nothing.
 it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
 Above it, one integer view of the structure table, read once per call
 (``algebra._integer_cells``), serves the Leibniz residual, the basis
-changes of ``transform.apply_change``, the central series, the right
-multiplications of the characteristic sequence, the gradation and the
-right annihilator.  Only ``EchelonSpan.basis()`` converts back to
-``Fraction`` rows, in canonical RREF.  The polynomial code below is
-separate.
+changes of ``transform.apply_change``, the derived span, the central
+series, the right multiplications of the characteristic sequence, the
+gradation and the right annihilator.  ``_int_rows`` scales rows, and
+``apply_change`` reads matrix columns through it too.  Only
+``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in canonical
+RREF.  The polynomial code below is separate.
 """
 
 from __future__ import annotations
@@ -128,17 +129,18 @@ class MatrixQ:
         return result
 
 
-def _int_rows(rows) -> list:
-    """Sparse integer rows {column: int} for rational rows.
+def _int_rows(rows) -> tuple:
+    """``(scale, rows)``: rational rows as sparse integer rows {column: int}.
 
     ``rows`` holds dense sequences or sparse mappings.  All rows are scaled
-    by one lcm of their denominators, so spans are unchanged and a matrix
-    keeps its Jordan block profile.  Zero entries are dropped.
+    by ``scale``, the lcm of their denominators, so spans are unchanged and
+    a matrix keeps its Jordan block profile.  Zero entries are dropped.
     """
-    rows = [r if isinstance(r, Mapping) else dict(enumerate(r)) for r in rows]
+    rows = [{c: x for c, x in (r.items() if isinstance(r, Mapping)
+                               else enumerate(r)) if x} for r in rows]
     scale = lcm(*(x.denominator for r in rows for x in r.values()))
-    return [{c: x.numerator * (scale // x.denominator)
-             for c, x in r.items() if x} for r in rows]
+    return scale, [{c: x.numerator * (scale // x.denominator)
+                    for c, x in r.items()} for r in rows]
 
 
 def _reduce(ech: dict, row: dict) -> tuple:
@@ -182,7 +184,7 @@ def _echelon(rows) -> dict:
 
 def rank(m: MatrixQ) -> int:
     """Rank of a rational matrix, computed without ever leaving the integers."""
-    return len(_echelon(_int_rows(m.row(r) for r in range(m.rows))))
+    return len(_echelon(_int_rows(m.row(r) for r in range(m.rows))[1]))
 
 
 def nilpotent_block_sizes(m: MatrixQ) -> tuple:
@@ -201,7 +203,7 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     n = m.rows
     if n == 0:
         return ()
-    base = _int_rows(m.row(r) for r in range(n))
+    _, base = _int_rows(m.row(r) for r in range(n))
 
     ranks = [n]
     basis = _echelon(base)
@@ -349,7 +351,7 @@ class EchelonSpan:
         row = {c: x for c, x in items if x}
         if all(type(x) is int for x in row.values()):
             return row
-        return _int_rows([{c: _frac(x) for c, x in row.items()}])[0]
+        return _int_rows([{c: _frac(x) for c, x in row.items()}])[1][0]
 
     def contains(self, vector) -> bool:
         return _reduce(self._rows, self._integral(vector))[0] is None
@@ -566,6 +568,8 @@ def resultant(p_coeffs: Sequence[PolyQ], q_coeffs: Sequence[PolyQ]) -> PolyQ:
     result is the Sylvester determinant, a PolyQ in t.  It vanishes exactly
     when the two arguments share a root in s (over the algebraic closure),
     which is what the equivalence search uses to eliminate one unknown.
+    A constant argument c against degree d gives the diagonal matrix c*I_d
+    and so c^d, and two constants give the empty determinant 1.
     """
     p = list(p_coeffs)
     q = list(q_coeffs)
@@ -576,18 +580,6 @@ def resultant(p_coeffs: Sequence[PolyQ], q_coeffs: Sequence[PolyQ]) -> PolyQ:
     if not p or not q:
         return PolyQ.zero()
     dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0 and dq == 0:
-        return PolyQ.constant(1)
-    if dp == 0:
-        out = PolyQ.constant(1)
-        for _ in range(dq):
-            out = out * p[0]
-        return out
-    if dq == 0:
-        out = PolyQ.constant(1)
-        for _ in range(dp):
-            out = out * q[0]
-        return out
     size = dp + dq
     zero = PolyQ.zero()
     rows = []

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import json
 
@@ -43,10 +43,10 @@ from .algebra import (StructureTensor, Vec, _coeff_from_document,
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
-                     InadmissibleParams, NotNormalForm, RestrictionViolated,
-                     SingularChange, ToolkitError)
-from .linalg import (MatrixQ, PolyQ, _frac, invert, poly_gcd, rational_roots,
-                     resultant)
+                     NotNormalForm, RestrictionViolated, SingularChange,
+                     ToolkitError)
+from .linalg import (MatrixQ, PolyQ, _frac, _int_rows, invert, poly_gcd,
+                     rational_roots, resultant)
 
 Q = Fraction
 
@@ -85,18 +85,6 @@ class BasisChange:
         return BasisChange(self._inverse)
 
 
-def _int_columns(matrix: MatrixQ) -> tuple:
-    """``(scale, columns)``: column i of ``matrix`` as a sparse {row: int}
-    (1-based rows), all times ``scale``, the lcm of the denominators."""
-    nonzero = [(p, x) for p, x in enumerate(matrix.entries) if x]
-    scale = lcm(*(x.denominator for _, x in nonzero))
-    columns = [{} for _ in range(matrix.cols)]
-    for p, x in nonzero:
-        a, i = divmod(p, matrix.cols)
-        columns[i][a + 1] = x.numerator * (scale // x.denominator)
-    return scale, columns
-
-
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
     """The same algebra written on the new basis.
 
@@ -104,25 +92,28 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     is pulled back through the inverse matrix once, combined along column j
     into [e_a, e'_j], then along column i.  Everything runs on sparse
     integers: the integer cells of the table (``algebra._integer_cells``)
-    and the columns of the matrix and of its inverse, each scaled by the lcm
-    of its denominators, so zero entries cost nothing and each nonzero
-    output term makes one ``Fraction``.
+    and the columns of the matrix and of its inverse (``linalg._int_rows``),
+    each scaled by the lcm of its denominators, so zero entries cost nothing
+    and each nonzero output term makes one ``Fraction``.
     """
     n = algebra.dim
     if change.dim != n:
         raise DimensionMismatch(
             f"change on {change.dim} coordinates, algebra has {n}")
     s_table, cells = _integer_cells(algebra)
-    s_matrix, cols = _int_columns(change.matrix)
-    s_inverse, back = _int_columns(change.inverse)
-    pulled: dict = {}   # pulled[b]: [(a, [e_a, e_b] in new coordinates)]
+    s_matrix, cols = _int_rows(change.matrix.column(i) for i in range(n))
+    s_inverse, back = _int_rows(change.inverse.column(i) for i in range(n))
+    # 0-based from here on, as _int_rows numbers rows: pulled[b - 1] lists
+    # (a - 1, [e_a, e_b] in new coordinates), and right[j][a - 1] is
+    # [e_a, e'_{j+1}] in new coordinates
+    pulled: dict = {}
     for (a, b), terms in cells.items():
         acc: dict = {}
         for k, c in terms:
             for t, w in back[k - 1].items():
                 acc[t] = acc.get(t, 0) + c * w
-        pulled.setdefault(b, []).append((a, acc))
-    right = []          # right[j][a]: [e_a, e'_{j+1}] in new coordinates
+        pulled.setdefault(b - 1, []).append((a - 1, acc))
+    right = []
     for col in cols:
         prods: dict = {}
         for b, y in col.items():
@@ -139,7 +130,7 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
             for a, x in col.items():
                 for t, v in prods.get(a, {}).items():
                     acc[t] = acc.get(t, 0) + x * v
-            cell = [(t, Fraction(v, scale)) for t, v in acc.items() if v]
+            cell = [(t + 1, Fraction(v, scale)) for t, v in acc.items() if v]
             if cell:
                 table[(i, j)] = cell
     return StructureTensor(n, table, algebra.name)
@@ -274,8 +265,6 @@ def param_map_case1(p: SecondTypeParams, g: GradedChange2) -> SecondTypeParams:
     """
     if p.epsilon != 0:
         raise EpsilonMismatch("this map handles epsilon = 0 parameters")
-    if p.beta == 0 and any(a != 0 for a in p.alphas):
-        raise InadmissibleParams("beta = 0 requires all alphas zero")
     return _second_type_map(p, g)
 
 
@@ -522,7 +511,7 @@ def _forward_matches(p: SecondTypeParams, q: SecondTypeParams,
                      g: GradedChange2) -> bool:
     try:
         mapped = param_map_case1(p, g) if p.epsilon == 0 else param_map_case2(p, g)
-    except (RestrictionViolated, InadmissibleParams):
+    except RestrictionViolated:
         return False
     return mapped.alphas == q.alphas and mapped.beta == q.beta
 
@@ -562,10 +551,6 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     if p.alphas == q.alphas and p.beta == q.beta:
         ident = GradedChange2(Q(1), Q(0), Q(1))
         return Equivalent(ident)
-    if p.beta == 0:
-        # both all-zero would have been equal above; beta bits matched, so
-        # q.beta = 0 too, and distinct all-zero tuples cannot happen
-        return Unknown("beta = 0 leaves no free parameters")
 
     candidates: dict = {}       # (A4, B4) in first-seen order
     for t in [Q(0)] + _eliminated_roots(p, q):

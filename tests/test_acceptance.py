@@ -135,6 +135,17 @@ def test_non_nilpotent_instance_is_a_failure_record(monkeypatch):
     assert report.record("char-sequence").status == "fail"
 
 
+def test_small_oracles_accept_a_non_nilpotent_instance():
+    instances = list(enumerate_catalog((9,)))
+    # [e_2, e_1] = e_2: series dims (9, 1), with the repeated term dropped
+    instances[0] = instances[0]._replace(
+        tensor=StructureTensor(9, {(2, 1): [(2, 1)]}))
+    report = Report()
+    _check_small_oracles(report, instances, seed=0)
+    record = report.record("small-oracles")
+    assert record.status == "pass", record.detail
+
+
 def test_one_series_per_battery_instance(monkeypatch):
     calls = []
     series = lnz.analysis.lower_central_series

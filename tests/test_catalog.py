@@ -1,5 +1,6 @@
 """Catalog rows, normal-form builders, and enumeration."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from lnz import (
     leibniz_residual,
     row_by_id,
     rows_by_label,
+    serialize,
     validate_params,
 )
 
@@ -249,6 +251,17 @@ def test_stage_satisfies_binomial_closed_form():
     assert binomial_product_check(stage, betas)
 
 
+@pytest.mark.parametrize("n, digest", [
+    (9, "3c6de13216e5cce046349513a696a19bfcfc856c552241133419b1728094721c"),
+    (12, "1a9ec5948cd546c47320fa69c97fd0055215239b1179affb9b362f19e4c1906e"),
+])
+def test_stage_bytes_are_pinned(n, digest):
+    betas = [Fraction(0)] + [Fraction((-1) ** m * m, m % 3 + 1)
+                             for m in range(1, n)]
+    stage = build_construction_stage(n, (1, -2, Fraction(1, 2), 3), betas)
+    assert hashlib.sha256(serialize(stage).encode()).hexdigest() == digest
+
+
 def test_stage_rejects_bad_input():
     with pytest.raises(DimensionTooSmall):
         build_construction_stage(8, (0, 0, 0, 0), [0] * 8)
@@ -256,3 +269,15 @@ def test_stage_rejects_bad_input():
         build_construction_stage(9, (0, 0, 0), [0] * 9)
     with pytest.raises(InadmissibleParams):
         build_construction_stage(9, (0, 0, 0, 0), [0] * 4)
+
+
+def test_catalog_bytes_are_pinned():
+    # sha256 over the serialized instances in enumeration order
+    digest = hashlib.sha256()
+    count = 0
+    for inst in enumerate_catalog((9, 10, 16)):
+        digest.update(serialize(inst.tensor).encode())
+        count += 1
+    assert count == 781
+    assert digest.hexdigest() == (
+        "9f4288bd7c1f38ebc663575680d232a9bf354cbeab3e2c42cb91911ac63496ff")

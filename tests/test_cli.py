@@ -411,6 +411,21 @@ def test_equiv_explicit_beta(capsys):
     assert out.splitlines()[0] == "Equivalent"
 
 
+@pytest.mark.parametrize("p, q, alphas", [
+    ("1,0,0,0,0", "1,0,0,0,0", "(1, 0, 0, 0)"),
+    ("1,0,0,0,0", "2,0,0,0,0", "(1, 0, 0, 0)"),
+    ("0,0,0,0,0", "0,-1/2,0,0,0", "(0, -1/2, 0, 0)"),
+])
+def test_equiv_rejects_beta_zero_with_nonzero_alpha(capsys, p, q, alphas):
+    # no algebra has beta = 0 and a nonzero alpha: inadmissible, exit 2
+    code, out, err = run(capsys, "equiv", "--epsilon", "0", "--dim", "9",
+                         "--p", p, "--q", q)
+    assert code == 2
+    assert out == ""
+    assert ("beta = 0 forces alpha1 = alpha2 = alpha3 = alpha4 = 0; "
+            f"got alphas {alphas}") in err
+
+
 # ----------------------------------------------------------------------
 # verify-all argument handling (the full run lives in the acceptance tests)
 

@@ -1,12 +1,13 @@
 """The sparse integer elimination kernel against independent oracles.
 
-sympy checks ranks and Jordan block sizes.  A dense ``Fraction`` RREF
-span, kept here as the reference the kernel must agree with, checks the
-central series, the gradation and the sampled characteristic sequence on
-catalog algebras moved into a dense basis, with and without denominators.
-Public ``bracket`` over all basis triples checks the Leibniz residual, and
-over all pairs of moved basis vectors checks ``apply_change``.  A dense
-``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
+sympy checks ranks, Jordan block sizes, resultants and rational roots.
+A dense ``Fraction`` RREF span, kept here as the reference the kernel
+must agree with, checks the central series, the gradation and the
+sampled characteristic sequence on catalog algebras moved into a dense
+basis, with and without denominators.  Public ``bracket`` over all basis
+triples checks the Leibniz residual, and over all pairs of moved basis
+vectors checks ``apply_change``.  A dense ``kernel_basis`` of the stacked
+functionals checks ``right_annihilator``.
 """
 
 import random
@@ -14,13 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, MatrixQ, StructureTensor, Vec, apply_change,
-                 block_diag, bracket, build_first_type, build_second_type,
-                 char_sequence_estimate, enumerate_catalog, invert,
-                 jordan_block, kernel_basis, leibniz_residual,
+from lnz import (BasisChange, MatrixQ, PolyQ, StructureTensor, Vec,
+                 apply_change, block_diag, bracket, build_first_type,
+                 build_second_type, char_sequence_estimate, enumerate_catalog,
+                 invert, jordan_block, kernel_basis, leibniz_residual,
                  lower_central_series, natural_gradation,
-                 nilpotent_block_sizes, rank, right_annihilator, row_by_id,
-                 serialize)
+                 nilpotent_block_sizes, rank, rational_roots, resultant,
+                 right_annihilator, row_by_id, serialize)
 
 
 def unimodular(rng, n):
@@ -74,6 +75,65 @@ def test_block_sizes_and_ranks_match_sympy():
         s = sympy.Matrix(r, c, [sympy.Rational(x.numerator, x.denominator)
                                 for x in entries])
         assert rank(MatrixQ(r, c, tuple(entries))) == s.rank()
+
+
+def test_resultant_and_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+    rng = random.Random(1993)
+
+    def rand_poly(top):
+        return PolyQ(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(rng.randint(0, top + 1))))
+
+    def to_sympy(poly, x):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
+                    for k, c in enumerate(poly.coeffs)), sympy.Integer(0))
+
+    def from_sympy(expr):
+        poly = sympy.Poly(expr, t)
+        return PolyQ(tuple(Fraction(int(c.p), int(c.q))
+                           for c in reversed(poly.all_coeffs())))
+
+    # outer degrees 0..3 in s, constant and empty coefficient lists
+    # included, sometimes with zero leading coefficients to strip
+    for _ in range(300):
+        p = [rand_poly(2) for _ in range(rng.randint(0, 4))]
+        q = [rand_poly(2) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.2:
+            p.append(PolyQ.zero())
+        got = resultant(p, q)
+        ps = sum((to_sympy(c, t) * s ** k for k, c in enumerate(p)),
+                 sympy.Integer(0))
+        qs = sum((to_sympy(c, t) * s ** k for k, c in enumerate(q)),
+                 sympy.Integer(0))
+        if ps == 0 or qs == 0:
+            assert got == PolyQ.zero()
+            continue
+        # sympy answers res(q, p) when deg p < deg q, so ask it in degree
+        # order and use res(p, q) = (-1)^(deg p * deg q) * res(q, p)
+        dp, dq = sympy.degree(ps, s), sympy.degree(qs, s)
+        want = (sympy.resultant(ps, qs, s) if dp >= dq
+                else (-1) ** (dp * dq) * sympy.resultant(qs, ps, s))
+        assert got == from_sympy(want), (p, q)
+
+    # products of rational linear factors times a random cofactor
+    for _ in range(200):
+        poly = rand_poly(3)
+        for _ in range(rng.randint(0, 3)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            poly = poly * PolyQ.of(-root, 1)
+        if poly.is_zero():
+            with pytest.raises(ValueError):
+                rational_roots(poly)
+            continue
+        roots = sympy.Poly(to_sympy(poly, t), t).ground_roots()
+        expected = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+        assert rational_roots(poly) == expected
+        bound = rng.randint(1, 6)
+        assert rational_roots(poly, bound=bound) == [
+            r for r in expected if abs(r.numerator) <= bound
+            and r.denominator <= bound]
 
 
 # ----------------------------------------------------------------------

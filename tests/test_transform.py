@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import lnz.transform
+import lnz.verify
 from lnz import (
     BasisChange,
     Distinct,
@@ -202,6 +203,25 @@ def test_scale_identities_hold():
 
 def test_homogeneity():
     assert verify_homogeneity(trials=40, seed=2)
+
+
+@pytest.mark.parametrize("name", ["param_map_case1", "param_map_case2",
+                                  "param_map_type1_a", "param_map_type1_b"])
+def test_homogeneity_catches_each_map(monkeypatch, name):
+    assert verify_homogeneity()
+    exact = getattr(lnz.verify, name)
+
+    def shifted_by_a1(p, g):
+        # adds A1 to the first mapped value: scaling (A1, A4, B4) moves it
+        mapped = exact(p, g)
+        if isinstance(mapped, SecondTypeParams):
+            a1, *rest = mapped.alphas
+            return SecondTypeParams(mapped.epsilon, (a1 + g.A1, *rest),
+                                    mapped.beta)
+        return (mapped[0] + g.A1, *mapped[1:])
+
+    monkeypatch.setattr(lnz.verify, name, shifted_by_a1)
+    assert not verify_homogeneity()
 
 
 # ----------------------------------------------------------------------
