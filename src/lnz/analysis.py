@@ -3,7 +3,10 @@
 The descending central series is L^1 = L, L^{k+1} = [L^k, L].  When it
 reaches zero the algebra is nilpotent and the quotients L^i / L^{i+1}
 carry an induced product that respects degrees; ``natural_gradation``
-materialises that graded algebra on a concatenated section basis.
+materialises that graded algebra on a concatenated section basis.  Each
+term is kept as reduced sparse integer rows; ``CentralSeries.terms``
+builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
+of a nilpotent algebra.  The gradation runs on the integer rows too.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
@@ -16,33 +19,46 @@ otherwise returns a sampled lower bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .algebra import StructureTensor, Vec, _integer_cells, _vec
 from .errors import ElementInDerivedSubalgebra, NonNilpotent
-from .linalg import EchelonSpan, MatrixQ, _kernel, nilpotent_block_sizes
+from .linalg import (EchelonSpan, MatrixQ, _eliminate, _fraction_row,
+                     _kernel, nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
 class CentralSeries:
-    """Terms of the descending central series as echelon bases.
+    """Terms of the descending central series.
 
-    ``terms[k]`` is a tuple of Vec spanning L^{k+1} (so terms[0] spans the
-    whole algebra).  When the series hits zero, the zero term is included
-    and ``nilpotent`` is True; when it stabilises at a nonzero subspace the
-    repeated term is dropped and ``nilpotent`` is False.
+    ``rows[k]`` holds the reduced integer rows of L^{k+1} ({column: int},
+    0-based, by pivot; see ``EchelonSpan.reduced_rows``), so rows[0] spans
+    the whole algebra.  ``terms[k]``, the same span as a tuple of reduced
+    echelon Vec, is built on first read and then kept.  When the series
+    hits zero, the zero term is included and ``nilpotent`` is True; when it
+    stabilises at a nonzero subspace the repeated term is dropped and
+    ``nilpotent`` is False.  ``len(series)`` counts the terms, so for a
+    nilpotent algebra it is the nilindex.
     """
 
-    terms: tuple
+    ambient_dim: int
+    rows: tuple = field(hash=False)     # dicts do not hash; the rest does
     nilpotent: bool
+
+    @cached_property
+    def terms(self) -> tuple:
+        return tuple(tuple(_vec(_fraction_row(self.ambient_dim, row))
+                           for row in term) for term in self.rows)
 
     @property
     def dims(self) -> tuple:
-        return tuple(len(t) for t in self.terms)
+        return tuple(len(t) for t in self.rows)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.rows)
 
 
 def _cells_by(algebra: StructureTensor, side: int) -> tuple:
@@ -71,8 +87,8 @@ def _times_basis(by_left: list, row: dict) -> dict:
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _cells_by(algebra, 0)
-    rows = [{i: 1} for i in range(n)]           # L^1 = L, already echelon
-    terms = [tuple(Vec.basis(n, i) for i in range(1, n + 1))]
+    rows = [{i: 1} for i in range(n)]           # L^1 = L, already reduced
+    terms = [tuple(rows)]
     while True:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
         nxt = EchelonSpan(n)
@@ -86,9 +102,9 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
         if nxt.dim == len(rows):
             nilpotent = False
             break
-        terms.append(tuple(_vec(v) for v in nxt.basis()))
+        terms.append(tuple(nxt.reduced_rows()))
         rows = nxt.sparse_rows()
-    return CentralSeries(tuple(terms), nilpotent)
+    return CentralSeries(n, tuple(terms), nilpotent)
 
 
 def nilindex(algebra: StructureTensor) -> int:
@@ -96,7 +112,7 @@ def nilindex(algebra: StructureTensor) -> int:
     series = lower_central_series(algebra)
     if not series.nilpotent:
         raise NonNilpotent("central series stabilises at a nonzero subspace")
-    return len(series.terms)
+    return len(series)
 
 
 @dataclass(frozen=True)
@@ -139,45 +155,47 @@ def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
     n = algebra.dim
     if not series.nilpotent:
         raise NonNilpotent("gradation needs a nilpotent algebra")
-    # the terms are already in reduced echelon form; keep them sparse
-    spans = [[{c: x for c, x in enumerate(v.coords) if x} for v in term]
-             for term in series.terms]
-    sections, rows, degree_of = [], [], []      # listed degree by degree
+    spans = series.rows                         # reduced integer rows
+    rows, degree_of = [], []                    # listed degree by degree
     for d in range(1, len(spans)):
         later = {min(row) for row in spans[d]}
-        for v, row in zip(series.terms[d - 1], spans[d - 1]):
+        for row in spans[d - 1]:
             if min(row) not in later:
-                sections.append(v)
                 rows.append(row)
                 degree_of.append(d)
-    m, top = len(sections), len(spans) - 1
+    m, top = len(rows), len(spans) - 1
     if m != n:
         raise NonNilpotent("section extraction lost dimensions")  # pragma: no cover
     piece_dims = tuple(degree_of.count(d) for d in range(1, top + 1))
     start = [sum(piece_dims[:d]) for d in range(top + 1)]
     pivot_of = [min(row) for row in rows]
+    lead = [row[p] for row, p in zip(rows, pivot_of)]
 
-    # Degree-d sections are start[d - 1] .. start[d] - 1.  A degree-d row
-    # vanishes at every other pivot of degree >= d (a pivot column of L^d)
-    # but may not at shallower ones.  So once the sections deeper than
-    # i + j are peeled, deepest first, the residue at a degree-(i+j) pivot
-    # is a coordinate of the product of a degree-i and a degree-j section.
+    # Section s is rows[s] / lead[s].  Degree-d sections are start[d - 1]
+    # .. start[d] - 1.  A degree-d row vanishes at every other pivot of
+    # degree >= d (a pivot column of L^d) but may not at shallower ones.
+    # So once the sections deeper than i + j are peeled, deepest first, the
+    # residue at a degree-(i+j) pivot is a coordinate of the product of a
+    # degree-i and a degree-j section.  The residue stays an integer row
+    # over one common denominator.
     scale, by_left = _cells_by(algebra, 0)
     table = {}
     for a in range(start[top - 1]):
-        right = _times_basis(by_left, rows[a])    # [s_a, e_j], times scale
+        right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
         for b in range(start[top - degree_of[a]]):
             target = degree_of[a] + degree_of[b]
             residue: dict = {}
             for j, y in rows[b].items():
                 for k, v in right.get(j, {}).items():
                     residue[k] = residue.get(k, 0) + y * v
+            denominator = scale * lead[a] * lead[b]
             for s in range(m - 1, start[target] - 1, -1):
-                c = residue.get(pivot_of[s])
-                if c:
-                    for t, x in rows[s].items():
-                        residue[t] = residue.get(t, 0) - c * x
-            terms = tuple((s + 1, residue[pivot_of[s]] / scale)
+                if residue.get(pivot_of[s]):
+                    # peel section s = rows[s] / lead[s]: the step scales the
+                    # residue by f, so the denominator gains f too
+                    f, residue = _eliminate(residue, rows[s], pivot_of[s])
+                    denominator *= f
+            terms = tuple((s + 1, Fraction(residue[pivot_of[s]], denominator))
                           for s in range(start[target - 1], start[target])
                           if residue.get(pivot_of[s]))
             if terms:
@@ -185,7 +203,8 @@ def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
     graded = StructureTensor(n, table,
                              None if algebra.name is None
                              else f"gr({algebra.name})")
-    return Gradation(piece_dims, tuple(sections), graded)
+    sections = tuple(_vec(_fraction_row(n, row)) for row in rows)
+    return Gradation(piece_dims, sections, graded)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _UsageError(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise DocumentError(f"{path} is not UTF-8: {err.reason} at byte "
+                            f"{err.start}") from err
 
 
 def _emit(text: str, output: str | None):
@@ -127,7 +130,7 @@ def cmd_analyze(args) -> int:
     series = lower_central_series(algebra)
     print("central series dims: " + " ".join(str(d) for d in series.dims))
     if series.nilpotent:
-        print(f"nilindex: {len(series.terms)}")
+        print(f"nilindex: {len(series)}")
         grading = _gradation(algebra, series)
         print("gradation dims: " + " ".join(str(d) for d in grading.piece_dims))
         try:

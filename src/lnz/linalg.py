@@ -18,9 +18,13 @@ Above it, one integer view of the structure table, read once per call
 changes of ``transform.apply_change``, the derived span, the central
 series, the right multiplications of the characteristic sequence, the
 gradation and the right annihilator.  ``_int_rows`` scales rows, and
-``apply_change`` reads matrix columns through it too.  Only
-``EchelonSpan.basis()`` converts back to ``Fraction`` rows, in canonical
-RREF.  The polynomial code below is separate.
+``apply_change`` reads matrix columns through it too.
+``EchelonSpan.reduced_rows`` is the one back-substitution: it returns the
+rows reduced in integers, canonical for the span, and ``basis()`` is
+their ``Fraction`` view, the canonical RREF.  The central series keeps
+those integer rows and builds ``Vec``s from them on demand in two places:
+``CentralSeries.terms`` on first read, and the n section representatives
+of ``natural_gradation``.  The polynomial code below is separate.
 """
 
 from __future__ import annotations
@@ -143,6 +147,33 @@ def _int_rows(rows) -> tuple:
                     for c, x in r.items()} for r in rows]
 
 
+def _fraction_row(n: int, row: dict) -> tuple:
+    """A reduced sparse integer row as the dense ``Fraction`` row with 1 at
+    its pivot."""
+    pivot = row[min(row)]
+    dense = [Fraction(0)] * n
+    for c, x in row.items():
+        dense[c] = Fraction(x, pivot)
+    return tuple(dense)
+
+
+def _eliminate(row: dict, prow: dict, col: int) -> tuple:
+    """One cross-multiplication step: ``(a, a * row - b * prow)`` with a, b
+    coprime, so that the new row is zero at ``col``, where ``prow`` is
+    nonzero.  ``row`` itself is left as it is."""
+    a, b = prow[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = {c: a * x for c, x in row.items()}
+    for c, y in prow.items():
+        x = row.get(c, 0) - b * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+    return a, row
+
+
 def _reduce(ech: dict, row: dict) -> tuple:
     """The elimination kernel: reduce a sparse integer row against echelon
     rows ``ech`` (pivot column -> row).
@@ -159,16 +190,7 @@ def _reduce(ech: dict, row: dict) -> tuple:
             g = gcd(*row.values())
             return lead, ({c: x // g for c, x in row.items()} if g > 1
                           else row)
-        a, b = prow[lead], row[lead]
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        row = {c: a * x for c, x in row.items()}
-        for c, y in prow.items():
-            x = row.get(c, 0) - b * y
-            if x:
-                row[c] = x
-            else:
-                del row[c]
+        row = _eliminate(row, prow, lead)[1]
     return None, row
 
 
@@ -294,9 +316,10 @@ class EchelonSpan:
     A vector is a sequence of ``ambient_dim`` rationals or a sparse mapping
     from 0-based column to rational; entries are anything ``Fraction``
     accepts, and ints need no conversion.  Rows are kept as gcd-normalised
-    sparse integer rows of the kernel above; ``basis()`` converts them to
-    the canonical RREF over Q, so two spans are equal exactly when their
-    ``basis()`` tuples are equal.
+    sparse integer rows of the kernel above; ``reduced_rows()`` reduces
+    them to canonical integer rows and ``basis()`` to the canonical RREF
+    over Q, so two spans are equal exactly when their ``basis()`` tuples
+    (or ``reduced_rows()`` lists) are equal.
     """
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
@@ -316,23 +339,28 @@ class EchelonSpan:
         """The kept integer rows {column: int}, by pivot; they span the space."""
         return [self._rows[p] for p in sorted(self._rows)]
 
-    def basis(self) -> tuple:
+    def reduced_rows(self) -> list:
+        """The rows reduced in integers, by pivot: each row is zero at every
+        other pivot, divided by its gcd and has a positive pivot entry, so
+        the rows are canonical for the span.  This is the one
+        back-substitution; ``basis()`` is its ``Fraction`` view."""
         reduced: dict = {}
         for p in sorted(self._rows, reverse=True):
             row = self._rows[p]
-            v = {c: Fraction(x, row[p]) for c, x in row.items()}
-            for q in [c for c in v if c != p and c in reduced]:
-                f = v[q]
-                for c, y in reduced[q].items():
-                    v[c] = v.get(c, 0) - f * y
-            reduced[p] = {c: x for c, x in v.items() if x}
-        out = []
-        for p in sorted(reduced):
-            dense = [Fraction(0)] * self.ambient_dim
-            for c, x in reduced[p].items():
-                dense[c] = x
-            out.append(tuple(dense))
-        return tuple(out)
+            for q in [c for c in row if c != p and c in reduced]:
+                row = _eliminate(row, reduced[q], q)[1]
+            g = gcd(*row.values())
+            if row[p] < 0:
+                g = -g
+            reduced[p] = ({c: x // g for c, x in row.items()} if g != 1
+                          else row)
+        return [reduced[p] for p in sorted(reduced)]
+
+    def basis(self) -> tuple:
+        """The canonical RREF over Q: the reduced rows divided by their
+        pivot entries."""
+        return tuple(_fraction_row(self.ambient_dim, row)
+                     for row in self.reduced_rows())
 
     def _integral(self, vector) -> dict:
         """The vector as a sparse integer row; int entries are kept as

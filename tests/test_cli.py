@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -94,27 +95,29 @@ def test_check_rejects_malformed_document(capsys, tmp_path):
 # final newline, and "\d" matches non-ASCII digits
 INEXACT = {"newline": "3\n", "fraction-newline": "1/2\n",
            "arabic-indic": "\u0663"}
-HOSTILE = ["string", "integer", "nested", *INEXACT]
+HOSTILE = ["string", "integer", "nested", "not-utf8", *INEXACT]
 
 
-def hostile_text(kind, wrap):
-    """Document text that must end in exit 65, not a traceback.
+def hostile_bytes(kind, wrap):
+    """Document bytes that must end in exit 65, not a traceback.
     ``wrap`` builds a document around one coefficient's JSON text."""
+    if kind == "not-utf8":
+        return wrap('"@"').encode().replace(b"@", b"\xff\xfe")
     if kind in INEXACT:
-        return wrap(json.dumps(INEXACT[kind]))
+        return wrap(json.dumps(INEXACT[kind])).encode()
     if kind == "nested":
-        return "[" * 100_000 + "]" * 100_000
+        return ("[" * 100_000 + "]" * 100_000).encode()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter converts integers of any length")
     digits = "7" * (limit + 1)
-    return wrap(f'"{digits}"' if kind == "string" else digits)
+    return wrap(f'"{digits}"' if kind == "string" else digits).encode()
 
 
 @pytest.mark.parametrize("kind", HOSTILE)
 def test_check_rejects_hostile_document(capsys, tmp_path, kind):
     doc = tmp_path / "hostile.json"
-    doc.write_text(hostile_text(kind, lambda c: (
+    doc.write_bytes(hostile_bytes(kind, lambda c: (
         '{"dim": 2, "table": [{"i": 1, "j": 1, "terms": [[2, %s]]}]}' % c)))
     code, _, err = run(capsys, "check", str(doc))
     assert code == 65
@@ -191,6 +194,30 @@ def test_analyze_full_output(capsys, tmp_path):
     assert lines[5] == "characteristic sequence (sampled): (6, 3)"
     assert lines[6] == "right annihilator dim: 3"
     assert set(lines[7:]) == {"  e_2", "  e_3", "  e_9"}
+
+
+def test_analyze_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # sha256 over exit code and stdout of the first instance of every row
+    # at n = 9, 16 and 32, with the default options and with a budget and
+    # a seed
+    monkeypatch.delenv("LNZ_SEED", raising=False)
+    doc = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    runs = 0
+    for n in (9, 16, 32):
+        seen = set()
+        for inst in lnz.enumerate_catalog((n,)):
+            if inst.row.row_id in seen:
+                continue
+            seen.add(inst.row.row_id)
+            doc.write_text(serialize(inst.tensor))
+            for extra in ([], ["--budget", "15", "--seed", "3"]):
+                code, out, _ = run(capsys, "analyze", str(doc), *extra)
+                digest.update(f"{code}\n{out}".encode())
+                runs += 1
+    assert runs == 254
+    assert digest.hexdigest() == (
+        "12a0694eade3f4f7b5c1b059fd0f765ce168d57114fce7b4469cdef3fc4d81b4")
 
 
 def test_analyze_non_nilpotent(capsys, tmp_path):
@@ -338,7 +365,7 @@ def test_transform_rejects_hostile_change(capsys, tmp_path, kind):
     doc = tmp_path / "plane.json"
     doc.write_text('{"dim": 2, "table": []}')
     change_doc = tmp_path / "hostile.json"
-    change_doc.write_text(hostile_text(kind, lambda c: (
+    change_doc.write_bytes(hostile_bytes(kind, lambda c: (
         '{"dim": 2, "matrix": [[%s, "0"], ["0", "1"]]}' % c)))
     code, _, err = run(capsys, "transform", str(doc), "--change",
                        str(change_doc))

@@ -7,7 +7,10 @@ sampled characteristic sequence on catalog algebras moved into a dense
 basis, with and without denominators.  Public ``bracket`` over all basis
 triples checks the Leibniz residual, and over all pairs of moved basis
 vectors checks ``apply_change``.  A dense ``kernel_basis`` of the stacked
-functionals checks ``right_annihilator``.
+functionals checks ``right_annihilator``.  On random rational tables,
+the ``rref`` of the stacked brackets checks the central series terms, and
+a gradation in ``Fraction`` arithmetic on reduced echelon rows, kept here,
+checks the integer-row gradation.
 """
 
 import random
@@ -15,13 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, MatrixQ, PolyQ, StructureTensor, Vec,
-                 apply_change, block_diag, bracket, build_first_type,
+from lnz import (BasisChange, MatrixQ, NonNilpotent, PolyQ, StructureTensor,
+                 Vec, apply_change, block_diag, bracket, build_first_type,
                  build_second_type, char_sequence_estimate, enumerate_catalog,
                  invert, jordan_block, kernel_basis, leibniz_residual,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
-                 right_annihilator, row_by_id, serialize)
+                 right_annihilator, row_by_id, rref, serialize)
 
 
 def unimodular(rng, n):
@@ -434,3 +437,126 @@ def test_right_annihilator_matches_dense_kernel():
         fractional += any(x.denominator > 1 for v in got for x in v.coords)
     assert cases == 48 + 3 + 97
     assert proper >= 110 and fractional >= 12
+
+
+def ref_rref_series(algebra):
+    """Each term is the ``rref`` of the stacked brackets [u, e_j] of the
+    previous term's rows, until it is zero or stops shrinking.  Returns
+    the terms as tuples of coordinate tuples and the nilpotent flag."""
+    n = algebra.dim
+    basis = [Vec.basis(n, i) for i in range(1, n + 1)]
+    terms = [tuple(v.coords for v in basis)]
+    while terms[-1]:
+        stacked = [bracket(algebra, Vec(u), e).coords
+                   for u in terms[-1] for e in basis]
+        reduced, pivots = rref(MatrixQ.from_rows(stacked))
+        if len(pivots) == len(terms[-1]):
+            return terms, False
+        terms.append(tuple(reduced.row(r) for r in range(len(pivots))))
+    return terms, True
+
+
+def ref_fraction_gradation(algebra, terms):
+    """The gradation on reduced echelon ``Fraction`` rows: the sections are
+    the rows of L^d whose pivot is no pivot of L^(d+1), and each product of
+    two sections is peeled, deepest section first, in ``Fraction``
+    arithmetic.  Returns the piece dims, the sections and the graded table.
+    """
+    n = algebra.dim
+    spans = [[{c: x for c, x in enumerate(v) if x} for v in term]
+             for term in terms]
+    sections, rows, degree_of = [], [], []
+    for d in range(1, len(spans)):
+        later = {min(row) for row in spans[d]}
+        for v, row in zip(terms[d - 1], spans[d - 1]):
+            if min(row) not in later:
+                sections.append(v)
+                rows.append(row)
+                degree_of.append(d)
+    m, top = len(rows), len(spans) - 1
+    piece_dims = tuple(degree_of.count(d) for d in range(1, top + 1))
+    start = [sum(piece_dims[:d]) for d in range(top + 1)]
+    pivot_of = [min(row) for row in rows]
+    by_left = {}
+    for (i, j), cell in algebra.table.items():
+        by_left.setdefault(i - 1, []).append((j - 1, cell))
+    table = {}
+    for a in range(start[top - 1]):
+        right = {}                              # [s_a, e_j] by j
+        for i, x in rows[a].items():
+            for j, cell in by_left.get(i, ()):
+                acc = right.setdefault(j, {})
+                for k, c in cell:
+                    acc[k - 1] = acc.get(k - 1, 0) + x * c
+        for b in range(start[top - degree_of[a]]):
+            target = degree_of[a] + degree_of[b]
+            residue = {}
+            for j, y in rows[b].items():
+                for k, v in right.get(j, {}).items():
+                    residue[k] = residue.get(k, 0) + y * v
+            for s in range(m - 1, start[target] - 1, -1):
+                c = residue.get(pivot_of[s])
+                if c:
+                    for t, x in rows[s].items():
+                        residue[t] = residue.get(t, 0) - c * x
+            cell = [(s + 1, residue[pivot_of[s]])
+                    for s in range(start[target - 1], start[target])
+                    if residue.get(pivot_of[s])]
+            if cell:
+                table[(a + 1, b + 1)] = cell
+    graded = StructureTensor(n, table, f"gr({algebra.name})")
+    return piece_dims, sections, graded
+
+
+def random_rational_table(rng, n, triangular):
+    """Cells with denominators; a strictly triangular table puts [e_i, e_j]
+    in the span of the e_k with k > max(i, j), so it is nilpotent."""
+    density = rng.choice((0.2, 0.5, 0.9))
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            low = max(i, j) + 1 if triangular else 1
+            if low <= n and rng.random() < density:
+                targets = rng.sample(range(low, n + 1),
+                                     rng.randint(1, min(3, n + 1 - low)))
+                table[(i, j)] = [(k, Fraction(rng.randint(-5, 5),
+                                              rng.randint(1, 6)))
+                                 for k in targets]
+    return StructureTensor(n, table, "random")
+
+
+def test_integer_series_and_gradation_match_fraction_references():
+    rng = random.Random(1999)
+    nilpotent = fractional = lead_products = 0
+    for t in range(240):
+        # strictly triangular, triangular moved by a rational change (so
+        # the terms are no coordinate subspaces), or a general table
+        algebra = random_rational_table(rng, rng.randint(1, 8), t % 3 != 2)
+        if t % 3 == 1:
+            algebra = apply_change(algebra,
+                                   random_rational_change(rng, algebra.dim))
+        terms, flag = ref_rref_series(algebra)
+        series = lower_central_series(algebra)
+        assert [tuple(v.coords for v in term) for term in series.terms] \
+            == terms
+        assert series.nilpotent == flag
+        assert series.dims == tuple(len(term) for term in terms)
+        assert len(series) == len(terms)
+        if not flag:
+            with pytest.raises(NonNilpotent):
+                natural_gradation(algebra)
+            continue
+        piece_dims, sections, graded = ref_fraction_gradation(algebra, terms)
+        got = natural_gradation(algebra)
+        assert got.piece_dims == piece_dims
+        assert [v.coords for v in got.sections] == sections
+        assert got.algebra == graded
+        assert serialize(got.algebra) == serialize(graded)
+        nilpotent += 1
+        # a section with a fractional coordinate has an integer row whose
+        # pivot entry is not 1
+        deep = {s + 1 for s, v in enumerate(sections)
+                if any(x.denominator > 1 for x in v)}
+        fractional += bool(deep)
+        lead_products += any(a in deep or b in deep for a, b in graded.table)
+    assert nilpotent >= 150 and fractional >= 50 and lead_products >= 30

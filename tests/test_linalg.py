@@ -153,6 +153,24 @@ def test_echelon_span_takes_int_rows_as_they_are():
     assert span.contains([Q(1, 2), Q(3, 2), 0, -1])
 
 
+def test_echelon_span_reduced_rows_are_canonical():
+    # zero at the other pivots, gcd 1, positive pivot, whatever the spanning
+    # rows and their order; basis() is the same rows over their pivots
+    expected = r0, r1 = [{0: 3, 2: -1, 3: 4}, {1: 3, 2: 2, 3: -1}]
+
+    def combo(p, q):
+        return {k: p * r0.get(k, 0) + q * r1.get(k, 0) for k in range(4)}
+    rng = random.Random(77)
+    for _ in range(20):
+        a, b = (rng.choice((-3, -2, -1, 1, 2)) for _ in range(2))
+        rows = [combo(a, 0), combo(b * rng.choice((-1, 1)), b)]
+        span = EchelonSpan(4, rng.sample(rows, 2))
+        assert span.reduced_rows() == expected
+        assert span.basis() == ((Q(1), Q(0), Q(-1, 3), Q(4, 3)),
+                                (Q(0), Q(1), Q(2, 3), Q(-1, 3)))
+    assert EchelonSpan(3).reduced_rows() == []
+
+
 def test_rref_idempotent():
     rng = random.Random(31)
     for _ in range(60):
