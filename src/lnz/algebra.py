@@ -7,7 +7,8 @@ algebra is one whose residual
 
     [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] + [[e_i, e_k], e_j]
 
-vanishes for every triple.
+vanishes for every triple.  ``leibniz_residual`` visits only the triples
+where a term can be nonzero, and tests each with one sum of packed ints.
 
 Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
@@ -222,54 +223,64 @@ def _integer_cells(algebra: StructureTensor) -> tuple:
 def leibniz_residual(algebra: StructureTensor) -> Residual:
     """Exact defect of the Leibniz identity over all n^3 basis triples.
 
-    Only triples that can fail are visited: every term needs i to be a left
-    index of the table and k a right index, and j to be either.  Sums run
-    on the integer cells; only a failing triple goes back to ``Fraction``.
+    The three terms need (j, k), (i, j) and (i, k) to be cells, so every
+    left index i is visited when (j, k) is a cell, and otherwise only the
+    i for which (i, j) or (i, k) is.  Each integer cell is packed once
+    into one int, coordinate t in a balanced slot of W bits at bit
+    W*(t-1), W the bit length of 3*n*M^2 plus 2 for M the largest |entry|.
+    A defect coordinate sums at most 3n products of size at most M^2, so
+    it stays below 2^(W-2): the slots never overlap, and a triple's packed
+    sum is 0 exactly when its defect is.  Only a nonzero sum is unpacked.
     """
     n = algebra.dim
     scale, cells = _integer_cells(algebra)
-    get = cells.get
-    lefts = sorted({i for i, _ in cells})
-    rights = sorted({j for _, j in cells})
-    either = sorted(set(lefts) | set(rights))
+    top = max((abs(c) for terms in cells.values() for _, c in terms), default=0)
+    width = (3 * n * top * top).bit_length() + 2
+    by_left: dict = {}                  # i -> {j: cell (i, j)}
+    packed: dict = {}                   # i -> {j: cell (i, j) packed}
+    packed_by_right: dict = {}          # j -> {i: cell (i, j) packed}
+    for (i, j), terms in cells.items():
+        word = sum(c << width * (t - 1) for t, c in terms)
+        by_left.setdefault(i, {})[j] = terms
+        packed.setdefault(i, {})[j] = word
+        packed_by_right.setdefault(j, {})[i] = word
+    lefts, rights = sorted(by_left), sorted(packed_by_right)
     violations = []
-    for j in either:
+    for j in sorted(by_left.keys() | packed_by_right.keys()):
+        w_j, p_j = by_left.get(j, {}), packed_by_right.get(j, {})
         for k in rights:
-            w_jk = get((j, k), ())
-            for i in lefts:
-                acc: dict = {}
+            w_jk, p_k = w_j.get(k, ()), packed_by_right[k]
+            for i in lefts if w_jk else sorted(p_j.keys() | p_k.keys()):
+                w_i, p_i = by_left[i], packed[i]
+                acc = 0
                 for m, c in w_jk:
-                    for t, v in get((i, m), ()):
-                        acc[t] = acc.get(t, 0) + c * v
-                for m, c in get((i, j), ()):
-                    for t, v in get((m, k), ()):
-                        acc[t] = acc.get(t, 0) - c * v
-                for m, c in get((i, k), ()):
-                    for t, v in get((m, j), ()):
-                        acc[t] = acc.get(t, 0) + c * v
-                if any(acc.values()):
-                    defect = [Fraction(0)] * n
-                    for t, v in acc.items():
-                        defect[t - 1] = Fraction(v, scale ** 2)
-                    violations.append((i, j, k, Vec(tuple(defect))))
+                    acc += c * p_i.get(m, 0)
+                for m, c in w_i.get(j, ()):
+                    acc -= c * p_k.get(m, 0)
+                for m, c in w_i.get(k, ()):
+                    acc += c * p_j.get(m, 0)
+                if acc:
+                    violations.append((i, j, k, _unpack(acc, n, width, scale * scale)))
     return Residual(n, tuple(violations))
 
 
+def _unpack(acc: int, n: int, width: int, denominator: int) -> Vec:
+    """The balanced slots of a packed sum, each over ``denominator``."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coords = []
+    while acc:
+        digit = ((acc + half) & mask) - half
+        coords.append(Fraction(digit, denominator))
+        acc = (acc - digit) >> width
+    return _vec(tuple(coords) + (_ZERO,) * (n - len(coords)))
+
+
 def is_lie(algebra: StructureTensor) -> bool:
-    """True when the product is antisymmetric (given Leibniz, that means Lie)."""
-    n = algebra.dim
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            plus = dict(algebra.terms(i, j))
-            for k, c in algebra.terms(j, i):
-                plus[k] = plus.get(k, Fraction(0)) + c
-            if i == j:
-                # [x, x] must vanish outright
-                if algebra.terms(i, i):
-                    return False
-            elif any(v != 0 for v in plus.values()):
-                return False
-    return True
+    """True when the product is antisymmetric (given Leibniz, that means Lie):
+    no cell [e_i, e_i], and each cell (j, i) the negated cell (i, j)."""
+    table = algebra.table
+    return all(i != j and table.get((j, i)) == tuple((k, -c) for k, c in terms)
+               for (i, j), terms in table.items())
 
 
 def right_mul_matrix(algebra: StructureTensor, x: Vec) -> MatrixQ:

@@ -87,8 +87,8 @@ def _times_basis(by_left: list, row: dict) -> dict:
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _cells_by(algebra, 0)
-    rows = [{i: 1} for i in range(n)]           # L^1 = L, already reduced
-    terms = [tuple(rows)]
+    rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
+    terms = [rows]
     while True:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
         nxt = EchelonSpan(n)
@@ -102,8 +102,8 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
         if nxt.dim == len(rows):
             nilpotent = False
             break
-        terms.append(tuple(nxt.reduced_rows()))
-        rows = nxt.sparse_rows()
+        rows = tuple(nxt.reduced_rows())
+        terms.append(rows)
     return CentralSeries(n, tuple(terms), nilpotent)
 
 

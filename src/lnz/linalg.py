@@ -14,7 +14,8 @@ row by its gcd, so entries stay small and zero cells cost nothing.
 ``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
 it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
 Above it, one integer view of the structure table, read once per call
-(``algebra._integer_cells``), serves the Leibniz residual, the basis
+(``algebra._integer_cells``), serves the Leibniz residual (each cell
+packed into one int), the basis
 changes of ``transform.apply_change``, the derived span, the central
 series, the right multiplications of the characteristic sequence, the
 gradation and the right annihilator.  ``_int_rows`` scales rows, and
@@ -119,18 +120,6 @@ class MatrixQ:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def power(self, k: int) -> "MatrixQ":
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        result = MatrixQ.identity(self.rows)
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
 
 
 def _int_rows(rows) -> tuple:

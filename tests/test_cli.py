@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -81,6 +82,26 @@ def test_check_reports_violations(capsys, tmp_path):
     assert "violating triples" in err
     first = out.splitlines()[0]
     assert first.startswith("(") and "):" in first and "e_" in first
+
+
+def test_check_bytes_are_pinned(capsys, tmp_path):
+    # a dense non-Leibniz table: every cell has up to four fractional
+    # terms of either sign, so all 7^3 triples fail; sha256 of stdout and
+    # of stderr
+    rng = random.Random(2389)
+    n = 7
+    table = {(i, j): [(k, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                      for k in rng.sample(range(1, n + 1), 4)]
+             for i in range(1, n + 1) for j in range(1, n + 1)}
+    doc = tmp_path / "dense.json"
+    doc.write_text(serialize(StructureTensor(n, table)))
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 1
+    assert err == "343 violating triples\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "688c5b5a7110abea3a769a49025ac6d773008c55d8bd94533a2813fbd72258c5")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "a02e0c8d4d39a25b5aa24ffac7f122c876e1f42001ec12cd47d91ddd50bdc0e7")
 
 
 def test_check_rejects_malformed_document(capsys, tmp_path):

@@ -5,12 +5,13 @@ A dense ``Fraction`` RREF span, kept here as the reference the kernel
 must agree with, checks the central series, the gradation and the
 sampled characteristic sequence on catalog algebras moved into a dense
 basis, with and without denominators.  Public ``bracket`` over all basis
-triples checks the Leibniz residual, and over all pairs of moved basis
-vectors checks ``apply_change``.  A dense ``kernel_basis`` of the stacked
-functionals checks ``right_annihilator``.  On random rational tables,
-the ``rref`` of the stacked brackets checks the central series terms, and
-a gradation in ``Fraction`` arithmetic on reduced echelon rows, kept here,
-checks the integer-row gradation.
+triples checks the Leibniz residual, on sparse and dense random tables
+with entries large enough to fill its packed slots, and over all pairs
+of moved basis vectors checks ``apply_change``.  A dense
+``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
+On random rational tables, the ``rref`` of the stacked brackets checks
+the central series terms, and a gradation in ``Fraction`` arithmetic on
+reduced echelon rows, kept here, checks the integer-row gradation.
 """
 
 import random
@@ -312,6 +313,25 @@ def test_kernel_matches_dense_reference_with_denominators(row_id, values):
     check_against_reference(algebra, budget=20)
 
 
+def ref_residual(algebra):
+    """The failing basis triples from public brackets, in the residual's
+    visit order: j, then k, then i."""
+    n = algebra.dim
+    e = [None] + [Vec.basis(n, i) for i in range(1, n + 1)]
+
+    def br(x, y):
+        return bracket(algebra, x, y)
+    out = []
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            for i in range(1, n + 1):
+                defect = (br(e[i], br(e[j], e[k])) - br(br(e[i], e[j]), e[k])
+                          + br(br(e[i], e[k]), e[j]))
+                if not defect.is_zero():
+                    out.append((i, j, k, defect))
+    return tuple(out)
+
+
 def test_residual_matches_brackets_on_random_rational_tables():
     rng = random.Random(1987)
     failing = 0
@@ -322,22 +342,72 @@ def test_residual_matches_brackets_on_random_rational_tables():
                  for i in range(1, n + 1) for j in range(1, n + 1)
                  if rng.random() < 0.3}
         algebra = StructureTensor(n, table)
-        e = [None] + [Vec.basis(n, i) for i in range(1, n + 1)]
-
-        def br(x, y):
-            return bracket(algebra, x, y)
-        # the residual's visit order: j, then k, then i
-        expected = []
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for i in range(1, n + 1):
-                    defect = (br(e[i], br(e[j], e[k])) - br(br(e[i], e[j]), e[k])
-                              + br(br(e[i], e[k]), e[j]))
-                    if not defect.is_zero():
-                        expected.append((i, j, k, defect))
-        assert leibniz_residual(algebra).violations == tuple(expected)
+        expected = ref_residual(algebra)
+        assert leibniz_residual(algebra).violations == expected
         failing += bool(expected)
     assert failing >= 30
+
+
+def test_residual_slots_hold_large_mixed_sign_entries():
+    # dense tables with numerators of 30 to 40 bits of either sign over
+    # denominators of 30 bits or more: the integer cells are large, a
+    # negative coordinate borrows from the slot above it, and a negative
+    # last coordinate leaves the packed sum negative
+    rng = random.Random(1012)
+    denominators = [rng.getrandbits(32) | (1 << 31) | 1 for _ in range(3)]
+    negative_top = mixed = 0
+    for n in (7, 7, 8, 9):
+        table = {(i, j): [(k, Fraction(rng.choice((-1, 1))
+                                       * rng.getrandbits(rng.randint(30, 40)),
+                                       rng.choice(denominators)))
+                          for k in rng.sample(range(1, n + 1), 3)]
+                 for i in range(1, n + 1) for j in range(1, n + 1)}
+        algebra = StructureTensor(n, table)
+        expected = ref_residual(algebra)
+        assert leibniz_residual(algebra).violations == expected
+        assert len(expected) > n ** 3 // 2
+        negative_top += sum(v.coords[-1] < 0 for *_, v in expected)
+        mixed += sum(min(v.coords) < 0 < max(v.coords) for *_, v in expected)
+    assert negative_top > 100 and mixed > 1000
+
+
+def test_residual_defect_at_the_slot_bound():
+    # every entry is +-M, signed so that all 3n products of coordinate t
+    # of the triple (1, 2, 3) add up: the defect there is 3 n M^2, the
+    # bound the slot width is taken from
+    M = Fraction(2 ** 31 + 11, 7)
+    for n in (4, 6):
+        i, j, k, t = 1, 2, 3, n
+        negative = ({(m, k, t) for m in range(1, n + 1)}
+                    | {(t, j, t), (j, k, k), (i, t, t)})
+        algebra = StructureTensor(n, {
+            (a, b): [(c, -M if (a, b, c) in negative else M)
+                     for c in range(1, n + 1)]
+            for a in range(1, n + 1) for b in range(1, n + 1)})
+        expected = ref_residual(algebra)
+        assert leibniz_residual(algebra).violations == expected
+        defect = next(v for a, b, c, v in expected if (a, b, c) == (i, j, k))
+        assert defect.coords[t - 1] == 3 * n * M * M
+
+
+def test_residual_on_the_smallest_tables_and_in_the_last_slot():
+    assert leibniz_residual(StructureTensor(1, {})).violations == ()
+    assert leibniz_residual(StructureTensor(5, {})).violations == ()
+    # dim 1: [e_1, e_1] = c e_1 fails with defect c^2 e_1
+    c = Fraction(-(2 ** 40) - 3, 7)
+    one = StructureTensor(1, {(1, 1): ((1, c),)})
+    assert leibniz_residual(one).violations == ref_residual(one) \
+        == ((1, 1, 1, Vec((c * c,))),)
+    # the chain [e_i, e_1] = e_(i+1) is Leibniz; a negative [e_1, e_4] breaks
+    # only (1, 3, 1), and only in the last coordinate
+    n = 5
+    table = {(i, 1): ((i + 1, 1),) for i in range(1, n)}
+    table[(1, 4)] = ((n, Fraction(-(2 ** 35) - 1, 3 ** 20)),)
+    top = StructureTensor(n, table)
+    expected = ref_residual(top)
+    assert [(i, j, k) for i, j, k, _ in expected] == [(1, 3, 1)]
+    assert [t for t, x in enumerate(expected[0][3], 1) if x] == [n]
+    assert leibniz_residual(top).violations == expected
 
 
 def ref_apply_change(algebra, change):
