@@ -12,7 +12,10 @@ where a term can be nonzero, and tests each with one sum of packed ints.
 
 Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
-reduced fraction strings, so equal algebras serialise to identical bytes.
+reduced fraction strings, so equal algebras serialise to identical bytes,
+those of ``json.dumps(doc, indent=2)`` plus a newline; ``serialize`` writes
+them directly.  ``parse`` checks and converts each distinct coefficient
+string once per document, straight from the digits its pattern matched.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
                      IndexOutOfRange)
 from .linalg import MatrixQ, _frac
 
-_FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")   # numerator, denominator
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,6 @@ class Vec:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_frac(x) for x in self.coords))
-
-    @staticmethod
-    def zero(n: int) -> "Vec":
-        return Vec((Fraction(0),) * n)
 
     @staticmethod
     def basis(n: int, i: int) -> "Vec":
@@ -326,10 +325,12 @@ def binomial_product_check(algebra: StructureTensor, betas: Sequence) -> bool:
 # ----------------------------------------------------------------------
 # documents
 
-def _digits_to_fraction(raw: str, where) -> Fraction:
-    """``where()`` names the value; it is formatted only for an error."""
+def _digits_to_fraction(match: re.Match, where) -> Fraction:
+    """The value of a ``_FRACTION_RE`` match, built from its digits.
+    ``where()`` names the value; it is formatted only for an error."""
+    num, den = match.groups()
     try:
-        return Fraction(raw)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError:  # more digits than the interpreter converts
         raise DocumentError(f"{where()} has too many digits") from None
 
@@ -353,21 +354,27 @@ def parse_fraction(text: str) -> Fraction:
     Decimal notation is rejected on purpose: a value like 0.1 has no
     exact binary meaning and would poison every later computation.
     """
-    raw = text.strip()
-    if not _FRACTION_RE.fullmatch(raw):
+    match = _FRACTION_RE.fullmatch(text.strip())
+    if match is None:
         raise DocumentError(f"{text!r} is not an exact fraction like '-3/4'")
-    return _digits_to_fraction(raw, lambda: "fraction")
+    return _digits_to_fraction(match, lambda: "fraction")
 
 
-def _coeff_from_document(raw, where) -> Fraction:
+def _coeff_from_document(raw, where, known: dict) -> Fraction:
     """A document coefficient.  ``where()`` names its location; it is
-    formatted only for an error."""
-    if isinstance(raw, str):
-        if not _FRACTION_RE.fullmatch(raw):
-            raise DocumentError(f"coefficient {raw!r} at {where()} is not an "
-                                "exact fraction string like '-3/4'")
-        return _digits_to_fraction(raw, lambda: f"coefficient at {where()}")
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    formatted only for an error.  ``known`` maps the strings already read
+    from the document to their values; a string that fails is not kept."""
+    if type(raw) is str:                # json.loads makes no subclasses
+        value = known.get(raw)
+        if value is None:
+            match = _FRACTION_RE.fullmatch(raw)
+            if match is None:
+                raise DocumentError(f"coefficient {raw!r} at {where()} is not "
+                                    "an exact fraction string like '-3/4'")
+            value = known[raw] = _digits_to_fraction(
+                match, lambda: f"coefficient at {where()}")
+        return value
+    if type(raw) is int:
         return Fraction(raw)
     raise DocumentError(f"coefficient at {where()} must be an exact fraction "
                         f"string, got {type(raw).__name__}")
@@ -395,6 +402,11 @@ def parse(text: str) -> StructureTensor:
     entries = doc.get("table", [])
     if not isinstance(entries, list):
         raise DocumentError("\"table\" must be a list")
+
+    def t_where():                      # the term being read when it fails
+        return f"table[{pos}].terms[{t_pos}]"
+
+    known: dict = {}
     table = {}
     for pos, entry in enumerate(entries):
         where = f"table[{pos}]"
@@ -410,34 +422,36 @@ def parse(text: str) -> StructureTensor:
             raise DuplicateEntry(f"cell ({i},{j}) appears twice")
         if not isinstance(entry["terms"], list):
             raise DocumentError(f"{where}.terms must be a list")
-        seen = set()
-        terms = []
+        terms: dict = {}
         for t_pos, term in enumerate(entry["terms"]):
-            def t_where():
-                return f"{where}.terms[{t_pos}]"
-            if not isinstance(term, list) or len(term) != 2:
+            if type(term) is not list or len(term) != 2:
                 raise DocumentError(
                     f"{t_where()} must be a [target, coefficient] pair")
             k, raw = term
-            if not isinstance(k, int) or isinstance(k, bool):
+            if type(k) is not int:
                 raise DocumentError(f"{t_where()} target must be an integer")
             if not 1 <= k <= dim:
                 raise IndexOutOfRange(f"{t_where()} target {k} outside 1..{dim}")
-            if k in seen:
+            if k in terms:
                 raise DuplicateEntry(f"target {k} appears twice in cell ({i},{j})")
-            seen.add(k)
-            terms.append((k, _coeff_from_document(raw, t_where)))
+            terms[k] = _coeff_from_document(raw, t_where, known)
         table[(i, j)] = terms
     return StructureTensor(dim, table, name)
 
 
+# json.dumps(doc, indent=2) puts each value on a line, two spaces a level;
+# coefficient strings need no escapes, so only the name goes through it
+_CELL = '    {\n      "i": %d,\n      "j": %d,\n      "terms": [\n%s\n      ]\n    }'
+_TERM = '        [\n          %d,\n          "%s"\n        ]'
+
+
 def serialize(algebra: StructureTensor) -> str:
-    """Canonical document text; equal algebras give byte-identical output."""
-    doc: dict = {"dim": algebra.dim}
+    """Canonical document text; equal algebras give byte-identical output,
+    the bytes of ``json.dumps(doc, indent=2) + "\\n"``, written directly."""
+    head = ['{\n  "dim": %d' % algebra.dim]
     if algebra.name is not None:
-        doc["name"] = algebra.name
-    doc["table"] = [
-        {"i": i, "j": j, "terms": [[k, str(c)] for k, c in terms]}
-        for (i, j), terms in algebra.entries()
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+        head.append('  "name": ' + json.dumps(algebra.name))
+    cells = ",\n".join(_CELL % (i, j, ",\n".join(_TERM % term for term in terms))
+                       for (i, j), terms in algebra.entries())
+    head.append('  "table": ' + ("[\n" + cells + "\n  ]" if cells else "[]"))
+    return ",\n".join(head) + "\n}\n"

@@ -276,9 +276,10 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     sampled lower bound for the true maximum.
     """
     n = algebra.dim
-    derived = derived_span(algebra)
     _, by_right = _cells_by(algebra, 1)
     series = lower_central_series(algebra)
+    # [L, L] is L^2, or L itself when the series stops at L
+    derived = EchelonSpan(n, series.rows[1 if len(series) > 1 else 0])
     bound = series.dims if series.nilpotent else None
     rng = random.Random(seed)
     basis = ([int(k == i) for k in range(n)] for i in range(n))

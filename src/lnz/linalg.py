@@ -324,10 +324,6 @@ class EchelonSpan:
     def pivots(self) -> tuple:
         return tuple(sorted(self._rows))
 
-    def sparse_rows(self) -> list:
-        """The kept integer rows {column: int}, by pivot; they span the space."""
-        return [self._rows[p] for p in sorted(self._rows)]
-
     def reduced_rows(self) -> list:
         """The rows reduced in integers, by pivot: each row is zero at every
         other pivot, divided by its gcd and has a positive pivot entry, so

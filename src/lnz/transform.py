@@ -27,6 +27,9 @@ identically only when q = p.  For epsilon = 0, B4 at a fixed A4 comes
 from any equation with a nonzero B4 coefficient, and such an equation
 exists unless every alpha is 0.  The search budget bounds only the
 epsilon = 0 height grid that follows.
+
+``parse_change`` and ``serialize_change`` read and write change documents
+as ``algebra`` does algebra documents.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
-
-import json
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
                       _integer_cells, _load_json, bracket)
@@ -155,21 +156,28 @@ def parse_change(text: str) -> BasisChange:
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != dim:
         raise DocumentError(f"\"matrix\" must be a list of {dim} rows")
-    rows = []
+
+    def where():                        # the entry being read when it fails
+        return f"matrix[{r}][{c}]"
+
+    known: dict = {}
+    entries = []
     for r, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"matrix row {r} must hold {dim} entries")
-        rows.append([_coeff_from_document(x, lambda: f"matrix[{r}][{c}]")
-                     for c, x in enumerate(row)])
-    return BasisChange(MatrixQ.from_rows(rows))
+        for c, raw in enumerate(row):
+            entries.append(_coeff_from_document(raw, where, known))
+    return BasisChange(MatrixQ(dim, dim, tuple(entries)))
 
 
 def serialize_change(change: BasisChange) -> str:
-    """Canonical text for a basis-change document."""
-    doc = {"dim": change.dim,
-           "matrix": [[str(x) for x in change.matrix.row(r)]
-                      for r in range(change.dim)]}
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical text for a basis-change document, the bytes of
+    ``json.dumps(doc, indent=2) + "\\n"``, written directly."""
+    rows = ",\n".join(
+        "    [\n" + ",\n".join('      "%s"' % x for x in change.matrix.row(r))
+        + "\n    ]" for r in range(change.dim))
+    return ('{\n  "dim": %d,\n  "matrix": ' % change.dim
+            + ("[\n" + rows + "\n  ]" if rows else "[]") + "\n}\n")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (DocumentError, DuplicateEntry, IndexOutOfRange,
-                 SecondTypeParams, StructureTensor, Vec, basis_bracket,
+from lnz import (BasisChange, DocumentError, DuplicateEntry, IndexOutOfRange,
+                 MatrixQ, SecondTypeParams, StructureTensor, Vec, basis_bracket,
                  binomial_product_check, bracket, build_construction_stage,
-                 build_second_type, build_type1_branch_b, is_lie,
-                 leibniz_residual, parse, parse_fraction, right_mul_matrix,
-                 serialize)
+                 build_second_type, build_type1_branch_b, enumerate_catalog,
+                 is_lie, leibniz_residual, parse, parse_change, parse_fraction,
+                 right_mul_matrix, serialize, serialize_change)
 
 CHAIN = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
 
@@ -133,14 +133,94 @@ def test_binomial_products():
         binomial_product_check(CHAIN, [Q(0)] * 3)
 
 
+def reference_text(algebra):
+    """The canonical bytes as json's own indenting encoder writes them."""
+    doc = {"dim": algebra.dim}
+    if algebra.name is not None:
+        doc["name"] = algebra.name
+    doc["table"] = [{"i": i, "j": j, "terms": [[k, str(c)] for k, c in terms]}
+                    for (i, j), terms in algebra.entries()]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_change_text(change):
+    return json.dumps({"dim": change.dim,
+                       "matrix": [[str(x) for x in change.matrix.row(r)]
+                                  for r in range(change.dim)]}, indent=2) + "\n"
+
+
+# names that json.dumps has to escape: quote, backslash, control
+# characters, non-ASCII letters and a character outside the BMP
+AWKWARD_NAMES = ('say "hi"', "back\\slash", "two\nlines\ttab\x00\x1f",
+                 "l(0,3)[λ=2] é", "\U0001d53c chain \U0001F600", "", None)
+
+
 def test_serialize_parse_round_trip():
-    for algebra in (CHAIN,
-                    build_second_type(10, SecondTypeParams(1, (0, 1, 0, Q(1, 2)), -1)),
-                    StructureTensor(3, {}, "abelian")):
+    rng = random.Random(4)
+    negative = StructureTensor(4, {(1, 2): ((3, Q(-7, 3)), (4, Q(5, 12))),
+                                   (2, 1): ((4, Q(-1, 2)),),
+                                   (3, 3): ((4, Q(-123456789, 1000000007)),)})
+    algebras = [CHAIN,
+                build_second_type(10, SecondTypeParams(1, (0, 1, 0, Q(1, 2)), -1)),
+                StructureTensor(3, {}, "abelian"), StructureTensor(1, {}),
+                negative]
+    algebras += [inst.tensor.renamed(inst.label())
+                 for inst in enumerate_catalog((9, 10))]
+    algebras += [negative.renamed(name) for name in AWKWARD_NAMES]
+    assert len(algebras) > 400
+    for algebra in algebras:
         text = serialize(algebra)
+        assert text == reference_text(algebra)
         back = parse(text)
-        assert back == algebra
+        assert back == algebra and back.name == algebra.name
         assert serialize(back) == text    # canonical bytes
+
+    for n in (1, 2, 5, 9):
+        rows = [[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(n)]
+        for r in range(n):
+            rows[r][r] += 100             # diagonally dominant, so invertible
+        change = BasisChange(MatrixQ.from_rows(rows))
+        text = serialize_change(change)
+        assert text == reference_change_text(change)
+        assert parse_change(text).matrix == change.matrix
+    assert serialize_change(BasisChange(MatrixQ.identity(2))) == (
+        '{\n  "dim": 2,\n  "matrix": [\n    [\n      "1",\n      "0"\n    ],\n'
+        '    [\n      "0",\n      "1"\n    ]\n  ]\n}\n')
+
+
+def test_parse_values_match_fraction():
+    # each spelling gives the value Fraction gives it, zeros included
+    # (a zero is dropped from the table, and coefficient() reads it as 0)
+    raws = ["2/4", "-0", "-0/5", "007", "-3/6", "-007/21", "0", 3, -4, 0]
+    doc = {"dim": 12, "table": [{"i": 1, "j": 1, "terms": [
+        [k, raw] for k, raw in enumerate(raws + raws[:2], 1)]}]}
+    algebra = parse(json.dumps(doc))
+    for k, raw in enumerate(raws + raws[:2], 1):
+        value = algebra.coefficient(1, 1, k)
+        assert type(value) is Q and value == Q(raw)
+    for raw in raws:
+        if isinstance(raw, str):
+            assert parse_fraction(raw) == Q(raw)
+    change = parse_change(json.dumps(
+        {"dim": 2, "matrix": [["2/4", "-0"], ["-0/5", "007"]]}))
+    assert change.matrix.entries == (Q(1, 2), 0, 0, 7)
+
+
+def test_bad_coefficient_after_repeats_names_its_own_place():
+    terms = [[k, "1/2"] for k in (1, 2, 3)]
+    doc = {"dim": 4, "table": [{"i": 1, "j": 1, "terms": terms},
+                               {"i": 1, "j": 2, "terms": terms},
+                               {"i": 2, "j": 1, "terms": terms + [[4, "1/2 "]]}]}
+    with pytest.raises(DocumentError, match=r"^coefficient '1/2 ' at "
+                       r"table\[2\]\.terms\[3\] is not"):
+        parse(json.dumps(doc))
+    doc["table"][2]["terms"][3][1] = 0.5
+    with pytest.raises(DocumentError, match=r"^coefficient at "
+                       r"table\[2\]\.terms\[3\] must be"):
+        parse(json.dumps(doc))
+    with pytest.raises(DocumentError, match=r"matrix\[1\]\[1\] is not"):
+        parse_change('{"dim": 2, "matrix": [["1/2", "1/2"], ["1/2", "1/2."]]}')
 
 
 def test_serialize_canonical_shape():

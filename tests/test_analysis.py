@@ -136,6 +136,18 @@ def test_estimate_attains_maximum_on_catalog():
         assert est == char_sequence_at(algebra, Vec.basis(n, 1))
 
 
+def test_estimate_takes_derived_span_from_the_series():
+    # [L, L] = L when the series stops at L: no element lies outside it
+    for algebra in (StructureTensor(1, {(1, 1): ((1, 1),)}),
+                    StructureTensor(2, {(1, 2): ((1, 1),), (2, 1): ((2, 1),)})):
+        assert lower_central_series(algebra).dims == (algebra.dim,)
+        with pytest.raises(ElementInDerivedSubalgebra):
+            char_sequence_estimate(algebra, budget=5)
+    # [L, L] = 0 when L is abelian: every nonzero element counts
+    assert char_sequence_estimate(StructureTensor(3, {}), budget=0) \
+        == CharSequence((1, 1, 1))
+
+
 def test_estimate_is_deterministic():
     algebra = build_second_type(9, SecondTypeParams(0, (2, 1, 1, 0), -1))
     a = char_sequence_estimate(algebra, budget=25, seed=7)

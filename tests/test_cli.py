@@ -116,7 +116,7 @@ def test_check_rejects_malformed_document(capsys, tmp_path):
 # final newline, and "\d" matches non-ASCII digits
 INEXACT = {"newline": "3\n", "fraction-newline": "1/2\n",
            "arabic-indic": "\u0663"}
-HOSTILE = ["string", "integer", "nested", "not-utf8", *INEXACT]
+HOSTILE = ["string", "denominator", "integer", "nested", "not-utf8", *INEXACT]
 
 
 def hostile_bytes(kind, wrap):
@@ -132,6 +132,8 @@ def hostile_bytes(kind, wrap):
     if not limit:
         pytest.skip("this interpreter converts integers of any length")
     digits = "7" * (limit + 1)
+    if kind == "denominator":
+        return wrap(f'"-1/{digits}"').encode()
     return wrap(f'"{digits}"' if kind == "string" else digits).encode()
 
 
@@ -379,6 +381,57 @@ def test_transform_malformed_change(capsys, tmp_path, chain_doc):
     code, _, err = run(capsys, "transform", str(chain_doc), "--change",
                        str(change_doc))
     assert code == 65
+
+
+def spelled(rng, value):
+    """A document spelling of a Fraction: an int, or a string that may be
+    unreduced or carry leading zeros."""
+    if value.denominator == 1 and rng.random() < 0.3:
+        return value.numerator
+    f = rng.choice((1, 1, 2, 3))
+    num, den = value.numerator * f, value.denominator * f
+    sign, zeros = "-" if num < 0 else "", "0" * rng.choice((0, 0, 2))
+    return f"{sign}{zeros}{abs(num)}" + (f"/{den}" if den != 1 else "")
+
+
+def test_transform_bytes_are_pinned(capsys, tmp_path):
+    # sha256 over exit code and stdout of lnz transform on seeded tables
+    # with negative fractional coefficients, written with json.dumps in
+    # assorted spellings, under seeded invertible rational changes
+    rng = random.Random(2024)
+    doc, change_doc = tmp_path / "doc.json", tmp_path / "change.json"
+    names = (None, "moved", 'a "quoted" \\ name\n', "λ = −½ \U0001F600")
+    digest = hashlib.sha256()
+    for case in range(16):
+        n = rng.randint(2, 8)
+        table = []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                targets = [k for k in range(1, n + 1) if rng.random() < 0.35]
+                if targets and rng.random() < 0.6:
+                    table.append({"i": i, "j": j, "terms": [
+                        [k, spelled(rng, Fraction(rng.randint(-40, 20),
+                                                  rng.randint(1, 12)))]
+                        for k in targets]})
+        rng.shuffle(table)
+        source = {"dim": n, "table": table}
+        if names[case % 4] is not None:
+            source["name"] = names[case % 4]
+        doc.write_text(json.dumps(source, indent=rng.choice((None, 1))))
+        # upper triangular with a nonzero diagonal, rows permuted
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if c > r
+                 else Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                 if c == r else Fraction(0) for c in range(n)]
+                for r in range(n)]
+        rng.shuffle(rows)
+        change_doc.write_text(json.dumps(
+            {"dim": n, "matrix": [[spelled(rng, x) for x in row]
+                                  for row in rows]}))
+        code, out, _ = run(capsys, "transform", str(doc), "--change",
+                           str(change_doc))
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "d00d22dd639f0b5fcee85b2262f12360bcec9d600bd32d85e5cb6aa136ffebd4")
 
 
 @pytest.mark.parametrize("kind", HOSTILE)

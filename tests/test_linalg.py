@@ -144,7 +144,7 @@ def test_echelon_span_coerces_sparse_like_dense(dense, sparse):
 def test_echelon_span_takes_int_rows_as_they_are():
     span = EchelonSpan(4)
     assert span.add({2: 0, 1: 6, 3: -4})
-    assert span.sparse_rows() == [{1: 3, 3: -2}]
+    assert span.reduced_rows() == [{1: 3, 3: -2}]
     assert not span.add({1: 0, 2: 0})
     assert not span.add({})
     assert span.add({0: 2, 1: 3, 3: -2})
