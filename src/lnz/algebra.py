@@ -15,7 +15,9 @@ table entries by (i, j), terms by target index, and writes coefficients as
 reduced fraction strings, so equal algebras serialise to identical bytes,
 those of ``json.dumps(doc, indent=2)`` plus a newline; ``serialize`` writes
 them directly.  ``parse`` checks and converts each distinct coefficient
-string once per document, straight from the digits its pattern matched.
+string once per document, straight from the digits its pattern matched,
+and validates the table once: its cells go to the tensor as they are,
+without a second pass through the constructor's normaliser.
 """
 
 from __future__ import annotations
@@ -142,6 +144,11 @@ class StructureTensor:
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.table.items()))))
 
+    def __getstate__(self):     # without the weak series memo of analysis
+        state = dict(self.__dict__)
+        state.pop("_series", None)
+        return state
+
     def terms(self, i: int, j: int) -> tuple:
         """Expansion of [e_i, e_j] as ((k, coeff), ...); empty when zero."""
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
@@ -160,7 +167,16 @@ class StructureTensor:
             yield key, self.table[key]
 
     def renamed(self, name: str | None) -> "StructureTensor":
-        return StructureTensor(self.dim, self.table, name)
+        return _tensor(self.dim, dict(self.table), name)
+
+
+def _tensor(dim: int, table: dict, name: str | None) -> StructureTensor:
+    """A StructureTensor of cells already in normal form, taken as they are:
+    each a sorted tuple of (k, Fraction) with no zero coefficient, and no
+    cell empty."""
+    tensor = object.__new__(StructureTensor)
+    tensor.__dict__.update(dim=dim, table=table, name=name)
+    return tensor
 
 
 def bracket(algebra: StructureTensor, x: Vec, y: Vec) -> Vec:
@@ -407,7 +423,7 @@ def parse(text: str) -> StructureTensor:
         return f"table[{pos}].terms[{t_pos}]"
 
     known: dict = {}
-    table = {}
+    seen, table = set(), {}
     for pos, entry in enumerate(entries):
         where = f"table[{pos}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
@@ -418,8 +434,9 @@ def parse(text: str) -> StructureTensor:
                 raise DocumentError(f"{where}.{label} must be an integer")
             if not 1 <= idx <= dim:
                 raise IndexOutOfRange(f"{where}.{label} = {idx} outside 1..{dim}")
-        if (i, j) in table:
+        if (i, j) in seen:
             raise DuplicateEntry(f"cell ({i},{j}) appears twice")
+        seen.add((i, j))
         if not isinstance(entry["terms"], list):
             raise DocumentError(f"{where}.terms must be a list")
         terms: dict = {}
@@ -435,8 +452,10 @@ def parse(text: str) -> StructureTensor:
             if k in terms:
                 raise DuplicateEntry(f"target {k} appears twice in cell ({i},{j})")
             terms[k] = _coeff_from_document(raw, t_where, known)
-        table[(i, j)] = terms
-    return StructureTensor(dim, table, name)
+        cell = tuple(sorted(kc for kc in terms.items() if kc[1]))
+        if cell:
+            table[(i, j)] = cell
+    return _tensor(dim, table, name)
 
 
 # json.dumps(doc, indent=2) puts each value on a line, two spaces a level;

@@ -8,6 +8,13 @@ term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
 of a nilpotent algebra.  The gradation runs on the integer rows too.
 
+The tensor keeps a weak reference to the series last built for it, so a
+caller that still holds the series (``lnz analyze``, while the estimate
+asks for its bound) gets it back without a second build.  It is weak so
+that no series outlives its callers, as a strong memo on each of the
+battery's instances would; it is per object, not per content, and is
+not pickled.
+
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
 takes the lexicographic maximum over all such x.  ``char_sequence_estimate``
@@ -19,6 +26,7 @@ otherwise returns a sampled lower bound.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -85,6 +93,17 @@ def _times_basis(by_left: list, row: dict) -> dict:
 
 
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
+    """The descending central series; the same object as long as a caller
+    holds the one last built for this tensor."""
+    ref = algebra.__dict__.get("_series")
+    series = ref() if ref is not None else None
+    if series is None:
+        series = _build_series(algebra)
+        object.__setattr__(algebra, "_series", weakref.ref(series))
+    return series
+
+
+def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _cells_by(algebra, 0)
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced

@@ -40,7 +40,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
-                      _integer_cells, _load_json, bracket)
+                      _integer_cells, _load_json, _tensor, bracket)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
@@ -95,7 +95,8 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     integers: the integer cells of the table (``algebra._integer_cells``)
     and the columns of the matrix and of its inverse (``linalg._int_rows``),
     each scaled by the lcm of its denominators, so zero entries cost nothing
-    and each nonzero output term makes one ``Fraction``.
+    and each nonzero output term makes one ``Fraction``.  The cells come
+    out sorted and without zeros, so the tensor takes them as they are.
     """
     n = algebra.dim
     if change.dim != n:
@@ -131,10 +132,11 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
             for a, x in col.items():
                 for t, v in prods.get(a, {}).items():
                     acc[t] = acc.get(t, 0) + x * v
-            cell = [(t + 1, Fraction(v, scale)) for t, v in acc.items() if v]
+            cell = tuple((t + 1, Fraction(v, scale))
+                         for t, v in sorted(acc.items()) if v)
             if cell:
                 table[(i, j)] = cell
-    return StructureTensor(n, table, algebra.name)
+    return _tensor(n, table, algebra.name)
 
 
 def parse_change(text: str) -> BasisChange:

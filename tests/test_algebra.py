@@ -273,3 +273,39 @@ def test_zero_coefficients_dropped():
     a = StructureTensor(2, {(1, 1): ((2, Q(0)),)})
     assert list(a.entries()) == []
     assert a == StructureTensor(2, {})
+
+
+def test_parse_table_matches_the_public_constructor():
+    # zero coefficients, all-zero cells and unsorted targets: parse drops
+    # and sorts them itself, and must agree with the constructor's normaliser
+    rng = random.Random(13)
+    spellings = ["0", "-0", "0/7", 0, "1", "-2/4", "3", -5, "7/3"]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        raw, doc_table = {}, []
+        keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for i, j in rng.sample(keys, rng.randint(0, len(keys))):
+            targets = rng.sample(range(1, n + 1), rng.randint(0, n))
+            terms = [[k, rng.choice(spellings)] for k in targets]
+            raw[(i, j)] = [(k, Q(c)) for k, c in terms]
+            doc_table.append({"i": i, "j": j, "terms": terms})
+        text = json.dumps({"dim": n, "table": doc_table})
+        reference = StructureTensor(n, raw)
+        algebra = parse(text)
+        assert algebra.table == reference.table
+        assert list(algebra.table) == list(reference.table)
+        assert all(type(c) is Q for terms in algebra.table.values()
+                   for _, c in terms)
+        assert serialize(algebra) == serialize(reference)
+    # a cell that is all zeros still counts as written once
+    with pytest.raises(DuplicateEntry):
+        parse('{"dim": 2, "table": ['
+              '{"i": 1, "j": 1, "terms": [[2, "0"]]},'
+              '{"i": 1, "j": 1, "terms": [[2, "1"]]}]}')
+
+
+def test_renamed_does_not_alias_the_table():
+    renamed = CHAIN.renamed("chain")
+    assert renamed == CHAIN and renamed.name == "chain"
+    assert renamed.table is not CHAIN.table
+    assert renamed.table == CHAIN.table

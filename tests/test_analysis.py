@@ -1,5 +1,8 @@
 """Structural analysis: series, gradation, characteristic sequence."""
 
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,7 +29,9 @@ from lnz import (
     nilindex,
     right_annihilator,
     row_by_id,
+    serialize,
 )
+from lnz.cli import main
 
 CHAIN9 = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
 
@@ -291,3 +296,79 @@ def test_invariants_survive_basis_change():
             moved_e1 = Vec(change.inverse.column(0))
             assert char_sequence_at(moved, moved_e1) \
                 == CharSequence((n - 3, 3))
+
+
+# ----------------------------------------------------------------------
+# the weak series memo
+
+
+def count_builds(monkeypatch):
+    """Tensors whose series the private builder computes, in call order."""
+    built = []
+    builder = lnz.analysis._build_series
+
+    def counted(algebra):
+        built.append(algebra)
+        return builder(algebra)
+    monkeypatch.setattr(lnz.analysis, "_build_series", counted)
+    return built
+
+
+def test_analyze_builds_one_series_per_document(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(build_second_type(
+        16, SecondTypeParams(1, (0, 1, 0, 2), -1))))
+    built = count_builds(monkeypatch)
+    calls = []
+    public = lnz.analysis.lower_central_series
+    monkeypatch.setattr(lnz.analysis, "lower_central_series",
+                        lambda algebra: calls.append(algebra) or public(algebra))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "nilindex: 14" in out and "(sampled): (13, 3)" in out
+    # the wrapper sees the estimate ask again (the CLI binds its own name
+    # for its first ask); only that first ask builds the series
+    assert len(calls) == 1 and len(built) == 1
+
+
+def test_series_memo_dies_with_its_last_holder(monkeypatch):
+    algebra = build_second_type(9, SecondTypeParams(0, (1, 0, 2, 0), -1))
+    built = count_builds(monkeypatch)
+    series = lower_central_series(algebra)
+    dims = series.dims
+    assert lower_central_series(algebra) is series
+    assert sum(natural_gradation(algebra).piece_dims) == 9
+    assert nilindex(algebra) == len(dims)
+    assert len(built) == 1
+    ref = algebra._series
+    del series
+    gc.collect()
+    assert ref() is None
+    again = lower_central_series(algebra)
+    assert len(built) == 2 and again.dims == dims
+
+
+def test_equal_tensors_never_share_a_series(monkeypatch):
+    algebra = build_second_type(10, SecondTypeParams(1, (0, 0, 0, 1), -1))
+    twin = StructureTensor(algebra.dim, algebra.table)
+    assert twin == algebra and twin is not algebra
+    built = count_builds(monkeypatch)
+    series = lower_central_series(algebra)
+    other = lower_central_series(twin)
+    assert other is not series and other == series
+    assert len(built) == 2 and built[0] is algebra and built[1] is twin
+
+
+def test_analysed_tensor_pickles_and_copies():
+    algebra = build_second_type(
+        9, SecondTypeParams(0, (1, 1, 0, 0), -1)).renamed("l9")
+    dims = lower_central_series(algebra.renamed(None)).dims
+    for analysed in (False, True):
+        series = lower_central_series(algebra) if analysed else None
+        assert ("_series" in vars(algebra)) == analysed
+        for back in (pickle.loads(pickle.dumps(algebra)),
+                     copy.deepcopy(algebra), copy.copy(algebra)):
+            assert back == algebra and back.name == "l9"
+            assert "_series" not in vars(back)
+            assert lower_central_series(back) is not series
+            assert lower_central_series(back).dims == dims

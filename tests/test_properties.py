@@ -8,7 +8,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from lnz import StructureTensor, parse, serialize  # noqa: E402
+from lnz import (BasisChange, MatrixQ, StructureTensor,  # noqa: E402
+                 apply_change, char_sequence_estimate, enumerate_catalog,
+                 lower_central_series, parse, serialize)
 
 SETTINGS = hypothesis.settings(deadline=None, database=None, derandomize=True)
 
@@ -48,3 +50,49 @@ def test_documents_round_trip(drawn):
     back = parse(text)
     assert back == algebra and back.name == name
     assert serialize(back) == text
+
+
+CATALOG = tuple(inst.tensor for inst in enumerate_catalog((9, 10, 16)))
+
+
+@st.composite
+def changes(draw, n, scales=st.just(1)):
+    """Elementary row operations rows[i] += c * rows[j], then each row
+    scaled by a nonzero draw of ``scales``: invertible, and integral with
+    an integral inverse at the default scales, so coefficients stay small."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.sampled_from((-1, 1))),
+                                 max_size=2 * n)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rows = [[s * x for x in row]
+            for s, row in zip(draw(st.lists(scales, min_size=n, max_size=n)), rows)]
+    return BasisChange(MatrixQ.from_rows(rows))
+
+
+@st.composite
+def moved_catalog(draw):
+    """A catalog algebra at n <= 16 and a unimodular change of its basis."""
+    algebra = draw(st.sampled_from(CATALOG))
+    return algebra, draw(changes(algebra.dim))
+
+
+@SETTINGS
+@hypothesis.given(moved_catalog())
+def test_catalog_invariants_survive_unimodular_changes(drawn):
+    algebra, change = drawn
+    moved = apply_change(algebra, change)
+    assert lower_central_series(moved).dims == lower_central_series(algebra).dims
+    assert char_sequence_estimate(moved) == char_sequence_estimate(algebra)
+    assert apply_change(moved, change.inverted()) == algebra
+
+
+@SETTINGS
+@hypothesis.given(tables(), st.data())
+def test_change_then_inverse_is_the_identity(drawn, data):
+    n, name, cells = drawn
+    algebra = StructureTensor(n, cells, name)
+    change = data.draw(changes(n, fractions))
+    back = apply_change(apply_change(algebra, change), change.inverted())
+    assert back == algebra and back.name == name

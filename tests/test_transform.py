@@ -1,5 +1,6 @@
 """Basis changes, parameter maps, signatures, and the equivalence decision."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,34 @@ def test_inverse_round_trip():
     moved = apply_change(algebra, change)
     back = apply_change(moved, change.inverted())
     assert back.table == algebra.table
+
+
+def test_apply_change_cells_are_in_normal_form():
+    # the output goes to the tensor without the constructor's normaliser,
+    # so it must already be what that normaliser would make of it
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        table = {(i, j): [(k, Q(rng.randint(-4, 4), rng.randint(1, 3)))
+                          for k in rng.sample(range(1, n + 1), rng.randint(1, n))]
+                 for i in range(1, n + 1) for j in range(1, n + 1)
+                 if rng.random() < 0.5}
+        algebra = StructureTensor(n, table)
+        # a scaled permutation and a few row operations: invertible and
+        # sparse, so products reach the targets out of order
+        perm = rng.sample(range(n), n)
+        rows = [[Q(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)) if c == perm[r]
+                 else Q(0) for c in range(n)] for r in range(n)]
+        for _ in range(rng.randint(0, n) if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        moved = apply_change(algebra, BasisChange(MatrixQ.from_rows(rows)))
+        reference = StructureTensor(n, moved.table)
+        assert moved.table == reference.table
+        assert all(type(cell) is tuple and cell for cell in moved.table.values())
+        assert all(type(c) is Q and c for cell in moved.table.values()
+                   for _, c in cell)
 
 
 def test_singular_change_rejected():
