@@ -69,15 +69,14 @@ class CentralSeries:
         return len(self.rows)
 
 
-def _cells_by(algebra: StructureTensor, side: int) -> tuple:
-    """The scale and the integer cells by left (side 0) or right (side 1)
-    index: entry a lists (b, ((k, c), ...)) per cell, all 0-based."""
+def _cells_by_left(algebra: StructureTensor) -> tuple:
+    """The scale and the integer cells by left index: entry i lists
+    (j, ((k, c), ...)) per cell (i, j), all 0-based."""
     scale, cells = _integer_cells(algebra)
-    grouped: list = [[] for _ in range(algebra.dim)]
-    for key, terms in cells.items():
-        grouped[key[side] - 1].append(
-            (key[1 - side] - 1, tuple((k - 1, c) for k, c in terms)))
-    return scale, grouped
+    by_left: list = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in cells.items():
+        by_left[i - 1].append((j - 1, tuple((k - 1, c) for k, c in terms)))
+    return scale, by_left
 
 
 def _times_basis(by_left: list, row: dict) -> dict:
@@ -105,7 +104,7 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
 
 def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
-    _, by_left = _cells_by(algebra, 0)
+    _, by_left = _cells_by_left(algebra)
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
     terms = [rows]
     while True:
@@ -197,7 +196,7 @@ def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
     # residue at a degree-(i+j) pivot is a coordinate of the product of a
     # degree-i and a degree-j section.  The residue stays an integer row
     # over one common denominator.
-    scale, by_left = _cells_by(algebra, 0)
+    scale, by_left = _cells_by_left(algebra)
     table = {}
     for a in range(start[top - 1]):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
@@ -251,16 +250,17 @@ def derived_span(algebra: StructureTensor) -> EchelonSpan:
                                      in _integer_cells(algebra)[1].values()))
 
 
-def _profile(by_right: list, x) -> CharSequence:
+def _profile(by_left: list, x) -> CharSequence:
     """Block profile of y -> [y, x], read off a positive multiple of its
-    matrix built from the integer cells by right index."""
-    n = len(by_right)
+    matrix built from the integer cells by left index: cell (i, j) adds
+    x[j] * c at row k and column i for each of its terms (k, c)."""
+    n = len(by_left)
     entries = [0] * (n * n)
-    for j, xj in enumerate(x):
-        if xj:
-            for i, cell in by_right[j]:
+    for i, row in enumerate(by_left):
+        for j, cell in row:
+            if x[j]:
                 for k, c in cell:
-                    entries[k * n + i] += xj * c
+                    entries[k * n + i] += x[j] * c
     return CharSequence(nilpotent_block_sizes(MatrixQ(n, n, tuple(entries))))
 
 
@@ -273,7 +273,7 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     if derived_span(algebra).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return _profile(_cells_by(algebra, 1)[1], x.coords)
+    return _profile(_cells_by_left(algebra)[1], x.coords)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
@@ -295,7 +295,7 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     sampled lower bound for the true maximum.
     """
     n = algebra.dim
-    _, by_right = _cells_by(algebra, 1)
+    _, by_left = _cells_by_left(algebra)
     series = lower_central_series(algebra)
     # [L, L] is L^2, or L itself when the series stops at L
     derived = EchelonSpan(n, series.rows[1 if len(series) > 1 else 0])
@@ -308,7 +308,7 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     for x in chain(basis, drawn):
         if derived.contains({c: v for c, v in enumerate(x) if v}):
             continue
-        seq = _profile(by_right, x)
+        seq = _profile(by_left, x)
         if best is None or best < seq:
             best = seq
         if bound and all(sum(max(p - k, 0) for p in seq.parts) == d

@@ -78,7 +78,7 @@ class SecondTypeParams:
         return self.alphas[3]
 
 
-#: family_id -> (branch, admissible checker description)
+#: first-type family id -> the branch, "a" or "b", whose map it follows
 _FIRST_TYPE_BRANCH = {34: "a", 35: "a", 36: "a", 37: "a",
                       38: "b", 39: "b", 40: "b", 41: "b"}
 

@@ -1,13 +1,14 @@
 """Basis changes and the closed-form parameter maps.
 
 A graded change of generators is determined by three scalars: the image
-of the first generator is A1*e_1 + A4*e_4 (second type; A4 multiplies
-e_{n-2} for first type) and the image of the second generator is scaled
-by B4.  The remaining basis vectors are regenerated by right-bracketing
-with the new e_1, so the whole change is an invertible matrix and can be
-pushed through any structure tensor directly.  The closed-form maps below
-say what happens to the family parameters; the checks in ``verify``
-replay them through the direct route for thousands of cases.
+of the first generator is A1*e_1 + A4*e_m and the image of the second
+generator e_m is scaled by B4 (m = 4 for second type, n - 2 for first
+type).  One builder regenerates every other basis vector by
+right-bracketing with the new e_1, so the whole change is an invertible
+matrix and can be pushed through any structure tensor directly.  The
+closed-form maps below say what happens to the family parameters; the
+checks in ``verify`` replay them through the direct route for thousands
+of cases.
 
 When the alternating products are switched on (epsilon = 1) the second
 generator's scale is no longer free: keeping the alternating coefficient
@@ -19,14 +20,12 @@ name the same algebra.  It is deliberately three-valued: Distinct is
 claimed only from the printed nullity invariants, Equivalent only with a
 verified witness, and everything else is Unknown (a witness may exist
 over the complex numbers that has no rational coordinates).  Both
-epsilons share one witness rule: A4 runs over 0 and the rational roots of
-the matching equations with B4 eliminated (for epsilon = 1 by the pin
-B4 = 1 - A4).  Nothing rational is lost by stopping there for epsilon =
-1: a witness A4 is a common root of the four equations, which vanish
-identically only when q = p.  For epsilon = 0, B4 at a fixed A4 comes
-from any equation with a nonzero B4 coefficient, and such an equation
-exists unless every alpha is 0.  The search budget bounds only the
-epsilon = 0 height grid that follows.
+epsilons share one witness rule, and one list of matching equations
+feeds both of its steps: A4 runs over 0 and the rational roots of the
+equations with B4 eliminated, and B4 at each such A4 is solved from the
+same equations.  Its docstring says why no rational witness is lost
+there.  The search budget bounds only the epsilon = 0 height grid that
+follows.
 
 ``parse_change`` and ``serialize_change`` read and write change documents
 as ``algebra`` does algebra documents.
@@ -202,60 +201,36 @@ class GradedChange2:
         object.__setattr__(self, "B4", _frac(self.B4))
 
 
-def _chain_from(algebra: StructureTensor, start: Vec, e1: Vec, count: int) -> list:
-    out = []
-    v = start
-    for _ in range(count):
-        v = bracket(algebra, v, e1)
-        out.append(v)
-    return out
+def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
+                      b: Fraction) -> BasisChange:
+    """The change generated by e'_1 = A1*e_1 + A4*e_m and e'_m = b*e_m.
 
-
-def _change_from_columns(n: int, cols: dict) -> BasisChange:
-    """The change whose e'_j is ``cols[j]`` (1-based, old coordinates)."""
-    return BasisChange(MatrixQ.from_rows(
-        [[cols[j].coords[r] for j in range(1, n + 1)] for r in range(n)]))
+    Every other e'_j is [e'_{j-1}, e'_1], for j = 2..m-1 and then
+    j = m+1..n, so the change costs n - 2 brackets.
+    """
+    n = algebra.dim
+    e1p = Vec.basis(n, 1).scale(g.A1) + Vec.basis(n, m).scale(g.A4)
+    cols = [e1p]
+    for j in range(2, n + 1):
+        cols.append(Vec.basis(n, m).scale(b) if j == m
+                    else bracket(algebra, cols[-1], e1p))
+    return BasisChange(MatrixQ.from_rows(list(zip(*(v.coords for v in cols)))))
 
 
 def completed_second_type_change(algebra: StructureTensor,
                                  g: GradedChange2) -> BasisChange:
-    """Full basis matrix of a graded generator change, second type.
-
-    e'_1 = A1*e_1 + A4*e_4 and e'_4 = B4*e_4 (with B4 = A1 - A4 when the
-    alternating products are present); the long chain e'_5..e'_n comes
-    from right-bracketing with e'_1, then e'_2 = [e'_1,e'_1] and
-    e'_3 = [e'_2,e'_1].
-    """
-    n = algebra.dim
-    eps = algebra.coefficient(4, n - 1, n)
-    b4 = g.A1 - g.A4 if eps != 0 else g.B4
-    e1p = Vec.basis(n, 1).scale(g.A1) + Vec.basis(n, 4).scale(g.A4)
-    e4p = Vec.basis(n, 4).scale(b4)
-    cols = {1: e1p, 4: e4p}
-    long_chain = _chain_from(algebra, e4p, e1p, n - 4)
-    for offset, v in enumerate(long_chain):
-        cols[5 + offset] = v
-    cols[2] = bracket(algebra, e1p, e1p)
-    cols[3] = bracket(algebra, cols[2], e1p)
-    return _change_from_columns(n, cols)
+    """Full basis matrix of a graded generator change, second type:
+    e'_1 = A1*e_1 + A4*e_4 and e'_4 = B4*e_4, with B4 = A1 - A4 when the
+    alternating products are present."""
+    eps = algebra.coefficient(4, algebra.dim - 1, algebra.dim)
+    return _generated_change(algebra, g, 4, g.A1 - g.A4 if eps != 0 else g.B4)
 
 
 def completed_first_type_change(algebra: StructureTensor,
                                 g: GradedChange2) -> BasisChange:
-    """Full basis matrix of a graded generator change, first type.
-
-    e'_1 = A1*e_1 + A4*e_{n-2}, e'_{n-2} = B4*e_{n-2}; e'_2..e'_{n-3}
-    continue the long chain and e'_{n-1}, e'_n the short one.
-    """
-    n = algebra.dim
-    e1p = Vec.basis(n, 1).scale(g.A1) + Vec.basis(n, n - 2).scale(g.A4)
-    enm2p = Vec.basis(n, n - 2).scale(g.B4)
-    cols = {1: e1p, n - 2: enm2p}
-    for offset, v in enumerate(_chain_from(algebra, e1p, e1p, n - 4)):
-        cols[2 + offset] = v
-    for offset, v in enumerate(_chain_from(algebra, enm2p, e1p, 2)):
-        cols[n - 1 + offset] = v
-    return _change_from_columns(n, cols)
+    """Full basis matrix of a graded generator change, first type:
+    e'_1 = A1*e_1 + A4*e_{n-2} and e'_{n-2} = B4*e_{n-2}."""
+    return _generated_change(algebra, g, algebra.dim - 2, g.B4)
 
 
 # ----------------------------------------------------------------------
@@ -418,14 +393,13 @@ class NullitySignature:
     def first_difference(self, other: "NullitySignature") -> str | None:
         if self.kind != other.kind:
             return "kind"
-        for (name_a, bit_a), (name_b, bit_b) in zip(self.bits, other.bits):
-            if name_a != name_b:
-                return f"{name_a}/{name_b}"
+        # Under one kind the bits come in one order.  The bits that only
+        # some signatures of a kind carry ("1-alpha2", "1+alpha2") follow
+        # the bit that decides whether they are present, so a differing
+        # bit comes before the two lists can part.
+        for (name, bit_a), (_, bit_b) in zip(self.bits, other.bits):
             if bit_a != bit_b:
-                return name_a
-        if len(self.bits) != len(other.bits):
-            longer = self.bits if len(self.bits) > len(other.bits) else other.bits
-            return longer[len(min(self.bits, other.bits, key=len))][0]
+                return name
         return None
 
 
@@ -533,13 +507,14 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     Distinct comes only from a nullity-signature mismatch.  Equivalent
     always carries a witness that has been verified by the forward map
     (normalised to A1 = 1; the maps are homogeneous of degree zero in
-    (A1, A4, B4), which verify.verify_homogeneity checks).  A4 candidates
-    come in one order: 0, then the rational roots left after eliminating
-    B4 from the matching equations.  For epsilon = 1 the map pins B4
-    itself and the witness keeps B4 = 1; for epsilon = 0 each A4 gets the
-    B4 values ``_solve_s_at`` finds.  Only epsilon = 0 then falls back on
-    a grid of heights up to ``budget`` (at most 8); anything else is
-    Unknown.
+    (A1, A4, B4), which verify.verify_homogeneity checks).  One list of
+    matching equations, ``_matching_equations``, feeds both steps of the
+    search.  A4 candidates come in one order: 0, then the rational roots
+    left after eliminating B4 from the equations.  For epsilon = 1 the
+    map pins B4 itself and the witness keeps B4 = 1; for epsilon = 0 each
+    A4 gets the B4 values that ``_solve_s_at`` reads off the same
+    equations at that A4.  Only epsilon = 0 then falls back on a grid of
+    heights up to ``budget`` (at most 8); anything else is Unknown.
 
     Why no rational witness is missed by the two roots-only paths:
 
@@ -562,9 +537,10 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
         ident = GradedChange2(Q(1), Q(0), Q(1))
         return Equivalent(ident)
 
+    eqs = _matching_equations(p.alphas, q.alphas)
     candidates: dict = {}       # (A4, B4) in first-seen order
-    for t in [Q(0)] + _eliminated_roots(p, q):
-        for s in [Q(1)] if p.epsilon else _solve_s_at(p.alphas, q.alphas, t):
+    for t in [Q(0)] + _eliminated_roots(p, q, eqs):
+        for s in [Q(1)] if p.epsilon else _solve_s_at(eqs, t):
             candidates[(t, s)] = None
     if p.epsilon == 0:
         axis = _grid_axis(max(1, min(int(budget), 8)))
@@ -579,21 +555,20 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     return Unknown("no rational witness found")
 
 
-def _case1_equations(p_alphas, q_alphas) -> list:
-    """The four matching conditions as polynomials in s whose
+def _matching_equations(p_alphas, q_alphas) -> list:
+    """The four conditions that the change sends p to q, alpha2 first,
+    then alpha1, alpha3 and alpha4: each is a polynomial in s whose
     coefficients are polynomials in t (A1 normalised to 1)."""
     a1, a2, a3, a4 = p_alphas
     q1, q2, q3, q4 = q_alphas
     D = PolyQ.of(1, a1, a3)          # 1 + a1 t + a3 t^2
     E = PolyQ.of(1, a2)              # 1 + a2 t
-    N1 = PolyQ.of(a1, 2 * a3)
-    N4 = PolyQ.of(a4, a2 * a3)
     zero = PolyQ.zero()
     return [
-        [D * q1, -N1],               # q1 D - N1 s
-        [E * q2, PolyQ.constant(-a2)],
+        [E * q2, PolyQ.constant(-a2)],          # q2 E - a2 s
+        [D * q1, -PolyQ.of(a1, 2 * a3)],        # q1 D - (a1 + 2 a3 t) s
         [D * q3, zero, PolyQ.constant(-a3)],
-        [(E * D) * q4, zero, -N4],
+        [(E * D) * q4, zero, -PolyQ.of(a4, a2 * a3)],
     ]
 
 
@@ -621,10 +596,11 @@ def _common_roots(polys) -> list:
     return rational_roots(g, bound=10000)
 
 
-def _eliminated_roots(p: SecondTypeParams, q: SecondTypeParams) -> list:
-    """Rational t candidates after eliminating s from the equations: s is
-    1 - t for epsilon = 1, else q2 E / a2 when a2 != 0, else resultants."""
-    eqs = _case1_equations(p.alphas, q.alphas)
+def _eliminated_roots(p: SecondTypeParams, q: SecondTypeParams,
+                      eqs: list) -> list:
+    """Rational t candidates after eliminating s from the matching
+    equations: s is 1 - t for epsilon = 1, else q2 E / a2 when a2 != 0,
+    else resultants of the other three."""
     a2, q2 = p.alphas[1], q.alphas[1]
     if p.epsilon:
         s = PolyQ.of(1, -1)
@@ -633,29 +609,26 @@ def _eliminated_roots(p: SecondTypeParams, q: SecondTypeParams) -> list:
     elif q2 != 0:
         return []
     else:
-        eqs = [eq for eq in (eqs[0], eqs[2], eqs[3])
-               if any(not c.is_zero() for c in eq)]
+        eqs = [eq for eq in eqs[1:] if any(not c.is_zero() for c in eq)]
         return _common_roots(resultant(lhs, rhs)
                              for lhs, rhs in combinations(eqs, 2))
     return _common_roots(_substitute(eq, s) for eq in eqs)
 
 
-def _solve_s_at(p_alphas, q_alphas, t: Fraction) -> list:
-    """Exact s candidates at a fixed t, from whichever equation pins s;
-    at t = 0 these are the pure rescalings."""
-    a1, a2, a3, a4 = p_alphas
-    q1, q2, q3, q4 = q_alphas
-    D = 1 + a1 * t + a3 * t * t
-    E = 1 + a2 * t
+def _solve_s_at(eqs: list, t: Fraction) -> list:
+    """Exact nonzero s candidates at a fixed t, in the order of the
+    matching equations: one that is linear in s there gives one value,
+    one in s^2 alone both square roots when they are rational.  At t = 0
+    these are the pure rescalings."""
     out = []
-    if a2 != 0 and E != 0:
-        out.append(q2 * E / a2)
-    n1 = a1 + 2 * a3 * t
-    if n1 != 0:
-        out.append(q1 * D / n1)
-    for lead, rhs in ((a3, q3 * D), (a4 + a2 * a3 * t, q4 * E * D)):
-        if lead != 0:
-            r = _rational_sqrt(rhs / lead)
+    for eq in eqs:
+        c = [coeff(t) for coeff in eq]
+        if c[-1] == 0:
+            continue
+        if len(c) == 2:
+            out.append(-c[0] / c[1])
+        elif c[1] == 0:
+            r = _rational_sqrt(-c[0] / c[2])
             if r is not None:
                 out.extend([r, -r])
     return [s for s in out if s != 0]

@@ -5,17 +5,21 @@ prints the formatted pass/fail line, and asserts on the recorded status.
 Run with -s (or look at the captured stdout of a failure) to see the lines.
 """
 
+import json
 import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import lnz.analysis
 import lnz.verify
-from lnz import (BasisChange, MatrixQ, StructureTensor,
+from lnz import (BasisChange, MatrixQ, SecondTypeParams, StructureTensor,
                  completed_second_type_change, enumerate_catalog, verify_all)
-from lnz.verify import (Report, _check_equivalence_spots,
-                        _check_formula_oracle, _check_residuals,
-                        _check_small_oracles)
+from lnz.cli import main
+from lnz.verify import (Report, _check_annihilator, _check_equivalence_spots,
+                        _check_formula_oracle, _check_non_lie,
+                        _check_residuals, _check_small_oracles)
 
 CRITERIA = (
     "catalog-consistency",
@@ -166,3 +170,76 @@ def test_one_series_per_battery_instance(monkeypatch):
     assert len(calls) == instances + estimates + rechecks
     assert [r.name for r in report.records] == list(CRITERIA + FLAGGED)
     assert report.ok
+
+
+def test_perturbed_coefficient_fails_catalog_consistency():
+    instances = list(enumerate_catalog((9,)))
+    inst = instances[1]
+    assert inst.label() == "l(0,2)[lambda=0] n=9"
+    table = dict(inst.tensor.table)
+    assert table[(1, 4)] == ((5, -1),)
+    table[(1, 4)] = ((5, Fraction(-2)),)        # [e_1, e_4] = -2 e_5
+    instances[1] = inst._replace(tensor=StructureTensor(9, table))
+    report = Report()
+    _check_residuals(report, instances)
+    record = report.record("catalog-consistency")
+    assert record.status == "fail"
+    assert record.detail == ("nonzero residual at l(0,2)[lambda=0] n=9 "
+                             "(1 violations)")
+
+
+def test_e2_outside_the_annihilator_fails():
+    inst = next(iter(enumerate_catalog((9,))))
+    table = dict(inst.tensor.table)
+    table[(1, 2)] = ((3, Fraction(1)),)         # [e_1, e_2] = e_3
+    report = Report()
+    _check_annihilator(report,
+                       [inst._replace(tensor=StructureTensor(9, table))])
+    record = report.record("right-annihilator")
+    assert record.status == "fail"
+    assert record.detail == "l(0,1) n=9: e_[2] outside annihilator"
+
+
+def test_empty_table_fails_non_lie():
+    inst = next(iter(enumerate_catalog((9,))))
+    report = Report()
+    _check_non_lie(report, [inst._replace(tensor=StructureTensor(9, {}))])
+    record = report.record("non-lie")
+    assert record.status == "fail"
+    assert record.detail == "l(0,1) n=9"
+
+
+def test_wrong_spot_verdict_fails_equivalence_spots(monkeypatch):
+    p = SecondTypeParams(0, (1, 0, 0, 1), -1)
+    q = SecondTypeParams(0, (2, 0, 0, 4), -1)
+    monkeypatch.setattr(lnz.verify, "_spot_pairs",
+                        lambda: [(p, q, "distinct", "")])
+    report = Report()
+    _check_equivalence_spots(report)
+    record = report.record("equivalence-spots")
+    assert record.status == "fail"
+    assert record.detail == (
+        "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) vs "
+        "(Fraction(2, 1), Fraction(0, 1), Fraction(0, 1), Fraction(4, 1)): "
+        "got equivalent, wanted distinct")
+
+
+def test_slow_check_trips_its_time_gate(monkeypatch):
+    readings = iter([100.0, 131.5])         # the check's start and end
+    monkeypatch.setattr(lnz.verify, "time",
+                        SimpleNamespace(monotonic=readings.__next__))
+    report = Report()
+    _check_formula_oracle(report, (9,), 1, 0)
+    record = report.record("formula-oracle")
+    assert record.status == "fail"
+    assert record.detail == "took 31.5s, budget is 30s"
+
+
+def test_verify_all_report_in_process(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify-all", "--dims", "9", "--report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("summary: 10 passed, 0 failed, 5 flagged\n")
+    doc = json.loads(path.read_text())
+    assert [c["name"] for c in doc["checks"]] == list(CRITERIA + FLAGGED)
+    assert doc["summary"] == {"pass": 10, "fail": 0, "flagged": 5}

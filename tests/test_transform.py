@@ -1,5 +1,7 @@
 """Basis changes, parameter maps, signatures, and the equivalence decision."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ import pytest
 import lnz.transform
 import lnz.verify
 from lnz import (
+    CATALOG_ROWS,
+    DEFAULT_FREE_SAMPLES,
     BasisChange,
     Distinct,
     DocumentError,
@@ -319,6 +323,27 @@ def test_first_difference():
     assert a.first_difference(d) == "kind"
 
 
+def test_first_difference_properties():
+    grid = (0, 1, -1, 2)
+    params = [SecondTypeParams(eps, alphas, -1) for eps in (0, 1)
+              for alphas in itertools.product(grid, repeat=4)]
+    params += [SecondTypeParams(eps, (0, 0, 0, 0), 0) for eps in (0, 1)]
+    params += [(branch, triple) for branch in "ab"
+               for triple in itertools.product(grid, repeat=3)]
+    signatures = {nullity_signature(p) for p in params}
+    assert {sig.kind for sig in signatures} == {
+        "second-eps0", "second-eps1", "first-a", "first-b"}
+    for a, b in itertools.product(signatures, repeat=2):
+        diff = a.first_difference(b)
+        assert (diff == "kind") == (a.kind != b.kind)
+        if a.kind == b.kind:
+            assert (diff is None) == (a.bits == b.bits)
+            if diff is not None:
+                bits_a, bits_b = dict(a.bits), dict(b.bits)
+                assert diff in bits_a and diff in bits_b
+                assert bits_a[diff] != bits_b[diff]
+
+
 # ----------------------------------------------------------------------
 # equivalence decision
 
@@ -410,6 +435,64 @@ def test_decide_beta_zero_branch():
     p = SecondTypeParams(0, (0, 0, 0, 0), 0)
     out = decide_equivalence(p, SecondTypeParams(0, (0, 0, 0, 0), 0))
     assert isinstance(out, Equivalent)
+
+
+def verdict_pairs():
+    """Seeded (p, q) pairs for the verdict pin: per epsilon, catalog
+    sample pairs with agreeing and with differing signatures and mapped
+    pairs (p, map(p, g)), then one pair per elimination path."""
+    rng = random.Random(14)
+    pool = [Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 3)]
+    pairs = []
+    for eps, forward in ((0, param_map_case1), (1, param_map_case2)):
+        samples = [row.make_params(values) for row in CATALOG_ROWS
+                   if row.kind == "second" and row.epsilon == eps
+                   for values in row.sample_grid(DEFAULT_FREE_SAMPLES)]
+        wanted = {True: 14, False: 6}       # agreeing signatures: count
+        while any(wanted.values()):
+            p, q = rng.choice(samples), rng.choice(samples)
+            agree = nullity_signature(p) == nullity_signature(q)
+            if p != q and wanted[agree]:
+                wanted[agree] -= 1
+                pairs.append((p, q))
+        mapped = 0
+        while mapped < 8:
+            p = rng.choice(samples)
+            g = GradedChange2(rng.choice(pool[1:]), rng.choice(pool),
+                              rng.choice(pool[1:]))
+            try:
+                pairs.append((p, forward(p, g)))
+            except RestrictionViolated:
+                continue
+            mapped += 1
+    for p, q in (("1/3,-1,1/2,3", "14/11,2,6/11,-24/11"),   # alpha2 != 0
+                 ("0,0,1,0", "0,1,1,0"),                    # q2 != 0
+                 ("0,0,1/2,-2", "-14/9,0,49/54,-98/27"),    # resultants
+                 ("1,0,0,0", "3,0,0,0")):   # B4 = 3 from alpha1 alone
+        pairs.append((SecondTypeParams(0, fracs(p), -1),
+                      SecondTypeParams(0, fracs(q), -1)))
+    return pairs
+
+
+def test_equivalence_verdicts_are_pinned():
+    # sha256 over the verdict reprs at budgets 1 and 6, so a change in any
+    # verdict, cited invariant or witness shows
+    pairs = verdict_pairs()
+    paths = {("a2" if p.alphas[1] else "q2" if q.alphas[1] else "resultant")
+             for p, q in pairs if p.epsilon == 0 and p != q
+             and nullity_signature(p) == nullity_signature(q)}
+    assert paths == {"a2", "q2", "resultant"}
+    assert {p.epsilon for p, _ in pairs} == {0, 1}
+    digest = hashlib.sha256()
+    kinds = set()
+    for p, q in pairs:
+        for budget in (1, 6):
+            verdict = decide_equivalence(p, q, budget=budget)
+            kinds.add(verdict.kind)
+            digest.update((repr(verdict) + "\n").encode())
+    assert kinds == {"equivalent", "distinct", "unknown"}
+    assert digest.hexdigest() == (
+        "28ff98a8fa8229e26552eea3e44cff94d44bf2bbb242557851fced8d9592f70a")
 
 
 # ----------------------------------------------------------------------
