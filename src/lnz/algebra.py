@@ -225,14 +225,29 @@ class Residual:
 
 
 def _integer_cells(algebra: StructureTensor) -> tuple:
-    """``(scale, {(i, j): ((k, int), ...)})``: the table read once as
-    integer cells, times ``scale``, the lcm of its denominators.  A positive
+    """``(scale, by_left)``: the table read once as integer cells, times
+    ``scale``, the lcm of its denominators.  ``by_left[i]`` lists
+    ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based.  A positive
     multiple of the table has the same spans and Jordan block profiles."""
     scale = lcm(*(c.denominator for terms in algebra.table.values()
                   for _, c in terms))
-    return scale, {key: tuple((k, c.numerator * (scale // c.denominator))
-                              for k, c in terms)
-                   for key, terms in algebra.table.items()}
+    by_left: list = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.table.items():
+        by_left[i - 1].append((j - 1, tuple(
+            (k - 1, c.numerator * (scale // c.denominator)) for k, c in terms)))
+    return scale, by_left
+
+
+def _times_basis(by_left: list, row: dict) -> dict:
+    """[row, e_j] for every j, as {j: {k: int}}, from a sparse integer
+    row and the integer cells by left index (all 0-based)."""
+    products: dict = {}
+    for i, x in row.items():
+        for j, cell in by_left[i]:
+            acc = products.setdefault(j, {})
+            for k, c in cell:
+                acc[k] = acc.get(k, 0) + x * c
+    return products
 
 
 def leibniz_residual(algebra: StructureTensor) -> Residual:
@@ -241,32 +256,31 @@ def leibniz_residual(algebra: StructureTensor) -> Residual:
     The three terms need (j, k), (i, j) and (i, k) to be cells, so every
     left index i is visited when (j, k) is a cell, and otherwise only the
     i for which (i, j) or (i, k) is.  Each integer cell is packed once
-    into one int, coordinate t in a balanced slot of W bits at bit
-    W*(t-1), W the bit length of 3*n*M^2 plus 2 for M the largest |entry|.
+    into one int, coordinate t (0-based) in a balanced slot of W bits at
+    bit W*t, W the bit length of 3*n*M^2 plus 2 for M the largest |entry|.
     A defect coordinate sums at most 3n products of size at most M^2, so
     it stays below 2^(W-2): the slots never overlap, and a triple's packed
     sum is 0 exactly when its defect is.  Only a nonzero sum is unpacked.
     """
     n = algebra.dim
-    scale, cells = _integer_cells(algebra)
-    top = max((abs(c) for terms in cells.values() for _, c in terms), default=0)
+    scale, by_left = _integer_cells(algebra)
+    top = max((abs(c) for row in by_left for _, t in row for _, c in t), default=0)
     width = (3 * n * top * top).bit_length() + 2
-    by_left: dict = {}                  # i -> {j: cell (i, j)}
-    packed: dict = {}                   # i -> {j: cell (i, j) packed}
+    cells = {i: dict(row) for i, row in enumerate(by_left) if row}
+    packed = {i: {j: sum(c << width * t for t, c in terms)   # cell (i, j) packed
+                  for j, terms in row.items()} for i, row in cells.items()}
     packed_by_right: dict = {}          # j -> {i: cell (i, j) packed}
-    for (i, j), terms in cells.items():
-        word = sum(c << width * (t - 1) for t, c in terms)
-        by_left.setdefault(i, {})[j] = terms
-        packed.setdefault(i, {})[j] = word
-        packed_by_right.setdefault(j, {})[i] = word
-    lefts, rights = sorted(by_left), sorted(packed_by_right)
+    for i, row in packed.items():
+        for j, word in row.items():
+            packed_by_right.setdefault(j, {})[i] = word
+    lefts, rights = sorted(cells), sorted(packed_by_right)
     violations = []
-    for j in sorted(by_left.keys() | packed_by_right.keys()):
-        w_j, p_j = by_left.get(j, {}), packed_by_right.get(j, {})
+    for j in sorted(cells.keys() | packed_by_right.keys()):
+        w_j, p_j = cells.get(j, {}), packed_by_right.get(j, {})
         for k in rights:
             w_jk, p_k = w_j.get(k, ()), packed_by_right[k]
             for i in lefts if w_jk else sorted(p_j.keys() | p_k.keys()):
-                w_i, p_i = by_left[i], packed[i]
+                w_i, p_i = cells[i], packed[i]
                 acc = 0
                 for m, c in w_jk:
                     acc += c * p_i.get(m, 0)
@@ -275,7 +289,8 @@ def leibniz_residual(algebra: StructureTensor) -> Residual:
                 for m, c in w_i.get(k, ()):
                     acc += c * p_j.get(m, 0)
                 if acc:
-                    violations.append((i, j, k, _unpack(acc, n, width, scale * scale)))
+                    violations.append((i + 1, j + 1, k + 1,
+                                       _unpack(acc, n, width, scale * scale)))
     return Residual(n, tuple(violations))
 
 

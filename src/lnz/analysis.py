@@ -6,7 +6,8 @@ carry an induced product that respects degrees; ``natural_gradation``
 materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
-of a nilpotent algebra.  The gradation runs on the integer rows too.
+of a nilpotent algebra.  A series keeps the integer cells it read
+(``algebra._integer_cells``); the gradation and the estimate reuse them.
 
 The tensor keeps a weak reference to the series last built for it, so a
 caller that still holds the series (``lnz analyze``, while the estimate
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .algebra import StructureTensor, Vec, _integer_cells, _vec
+from .algebra import StructureTensor, Vec, _integer_cells, _times_basis, _vec
 from .errors import ElementInDerivedSubalgebra, NonNilpotent
 from .linalg import (EchelonSpan, MatrixQ, _eliminate, _fraction_row,
                      _kernel, nilpotent_block_sizes)
@@ -49,7 +50,8 @@ class CentralSeries:
     hits zero, the zero term is included and ``nilpotent`` is True; when it
     stabilises at a nonzero subspace the repeated term is dropped and
     ``nilpotent`` is False.  ``len(series)`` counts the terms, so for a
-    nilpotent algebra it is the nilindex.
+    nilpotent algebra it is the nilindex.  ``_cells`` is the integer view
+    ``(scale, by_left)`` of the table that ``_build_series`` read.
     """
 
     ambient_dim: int
@@ -69,28 +71,6 @@ class CentralSeries:
         return len(self.rows)
 
 
-def _cells_by_left(algebra: StructureTensor) -> tuple:
-    """The scale and the integer cells by left index: entry i lists
-    (j, ((k, c), ...)) per cell (i, j), all 0-based."""
-    scale, cells = _integer_cells(algebra)
-    by_left: list = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in cells.items():
-        by_left[i - 1].append((j - 1, tuple((k - 1, c) for k, c in terms)))
-    return scale, by_left
-
-
-def _times_basis(by_left: list, row: dict) -> dict:
-    """[row, e_j] for every j, as {j: {k: int}}, from a sparse integer
-    row and the integer cells by left index (all 0-based)."""
-    products: dict = {}
-    for i, x in row.items():
-        for j, cell in by_left[i]:
-            acc = products.setdefault(j, {})
-            for k, c in cell:
-                acc[k] = acc.get(k, 0) + x * c
-    return products
-
-
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     """The descending central series; the same object as long as a caller
     holds the one last built for this tensor."""
@@ -104,7 +84,7 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
 
 def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
-    _, by_left = _cells_by_left(algebra)
+    scale, by_left = _integer_cells(algebra)
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
     terms = [rows]
     while True:
@@ -122,7 +102,9 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
             break
         rows = tuple(nxt.reduced_rows())
         terms.append(rows)
-    return CentralSeries(n, tuple(terms), nilpotent)
+    series = CentralSeries(n, tuple(terms), nilpotent)
+    object.__setattr__(series, "_cells", (scale, by_left))
+    return series
 
 
 def nilindex(algebra: StructureTensor) -> int:
@@ -196,7 +178,7 @@ def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
     # residue at a degree-(i+j) pivot is a coordinate of the product of a
     # degree-i and a degree-j section.  The residue stays an integer row
     # over one common denominator.
-    scale, by_left = _cells_by_left(algebra)
+    scale, by_left = series._cells
     table = {}
     for a in range(start[top - 1]):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
@@ -246,8 +228,8 @@ class CharSequence:
 
 def derived_span(algebra: StructureTensor) -> EchelonSpan:
     """Echelon span of [L, L], read off the integer cells."""
-    return EchelonSpan(algebra.dim, ({k - 1: c for k, c in terms} for terms
-                                     in _integer_cells(algebra)[1].values()))
+    _, by_left = _integer_cells(algebra)
+    return EchelonSpan(algebra.dim, (dict(t) for row in by_left for _, t in row))
 
 
 def _profile(by_left: list, x) -> CharSequence:
@@ -273,7 +255,7 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     if derived_span(algebra).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return _profile(_cells_by_left(algebra)[1], x.coords)
+    return _profile(_integer_cells(algebra)[1], x.coords)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
@@ -295,8 +277,8 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     sampled lower bound for the true maximum.
     """
     n = algebra.dim
-    _, by_left = _cells_by_left(algebra)
     series = lower_central_series(algebra)
+    _, by_left = series._cells
     # [L, L] is L^2, or L itself when the series stops at L
     derived = EchelonSpan(n, series.rows[1 if len(series) > 1 else 0])
     bound = series.dims if series.nilpotent else None
@@ -327,9 +309,10 @@ def right_annihilator(algebra: StructureTensor) -> tuple:
     sum_j c^k_{i,j} x_j on the integer cells, and reads the kernel off the
     reduced basis of their span, as ``kernel_basis`` does.
     """
-    functionals: dict = {}      # (i, k) -> {j - 1: c^k_{i,j} times scale}
-    for (i, j), terms in _integer_cells(algebra)[1].items():
-        for k, c in terms:
-            functionals.setdefault((i, k), {})[j - 1] = c
+    functionals: dict = {}      # (i, k) -> {j: c^k_{i,j} times scale}
+    for i, row in enumerate(_integer_cells(algebra)[1]):
+        for j, terms in row:
+            for k, c in terms:
+                functionals.setdefault((i, k), {})[j] = c
     return tuple(_vec(v) for v in
                  _kernel(EchelonSpan(algebra.dim, functionals.values())))

@@ -13,13 +13,13 @@ changes no span and no block profile.  Reduction cross-multiplies
 row by its gcd, so entries stay small and zero cells cost nothing.
 ``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
 it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
-Above it, one integer view of the structure table, read once per call
-(``algebra._integer_cells``), serves the Leibniz residual (each cell
-packed into one int), the basis
-changes of ``transform.apply_change``, the derived span, the central
-series, the right multiplications of the characteristic sequence, the
-gradation and the right annihilator.  ``_int_rows`` scales rows, and
-``apply_change`` reads matrix columns through it too.
+Above it, one integer layout of the structure table, the cells by left
+index (``algebra._integer_cells``), and one product of an integer row
+with the basis (``algebra._times_basis``) serve the Leibniz residual,
+``transform.apply_change``, the derived span, the central series, the
+right multiplications of the characteristic sequence, the gradation and
+the right annihilator.  ``_int_rows`` scales rows, and ``apply_change``
+reads matrix columns through it too.
 ``EchelonSpan.reduced_rows`` is the one back-substitution: it returns the
 rows reduced in integers, canonical for the span, and ``basis()`` is
 their ``Fraction`` view, the canonical RREF.  The central series keeps

@@ -39,7 +39,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
-                      _integer_cells, _load_json, _tensor, bracket)
+                      _integer_cells, _load_json, _tensor, _times_basis, bracket)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
@@ -88,49 +88,39 @@ class BasisChange:
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
     """The same algebra written on the new basis.
 
-    c'[i][j] expands [e'_i, e'_j] in the primed basis.  Each cell [e_a, e_b]
-    is pulled back through the inverse matrix once, combined along column j
-    into [e_a, e'_j], then along column i.  Everything runs on sparse
-    integers: the integer cells of the table (``algebra._integer_cells``)
-    and the columns of the matrix and of its inverse (``linalg._int_rows``),
-    each scaled by the lcm of its denominators, so zero entries cost nothing
-    and each nonzero output term makes one ``Fraction``.  The cells come
-    out sorted and without zeros, so the tensor takes them as they are.
+    c'[i][j] expands [e'_i, e'_j] in the primed basis.  For each new basis
+    vector e'_i, a column of the matrix, ``algebra._times_basis`` gives
+    [e'_i, e_b] for every b; each of these is pulled back through the
+    inverse matrix once, and they are then combined along column j.
+    Everything runs on sparse integers: the integer cells of the table
+    (``algebra._integer_cells``) and the columns of the matrix and of its
+    inverse (``linalg._int_rows``), each scaled by the lcm of its
+    denominators, so zero entries cost nothing and each nonzero output term
+    makes one ``Fraction``.  The cells come out sorted and without zeros,
+    so the tensor takes them as they are.
     """
     n = algebra.dim
     if change.dim != n:
         raise DimensionMismatch(
             f"change on {change.dim} coordinates, algebra has {n}")
-    s_table, cells = _integer_cells(algebra)
+    s_table, by_left = _integer_cells(algebra)
     s_matrix, cols = _int_rows(change.matrix.column(i) for i in range(n))
     s_inverse, back = _int_rows(change.inverse.column(i) for i in range(n))
-    # 0-based from here on, as _int_rows numbers rows: pulled[b - 1] lists
-    # (a - 1, [e_a, e_b] in new coordinates), and right[j][a - 1] is
-    # [e_a, e'_{j+1}] in new coordinates
-    pulled: dict = {}
-    for (a, b), terms in cells.items():
-        acc: dict = {}
-        for k, c in terms:
-            for t, w in back[k - 1].items():
-                acc[t] = acc.get(t, 0) + c * w
-        pulled.setdefault(b - 1, []).append((a - 1, acc))
-    right = []
-    for col in cols:
-        prods: dict = {}
-        for b, y in col.items():
-            for a, vec in pulled.get(b, ()):
-                acc = prods.setdefault(a, {})
-                for t, w in vec.items():
-                    acc[t] = acc.get(t, 0) + y * w
-        right.append(prods)
     scale = s_table * s_matrix ** 2 * s_inverse
     table = {}
     for i, col in enumerate(cols, 1):
-        for j, prods in enumerate(right, 1):
+        # [e'_i, e_b] in new coordinates, for every b (0-based)
+        products = {}
+        for b, prod in _times_basis(by_left, col).items():
+            acc = products[b] = {}
+            for k, c in prod.items():
+                for t, w in back[k].items():
+                    acc[t] = acc.get(t, 0) + c * w
+        for j, other in enumerate(cols, 1):
             acc = {}
-            for a, x in col.items():
-                for t, v in prods.get(a, {}).items():
-                    acc[t] = acc.get(t, 0) + x * v
+            for b, y in other.items():
+                for t, v in products.get(b, {}).items():
+                    acc[t] = acc.get(t, 0) + y * v
             cell = tuple((t + 1, Fraction(v, scale))
                          for t, v in sorted(acc.items()) if v)
             if cell:

@@ -149,6 +149,16 @@ def _replay(family: str, n: int, p, g):
         return None
 
 
+def _plain(values) -> str:
+    """A tuple of fractions as plain text, like (1, 0, 1/2)."""
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _change_text(g: GradedChange2) -> str:
+    """The scalars of a graded change as plain text."""
+    return f"A1 = {g.A1}, A4 = {g.A4}, B4 = {g.B4}"
+
+
 def _conclude(report, name, subject, failures, passed, elapsed=None,
               gate=None):
     """Record a check's verdict: its failures, else a blown time gate (in
@@ -285,7 +295,8 @@ def _check_annihilator(report, instances):
         need = [2, 3] if inst.row.kind == "second" else list(range(2, n - 2))
         missing = [i for i in need if not span.contains(Vec.basis(n, i))]
         if missing:
-            bad.append(f"{inst.label()}: e_{missing} outside annihilator")
+            names = ", ".join(f"e_{i}" for i in missing)
+            bad.append(f"{inst.label()}: {names} outside annihilator")
     _conclude(report, "right-annihilator", f"{len(instances)} instances",
               bad[:5], "contains e_2, e_3 (second type) and e_2..e_{n-3} "
               "(first type)")
@@ -319,18 +330,18 @@ def _check_invariance(report, trials, seed):
             p, g, mapped = _draw_mapped(rng, family)
             if second:
                 moved = nullity_signature(mapped) != nullity_signature(p)
-                where = f"{p.alphas}, change {g}"
+                where = f"{_plain(p.alphas)}, change {_change_text(g)}"
             else:
                 branch = family[-1]
                 moved = (nullity_signature((branch, p))
                          != nullity_signature((branch, mapped)))
-                where = p
+                where = _plain(p)
             if moved:
                 failures.append(f"{family}: signature moved at {where}")
                 break
             if second and not scale_identities_hold(p, g):
                 failures.append(f"{family}: scale identity failed at "
-                                f"{p.alphas}")
+                                f"{_plain(p.alphas)}")
                 break
 
     if not verify_homogeneity(trials=min(trials, 100), seed=seed + 3):
@@ -441,18 +452,18 @@ def _check_equivalence_spots(report):
     pairs = _spot_pairs()
     for p, q, expected, note in pairs:
         verdict = decide_equivalence(p, q, budget=6)
+        pair = f"{_plain(p.alphas)} vs {_plain(q.alphas)}"
         if verdict.kind != expected:
-            failures.append(f"{p.alphas} vs {q.alphas}: got {verdict.kind}, "
-                            f"wanted {expected}")
+            failures.append(f"{pair}: got {verdict.kind}, wanted {expected}")
             continue
         if isinstance(verdict, Distinct):
             if note and verdict.invariant != note:
-                failures.append(f"{p.alphas} vs {q.alphas}: cited "
-                                f"{verdict.invariant}, wanted {note}")
+                failures.append(f"{pair}: cited {verdict.invariant}, "
+                                f"wanted {note}")
         elif isinstance(verdict, Equivalent):
             if not _witness_is_sound(p, q, verdict.witness):
-                failures.append(f"{p.alphas} vs {q.alphas}: witness "
-                                f"{verdict.witness} does not reproduce q")
+                failures.append(f"{pair}: witness {_change_text(verdict.witness)}"
+                                " does not reproduce q")
     _conclude(report, "equivalence-spots", f"{len(pairs)} spot pairs",
               failures, "all verdicts correct; every witness verified by "
               "direct basis change")

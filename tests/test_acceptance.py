@@ -18,8 +18,9 @@ from lnz import (BasisChange, MatrixQ, SecondTypeParams, StructureTensor,
                  completed_second_type_change, enumerate_catalog, verify_all)
 from lnz.cli import main
 from lnz.verify import (Report, _check_annihilator, _check_equivalence_spots,
-                        _check_formula_oracle, _check_non_lie,
-                        _check_residuals, _check_small_oracles)
+                        _check_formula_oracle, _check_invariance,
+                        _check_non_lie, _check_residuals,
+                        _check_small_oracles)
 
 CRITERIA = (
     "catalog-consistency",
@@ -197,7 +198,7 @@ def test_e2_outside_the_annihilator_fails():
                        [inst._replace(tensor=StructureTensor(9, table))])
     record = report.record("right-annihilator")
     assert record.status == "fail"
-    assert record.detail == "l(0,1) n=9: e_[2] outside annihilator"
+    assert record.detail == "l(0,1) n=9: e_2 outside annihilator"
 
 
 def test_empty_table_fails_non_lie():
@@ -219,9 +220,20 @@ def test_wrong_spot_verdict_fails_equivalence_spots(monkeypatch):
     record = report.record("equivalence-spots")
     assert record.status == "fail"
     assert record.detail == (
-        "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) vs "
-        "(Fraction(2, 1), Fraction(0, 1), Fraction(0, 1), Fraction(4, 1)): "
-        "got equivalent, wanted distinct")
+        "(1, 0, 0, 1) vs (2, 0, 0, 4): got equivalent, wanted distinct")
+
+
+def test_signature_moving_map_fails_nullity_invariance(monkeypatch):
+    # sends every pair to the zero alphas: homogeneous, but it moves the
+    # signature of any p with a nonzero invariant
+    monkeypatch.setattr(lnz.verify, "param_map_case1",
+                        lambda p, g: SecondTypeParams(0, (0, 0, 0, 0), -1))
+    report = Report()
+    _check_invariance(report, 20, 0)
+    record = report.record("nullity-invariance")
+    assert record.status == "fail"
+    assert record.detail == ("no-alternating: signature moved at "
+                             "(0, 1, 1, 1/2), change A1 = 2, A4 = -2, B4 = 1/2")
 
 
 def test_slow_check_trips_its_time_gate(monkeypatch):

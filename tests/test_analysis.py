@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import lnz.algebra
 import lnz.analysis
+import lnz.transform
 from lnz import (
     BasisChange,
     MatrixQ,
@@ -372,3 +374,30 @@ def test_analysed_tensor_pickles_and_copies():
             assert "_series" not in vars(back)
             assert lower_central_series(back) is not series
             assert lower_central_series(back).dims == dims
+
+
+def count_reads(monkeypatch):
+    """Tensors whose table is read into integer cells, in call order."""
+    reads = []
+    reader = lnz.algebra._integer_cells
+
+    def counted(algebra):
+        reads.append(algebra)
+        return reader(algebra)
+    for module in (lnz.algebra, lnz.analysis, lnz.transform):
+        monkeypatch.setattr(module, "_integer_cells", counted)
+    return reads
+
+
+def test_each_call_reads_the_table_once(monkeypatch, tmp_path, capsys):
+    algebra = build_second_type(16, SecondTypeParams(1, (0, 1, 0, 2), -1))
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(algebra))
+    reads = count_reads(monkeypatch)
+    assert main(["analyze", str(path)]) == 0
+    assert "nilindex: 14" in capsys.readouterr().out
+    assert len(reads) == 2          # the series and the annihilator
+    for call in (natural_gradation, char_sequence_estimate):
+        reads.clear()
+        call(algebra.renamed(None))     # a fresh tensor, no series memo
+        assert len(reads) == 1
