@@ -74,19 +74,19 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-        return Vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-        return Vec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _vec(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.coords))
+        return _vec(tuple(-a for a in self.coords))
 
     def scale(self, c) -> "Vec":
         c = _frac(c)
-        return Vec(tuple(c * a for a in self.coords))
+        return _vec(tuple(c * a for a in self.coords))
 
     __rmul__ = scale
 
@@ -195,7 +195,7 @@ def bracket(algebra: StructureTensor, x: Vec, y: Vec) -> Vec:
                     c = xi * yj
                     for k, v in terms:
                         out[k - 1] += c * v
-    return Vec(tuple(out))
+    return _vec(tuple(out))
 
 
 def basis_bracket(algebra: StructureTensor, i: int, j: int) -> Vec:

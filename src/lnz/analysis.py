@@ -10,10 +10,10 @@ of a nilpotent algebra.  A series keeps the integer cells it read
 (``algebra._integer_cells``); the gradation and the estimate reuse them.
 
 The tensor keeps a weak reference to the series last built for it, so a
-caller that still holds the series (``lnz analyze``, while the estimate
-asks for its bound) gets it back without a second build.  It is weak so
-that no series outlives its callers, as a strong memo on each of the
-battery's instances would; it is per object, not per content, and is
+caller that still holds the series (``lnz analyze``, while the gradation
+and the estimate ask for it) gets it back without a second build.  It is
+weak so that no series outlives its callers, as a strong memo on each of
+the battery's instances would; it is per object, not per content, and is
 not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
@@ -145,14 +145,11 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     column is not a pivot of L^{i+1}; because the pivot sets of nested
     spans nest as well, these rows project to a basis of the quotient.
     The induced product of degree-i and degree-j sections keeps exactly
-    the degree-(i+j) part of their bracket.
+    the degree-(i+j) part of their bracket.  The series comes from
+    ``lower_central_series``, so a caller that holds it shares it.
     """
-    return _gradation(algebra, lower_central_series(algebra))
-
-
-def _gradation(algebra: StructureTensor, series: CentralSeries) -> Gradation:
-    """``natural_gradation`` of algebra, given its central series."""
     n = algebra.dim
+    series = lower_central_series(algebra)
     if not series.nilpotent:
         raise NonNilpotent("gradation needs a nilpotent algebra")
     spans = series.rows                         # reduced integer rows

@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import leibniz_residual, parse, parse_fraction, serialize
-from .analysis import (_gradation, char_sequence_estimate,
-                       lower_central_series, right_annihilator)
+from .analysis import (char_sequence_estimate, lower_central_series,
+                       natural_gradation, right_annihilator)
 from .catalog import (DEFAULT_FREE_SAMPLES, CatalogInstance,
                       SecondTypeParams, catalog_index_document, row_by_id,
                       rows_by_label, validate_params)
@@ -131,7 +131,7 @@ def cmd_analyze(args) -> int:
     print("central series dims: " + " ".join(str(d) for d in series.dims))
     if series.nilpotent:
         print(f"nilindex: {len(series)}")
-        grading = _gradation(algebra, series)
+        grading = natural_gradation(algebra)
         print("gradation dims: " + " ".join(str(d) for d in grading.piece_dims))
         try:
             est = char_sequence_estimate(algebra, budget=args.budget, seed=seed)

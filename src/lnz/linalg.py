@@ -579,8 +579,8 @@ def resultant(p_coeffs: Sequence[PolyQ], q_coeffs: Sequence[PolyQ]) -> PolyQ:
     Both arguments are polynomials in an outer variable s whose coefficients
     are PolyQ in an inner variable t, given lowest s-degree first.  The
     result is the Sylvester determinant, a PolyQ in t.  It vanishes exactly
-    when the two arguments share a root in s (over the algebraic closure),
-    which is what the equivalence search uses to eliminate one unknown.
+    when the two arguments share a root in s (over the algebraic closure).
+    It is public; the equivalence search eliminates s without it.
     A constant argument c against degree d gives the diagonal matrix c*I_d
     and so c^d, and two constants give the empty determinant 1.
     """

@@ -20,12 +20,13 @@ name the same algebra.  It is deliberately three-valued: Distinct is
 claimed only from the printed nullity invariants, Equivalent only with a
 verified witness, and everything else is Unknown (a witness may exist
 over the complex numbers that has no rational coordinates).  Both
-epsilons share one witness rule, and one list of matching equations
-feeds both of its steps: A4 runs over 0 and the rational roots of the
-equations with B4 eliminated, and B4 at each such A4 is solved from the
-same equations.  Its docstring says why no rational witness is lost
-there.  The search budget bounds only the epsilon = 0 height grid that
-follows.
+epsilons share one elimination rule, s = num/den for B4 = s, read off
+the first matching equation that is linear in s.  It feeds both steps:
+A4 runs over 0 and the rational roots of the equations cleared at
+s = num/den, and B4 at each such A4 is num/den there, or comes from the
+equations in s^2 alone where num and den both vanish.  Its docstring
+says why no rational witness is lost.  The search budget bounds only the
+epsilon = 0 height grid that follows.
 
 ``parse_change`` and ``serialize_change`` read and write change documents
 as ``algebra`` does algebra documents.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
@@ -46,7 +46,7 @@ from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
                      NotNormalForm, RestrictionViolated, SingularChange,
                      ToolkitError)
 from .linalg import (MatrixQ, PolyQ, _frac, _int_rows, invert, poly_gcd,
-                     rational_roots, resultant)
+                     rational_roots)
 
 Q = Fraction
 
@@ -497,24 +497,35 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     Distinct comes only from a nullity-signature mismatch.  Equivalent
     always carries a witness that has been verified by the forward map
     (normalised to A1 = 1; the maps are homogeneous of degree zero in
-    (A1, A4, B4), which verify.verify_homogeneity checks).  One list of
-    matching equations, ``_matching_equations``, feeds both steps of the
-    search.  A4 candidates come in one order: 0, then the rational roots
-    left after eliminating B4 from the equations.  For epsilon = 1 the
-    map pins B4 itself and the witness keeps B4 = 1; for epsilon = 0 each
-    A4 gets the B4 values that ``_solve_s_at`` reads off the same
-    equations at that A4.  Only epsilon = 0 then falls back on a grid of
-    heights up to ``budget`` (at most 8); anything else is Unknown.
+    (A1, A4, B4), which verify.verify_homogeneity checks).
 
-    Why no rational witness is missed by the two roots-only paths:
+    The search has one rule.  With A4 = t and B4 = s, the four matching
+    equations (``_matching_equations``) are polynomials in s over Q[t].
+    ``_s_rule`` reads s = num/den off the first one that is linear in s:
+    the pin num = 1 - t, den = 1 for epsilon = 1; else the alpha2
+    equation; else the alpha1 one; and num = den = 0 when neither has an
+    s term (alpha1 = alpha2 = alpha3 = 0).  A4 runs over 0, then the
+    rational roots of the gcd of the four equations cleared at s =
+    num/den, each as sum c_k num^k den^(d-k).  At each such t, B4 is
+    num(t)/den(t) where den(t) != 0, and otherwise both rational square
+    roots of each equation in s^2 alone; for epsilon = 1 the map pins B4
+    itself and the witness keeps B4 = 1.  Only epsilon = 0 then falls
+    back on a grid of heights up to ``budget`` (at most 8); anything else
+    is Unknown.
 
-    * epsilon = 1: a witness A4 is a common root of the four equations
-      at B4 = 1 - A4, so it is a root of their gcd.  The equations vanish
-      identically only when q = p, which returns earlier; A4 = 0 is the
-      identity and likewise matches only q = p.
-    * epsilon = 0, A4 fixed: any equation whose B4 coefficient is nonzero
-      (alpha2, alpha1 + 2*alpha3*A4, alpha3 or alpha4 + alpha2*alpha3*A4)
-      fixes B4 up to sign, and all four vanish only when every alpha is 0.
+    Why no rational witness is missed before the grid:
+
+    * every witness satisfies den(t)*s = num(t), so where den(t) != 0 its
+      s is num(t)/den(t) and t is a common root of the cleared equations;
+    * at a witness where den(t) = 0, num(t) = 0 as well, and the cleared
+      equations are homogeneous of degree >= 1 in (num, den), so they all
+      vanish there too: t is again a root of their gcd, and no separate
+      candidate for the root of den is needed;
+    * when no equation is linear in s, D = E = 1 and t appears nowhere,
+      so A4 = 0, which is tried first, is a witness whenever any A4 is;
+    * when the cleared equations all vanish identically, either num = 0
+      and no B4 != 0 fits, or num(0) and den(0) are both nonzero and
+      A4 = 0 is a witness.
     """
     if p.epsilon != q.epsilon:
         raise EpsilonMismatch(
@@ -528,9 +539,10 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
         return Equivalent(ident)
 
     eqs = _matching_equations(p.alphas, q.alphas)
+    num, den = _s_rule(p.epsilon, eqs)
     candidates: dict = {}       # (A4, B4) in first-seen order
-    for t in [Q(0)] + _eliminated_roots(p, q, eqs):
-        for s in [Q(1)] if p.epsilon else _solve_s_at(eqs, t):
+    for t in [Q(0)] + _cleared_roots(eqs, num, den):
+        for s in [Q(1)] if p.epsilon else _solve_s_at(eqs, num, den, t):
             candidates[(t, s)] = None
     if p.epsilon == 0:
         axis = _grid_axis(max(1, min(int(budget), 8)))
@@ -562,63 +574,41 @@ def _matching_equations(p_alphas, q_alphas) -> list:
     ]
 
 
-def _substitute(coeffs, s: PolyQ) -> PolyQ:
-    """One of the equations above with s set to a polynomial in t."""
-    acc = PolyQ.zero()
-    s_pow = PolyQ.constant(1)
-    for c in coeffs:
-        acc = acc + c * s_pow
-        s_pow = s_pow * s
-    return acc
+def _s_rule(epsilon: int, eqs: list) -> tuple:
+    """(num, den) with den*s = num at every witness, from the first
+    equation linear in s: the pin for epsilon = 1, else the alpha2 one,
+    else the alpha1 one; (0, 0) when neither has an s term."""
+    if epsilon:
+        return PolyQ.of(1, -1), PolyQ.constant(1)
+    for c0, c1 in eqs[:2]:
+        if not c1.is_zero():
+            return c0, -c1
+    return PolyQ.zero(), PolyQ.zero()
 
 
-def _common_roots(polys) -> list:
-    """Rational roots of the gcd of the nonzero polynomials; none when
-    that gcd is constant."""
-    polys = [pp for pp in polys if not pp.is_zero()]
-    if not polys:
-        return []
-    g = polys[0]
-    for pp in polys[1:]:
-        g = poly_gcd(g, pp)
-    if g.degree < 1:
-        return []
-    return rational_roots(g, bound=10000)
-
-
-def _eliminated_roots(p: SecondTypeParams, q: SecondTypeParams,
-                      eqs: list) -> list:
-    """Rational t candidates after eliminating s from the matching
-    equations: s is 1 - t for epsilon = 1, else q2 E / a2 when a2 != 0,
-    else resultants of the other three."""
-    a2, q2 = p.alphas[1], q.alphas[1]
-    if p.epsilon:
-        s = PolyQ.of(1, -1)
-    elif a2 != 0:
-        s = PolyQ.of(1, a2) * (q2 / a2)
-    elif q2 != 0:
-        return []
-    else:
-        eqs = [eq for eq in eqs[1:] if any(not c.is_zero() for c in eq)]
-        return _common_roots(resultant(lhs, rhs)
-                             for lhs, rhs in combinations(eqs, 2))
-    return _common_roots(_substitute(eq, s) for eq in eqs)
-
-
-def _solve_s_at(eqs: list, t: Fraction) -> list:
-    """Exact nonzero s candidates at a fixed t, in the order of the
-    matching equations: one that is linear in s there gives one value,
-    one in s^2 alone both square roots when they are rational.  At t = 0
-    these are the pure rescalings."""
-    out = []
+def _cleared_roots(eqs: list, num: PolyQ, den: PolyQ) -> list:
+    """Rational roots of the gcd of the equations cleared at s = num/den,
+    each the sum of c_k num^k den^(d-k) over its nonzero coefficients;
+    none when that gcd is constant or every cleared equation is zero."""
+    powers = {1: (den, num), 2: (den * den, num * den, num * num)}
+    g = PolyQ.zero()
     for eq in eqs:
-        c = [coeff(t) for coeff in eq]
-        if c[-1] == 0:
-            continue
-        if len(c) == 2:
-            out.append(-c[0] / c[1])
-        elif c[1] == 0:
-            r = _rational_sqrt(-c[0] / c[2])
-            if r is not None:
-                out.extend([r, -r])
-    return [s for s in out if s != 0]
+        cleared = PolyQ.zero()
+        for c, power in zip(eq, powers[len(eq) - 1]):
+            if not c.is_zero():
+                cleared = cleared + c * power
+        g = poly_gcd(g, cleared)
+    return rational_roots(g, bound=10000) if g.degree >= 1 else []
+
+
+def _solve_s_at(eqs: list, num: PolyQ, den: PolyQ, t: Fraction) -> list:
+    """Nonzero s candidates at t: num(t)/den(t) where den(t) != 0; where
+    both vanish, both rational square roots of each equation in s^2 alone
+    (the last two); otherwise none."""
+    n_t, d_t = num(t), den(t)
+    if d_t != 0:
+        return [n_t / d_t] if n_t != 0 else []
+    if n_t != 0:
+        return []                   # no s solves den(t)*s = num(t)
+    roots = [_rational_sqrt(-c0(t) / c2(t)) for c0, _, c2 in eqs[2:] if c2(t)]
+    return [x for r in roots if r for x in (r, -r)]

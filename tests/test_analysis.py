@@ -328,9 +328,10 @@ def test_analyze_builds_one_series_per_document(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "nilindex: 14" in out and "(sampled): (13, 3)" in out
-    # the wrapper sees the estimate ask again (the CLI binds its own name
-    # for its first ask); only that first ask builds the series
-    assert len(calls) == 1 and len(built) == 1
+    # the wrapper sees the gradation and the estimate ask again (the CLI
+    # binds its own name for its first ask); only that first ask builds
+    # the series
+    assert len(calls) == 2 and len(built) == 1
 
 
 def test_series_memo_dies_with_its_last_holder(monkeypatch):

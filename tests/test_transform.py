@@ -394,16 +394,25 @@ def fracs(text):
     (0, "0,0,0,1", "0,0,0,4", "1,0,2"),
     # s eliminated through the alpha2 equation
     (0, "1/3,-1,1/2,3", "14/11,2,6/11,-24/11", "1,2,2"),
-    # s eliminated by resultants (alpha2 = 0)
+    # s eliminated through the alpha1 equation (alpha2 = 0)
     (0, "0,0,1/2,-2", "-14/9,0,49/54,-98/27", "1,-2,7/3"),
     # root of the gcd at B4 = 1 - A4; the witness keeps B4 = 1
     (1, "1/3,1/3,3,-1/2", "-37/41,-1/5,9/41,27/410", "1,2,1"),
+    # alpha1 rule with num = 0 and den = 1 + t/3: at den's root t = -3,
+    # outside the height-1 grid, B4 comes from the alpha3 equation alone
+    (0, "1,0,1/6,1", "0,0,-4/3,-8", "1,-3,2"),
 ])
 def test_decide_witness_from_each_candidate_source(eps, p, q, witness):
-    out = decide_equivalence(SecondTypeParams(eps, fracs(p), -1),
-                             SecondTypeParams(eps, fracs(q), -1), budget=6)
-    assert isinstance(out, Equivalent)
-    assert (out.witness.A1, out.witness.A4, out.witness.B4) == fracs(witness)
+    p = SecondTypeParams(eps, fracs(p), -1)
+    q = SecondTypeParams(eps, fracs(q), -1)
+    algebra = build_second_type(10, p)
+    for budget in (1, 6):
+        out = decide_equivalence(p, q, budget=budget)
+        assert isinstance(out, Equivalent)
+        g = out.witness
+        assert (g.A1, g.A4, g.B4) == fracs(witness)
+        change = completed_second_type_change(algebra, g)
+        assert extract_second_type(apply_change(algebra, change)) == q
 
 
 @pytest.mark.parametrize("budget", [1, 8])
@@ -440,7 +449,8 @@ def test_decide_beta_zero_branch():
 def verdict_pairs():
     """Seeded (p, q) pairs for the verdict pin: per epsilon, catalog
     sample pairs with agreeing and with differing signatures and mapped
-    pairs (p, map(p, g)), then one pair per elimination path."""
+    pairs (p, map(p, g)), then pairs that take s from the alpha2 equation
+    and from the alpha1 one, with q2 = 0 and q2 != 0."""
     rng = random.Random(14)
     pool = [Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 3)]
     pairs = []
@@ -467,7 +477,7 @@ def verdict_pairs():
             mapped += 1
     for p, q in (("1/3,-1,1/2,3", "14/11,2,6/11,-24/11"),   # alpha2 != 0
                  ("0,0,1,0", "0,1,1,0"),                    # q2 != 0
-                 ("0,0,1/2,-2", "-14/9,0,49/54,-98/27"),    # resultants
+                 ("0,0,1/2,-2", "-14/9,0,49/54,-98/27"),    # alpha1 rule
                  ("1,0,0,0", "3,0,0,0")):   # B4 = 3 from alpha1 alone
         pairs.append((SecondTypeParams(0, fracs(p), -1),
                       SecondTypeParams(0, fracs(q), -1)))
@@ -478,10 +488,10 @@ def test_equivalence_verdicts_are_pinned():
     # sha256 over the verdict reprs at budgets 1 and 6, so a change in any
     # verdict, cited invariant or witness shows
     pairs = verdict_pairs()
-    paths = {("a2" if p.alphas[1] else "q2" if q.alphas[1] else "resultant")
+    paths = {("a2" if p.alphas[1] else "q2" if q.alphas[1] else "alpha1")
              for p, q in pairs if p.epsilon == 0 and p != q
              and nullity_signature(p) == nullity_signature(q)}
-    assert paths == {"a2", "q2", "resultant"}
+    assert paths == {"a2", "q2", "alpha1"}
     assert {p.epsilon for p, _ in pairs} == {0, 1}
     digest = hashlib.sha256()
     kinds = set()
