@@ -61,22 +61,6 @@ class SecondTypeParams:
                 f"alphas ({', '.join(str(a) for a in alphas)})")
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def alpha1(self):
-        return self.alphas[0]
-
-    @property
-    def alpha2(self):
-        return self.alphas[1]
-
-    @property
-    def alpha3(self):
-        return self.alphas[2]
-
-    @property
-    def alpha4(self):
-        return self.alphas[3]
-
 
 #: first-type family id -> the branch, "a" or "b", whose map it follows
 _FIRST_TYPE_BRANCH = {34: "a", 35: "a", 36: "a", 37: "a",
@@ -110,9 +94,7 @@ class FirstTypeParams:
         parameter maps take (alpha1, a2, b2), so the last two swap.
         """
         p1, p2, p3 = self.p
-        if self.branch == "a":
-            return (p1, p2, p3)
-        return (p1, p3, p2)
+        return self.p if self.branch == "a" else (p1, p3, p2)
 
 
 # ----------------------------------------------------------------------
@@ -196,16 +178,14 @@ class CatalogRow:
     family_id: int | None = None   # first type only
     parity: str = "any"            # "any" | "even"
 
-    def param_names(self) -> tuple:
-        return tuple(p.name for p in self.params)
-
     def _values_dict(self, values: Sequence) -> dict:
         values = tuple(_frac(v) for v in values)
-        if len(values) != len(self.params):
+        names = [spec.name for spec in self.params]
+        if len(values) != len(names):
             raise InadmissibleParams(
-                f"row {self.row_id} takes {len(self.params)} parameter(s) "
-                f"({', '.join(self.param_names()) or 'none'}), got {len(values)}")
-        return dict(zip(self.param_names(), values))
+                f"row {self.row_id} takes {len(names)} parameter(s) "
+                f"({', '.join(names) or 'none'}), got {len(values)}")
+        return dict(zip(names, values))
 
     def slot_values(self, values: Sequence) -> tuple:
         env = self._values_dict(values)
@@ -257,15 +237,6 @@ class CatalogRow:
         axes = [spec.sample(free_samples) for spec in self.params]
         return [vals for vals in product(*axes) if not self.violations(vals)]
 
-    def describe(self) -> str:
-        sub = "(" + ", ".join(_slot_text(s) for s in self.slots) + ")"
-        bits = [f"row {self.row_id}", f"label {self.family_label}", sub]
-        for spec in self.params:
-            bits.append(f"{spec.name} in {spec.describe()}")
-        if self.parity == "even":
-            bits.append("even dim only")
-        return "; ".join(bits)
-
 
 def slot_uses_inv2(slots) -> bool:
     return any(s[0] == "inv2" for s in slots)
@@ -279,20 +250,10 @@ def _M(name: str, c=1) -> tuple:
     return ("mul", Q(c), name)
 
 
-def _lam(*, finite=None, excluded=()) -> ParamSpec:
-    return ParamSpec("lambda",
+def _spec(name: str, *, finite=None, excluded=()) -> ParamSpec:
+    return ParamSpec(name,
                      None if finite is None else tuple(Q(v) for v in finite),
                      tuple(Q(v) for v in excluded))
-
-
-def _mu(*, finite=None, excluded=()) -> ParamSpec:
-    return ParamSpec("mu",
-                     None if finite is None else tuple(Q(v) for v in finite),
-                     tuple(Q(v) for v in excluded))
-
-
-def _gam(*, excluded=()) -> ParamSpec:
-    return ParamSpec("gamma", None, tuple(Q(v) for v in excluded))
 
 
 def _second(row_id, slots, params=(), *, epsilon, beta=Q(-1), label=None):
@@ -312,22 +273,25 @@ def _first(family_id, slots, params=()):
 CATALOG_ROWS: tuple = (
     # beta = 0 row: everything beyond the chain vanishes
     _second("0,1", (_C(0), _C(0), _C(0), _C(0)), epsilon=0, beta=0),
-    _second("0,2", (_C(0), _C(0), _C(0), _M("lambda")), (_lam(finite=(0, 1)),),
+    _second("0,2", (_C(0), _C(0), _C(0), _M("lambda")),
+            (_spec("lambda", finite=(0, 1)),), epsilon=0),
+    _second("0,3", (_C(1), _C(0), _C(0), _M("lambda")), (_spec("lambda"),),
             epsilon=0),
-    _second("0,3", (_C(1), _C(0), _C(0), _M("lambda")), (_lam(),), epsilon=0),
-    _second("0,4", (_C(1), _C(0), _C(Q(1, 4)), _M("lambda")), (_lam(),),
+    _second("0,4", (_C(1), _C(0), _C(Q(1, 4)), _M("lambda")),
+            (_spec("lambda"),), epsilon=0),
+    _second("0,5", (_C(0), _C(0), _C(1), _M("lambda")), (_spec("lambda"),),
             epsilon=0),
-    _second("0,5", (_C(0), _C(0), _C(1), _M("lambda")), (_lam(),), epsilon=0),
-    _second("0,6a", (_C(0), _C(1), _C(0), _M("lambda")), (_lam(finite=(0, 1)),),
-            epsilon=0, label="0,6"),
+    _second("0,6a", (_C(0), _C(1), _C(0), _M("lambda")),
+            (_spec("lambda", finite=(0, 1)),), epsilon=0, label="0,6"),
     _second("0,6b", (_M("mu"), _C(1), _C(0), _M("lambda")),
-            (_lam(), _mu(finite=(1, 2))), epsilon=0, label="0,6"),
+            (_spec("lambda"), _spec("mu", finite=(1, 2))), epsilon=0,
+            label="0,6"),
     _second("0,7", (_C(0), _C(1), _M("mu"), _M("lambda")),
-            (_lam(), _mu(excluded=(0,))), epsilon=0),
+            (_spec("lambda"), _spec("mu", excluded=(0,))), epsilon=0),
     _second("0,8", (_M("lambda", -2), _C(1), _M("lambda", -1), _C(2)),
-            (_lam(finite=(-2, Q(-4, 3))),), epsilon=0),
+            (_spec("lambda", finite=(-2, Q(-4, 3))),), epsilon=0),
     _second("0,9", (_M("lambda", 2), _C(1), _M("lambda"), _C(0)),
-            (_lam(excluded=(0, 1)),), epsilon=0),
+            (_spec("lambda", excluded=(0, 1)),), epsilon=0),
     _second("0,10a", (_C(1), _C(1), _C(Q(1, 4)), _C(Q(1, 4))), epsilon=0,
             label="0,10"),
     _second("0,10b", (_C(1), _C(1), _C(Q(1, 4)), _C(Q(1, 2))), epsilon=0,
@@ -335,72 +299,80 @@ CATALOG_ROWS: tuple = (
     _second("0,10c", (_C(2), _C(1), _C(1), _C(1)), epsilon=0, label="0,10"),
     _second("0,10d", (_C(2), _C(1), _C(1), _C(0)), epsilon=0, label="0,10"),
     _second("0,11", (_C(1), _M("lambda"), _C(Q(1, 4)), _C(0)),
-            (_lam(excluded=(0, Q(1, 2))),), epsilon=0),
+            (_spec("lambda", excluded=(0, Q(1, 2))),), epsilon=0),
 
-    _second("1,2", (_C(0), _C(0), _C(0), _M("lambda")), (_lam(finite=(0, 1)),),
+    _second("1,2", (_C(0), _C(0), _C(0), _M("lambda")),
+            (_spec("lambda", finite=(0, 1)),), epsilon=1),
+    _second("1,3", (_C(1), _C(0), _C(0), _M("lambda")), (_spec("lambda"),),
             epsilon=1),
-    _second("1,3", (_C(1), _C(0), _C(0), _M("lambda")), (_lam(),), epsilon=1),
-    _second("1,4", (_C(1), _C(0), _C(Q(1, 4)), _M("lambda")), (_lam(),),
-            epsilon=1),
-    _second("1,6", (_M("mu"), _C(1), _C(0), _M("lambda")), (_lam(), _mu()),
-            epsilon=1),
+    _second("1,4", (_C(1), _C(0), _C(Q(1, 4)), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
+    _second("1,6", (_M("mu"), _C(1), _C(0), _M("lambda")),
+            (_spec("lambda"), _spec("mu")), epsilon=1),
     _second("1,7", (_C(0), _M("gamma"), _M("mu"), _M("lambda")),
-            (_lam(), _gam(excluded=(0,)), _mu(excluded=(0,))), epsilon=1),
+            (_spec("lambda"), _spec("gamma", excluded=(0,)),
+             _spec("mu", excluded=(0,))), epsilon=1),
     _second("1,9", (_M("lambda", -2), _C(1), _M("lambda"), _M("mu")),
-            (_lam(excluded=(0, 1)), _mu()), epsilon=1),
+            (_spec("lambda", excluded=(0, 1)), _spec("mu")), epsilon=1),
     _second("1,11", (_M("lambda"), _C(1), ("sq4", "lambda"), _M("mu")),
-            (_lam(excluded=(-2, 0)), _mu()), epsilon=1),
-    _second("1,12", (_C(-1), _C(0), _C(0), _M("lambda")), (_lam(finite=(0, 1)),),
+            (_spec("lambda", excluded=(-2, 0)), _spec("mu")), epsilon=1),
+    _second("1,12", (_C(-1), _C(0), _C(0), _M("lambda")),
+            (_spec("lambda", finite=(0, 1)),), epsilon=1),
+    _second("1,13", (_C(-2), _C(0), _C(1), _M("lambda")), (_spec("lambda"),),
             epsilon=1),
-    _second("1,13", (_C(-2), _C(0), _C(1), _M("lambda")), (_lam(),), epsilon=1),
-    _second("1,14", (_C(-4), _C(0), _C(2), _M("lambda")), (_lam(),), epsilon=1),
-    _second("1,15", (_C(0), _C(0), _C(-1), _M("lambda")), (_lam(),), epsilon=1),
-    _second("1,16", (_C(-2), _C(0), _C(-1), _M("lambda")), (_lam(),),
+    _second("1,14", (_C(-4), _C(0), _C(2), _M("lambda")), (_spec("lambda"),),
             epsilon=1),
-    _second("1,17", (_C(0), _C(-1), _C(0), _M("lambda")), (_lam(finite=(0, 1)),),
+    _second("1,15", (_C(0), _C(0), _C(-1), _M("lambda")), (_spec("lambda"),),
             epsilon=1),
-    _second("1,18", (_C(-1), _C(-1), _C(0), _M("lambda")), (_lam(),),
-            epsilon=1),
+    _second("1,16", (_C(-2), _C(0), _C(-1), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
+    _second("1,17", (_C(0), _C(-1), _C(0), _M("lambda")),
+            (_spec("lambda", finite=(0, 1)),), epsilon=1),
+    _second("1,18", (_C(-1), _C(-1), _C(0), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
     _second("1,19", (_C(-2), _C(-1), _C(0), _C(1)), epsilon=1),
     _second("1,20", (_C(1), _C(-1), _C(0), _M("lambda")),
-            (_lam(excluded=(Q(-1, 2),)),), epsilon=1),
-    _second("1,21", (_C(1), _C(Q(1, 3)), _C(0), _M("lambda")), (_lam(),),
-            epsilon=1),
+            (_spec("lambda", excluded=(Q(-1, 2),)),), epsilon=1),
+    _second("1,21", (_C(1), _C(Q(1, 3)), _C(0), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
     _second("1,22", (_C(-2), _C(-1), _C(1), _M("lambda")),
-            (_lam(finite=(0, 1)),), epsilon=1),
-    _second("1,23", (_C(1), _C(Q(1, 2)), _C(Q(1, 4)), _M("lambda")), (_lam(),),
-            epsilon=1),
-    _second("1,24", (_C(-4), _C(-1), _C(2), _M("lambda")), (_lam(),),
-            epsilon=1),
-    _second("1,25", (_C(-3), _C(Q(-4, 3)), _C(2), _M("lambda")), (_lam(),),
-            epsilon=1),
-    _second("1,26", (_C(Q(2, 5)), _C(2), _C(Q(2, 5)), _M("lambda")), (_lam(),),
-            epsilon=1),
+            (_spec("lambda", finite=(0, 1)),), epsilon=1),
+    _second("1,23", (_C(1), _C(Q(1, 2)), _C(Q(1, 4)), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
+    _second("1,24", (_C(-4), _C(-1), _C(2), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
+    _second("1,25", (_C(-3), _C(Q(-4, 3)), _C(2), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
+    _second("1,26", (_C(Q(2, 5)), _C(2), _C(Q(2, 5)), _M("lambda")),
+            (_spec("lambda"),), epsilon=1),
     _second("1,27", (("inv2", "lambda"), _M("lambda"), _C(1), _M("mu")),
-            (_lam(excluded=(-1, 0, 1)), _mu()), epsilon=1),
+            (_spec("lambda", excluded=(-1, 0, 1)), _spec("mu")), epsilon=1),
     _second("1,28", (_C(Q(8, 5)), _C(Q(1, 2)), _C(Q(-4, 5)), _M("lambda")),
-            (_lam(),), epsilon=1),
+            (_spec("lambda"),), epsilon=1),
     _second("1,29", (_M("lambda"), _C(-1), ("sq4", "lambda"), _C(0)),
-            (_lam(excluded=(-2, 0)),), epsilon=1),
+            (_spec("lambda", excluded=(-2, 0)),), epsilon=1),
     _second("1,30", (_C(1), _C(-1), _C(Q(1, 4)), _M("lambda")),
-            (_lam(finite=(Q(-1, 2), Q(1, 4))),), epsilon=1),
-    _second("1,31", (_C(-8), _C(2), _C(16), _M("lambda")), (_lam(),),
+            (_spec("lambda", finite=(Q(-1, 2), Q(1, 4))),), epsilon=1),
+    _second("1,31", (_C(-8), _C(2), _C(16), _M("lambda")), (_spec("lambda"),),
             epsilon=1),
     _second("1,32", (_C(-2), _M("lambda"), _C(1), _C(0)),
-            (_lam(excluded=(-1, 0)),), epsilon=1),
+            (_spec("lambda", excluded=(-1, 0)),), epsilon=1),
     _second("1,33", (_C(-2), _C(1), _C(1), _M("lambda")),
-            (_lam(finite=(-1, 1)),), epsilon=1),
+            (_spec("lambda", finite=(-1, 1)),), epsilon=1),
 
-    _first(34, (_C(0), _M("lambda"), _C(0)), (_lam(),)),
+    _first(34, (_C(0), _M("lambda"), _C(0)), (_spec("lambda"),)),
     _first(35, (_M("mu"), _M("lambda"), _C(1)),
-           (_lam(finite=(0, 1)), _mu(finite=(0, 1)))),
-    _first(36, (_C(1), _M("lambda"), _C(0)), (_lam(finite=(-1, 0)),)),
-    _first(37, (_C(1), _M("lambda"), _C(2)), (_lam(),)),
-    _first(38, (_C(0), _C(0), _M("lambda")), (_lam(),)),
-    _first(39, (_C(0), _C(1), _M("lambda")), (_lam(finite=(-1, 0)),)),
+           (_spec("lambda", finite=(0, 1)), _spec("mu", finite=(0, 1)))),
+    _first(36, (_C(1), _M("lambda"), _C(0)),
+           (_spec("lambda", finite=(-1, 0)),)),
+    _first(37, (_C(1), _M("lambda"), _C(2)), (_spec("lambda"),)),
+    _first(38, (_C(0), _C(0), _M("lambda")), (_spec("lambda"),)),
+    _first(39, (_C(0), _C(1), _M("lambda")),
+           (_spec("lambda", finite=(-1, 0)),)),
     _first(40, (_C(1), _M("lambda"), _M("mu")),
-           (_lam(finite=(0, 1)), _mu())),
-    _first(41, (_C(1), _C(-1), _M("lambda")), (_lam(finite=(-1, 0)),)),
+           (_spec("lambda", finite=(0, 1)), _spec("mu"))),
+    _first(41, (_C(1), _C(-1), _M("lambda")),
+           (_spec("lambda", finite=(-1, 0)),)),
 )
 
 _ROWS_BY_ID = {row.row_id: row for row in CATALOG_ROWS}
@@ -423,19 +395,15 @@ def rows_by_label(label: str) -> tuple:
 # ----------------------------------------------------------------------
 # building
 
-class _TableBuilder:
-    """Collects each cell's (k, c) terms as they are laid down;
-    ``StructureTensor`` merges repeated targets, drops zeros and sorts."""
+def _put(cells: dict, i: int, j: int, *terms):
+    """Lay (k, c) terms down in cell (i, j); ``StructureTensor`` merges
+    repeated targets, drops zeros and sorts."""
+    cells.setdefault((i, j), []).extend(terms)
 
-    def __init__(self, n: int):
-        self.n = n
-        self.cells: dict = {}
 
-    def put(self, i, j, *terms):
-        self.cells.setdefault((i, j), []).extend(terms)
-
-    def tensor(self, name=None) -> StructureTensor:
-        return StructureTensor(self.n, self.cells, name)
+def _chain(n: int, skip: int) -> dict:
+    """The cells [e_i, e_1] = e_{i+1} for i = 1..n-1 other than skip."""
+    return {(i, 1): [(i + 1, 1)] for i in range(1, n) if i != skip}
 
 
 def build_second_type(n: int, params: SecondTypeParams,
@@ -461,39 +429,33 @@ def build_second_type(n: int, params: SecondTypeParams,
         raise InadmissibleParams(
             f"no catalog row has epsilon={params.epsilon}, "
             f"alphas={params.alphas}, beta={beta}")
-    t = _TableBuilder(n)
-    _chain_products(t, n, 3)
-    t.put(1, 4, (2, a1), (5, beta))
-    t.put(2, 4, (3, a2))
-    t.put(4, 4, (2, a3))
-    t.put(5, 4, (3, a4))
-    t.put(1, 5, (3, a1 - a2), (6, beta))
-    t.put(4, 5, (3, a3 - a4))
+    cells = _chain(n, 3)
+    _put(cells, 1, 4, (2, a1), (5, beta))
+    _put(cells, 2, 4, (3, a2))
+    _put(cells, 4, 4, (2, a3))
+    _put(cells, 5, 4, (3, a4))
+    _put(cells, 1, 5, (3, a1 - a2), (6, beta))
+    _put(cells, 4, 5, (3, a3 - a4))
     for i in range(6, n):
-        t.put(1, i, (i + 1, beta))
+        _put(cells, 1, i, (i + 1, beta))
     if params.epsilon == 1:
         for i in range(4, n):
-            t.put(i, n + 3 - i, (n, Q(-1) if i % 2 else Q(1)))
+            _put(cells, i, n + 3 - i, (n, Q(-1) if i % 2 else Q(1)))
     label = params.family_label
     name = f"l({label})" if label else "second-type"
-    return t.tensor(f"{name} n={n}")
+    return StructureTensor(n, cells, f"{name} n={n}")
 
 
 def find_second_type_row(params: SecondTypeParams):
     """The (row, values) pair whose slots reproduce these parameters, or
     None.  Rows are scanned in printed order; values are solved from the
     first linear slot of each parameter and then verified everywhere."""
-    for row in CATALOG_ROWS:
-        if row.kind != "second":
-            continue
+    for row in CATALOG_ROWS:       # first-type rows have epsilon None
         if row.epsilon != params.epsilon or row.beta != params.beta:
             continue
         values = _solve_row_values(row, params.alphas)
-        if values is None:
-            continue
-        if row.violations(values):
-            continue
-        return row, values
+        if values is not None and not row.violations(values):
+            return row, values
     return None
 
 
@@ -516,45 +478,40 @@ def _solve_row_values(row: CatalogRow, targets: tuple):
     return values
 
 
-def _chain_products(t: _TableBuilder, n: int, skip: int):
-    for i in range(1, n):
-        if i != skip:
-            t.put(i, 1, (i + 1, 1))
+def _type1_cells(n: int, *params) -> tuple:
+    """The cells both first-type shapes share, with the three parameters
+    as fractions: the chain with its gap at n-3, and [e_i, e_{n-2}] =
+    alpha1*e_{i+1} for i = 1..n-4."""
+    if n < 9:
+        raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
+    p = tuple(_frac(x) for x in params)
+    cells = _chain(n, n - 3)
+    for i in range(1, n - 3):
+        _put(cells, i, n - 2, (i + 1, p[0]))
+    return cells, p
 
 
 def build_type1_branch_a(n: int, alpha1, alpha2, beta2,
                          name: str | None = None) -> StructureTensor:
     """First-type shape where e_{n-1} right-annihilates everything."""
-    if n < 9:
-        raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
-    a1, a2, b2 = _frac(alpha1), _frac(alpha2), _frac(beta2)
-    t = _TableBuilder(n)
-    _chain_products(t, n, n - 3)
-    t.put(1, n - 2, (2, a1), (n - 1, a2))
-    t.put(2, n - 2, (3, a1), (n, a2))
-    for i in range(3, n - 3):
-        t.put(i, n - 2, (i + 1, a1))
-    t.put(n - 2, n - 2, (n - 1, b2))
-    t.put(n - 1, n - 2, (n, b2))
-    return t.tensor(name or f"type1a({a1},{a2},{b2}) n={n}")
+    cells, (a1, a2, b2) = _type1_cells(n, alpha1, alpha2, beta2)
+    _put(cells, 1, n - 2, (n - 1, a2))
+    _put(cells, 2, n - 2, (n, a2))
+    _put(cells, n - 2, n - 2, (n - 1, b2))
+    _put(cells, n - 1, n - 2, (n, b2))
+    return StructureTensor(n, cells, name or f"type1a({a1},{a2},{b2}) n={n}")
 
 
 def build_type1_branch_b(n: int, alpha1, a2, b2,
                          name: str | None = None) -> StructureTensor:
     """First-type shape with [e_1, e_{n-2}] = alpha1*e_2 - e_{n-1}."""
-    if n < 9:
-        raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
-    al, a, b = _frac(alpha1), _frac(a2), _frac(b2)
-    t = _TableBuilder(n)
-    _chain_products(t, n, n - 3)
-    t.put(1, n - 2, (2, al), (n - 1, -1))
-    t.put(2, n - 2, (3, al), (n, -(1 + a)))
-    for i in range(3, n - 3):
-        t.put(i, n - 2, (i + 1, al))
-    t.put(n - 1, n - 2, (n, -b))
-    t.put(1, n - 1, (n, a))
-    t.put(n - 2, n - 1, (n, b))
-    return t.tensor(name or f"type1b({al},{a},{b}) n={n}")
+    cells, (al, a, b) = _type1_cells(n, alpha1, a2, b2)
+    _put(cells, 1, n - 2, (n - 1, -1))
+    _put(cells, 2, n - 2, (n, -(1 + a)))
+    _put(cells, n - 1, n - 2, (n, -b))
+    _put(cells, 1, n - 1, (n, a))
+    _put(cells, n - 2, n - 1, (n, b))
+    return StructureTensor(n, cells, name or f"type1b({al},{a},{b}) n={n}")
 
 
 def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
@@ -562,18 +519,17 @@ def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
         raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
     row = row_by_id(str(params.family_id))
     values = _solve_row_values(row, params.p)
-    if values is None or row.violations(values, n):
+    problems = (row.violations(values, n) if values is not None else
+                ["subscript does not match the pattern "
+                 f"({', '.join(_slot_text(s) for s in row.slots)})"])
+    if problems:
         raise InadmissibleParams(
             f"subscript {params.p} is not admissible for family "
-            f"{params.family_id}: " + "; ".join(
-                row.violations(values, n) if values is not None
-                else [f"subscript does not match the pattern "
-                      f"({', '.join(_slot_text(s) for s in row.slots)})"]))
-    name = f"l({params.family_id}){params.p} n={n}"
-    bp = params.branch_params()
-    if params.branch == "a":
-        return build_type1_branch_a(n, *bp, name=name)
-    return build_type1_branch_b(n, *bp, name=name)
+            f"{params.family_id}: " + "; ".join(problems))
+    build = (build_type1_branch_a if params.branch == "a"
+             else build_type1_branch_b)
+    return build(n, *params.branch_params(),
+                 name=f"l({params.family_id}){params.p} n={n}")
 
 
 # ----------------------------------------------------------------------
@@ -692,24 +648,24 @@ def build_construction_stage(n: int, alphas: Sequence,
     if len(betas) < n:
         raise InadmissibleParams(f"betas must cover subscripts 1..{n - 1}")
     a1, a2, a3, a4 = alphas
-    t = _TableBuilder(n)
-    _chain_products(t, n, 3)
-    t.put(1, 4, (2, a1), (5, betas[1]))
-    t.put(2, 4, (3, a2), (6, betas[2]))
-    t.put(3, 4, (7, betas[3]))
-    t.put(4, 4, (2, a3), (5, betas[4]))
-    t.put(5, 4, (3, a4), (6, betas[5]))
+    cells = _chain(n, 3)
+    _put(cells, 1, 4, (2, a1), (5, betas[1]))
+    _put(cells, 2, 4, (3, a2), (6, betas[2]))
+    _put(cells, 3, 4, (7, betas[3]))
+    _put(cells, 4, 4, (2, a3), (5, betas[4]))
+    _put(cells, 5, 4, (3, a4), (6, betas[5]))
     for i in range(6, n):
-        t.put(i, 4, (i + 1, betas[i]))
+        _put(cells, i, 4, (i + 1, betas[i]))
 
     # [e_k, e_1] = e_{k+1} except for k = 3 and k = n, so the left term
     # shifts [e_i, e_{j-1}] up by one and the right term is [e_{i+1}, e_{j-1}]
     for j in range(5, n + 1):
-        prev = StructureTensor(n, {key: terms for key, terms in t.cells.items()
+        prev = StructureTensor(n, {key: terms for key, terms in cells.items()
                                    if key[1] == j - 1}).table   # merged
         for i in range(1, n + 1):
             left = prev.get((i, j - 1), ())
             right = prev.get((i + 1, j - 1), ()) if i != 3 and i < n else ()
-            t.put(i, j, *((k + 1, c) for k, c in left if k != 3 and k < n),
-                  *((k, -c) for k, c in right))
-    return t.tensor(f"construction-stage n={n}")
+            _put(cells, i, j,
+                 *((k + 1, c) for k, c in left if k != 3 and k < n),
+                 *((k, -c) for k, c in right))
+    return StructureTensor(n, cells, f"construction-stage n={n}")

@@ -25,7 +25,9 @@ the first matching equation that is linear in s.  It feeds both steps:
 A4 runs over 0 and the rational roots of the equations cleared at
 s = num/den, and B4 at each such A4 is num/den there, or comes from the
 equations in s^2 alone where num and den both vanish.  Its docstring
-says why no rational witness is lost.  The search budget bounds only the
+says why no other A4 need be tried.  A linear gcd gives its root at any
+height; a gcd of higher degree is searched only for roots with numerator
+and denominator at most 10,000.  The search budget bounds only the
 epsilon = 0 height grid that follows.
 
 ``parse_change`` and ``serialize_change`` read and write change documents
@@ -513,7 +515,10 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     back on a grid of heights up to ``budget`` (at most 8); anything else
     is Unknown.
 
-    Why no rational witness is missed before the grid:
+    Why no rational witness is missed before the grid, up to one bound:
+    a linear gcd's root is taken at any height, but a gcd of higher
+    degree is searched only for roots with numerator and denominator at
+    most 10,000, so a witness beyond that can be missed.
 
     * every witness satisfies den(t)*s = num(t), so where den(t) != 0 its
       s is num(t)/den(t) and t is a common root of the cleared equations;
@@ -589,7 +594,10 @@ def _s_rule(epsilon: int, eqs: list) -> tuple:
 def _cleared_roots(eqs: list, num: PolyQ, den: PolyQ) -> list:
     """Rational roots of the gcd of the equations cleared at s = num/den,
     each the sum of c_k num^k den^(d-k) over its nonzero coefficients;
-    none when that gcd is constant or every cleared equation is zero."""
+    none when that gcd is constant or every cleared equation is zero.  A
+    linear gcd gives its root directly, at any height; a higher-degree
+    one is searched for roots with numerator and denominator at most
+    10,000."""
     powers = {1: (den, num), 2: (den * den, num * den, num * num)}
     g = PolyQ.zero()
     for eq in eqs:
@@ -598,6 +606,8 @@ def _cleared_roots(eqs: list, num: PolyQ, den: PolyQ) -> list:
             if not c.is_zero():
                 cleared = cleared + c * power
         g = poly_gcd(g, cleared)
+    if g.degree == 1:
+        return [-g.coeffs[0] / g.coeffs[1]]
     return rational_roots(g, bound=10000) if g.degree >= 1 else []
 
 

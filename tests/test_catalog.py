@@ -231,6 +231,28 @@ def test_index_document():
     assert by_id["1,2"]["parity"] == "even"
 
 
+def test_index_document_bytes_are_pinned():
+    digest = hashlib.sha256(catalog_index_document().encode()).hexdigest()
+    assert digest == (
+        "8829d6e7be9d53ef48b642d49c4b410acd5526999c3ec1446ae1a5ee05aa03f2")
+
+
+def test_violation_texts_are_pinned():
+    # every row over its sample grid and three more values, at n = 8, 9, 10
+    digest = hashlib.sha256()
+    count = 0
+    for row in CATALOG_ROWS:
+        extra = [(Fraction(v),) * len(row.params) for v in ("3", "-1/2", "0")]
+        grid = dict.fromkeys(row.sample_grid(DEFAULT_FREE_SAMPLES) + extra)
+        for values in grid:
+            for n in (8, 9, 10):
+                digest.update(repr(row.violations(values, n)).encode())
+                count += 1
+    assert count == 1338
+    assert digest.hexdigest() == (
+        "e8450e4fbcf1b6b2d2b655597e41bbe01160d5aef923a8ea991d6a240b046ad3")
+
+
 # ----------------------------------------------------------------------
 # mid-construction shape
 

@@ -401,6 +401,14 @@ def fracs(text):
     # alpha1 rule with num = 0 and den = 1 + t/3: at den's root t = -3,
     # outside the height-1 grid, B4 comes from the alpha3 equation alone
     (0, "1,0,1/6,1", "0,0,-4/3,-8", "1,-3,2"),
+    # a linear gcd whose root A4 = 10007 lies above the divisor bound of
+    # the higher-degree root search
+    (0, "1,1,2,1",
+     "200145/200290106,5/10008,25/100145053,500375/2004503380848",
+     "1,10007,5"),
+    (1, "1,1,2,1",
+     "-200265087/100145053,-5003/5004,100120036/100145053,"
+     "500975630135/501125845212", "1,10007,1"),
 ])
 def test_decide_witness_from_each_candidate_source(eps, p, q, witness):
     p = SecondTypeParams(eps, fracs(p), -1)
