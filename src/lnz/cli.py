@@ -4,11 +4,17 @@ Exit codes: 0 success (or Equivalent), 1 for a failed check or a Distinct
 verdict, 2 for inadmissible parameters, 3 for an Unknown equivalence
 verdict, 64 for usage errors, 65 for malformed documents, 141 (128 +
 SIGPIPE) when the reader of standard output goes away, as in ``| head``.
+
+``main(argv)`` may be called any number of times in one process; it builds
+the argument parser on the first call and reuses it, and each call parses
+into a fresh namespace.  A shell invocation makes one call, so it runs as
+before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +52,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """argparse type of every ``--budget``: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -267,7 +285,10 @@ def cmd_verify_all(args) -> int:
 # ----------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built once per process and shared by every
+    ``main`` call, so nothing may change it after it is built."""
     parser = _Parser(prog="lnz",
                      description="Exact-arithmetic toolkit for naturally "
                                  "graded Leibniz algebras given by structure "
@@ -283,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="central series, gradation, characteristic "
                             "sequence, right annihilator")
     p.add_argument("file", help="algebra document")
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=_budget, default=200,
                    help="sample count for the characteristic sequence")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
@@ -316,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--p", required=True, help="alpha1,alpha2,alpha3,alpha4")
     p.add_argument("--q", required=True, help="alpha1,alpha2,alpha3,alpha4")
-    p.add_argument("--budget", type=int, default=6,
+    p.add_argument("--budget", type=_budget, default=6,
                    help="height bound (at most 8) of the epsilon = 0 "
                         "witness grid; epsilon = 1 searches roots only")
     p.set_defaults(func=cmd_equiv)
@@ -325,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="9,10")
     p.add_argument("--samples", default=None,
                    help="comma list of values for free parameters")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_budget, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the structured report here")
     p.set_defaults(func=cmd_verify_all)

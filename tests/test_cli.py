@@ -23,6 +23,7 @@ from lnz import (
     serialize,
     serialize_change,
 )
+from lnz import cli
 from lnz.cli import main
 
 
@@ -59,6 +60,47 @@ def test_missing_input_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 64
     assert "cannot read" in err
+
+
+# ----------------------------------------------------------------------
+# repeated calls in one process
+
+
+def test_main_builds_one_parser_per_process(capsys, chain_doc, monkeypatch):
+    tops = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tops.append(kwargs.get("prog") == "lnz")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (["check", str(chain_doc)], ["analyze", str(chain_doc)],
+                 ["bogus"]):
+        main(argv)
+    capsys.readouterr()
+    assert tops.count(True) == 1
+
+
+def test_in_process_calls_match_fresh_processes(capsys, chain_doc,
+                                                monkeypatch):
+    # the shared parser carries nothing from one call to the next: each
+    # call prints the bytes and exits with the code of a fresh process
+    monkeypatch.delenv("LNZ_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(lnz.__file__).parents[1])}
+    doc = str(chain_doc)
+    for argv in (["analyze", doc, "--budget", "5", "--seed", "3"],
+                 ["analyze", doc], ["check"], ["check", doc],
+                 ["--help"], ["--help"], ["analyze", "--help"], ["bogus"],
+                 []):
+        code, out, err = run(capsys, *argv)
+        done = subprocess.run([sys.executable, "-m", "lnz.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+        assert (code, out, err) == (done.returncode, done.stdout,
+                                    done.stderr), argv
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +301,16 @@ def test_analyze_seed_env(capsys, chain_doc, monkeypatch):
     code, _, err = run(capsys, "analyze", str(chain_doc), "--budget", "5")
     assert code == 64
     assert "LNZ_SEED" in err
+
+
+def test_analyze_rejects_negative_budget(capsys, chain_doc):
+    code, out, err = run(capsys, "analyze", str(chain_doc), "--budget", "-1")
+    assert code == 64
+    assert out == ""
+    assert "argument --budget: must be at least 0, got -1" in err
+    code, out, _ = run(capsys, "analyze", str(chain_doc), "--budget", "0")
+    assert code == 0
+    assert "characteristic sequence (sampled): (6, 3)" in out
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +557,18 @@ def test_equiv_rejects_bad_tuples(capsys):
     assert "--p" in err
 
 
+def test_equiv_rejects_negative_budget(capsys):
+    argv = ("equiv", "--epsilon", "0", "--dim", "9", "--p", "1,0,0,1",
+            "--q", "2,0,0,4", "--budget")
+    code, out, err = run(capsys, *argv, "-3")
+    assert code == 64
+    assert out == ""
+    assert "argument --budget: must be at least 0, got -3" in err
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0
+    assert out.splitlines()[0] == "Equivalent"
+
+
 def test_equiv_explicit_beta(capsys):
     code, out, _ = run(capsys, "equiv", "--epsilon", "0", "--dim", "9",
                        "--p", "0,0,0,0,0", "--q", "0,0,0,0,0")
@@ -540,3 +604,10 @@ def test_verify_all_rejects_small_dims(capsys):
 def test_verify_all_rejects_bad_dims_list(capsys):
     code, _, err = run(capsys, "verify-all", "--dims", "nine")
     assert code == 64
+
+
+def test_verify_all_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "verify-all", "--dims", "9", "--budget", "-1")
+    assert code == 64
+    assert out == ""
+    assert "argument --budget: must be at least 0, got -1" in err
