@@ -7,25 +7,25 @@ vector in column i.
 
 Spans, ranks, inverses and Jordan block profiles all go through one
 elimination kernel, ``_reduce``, on sparse integer rows ({column: int}).
-Rational input is scaled once by the lcm of its denominators, which
-changes no span and no block profile.  Reduction cross-multiplies
-(fraction-free, in the spirit of Bareiss 1968) and divides each finished
-row by its gcd, so entries stay small and zero cells cost nothing.
-``rank``, ``nilpotent_block_sizes`` and ``EchelonSpan`` sit directly on
-it; ``rref``, ``kernel_basis`` and ``invert`` go through ``EchelonSpan``.
-Above it, one integer layout of the structure table, the cells by left
-index (``algebra._integer_cells``), and one product of an integer row
-with the basis (``algebra._times_basis``) serve the Leibniz residual,
-``transform.apply_change``, the derived span, the central series, the
-right multiplications of the characteristic sequence, the gradation and
-the right annihilator.  ``_int_rows`` scales rows, and ``apply_change``
-reads matrix columns through it too.
-``EchelonSpan.reduced_rows`` is the one back-substitution: it returns the
-rows reduced in integers, canonical for the span, and ``basis()`` is
-their ``Fraction`` view, the canonical RREF.  The central series keeps
-those integer rows and builds ``Vec``s from them on demand in two places:
-``CentralSeries.terms`` on first read, and the n section representatives
-of ``natural_gradation``.  The polynomial code below is separate.
+Rational input is scaled once by the lcm of its denominators
+(``_int_rows``), which changes no span and no block profile.  Reduction
+cross-multiplies (fraction-free, in the spirit of Bareiss 1968) and
+divides each finished row by its gcd, so entries stay small and zero
+cells cost nothing.  ``_reduced_rows`` is the one back-substitution, to
+integer rows canonical for the span; ``EchelonSpan.basis()`` is their
+``Fraction`` view, the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
+and ``EchelonSpan`` sit on the kernel; ``rref`` and ``kernel_basis`` go
+through ``EchelonSpan``.  ``_inverse_columns`` reduces [M^T | I] to the
+columns of M^-1 as integer rows over one scale, which ``invert`` views as
+a ``MatrixQ`` and ``transform.BasisChange`` keeps for ``apply_change``.
+Above the kernel, one integer layout of the structure table, the cells by
+left index (``algebra._integer_cells``), and one product of an integer
+row with the basis (``algebra._times_basis``) serve the Leibniz residual,
+the generated changes, ``apply_change``, the derived span, the central
+series, the right multiplications of the characteristic sequence, the
+gradation and the right annihilator.  The central series keeps reduced
+integer rows and builds ``Vec``s from them on demand.  The polynomial
+code below is separate.
 """
 
 from __future__ import annotations
@@ -193,6 +193,22 @@ def _echelon(rows) -> dict:
     return ech
 
 
+def _reduced_rows(ech: dict) -> list:
+    """The one back-substitution: echelon rows ``ech`` (pivot -> row)
+    reduced in integers, by pivot.  Each row is zero at every other pivot,
+    divided by its gcd and positive at its pivot: canonical for the span."""
+    reduced: dict = {}
+    for p in sorted(ech, reverse=True):
+        row = ech[p]
+        for q in [c for c in row if c != p and c in reduced]:
+            row = _eliminate(row, reduced[q], q)[1]
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        reduced[p] = {c: x // g for c, x in row.items()} if g != 1 else row
+    return [reduced[p] for p in sorted(reduced)]
+
+
 def rank(m: MatrixQ) -> int:
     """Rank of a rational matrix, computed without ever leaving the integers."""
     return len(_echelon(_int_rows(m.row(r) for r in range(m.rows))[1]))
@@ -270,13 +286,32 @@ def invert(m: MatrixQ):
     """Inverse over Q, or None when the matrix is singular."""
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    n = m.rows
-    # the RREF of [M | I] is [I | M^-1] exactly when M is invertible
-    span = EchelonSpan(2 * n, ({**{c: x for c, x in enumerate(m.row(i)) if x},
-                                n + i: 1} for i in range(n)))
-    if span.pivots() != tuple(range(n)):
+    inverse = _inverse_columns(*_int_rows(m.column(c) for c in range(m.cols)))
+    return None if inverse is None else _matrix_of_columns(*inverse)
+
+
+def _inverse_columns(scale: int, cols: list):
+    """M^-1 as ``(scale, columns)``, or None when M is singular, for M given
+    the same way (column c is the integer row ``cols[c]`` over ``scale``).
+    The RREF of an invertible [M^T | I] is [I | (M^T)^-1], whose rows are
+    the columns of M^-1, each over its pivot entry."""
+    n = len(cols)
+    ech = _echelon({**col, n + c: 1} for c, col in enumerate(cols))
+    if any(p >= n for p in ech):
         return None
-    return MatrixQ.from_rows([row[n:] for row in span.basis()])
+    rows = _reduced_rows(ech)
+    den = lcm(*(row[p] for p, row in enumerate(rows)))
+    return den, [{t - n: x * scale * (den // row[p])
+                  for t, x in row.items() if t >= n}
+                 for p, row in enumerate(rows)]
+
+
+def _matrix_of_columns(scale: int, cols: list) -> MatrixQ:
+    """The square matrix whose column c is ``cols[c]`` over ``scale``."""
+    zero = Fraction(0)
+    return MatrixQ(len(cols), len(cols), tuple(
+        Fraction(col[r], scale) if r in col else zero
+        for r in range(len(cols)) for col in cols))
 
 
 def kernel_basis(m: MatrixQ) -> list:
@@ -325,21 +360,8 @@ class EchelonSpan:
         return tuple(sorted(self._rows))
 
     def reduced_rows(self) -> list:
-        """The rows reduced in integers, by pivot: each row is zero at every
-        other pivot, divided by its gcd and has a positive pivot entry, so
-        the rows are canonical for the span.  This is the one
-        back-substitution; ``basis()`` is its ``Fraction`` view."""
-        reduced: dict = {}
-        for p in sorted(self._rows, reverse=True):
-            row = self._rows[p]
-            for q in [c for c in row if c != p and c in reduced]:
-                row = _eliminate(row, reduced[q], q)[1]
-            g = gcd(*row.values())
-            if row[p] < 0:
-                g = -g
-            reduced[p] = ({c: x // g for c, x in row.items()} if g != 1
-                          else row)
-        return [reduced[p] for p in sorted(reduced)]
+        """The canonical integer rows of the span; see ``_reduced_rows``."""
+        return _reduced_rows(self._rows)
 
     def basis(self) -> tuple:
         """The canonical RREF over Q: the reduced rows divided by their

@@ -38,17 +38,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
-                      _integer_cells, _load_json, _tensor, _times_basis, bracket)
+                      _integer_cells, _load_json, _tensor, _times_basis)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
-                     NotNormalForm, RestrictionViolated, SingularChange,
-                     ToolkitError)
-from .linalg import (MatrixQ, PolyQ, _frac, _int_rows, invert, poly_gcd,
-                     rational_roots)
+                     IndexOutOfRange, NotNormalForm, RestrictionViolated,
+                     SingularChange, ToolkitError)
+from .linalg import (MatrixQ, PolyQ, _frac, _int_rows, _inverse_columns,
+                     _matrix_of_columns, poly_gcd, rational_roots)
 
 Q = Fraction
 
@@ -59,21 +60,25 @@ Q = Fraction
 @dataclass(frozen=True)
 class BasisChange:
     """Invertible change of basis; column i of ``matrix`` is the new
-    basis vector e'_i written in the old coordinates."""
+    basis vector e'_i written in the old coordinates.  The integer columns
+    of the matrix and of its inverse are kept for ``apply_change``, and
+    ``inverse`` is built from them on first read."""
 
     matrix: MatrixQ
 
     def __post_init__(self):
         if self.matrix.rows != self.matrix.cols:
             raise SingularChange("change matrix must be square")
-        inv = invert(self.matrix)
-        if inv is None:
+        cols = _int_rows(self.matrix.column(i) for i in range(self.dim))
+        inverse = _inverse_columns(*cols)
+        if inverse is None:
             raise SingularChange("change matrix is singular")
-        object.__setattr__(self, "_inverse", inv)
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_inverse_cols", inverse)
 
-    @property
+    @cached_property
     def inverse(self) -> MatrixQ:
-        return self._inverse
+        return _matrix_of_columns(*self._inverse_cols)
 
     @property
     def dim(self) -> int:
@@ -84,7 +89,7 @@ class BasisChange:
         return Vec(self.matrix.column(i - 1))
 
     def inverted(self) -> "BasisChange":
-        return BasisChange(self._inverse)
+        return BasisChange(self.inverse)
 
 
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
@@ -95,19 +100,18 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     [e'_i, e_b] for every b; each of these is pulled back through the
     inverse matrix once, and they are then combined along column j.
     Everything runs on sparse integers: the integer cells of the table
-    (``algebra._integer_cells``) and the columns of the matrix and of its
-    inverse (``linalg._int_rows``), each scaled by the lcm of its
-    denominators, so zero entries cost nothing and each nonzero output term
-    makes one ``Fraction``.  The cells come out sorted and without zeros,
-    so the tensor takes them as they are.
+    (``algebra._integer_cells``) and the integer columns of the matrix and
+    of its inverse that the change keeps, so zero entries cost nothing and
+    each nonzero output term makes one ``Fraction``.  The cells come out
+    sorted and without zeros, so the tensor takes them as they are.
     """
     n = algebra.dim
     if change.dim != n:
         raise DimensionMismatch(
             f"change on {change.dim} coordinates, algebra has {n}")
     s_table, by_left = _integer_cells(algebra)
-    s_matrix, cols = _int_rows(change.matrix.column(i) for i in range(n))
-    s_inverse, back = _int_rows(change.inverse.column(i) for i in range(n))
+    s_matrix, cols = change._cols
+    s_inverse, back = change._inverse_cols
     scale = s_table * s_matrix ** 2 * s_inverse
     table = {}
     for i, col in enumerate(cols, 1):
@@ -198,15 +202,30 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
     """The change generated by e'_1 = A1*e_1 + A4*e_m and e'_m = b*e_m.
 
     Every other e'_j is [e'_{j-1}, e'_1], for j = 2..m-1 and then
-    j = m+1..n, so the change costs n - 2 brackets.
+    j = m+1..n, each an integer row over its own scale from
+    ``_times_basis`` on the integer cells of the table.
     """
     n = algebra.dim
-    e1p = Vec.basis(n, 1).scale(g.A1) + Vec.basis(n, m).scale(g.A4)
-    cols = [e1p]
+    if not 1 <= m <= n:
+        raise IndexOutOfRange(f"basis index {m} outside 1..{n}")
+    s_table, by_left = _integer_cells(algebra)
+    e1p = {0: g.A1, m - 1: g.A4} if m > 1 else {0: g.A1 + g.A4}
+    s_e1, (e1,) = _int_rows([e1p])
+    cols = [(s_e1, e1)]                     # (scale, column) each
     for j in range(2, n + 1):
-        cols.append(Vec.basis(n, m).scale(b) if j == m
-                    else bracket(algebra, cols[-1], e1p))
-    return BasisChange(MatrixQ.from_rows(list(zip(*(v.coords for v in cols)))))
+        if j == m:
+            s, (col,) = _int_rows([{m - 1: b}])
+        else:
+            products = _times_basis(by_left, cols[-1][1])
+            col = {}
+            for c, y in e1.items():
+                for k, x in products.get(c, {}).items():
+                    col[k] = col.get(k, 0) + y * x
+            s = cols[-1][0] * s_e1 * s_table
+        cols.append((s, col))
+    scale = lcm(*(s for s, _ in cols))
+    return BasisChange(_matrix_of_columns(scale, [
+        {k: x * (scale // s) for k, x in col.items()} for s, col in cols]))
 
 
 def completed_second_type_change(algebra: StructureTensor,

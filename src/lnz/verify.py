@@ -192,7 +192,7 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
     report = Report()
     instances = list(enumerate_catalog(dims, samples))
 
-    _check_residuals(report, instances)
+    _check_residuals(report, instances, samples)
     nilindex_failures = _check_gradation(report, instances)
     _check_char_sequence(report, instances, budget, seed)
     _conclude(report, "nilindex", f"{len(instances)} instances",
@@ -208,7 +208,9 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
     return report
 
 
-def _check_residuals(report, instances):
+def _check_residuals(report, instances, samples=DEFAULT_FREE_SAMPLES):
+    """Record catalog-consistency: all residuals empty, and an instance of
+    every row admitted, except rows ``samples`` give no value (named)."""
     t0 = time.monotonic()
     bad = []
     for inst in instances:
@@ -218,16 +220,21 @@ def _check_residuals(report, instances):
     elapsed = time.monotonic() - t0
     dims = {inst.n for inst in instances}
     seen = {inst.row.row_id for inst in instances}
-    missing = [row.row_id for row in CATALOG_ROWS
-               if row.row_id not in seen
-               and any(row.parity == "any" or n % 2 == 0 for n in dims)]
+    admitted = [row for row in CATALOG_ROWS
+                if any(row.parity == "any" or n % 2 == 0 for n in dims)]
+    skipped = [row.row_id for row in admitted if not row.sample_grid(samples)]
+    missing = [row.row_id for row in admitted
+               if row.row_id not in seen and row.row_id not in skipped]
     if bad:
         bad = ["nonzero residual at " + "; ".join(bad[:5])]
     elif missing:
         bad = ["no instances of rows " + ", ".join(missing)]
+    passed = f"all residuals empty in {elapsed:.1f}s"
+    if skipped:
+        passed += "; no admissible sample for rows " + ", ".join(skipped)
     _conclude(report, "catalog-consistency",
-              f"{len(instances)} catalog instances", bad,
-              f"all residuals empty in {elapsed:.1f}s", elapsed, gate=60)
+              f"{len(instances)} catalog instances", bad, passed, elapsed,
+              gate=60)
 
 
 def _check_gradation(report, instances) -> list:

@@ -111,6 +111,26 @@ def test_residuals_need_every_admitted_row_not_a_count():
     assert record.detail == f"no instances of rows {dropped}"
 
 
+def test_residuals_skip_rows_without_an_admissible_sample():
+    # row 0,9 excludes lambda = 0 and 1, so the samples (1,) admit no value
+    instances = list(enumerate_catalog((9,), (1,)))
+    assert "0,9" not in {inst.row.row_id for inst in instances}
+    report = Report()
+    _check_residuals(report, instances, (1,))
+    record = report.record("catalog-consistency")
+    assert record.status == "pass"
+    assert record.detail.endswith("; no admissible sample for rows 0,9")
+    # the default samples admit every row, and the detail names none
+    report = Report()
+    _check_residuals(report, list(enumerate_catalog((9,))))
+    assert "admissible" not in report.record("catalog-consistency").detail
+
+
+def test_verify_all_cli_with_one_sample_exits_zero(capsys):
+    assert main(["verify-all", "--dims", "9", "--samples", "1"]) == 0
+    assert "[PASS   ] catalog-consistency" in capsys.readouterr().out
+
+
 def test_replay_leaving_normal_form_is_a_failure_record(monkeypatch):
     def e2_into_first_column(algebra, g):
         rows = completed_second_type_change(algebra, g).matrix.row_list()

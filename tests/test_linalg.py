@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (EchelonSpan, MatrixQ, NotNilpotent, PolyQ,
-                 SecondTypeParams, Vec, block_diag, build_second_type, invert, jordan_block,
+from lnz import (BasisChange, EchelonSpan, MatrixQ, NotNilpotent, PolyQ,
+                 SecondTypeParams, SingularChange, Vec, block_diag,
+                 build_second_type, invert, jordan_block,
                  kernel_basis, nilpotent_block_sizes, poly_gcd, rank,
                  rational_roots, resultant, right_mul_matrix, rref)
 
@@ -122,6 +123,63 @@ def test_invert_and_kernel():
         else:
             assert (m @ inv).entries == MatrixQ.identity(n).entries
             assert kernel_basis(m) == []
+
+
+def gauss_jordan_inverse(rows):
+    """Reference inverse: dense Gauss-Jordan on [M | I] in Fractions, or
+    None when M is singular."""
+    n = len(rows)
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return MatrixQ.from_rows([row[n:] for row in a])
+
+
+INVERSE_ENTRIES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3), Q(5, 7),
+                   Q(10**12 + 1, 3))
+
+
+def test_invert_and_change_inverse_match_gauss_jordan():
+    rng = random.Random(31)
+    singular = 0
+    for trial in range(320):
+        n = 1 + trial % 9
+        rows = [[rng.choice(INVERSE_ENTRIES) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and trial % 5 == 0:    # a row that repeats a multiple
+            a, b = rng.sample(range(n), 2)
+            c = rng.choice(INVERSE_ENTRIES[1:])
+            rows[a] = [c * x for x in rows[b]]
+        m = MatrixQ.from_rows(rows)
+        reference = gauss_jordan_inverse(rows)
+        assert invert(m) == reference
+        if reference is None:
+            singular += 1
+            with pytest.raises(SingularChange) as info:
+                BasisChange(m)
+            assert str(info.value) == "change matrix is singular"
+        else:
+            change = BasisChange(m)
+            assert change.inverse == reference
+            assert change.inverted().matrix == reference
+            assert change.inverted().inverse == m
+    assert 30 <= singular <= 200
+
+
+def test_change_of_a_non_square_matrix_names_the_shape():
+    with pytest.raises(SingularChange) as info:
+        BasisChange(MatrixQ.from_rows([[1, 0, 2], [0, 1, 5]]))
+    assert str(info.value) == "change matrix must be square"
+    assert invert(MatrixQ.zero(0, 0)) == MatrixQ.zero(0, 0)
 
 
 @pytest.mark.parametrize("dense, sparse", [

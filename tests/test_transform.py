@@ -3,10 +3,13 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lnz.algebra
+import lnz.linalg
 import lnz.transform
 import lnz.verify
 from lnz import (
@@ -27,12 +30,14 @@ from lnz import (
     Unknown,
     Vec,
     apply_change,
+    bracket,
     build_second_type,
     build_type1_branch_a,
     build_type1_branch_b,
     completed_first_type_change,
     completed_second_type_change,
     decide_equivalence,
+    enumerate_catalog,
     extract_second_type,
     extract_type1_a,
     extract_type1_b,
@@ -116,6 +121,101 @@ def test_singular_change_rejected():
     rows = [[Q(1), Q(2)], [Q(2), Q(4)]]
     with pytest.raises(SingularChange):
         BasisChange(MatrixQ.from_rows(rows))
+
+
+def reference_completed_change(algebra, g, second):
+    """The completed change as ``Vec`` columns made with public ``bracket``:
+    e'_1 = A1*e_1 + A4*e_m, e'_m = b*e_m, and every other e'_j is
+    [e'_{j-1}, e'_1]."""
+    n = algebra.dim
+    if second:
+        m = 4
+        b = g.A1 - g.A4 if algebra.coefficient(4, n - 1, n) else g.B4
+    else:
+        m, b = n - 2, g.B4
+    e1p = Vec.basis(n, 1).scale(g.A1) + Vec.basis(n, m).scale(g.A4)
+    cols = [e1p]
+    for j in range(2, n + 1):
+        cols.append(Vec.basis(n, m).scale(b) if j == m
+                    else bracket(algebra, cols[-1], e1p))
+    return MatrixQ.from_rows(list(zip(*(v.coords for v in cols))))
+
+
+CHANGE_SCALARS = (Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3), Q(5, 7), Q(7, 3))
+
+
+def test_completed_changes_match_the_bracket_reference():
+    rng = random.Random(43)
+    firsts = {}                         # first instance of each row and n
+    for inst in enumerate_catalog((9, 10, 16)):
+        firsts.setdefault((inst.row.row_id, inst.n), inst)
+    assert {n for _, n in firsts} == {9, 10, 16}
+    singular = 0
+    for inst in firsts.values():
+        second = inst.row.kind == "second"
+        complete = (completed_second_type_change if second
+                    else completed_first_type_change)
+        for _ in range(2):
+            g = GradedChange2(*(rng.choice(CHANGE_SCALARS) for _ in range(3)))
+            reference = reference_completed_change(inst.tensor, g, second)
+            if lnz.linalg.rank(reference) < inst.n:    # e.g. A1 = A4 pinned
+                singular += 1
+                with pytest.raises(SingularChange):
+                    complete(inst.tensor, g)
+                continue
+            change = complete(inst.tensor, g)
+            assert change.matrix == reference, (inst.label(), g)
+            for j in (0, inst.n - 1):   # M times column j of M^-1 is e_j
+                assert reference.apply(change.inverse.column(j)) == \
+                    Vec.basis(inst.n, j + 1).coords
+    assert singular < len(firsts) // 2
+
+
+def test_singular_completed_changes_raise_as_before():
+    b4_zero = GradedChange2(Q(2, 3), Q(5, 7), Q(0))
+    a1_eq_a4 = GradedChange2(Q(5, 7), Q(5, 7), Q(3))
+    cases = [(build_second_type(9, SecondTypeParams(0, (1, Q(1, 2), 0, 2), -1)),
+              completed_second_type_change, b4_zero),
+             (build_second_type(10, SecondTypeParams(1, (0, 0, 0, 1), -1)),
+              completed_second_type_change, a1_eq_a4),
+             (build_type1_branch_a(16, 1, 0, 2), completed_first_type_change,
+              b4_zero),
+             (build_type1_branch_b(9, 1, 2, -1), completed_first_type_change,
+              b4_zero)]
+    for algebra, complete, g in cases:
+        reference = reference_completed_change(
+            algebra, g, complete is completed_second_type_change)
+        assert lnz.linalg.rank(reference) < algebra.dim
+        with pytest.raises(SingularChange) as info:
+            complete(algebra, g)
+        assert str(info.value) == "change matrix is singular"
+    # the alternating pin ignores B4 = 0 while A1 - A4 is nonzero
+    algebra = build_second_type(10, SecondTypeParams(1, (0, 0, 0, 1), -1))
+    completed_second_type_change(algebra, GradedChange2(Q(1), Q(1, 2), Q(0)))
+
+
+def test_replay_makes_no_bracket_and_no_invert_call(monkeypatch):
+    calls = {"bracket": 0, "invert": 0}
+    for name, home in (("bracket", lnz.algebra), ("invert", lnz.linalg)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for key, module in list(sys.modules.items()):
+            if key == "lnz" or key.startswith("lnz."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    rng = random.Random(5)
+    for family in lnz.verify._FAMILIES:
+        p, g, mapped = lnz.verify._draw_mapped(rng, family)
+        assert lnz.verify._replay(family, 10, p, g) == mapped
+    assert calls == {"bracket": 0, "invert": 0}
+    lnz.linalg.invert(MatrixQ.identity(2))      # the counters are live
+    lnz.algebra.bracket(build_second_type(9, SecondTypeParams(
+        0, (0, 0, 0, 0), -1)), Vec.basis(9, 1), Vec.basis(9, 1))
+    assert calls == {"bracket": 1, "invert": 1}
 
 
 # ----------------------------------------------------------------------
