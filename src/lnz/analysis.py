@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .algebra import StructureTensor, Vec, _integer_cells, _times_basis, _vec
+from .algebra import (StructureTensor, Vec, _integer_cells, _tensor,
+                      _times_basis, _vec)
 from .errors import ElementInDerivedSubalgebra, NonNilpotent
 from .linalg import (EchelonSpan, MatrixQ, _eliminate, _fraction_row,
                      _kernel, nilpotent_block_sizes)
@@ -145,8 +146,9 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     column is not a pivot of L^{i+1}; because the pivot sets of nested
     spans nest as well, these rows project to a basis of the quotient.
     The induced product of degree-i and degree-j sections keeps exactly
-    the degree-(i+j) part of their bracket.  The series comes from
-    ``lower_central_series``, so a caller that holds it shares it.
+    the degree-(i+j) part of their bracket, read only for the pairs where
+    it can be nonzero.  The series comes from ``lower_central_series``, so
+    a caller that holds it shares it.
     """
     n = algebra.dim
     series = lower_central_series(algebra)
@@ -154,10 +156,13 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
         raise NonNilpotent("gradation needs a nilpotent algebra")
     spans = series.rows                         # reduced integer rows
     rows, degree_of = [], []                    # listed degree by degree
+    at_column: dict = {}                        # j -> sections nonzero at j
     for d in range(1, len(spans)):
         later = {min(row) for row in spans[d]}
         for row in spans[d - 1]:
             if min(row) not in later:
+                for j in row:
+                    at_column.setdefault(j, []).append(len(rows))
                 rows.append(row)
                 degree_of.append(d)
     m, top = len(rows), len(spans) - 1
@@ -174,12 +179,14 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     # So once the sections deeper than i + j are peeled, deepest first, the
     # residue at a degree-(i+j) pivot is a coordinate of the product of a
     # degree-i and a degree-j section.  The residue stays an integer row
-    # over one common denominator.
+    # over one common denominator.  Only a section b nonzero at a column j
+    # of some [R_a, e_j] has a nonzero residue; a visits those b, in order.
     scale, by_left = series._cells
     table = {}
     for a in range(start[top - 1]):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
-        for b in range(start[top - degree_of[a]]):
+        for b in sorted({s for j in right for s in at_column.get(j, ())
+                         if s < start[top - degree_of[a]]}):
             target = degree_of[a] + degree_of[b]
             residue: dict = {}
             for j, y in rows[b].items():
@@ -197,9 +204,8 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
                           if residue.get(pivot_of[s]))
             if terms:
                 table[(a + 1, b + 1)] = terms
-    graded = StructureTensor(n, table,
-                             None if algebra.name is None
-                             else f"gr({algebra.name})")
+    graded = _tensor(n, table, None if algebra.name is None
+                     else f"gr({algebra.name})")
     sections = tuple(_vec(_fraction_row(n, row)) for row in rows)
     return Gradation(piece_dims, sections, graded)
 
@@ -304,7 +310,7 @@ def right_annihilator(algebra: StructureTensor) -> tuple:
 
     Stacks, for every basis row i and target k, the linear functional
     sum_j c^k_{i,j} x_j on the integer cells, and reads the kernel off the
-    reduced basis of their span, as ``kernel_basis`` does.
+    reduced integer rows of their span, as ``kernel_basis`` does.
     """
     functionals: dict = {}      # (i, k) -> {j: c^k_{i,j} times scale}
     for i, row in enumerate(_integer_cells(algebra)[1]):

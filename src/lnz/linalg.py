@@ -14,10 +14,10 @@ divides each finished row by its gcd, so entries stay small and zero
 cells cost nothing.  ``_reduced_rows`` is the one back-substitution, to
 integer rows canonical for the span; ``EchelonSpan.basis()`` is their
 ``Fraction`` view, the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
-and ``EchelonSpan`` sit on the kernel; ``rref`` and ``kernel_basis`` go
-through ``EchelonSpan``.  ``_inverse_columns`` reduces [M^T | I] to the
-columns of M^-1 as integer rows over one scale, which ``invert`` views as
-a ``MatrixQ`` and ``transform.BasisChange`` keeps for ``apply_change``.
+and ``EchelonSpan`` sit on the kernel; ``rref`` goes through ``EchelonSpan``
+and ``kernel_basis`` reads its reduced integer rows.  ``_inverse_columns``
+reduces [M^T | I] to the columns of M^-1 as integer rows over one scale,
+which ``invert`` views as a ``MatrixQ`` and ``BasisChange`` keeps.
 Above the kernel, one integer layout of the structure table, the cells by
 left index (``algebra._integer_cells``), and one product of an integer
 row with the basis (``algebra._times_basis``) serve the Leibniz residual,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, NotNilpotent
+from .errors import DimensionMismatch, IndexOutOfRange, NotNilpotent
 
 
 def _frac(x) -> Fraction:
@@ -85,9 +85,13 @@ class MatrixQ:
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple:
+        if not 0 <= r < self.rows:
+            raise IndexOutOfRange(f"row {r} outside 0..{self.rows - 1}")
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
     def column(self, c: int) -> tuple:
+        if not 0 <= c < self.cols:
+            raise IndexOutOfRange(f"column {c} outside 0..{self.cols - 1}")
         return self.entries[c::self.cols]
 
     def row_list(self) -> list:
@@ -115,7 +119,7 @@ class MatrixQ:
         if len(vector) != self.cols:
             raise DimensionMismatch(f"vector of length {len(vector)} vs {self.cols} columns")
         vec = [_frac(x) for x in vector]
-        return tuple(sum(self.row(r)[k] * vec[k] for k in range(self.cols))
+        return tuple(sum(x * v for x, v in zip(self.row(r), vec))
                      for r in range(self.rows))
 
     def is_zero(self) -> bool:
@@ -320,18 +324,19 @@ def kernel_basis(m: MatrixQ) -> list:
 
 
 def _kernel(span: EchelonSpan) -> list:
-    """``kernel_basis`` of the rows that ``span`` holds, read off its RREF."""
+    """``kernel_basis`` of the rows that ``span`` holds, read off its
+    reduced integer rows with one ``Fraction`` per nonzero entry."""
     n = span.ambient_dim
-    reduced = dict(zip(span.pivots(), span.basis()))
-    basis = []
-    for free in range(n):
-        if free not in reduced:
-            v = [Fraction(0)] * n
-            v[free] = Fraction(1)
-            for p, row in reduced.items():
-                v[p] = -row[free]
-            basis.append(tuple(v))
-    return basis
+    zero, one = Fraction(0), Fraction(1)
+    free = {f: [zero] * n for f in range(n) if f not in span._rows}
+    for f, v in free.items():
+        v[f] = one
+    for row in span.reduced_rows():
+        p = min(row)
+        for f, x in row.items():
+            if f != p:
+                free[f][p] = Fraction(-x, row[p])
+    return [tuple(v) for v in free.values()]
 
 
 class EchelonSpan:

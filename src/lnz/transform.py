@@ -86,6 +86,8 @@ class BasisChange:
 
     def column(self, i: int) -> Vec:
         """New basis vector e'_i (1-based) in old coordinates."""
+        if not 1 <= i <= self.dim:
+            raise IndexOutOfRange(f"column index {i} outside 1..{self.dim}")
         return Vec(self.matrix.column(i - 1))
 
     def inverted(self) -> "BasisChange":
@@ -97,8 +99,8 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
 
     c'[i][j] expands [e'_i, e'_j] in the primed basis.  For each new basis
     vector e'_i, a column of the matrix, ``algebra._times_basis`` gives
-    [e'_i, e_b] for every b; each of these is pulled back through the
-    inverse matrix once, and they are then combined along column j.
+    the nonzero [e'_i, e_b]; each is pulled back through the inverse once
+    and combined along column j with the b that are nonzero there.
     Everything runs on sparse integers: the integer cells of the table
     (``algebra._integer_cells``) and the integer columns of the matrix and
     of its inverse that the change keeps, so zero entries cost nothing and
@@ -125,12 +127,14 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
         for j, other in enumerate(cols, 1):
             acc = {}
             for b, y in other.items():
-                for t, v in products.get(b, {}).items():
-                    acc[t] = acc.get(t, 0) + y * v
-            cell = tuple((t + 1, Fraction(v, scale))
-                         for t, v in sorted(acc.items()) if v)
-            if cell:
-                table[(i, j)] = cell
+                if b in products:
+                    for t, v in products[b].items():
+                        acc[t] = acc.get(t, 0) + y * v
+            if acc:
+                cell = tuple((t + 1, Fraction(v, scale))
+                             for t, v in sorted(acc.items()) if v)
+                if cell:
+                    table[(i, j)] = cell
     return _tensor(n, table, algebra.name)
 
 

@@ -11,7 +11,10 @@ of moved basis vectors checks ``apply_change``.  A dense
 ``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
 On random rational tables, the ``rref`` of the stacked brackets checks
 the central series terms, and a gradation in ``Fraction`` arithmetic on
-reduced echelon rows, kept here, checks the integer-row gradation.
+reduced echelon rows, kept here, checks the integer-row gradation.  The
+graded table is also read off the sections alone, through the inverse of
+the matrix whose columns they are, on catalog instances at n = 9 to 32,
+moved and unmoved, and on random strictly triangular tables.
 """
 
 import random
@@ -19,9 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, MatrixQ, NonNilpotent, PolyQ, StructureTensor,
-                 Vec, apply_change, block_diag, bracket, build_first_type,
-                 build_second_type, char_sequence_estimate, enumerate_catalog,
+from lnz import (BasisChange, GradedChange2, MatrixQ, NonNilpotent, PolyQ,
+                 SingularChange, StructureTensor, Vec, apply_change,
+                 block_diag, bracket, build_first_type, build_second_type,
+                 char_sequence_estimate, completed_first_type_change,
+                 completed_second_type_change, enumerate_catalog,
                  invert, jordan_block, kernel_basis, leibniz_residual,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
@@ -411,14 +416,19 @@ def test_residual_on_the_smallest_tables_and_in_the_last_slot():
 
 
 def ref_apply_change(algebra, change):
-    """c'(i, j) = M^-1 [M e_i, M e_j], one dense bracket per pair."""
+    """c'(i, j) = M^-1 [M e_i, M e_j], one dense bracket per pair, times
+    M^-1 as the sum of its columns over the bracket's nonzero entries."""
     n = algebra.dim
     moved = [Vec(change.matrix.apply(Vec.basis(n, i).coords))
              for i in range(1, n + 1)]
+    back = [change.inverse.column(k) for k in range(n)]
     table = {}
     for i, x in enumerate(moved, 1):
         for j, y in enumerate(moved, 1):
-            image = change.inverse.apply(bracket(algebra, x, y).coords)
+            image = [Fraction(0)] * n
+            for w, column in zip(bracket(algebra, x, y).coords, back):
+                if w:
+                    image = [a + w * b for a, b in zip(image, column)]
             table[(i, j)] = [(k, c) for k, c in enumerate(image, 1) if c]
     return StructureTensor(n, table, algebra.name)
 
@@ -446,20 +456,38 @@ def apply_change_cases():
     yield (catalog_algebra("1,7", (1, 2, -1), 12),
            dense_change_with_denominators(12, seed=5))
     yield StructureTensor(5), random_rational_change(rng, 5)
+    yield StructureTensor(7), BasisChange(MatrixQ.identity(7))
     yield (StructureTensor(1, {(1, 1): [(1, Fraction(-3, 7))]}),
            BasisChange(MatrixQ.from_rows([[Fraction(2, 5)]])))
+    # sparse graded changes of generators, completed to a full basis, the
+    # identity and a dense rational change on catalog instances
+    for n in (9, 10, 12):
+        for inst in list(enumerate_catalog((n,), (2,)))[::10]:
+            complete = (completed_second_type_change
+                        if inst.row.kind == "second"
+                        else completed_first_type_change)
+            try:
+                yield inst.tensor, complete(inst.tensor, GradedChange2(
+                    Fraction(-2, 3), Fraction(1, 2), Fraction(5, 4)))
+            except SingularChange:
+                pass
+            yield inst.tensor, BasisChange(MatrixQ.identity(n))
+            if n == 9:
+                yield inst.tensor, random_rational_change(rng, n)
 
 
 def test_apply_change_matches_dense_brackets():
-    with_denominators = 0
+    with_denominators = catalog = identity = 0
     for algebra, change in apply_change_cases():
+        catalog += algebra.dim >= 9
+        identity += change.matrix == MatrixQ.identity(algebra.dim)
         got = apply_change(algebra, change)
         expected = ref_apply_change(algebra, change)
         assert got == expected
         assert serialize(got) == serialize(expected)
         with_denominators += any(c.denominator > 1 for terms in got.table.values()
                                  for _, c in terms)
-    assert with_denominators >= 50
+    assert with_denominators >= 50 and catalog >= 40 and identity >= 20
 
 
 def ref_right_annihilator(algebra):
@@ -630,3 +658,97 @@ def test_integer_series_and_gradation_match_fraction_references():
         fractional += bool(deep)
         lead_products += any(a in deep or b in deep for a, b in graded.table)
     assert nilpotent >= 150 and fractional >= 50 and lead_products >= 30
+
+
+def ref_inverse_columns(columns):
+    """The columns of S^-1, as (row, entry) pairs without zeros, for S
+    with the given columns, by dense Gauss-Jordan on [S | I] in
+    ``Fraction`` arithmetic."""
+    n = len(columns)
+    a = [[Fraction(columns[c][r]) for c in range(n)]
+         + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [[(r, a[r][n + c]) for r in range(n) if a[r][n + c]]
+            for c in range(n)]
+
+
+def ref_section_gradation(algebra, grading):
+    """The graded table from the sections alone: [s_a, s_b] written in
+    section coordinates, through the inverse of the matrix whose columns
+    are the sections, keeps its coordinates of degree d_a + d_b.  Also
+    returns the pairs (a, b) with a nonzero coordinate of lower degree,
+    which a Leibniz algebra has none of, as [s_a, s_b] lies in
+    L^(d_a + d_b) there; a random table need not have that."""
+    sections, degrees = grading.sections, grading.degrees
+    inverse = ref_inverse_columns([v.coords for v in sections])
+    table, lower = {}, []
+    for a, (x, da) in enumerate(zip(sections, degrees), 1):
+        for b, (y, db) in enumerate(zip(sections, degrees), 1):
+            coords = [Fraction(0)] * algebra.dim
+            for k, w in enumerate(bracket(algebra, x, y).coords):
+                for s, z in inverse[k] if w else ():
+                    coords[s] += w * z
+            if any(c for c, d in zip(coords, degrees) if d < da + db):
+                lower.append((a, b))
+            cell = tuple((s, c) for s, (c, d)
+                         in enumerate(zip(coords, degrees), 1)
+                         if c and d == da + db)
+            if cell:
+                table[(a, b)] = cell
+    return table, lower
+
+
+def sparse_rational_change(rng, n):
+    """The identity with about n / 3 entries overwritten by small
+    rationals, drawn again until it is invertible."""
+    while True:
+        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(n // 3 + 1):
+            rows[rng.randrange(n)][rng.randrange(n)] = Fraction(
+                rng.randint(-3, 3), rng.randint(1, 4))
+        if rank(MatrixQ.from_rows(rows)) == n:
+            return BasisChange(MatrixQ.from_rows(rows))
+
+
+def gradation_oracle_cases():
+    """Catalog instances, each also moved by a sparse rational change and
+    a few by a dense one, flagged Leibniz, then random strictly triangular
+    tables, which are nilpotent but need not be Leibniz."""
+    rng = random.Random(2024)
+    for n, step in ((9, 2), (10, 2), (16, 4), (32, 16)):
+        for t, inst in enumerate(list(enumerate_catalog((n,), (2,)))[::step]):
+            yield inst.tensor, True
+            yield apply_change(inst.tensor,
+                               sparse_rational_change(rng, n)), True
+            if n <= 10 and t % 4 == 0:
+                yield apply_change(inst.tensor,
+                                   random_rational_change(rng, n)), True
+    for t in range(240):
+        yield random_rational_table(rng, rng.randint(1, 10), True).renamed(
+            "random" if t % 2 else None), False
+
+
+def test_gradation_matches_section_coordinates():
+    cases, named, dims, moved = 0, 0, set(), 0
+    for algebra, leibniz in gradation_oracle_cases():
+        grading = natural_gradation(algebra)
+        graded = grading.algebra
+        table, lower = ref_section_gradation(algebra, grading)
+        assert graded.table == table
+        assert not (leibniz and lower)
+        assert graded == StructureTensor(algebra.dim, graded.table)
+        assert graded.name == (None if algebra.name is None
+                               else f"gr({algebra.name})")
+        cases += 1
+        named += graded.name is not None
+        dims.add(algebra.dim)
+        moved += len(algebra.table) > 2 * algebra.dim
+    assert cases >= 400 and dims >= {9, 10, 16, 32}
+    assert 100 <= named < cases and moved >= 100

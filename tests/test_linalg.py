@@ -3,9 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (BasisChange, EchelonSpan, MatrixQ, NotNilpotent, PolyQ,
-                 SecondTypeParams, SingularChange, Vec, block_diag,
-                 build_second_type, invert, jordan_block,
+from lnz import (BasisChange, EchelonSpan, IndexOutOfRange, MatrixQ,
+                 NotNilpotent, PolyQ, SecondTypeParams, SingularChange, Vec,
+                 block_diag, build_second_type, invert, jordan_block,
                  kernel_basis, nilpotent_block_sizes, poly_gcd, rank,
                  rational_roots, resultant, right_mul_matrix, rref)
 
@@ -180,6 +180,79 @@ def test_change_of_a_non_square_matrix_names_the_shape():
         BasisChange(MatrixQ.from_rows([[1, 0, 2], [0, 1, 5]]))
     assert str(info.value) == "change matrix must be square"
     assert invert(MatrixQ.zero(0, 0)) == MatrixQ.zero(0, 0)
+
+
+def gauss_jordan_kernel(rows, cols):
+    """Reference right kernel: dense Gauss-Jordan RREF in Fractions, then
+    one vector per free column f, 1 at f and minus the RREF's column f at
+    the pivots."""
+    a = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = next((r for r in range(len(pivots), len(a)) if a[r][c] != 0),
+                 None)
+        if r is None:
+            continue
+        top = len(pivots)
+        a[top], a[r] = a[r], a[top]
+        a[top] = [x / a[top][c] for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Q(0)] * cols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -a[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def test_kernel_basis_matches_gauss_jordan():
+    rng = random.Random(41)
+    kinds = {"zero": 0, "full": 0, "repeated": 0, "empty": 0}
+    for trial in range(1200):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        rows = [[rng.choice(INVERSE_ENTRIES[1:]) if rng.random() < density
+                 else Q(0) for _ in range(c)] for _ in range(r)]
+        if r > 1 and trial % 4 == 0:    # a row that repeats a multiple
+            a, b = rng.sample(range(r), 2)
+            rows[a] = [rng.choice(INVERSE_ENTRIES[1:]) * x for x in rows[b]]
+        m = MatrixQ(r, c, tuple(x for row in rows for x in row))
+        got = kernel_basis(m)
+        assert got == gauss_jordan_kernel(rows, c)
+        assert all(type(x) is Q for v in got for x in v)
+        kinds["zero"] += c > 0 and m.is_zero() and r > 0
+        kinds["full"] += c > 0 and not got
+        kinds["repeated"] += r > 1 and trial % 4 == 0 and bool(got)
+        kinds["empty"] += r == 0 or c == 0
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_rows_and_columns_outside_the_matrix_raise():
+    m = MatrixQ.from_rows([[1, 2], [3, 4]])
+    assert m.row(1) == (3, 4) and m.column(0) == (1, 3)
+    for bad in (-1, 2, 5):
+        with pytest.raises(IndexOutOfRange, match="outside 0..1"):
+            m.row(bad)
+        with pytest.raises(IndexOutOfRange, match="outside 0..1"):
+            m.column(bad)
+    wide = MatrixQ.from_rows([[1, 2, 3]])
+    assert wide.column(2) == (3,)
+    with pytest.raises(IndexError, match="row 1 outside 0..0"):
+        wide.row(1)
+    with pytest.raises(IndexError, match="column 3 outside 0..2"):
+        wide.column(3)
+    change = BasisChange(m)
+    assert change.column(1) == Vec((1, 3)) and change.column(2) == Vec((2, 4))
+    for bad in (0, 3, -1):
+        with pytest.raises(IndexOutOfRange,
+                           match=f"column index {bad} outside 1..2"):
+            change.column(bad)
 
 
 @pytest.mark.parametrize("dense, sparse", [
