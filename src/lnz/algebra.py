@@ -198,14 +198,6 @@ def bracket(algebra: StructureTensor, x: Vec, y: Vec) -> Vec:
     return _vec(tuple(out))
 
 
-def basis_bracket(algebra: StructureTensor, i: int, j: int) -> Vec:
-    """[e_i, e_j] as a Vec."""
-    out = [Fraction(0)] * algebra.dim
-    for k, c in algebra.terms(i, j):
-        out[k - 1] = c
-    return Vec(tuple(out))
-
-
 @dataclass(frozen=True)
 class Residual:
     """All basis triples where the Leibniz identity fails.

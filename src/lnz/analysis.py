@@ -35,9 +35,9 @@ from itertools import chain
 
 from .algebra import (StructureTensor, Vec, _integer_cells, _tensor,
                       _times_basis, _vec)
-from .errors import ElementInDerivedSubalgebra, NonNilpotent
-from .linalg import (EchelonSpan, MatrixQ, _eliminate, _fraction_row,
-                     _kernel, nilpotent_block_sizes)
+from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
+from .linalg import (EchelonSpan, MatrixQ, _combine, _eliminate,
+                     _fraction_row, _kernel, nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,9 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     spans nest as well, these rows project to a basis of the quotient.
     The induced product of degree-i and degree-j sections keeps exactly
     the degree-(i+j) part of their bracket, read only for the pairs where
-    it can be nonzero.  The series comes from ``lower_central_series``, so
-    a caller that holds it shares it.
+    it can be nonzero.  That bracket must lie in L^(i+j), as in every
+    Leibniz algebra, or NotFiltered names the pair.  The series comes from
+    ``lower_central_series``, so a caller that holds it shares it.
     """
     n = algebra.dim
     series = lower_central_series(algebra)
@@ -176,41 +177,40 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     # Section s is rows[s] / lead[s].  Degree-d sections are start[d - 1]
     # .. start[d] - 1.  A degree-d row vanishes at every other pivot of
     # degree >= d (a pivot column of L^d) but may not at shallower ones.
-    # So once the sections deeper than i + j are peeled, deepest first, the
-    # residue at a degree-(i+j) pivot is a coordinate of the product of a
-    # degree-i and a degree-j section.  The residue stays an integer row
-    # over one common denominator.  Only a section b nonzero at a column j
-    # of some [R_a, e_j] has a nonzero residue; a visits those b, in order.
+    # So peeling the sections of degree >= i + j off [R_a, R_b], deepest
+    # first, reads its degree-(i+j) coordinates as they go, and leaves
+    # nothing exactly when it lies in L^(i+j).  The residue stays an integer
+    # row over one common denominator.  Only a section b nonzero at a column
+    # j of some [R_a, e_j] has a nonzero residue; a visits those b, in order.
     scale, by_left = series._cells
     table = {}
-    for a in range(start[top - 1]):
+    for a in range(m):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
-        for b in sorted({s for j in right for s in at_column.get(j, ())
-                         if s < start[top - degree_of[a]]}):
+        for b in sorted({s for j in right for s in at_column.get(j, ())}):
             target = degree_of[a] + degree_of[b]
-            residue: dict = {}
-            for j, y in rows[b].items():
-                for k, v in right.get(j, {}).items():
-                    residue[k] = residue.get(k, 0) + y * v
+            residue = _combine(rows[b], right)
             denominator = scale * lead[a] * lead[b]
-            for s in range(m - 1, start[target] - 1, -1):
-                if residue.get(pivot_of[s]):
+            terms = []
+            for s in range(m - 1, start[min(target, top + 1) - 1] - 1, -1):
+                c = residue.get(pivot_of[s])
+                if c:
+                    if degree_of[s] == target:
+                        terms.append((s + 1, Fraction(c, denominator)))
                     # peel section s = rows[s] / lead[s]: the step scales the
                     # residue by f, so the denominator gains f too
                     f, residue = _eliminate(residue, rows[s], pivot_of[s])
                     denominator *= f
-            terms = tuple((s + 1, Fraction(residue[pivot_of[s]], denominator))
-                          for s in range(start[target - 1], start[target])
-                          if residue.get(pivot_of[s]))
+            if any(residue.values()):
+                raise NotFiltered((a + 1, b + 1), degree_of[a], degree_of[b])
             if terms:
-                table[(a + 1, b + 1)] = terms
+                table[(a + 1, b + 1)] = tuple(reversed(terms))
     graded = _tensor(n, table, None if algebra.name is None
                      else f"gr({algebra.name})")
     sections = tuple(_vec(_fraction_row(n, row)) for row in rows)
     return Gradation(piece_dims, sections, graded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CharSequence:
     """Descending Jordan-block profile; compares lexicographically."""
 
@@ -218,12 +218,6 @@ class CharSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.parts) + ")"

@@ -406,17 +406,15 @@ def _chain(n: int, skip: int) -> dict:
     return {(i, 1): [(i + 1, 1)] for i in range(1, n) if i != skip}
 
 
-def build_second_type(n: int, params: SecondTypeParams,
-                      strict: bool = False) -> StructureTensor:
+def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
     """The second-type normal form at dimension n.
 
     Emits exactly the chain [e_i,e_1]=e_{i+1} (i != 3) plus the products
     controlled by (alpha1..alpha4, beta, epsilon); [e_1,e_5] carries
     beta*e_6 (not a fixed -e_6), which is forced when beta = 0.
 
-    With ``strict`` the parameters must additionally sit on some catalog
-    row; without it any parameters that give a Leibniz product are allowed
-    (the maps in the transform module wander off the rows on purpose).
+    Parameters off the catalog rows, where the transform maps go, are built
+    too; ``find_second_type_row(params)`` is None exactly for those.
     """
     if n < 9:
         raise DimensionTooSmall(f"second-type families need n >= 9, got {n}")
@@ -425,10 +423,6 @@ def build_second_type(n: int, params: SecondTypeParams,
             f"epsilon = 1 products need even dimension, got {n}")
     a1, a2, a3, a4 = params.alphas
     beta = params.beta
-    if strict and find_second_type_row(params) is None:
-        raise InadmissibleParams(
-            f"no catalog row has epsilon={params.epsilon}, "
-            f"alphas={params.alphas}, beta={beta}")
     cells = _chain(n, 3)
     _put(cells, 1, 4, (2, a1), (5, beta))
     _put(cells, 2, 4, (3, a2))

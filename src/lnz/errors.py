@@ -17,6 +17,17 @@ class NonNilpotent(ToolkitError):
     """An algebra expected to be nilpotent is not."""
 
 
+class NotFiltered(ToolkitError):
+    """Some [L^i, L^j] of a nilpotent algebra leaves L^(i+j), so there is
+    no graded product.  ``pair`` holds the 1-based graded indices of the
+    first two sections, of degrees i and j, whose bracket leaves it."""
+
+    def __init__(self, pair, i, j):
+        super().__init__(f"[L^{i}, L^{j}] is not inside L^{i + j}: sections "
+                         f"{pair[0]} and {pair[1]} bracket outside it")
+        self.pair = pair
+
+
 class ElementInDerivedSubalgebra(ToolkitError):
     """The probe element lies in the span of all products, where the
     characteristic sequence is not defined."""

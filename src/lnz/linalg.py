@@ -18,6 +18,7 @@ and ``EchelonSpan`` sit on the kernel; ``rref`` goes through ``EchelonSpan``
 and ``kernel_basis`` reads its reduced integer rows.  ``_inverse_columns``
 reduces [M^T | I] to the columns of M^-1 as integer rows over one scale,
 which ``invert`` views as a ``MatrixQ`` and ``BasisChange`` keeps.
+``_combine``, beside the kernel, is the one sparse row-times-rows product.
 Above the kernel, one integer layout of the structure table, the cells by
 left index (``algebra._integer_cells``), and one product of an integer
 row with the basis (``algebra._times_basis``) serve the Leibniz residual,
@@ -167,6 +168,17 @@ def _eliminate(row: dict, prow: dict, col: int) -> tuple:
     return a, row
 
 
+def _combine(row: dict, rows) -> dict:
+    """The sum of x * rows[i] over the entries i: x of a sparse integer row,
+    ``rows`` mapping i to one; a missing i is a zero row, and a cancelled
+    sum stays as a zero."""
+    out: dict = {}
+    for i, x in row.items():
+        for j, y in rows[i].items() if i in rows else ():
+            out[j] = out.get(j, 0) + x * y
+    return out
+
+
 def _reduce(ech: dict, row: dict) -> tuple:
     """The elimination kernel: reduce a sparse integer row against echelon
     rows ``ech`` (pivot column -> row).
@@ -234,23 +246,17 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     n = m.rows
     if n == 0:
         return ()
-    _, base = _int_rows(m.row(r) for r in range(n))
+    base = dict(enumerate(_int_rows(m.row(r) for r in range(n))[1]))
 
     ranks = [n]
-    basis = _echelon(base)
+    basis = _echelon(base.values())
     while basis:
         ranks.append(len(basis))
         if ranks[-1] == ranks[-2]:
             raise NotNilpotent(
                 f"matrix is not nilpotent: rank stabilises at {ranks[-1]}")
-        pushed = []
-        for row in basis.values():
-            out: dict = {}
-            for k, x in row.items():
-                for j, y in base[k].items():
-                    out[j] = out.get(j, 0) + x * y
-            pushed.append({j: x for j, x in out.items() if x})
-        basis = _echelon(pushed)
+        basis = _echelon({j: x for j, x in _combine(row, base).items() if x}
+                         for row in basis.values())
     ranks.append(0)
     # at_least[k-1] blocks have size >= k; the sizes are its transpose
     at_least = [a - b for a, b in zip(ranks, ranks[1:])]

@@ -48,8 +48,9 @@ from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
                      IndexOutOfRange, NotNormalForm, RestrictionViolated,
                      SingularChange, ToolkitError)
-from .linalg import (MatrixQ, PolyQ, _frac, _int_rows, _inverse_columns,
-                     _matrix_of_columns, poly_gcd, rational_roots)
+from .linalg import (MatrixQ, PolyQ, _combine, _frac, _int_rows,
+                     _inverse_columns, _matrix_of_columns, poly_gcd,
+                     rational_roots)
 
 Q = Fraction
 
@@ -114,22 +115,15 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     s_table, by_left = _integer_cells(algebra)
     s_matrix, cols = change._cols
     s_inverse, back = change._inverse_cols
+    back = dict(enumerate(back))
     scale = s_table * s_matrix ** 2 * s_inverse
     table = {}
     for i, col in enumerate(cols, 1):
         # [e'_i, e_b] in new coordinates, for every b (0-based)
-        products = {}
-        for b, prod in _times_basis(by_left, col).items():
-            acc = products[b] = {}
-            for k, c in prod.items():
-                for t, w in back[k].items():
-                    acc[t] = acc.get(t, 0) + c * w
+        products = {b: _combine(prod, back)
+                    for b, prod in _times_basis(by_left, col).items()}
         for j, other in enumerate(cols, 1):
-            acc = {}
-            for b, y in other.items():
-                if b in products:
-                    for t, v in products[b].items():
-                        acc[t] = acc.get(t, 0) + y * v
+            acc = _combine(other, products)
             if acc:
                 cell = tuple((t + 1, Fraction(v, scale))
                              for t, v in sorted(acc.items()) if v)
@@ -220,11 +214,7 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
         if j == m:
             s, (col,) = _int_rows([{m - 1: b}])
         else:
-            products = _times_basis(by_left, cols[-1][1])
-            col = {}
-            for c, y in e1.items():
-                for k, x in products.get(c, {}).items():
-                    col[k] = col.get(k, 0) + y * x
+            col = _combine(e1, _times_basis(by_left, cols[-1][1]))
             s = cols[-1][0] * s_e1 * s_table
         cols.append((s, col))
     scale = lcm(*(s for s, _ in cols))

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (BasisChange, DocumentError, DuplicateEntry, IndexOutOfRange,
-                 MatrixQ, SecondTypeParams, StructureTensor, Vec, basis_bracket,
-                 binomial_product_check, bracket, build_construction_stage,
+from lnz import (BasisChange, DimensionMismatch, DocumentError, DuplicateEntry,
+                 IndexOutOfRange, MatrixQ, SecondTypeParams, StructureTensor,
+                 Vec, binomial_product_check, bracket, build_construction_stage,
                  build_second_type, build_type1_branch_b, enumerate_catalog,
                  is_lie, leibniz_residual, parse, parse_change, parse_fraction,
                  right_mul_matrix, serialize, serialize_change)
@@ -26,10 +26,16 @@ def test_vec_basics():
         v.component(0)
 
 
+def basis_bracket(algebra, i, j):
+    n = algebra.dim
+    return bracket(algebra, Vec.basis(n, i), Vec.basis(n, j))
+
+
 def test_bracket_examples():
     assert basis_bracket(CHAIN, 1, 1).coords == Vec.basis(9, 2).coords
     assert basis_bracket(CHAIN, 3, 1).is_zero()
     assert basis_bracket(CHAIN, 9, 1).is_zero()
+    assert CHAIN.terms(1, 1) == ((2, 1),)
 
     # the alpha4 slot feeds [e_5, e_4]
     A = build_second_type(10, SecondTypeParams(0, (0, 0, 0, 1), -1))
@@ -273,6 +279,26 @@ def test_zero_coefficients_dropped():
     a = StructureTensor(2, {(1, 1): ((2, Q(0)),)})
     assert list(a.entries()) == []
     assert a == StructureTensor(2, {})
+
+
+@pytest.mark.parametrize("dim, table, message", [
+    (2, {(3, 1): ((1, 1),)}, "table key (3,1) outside 1..2"),
+    (2, {(1, 0): ((1, 1),)}, "table key (1,0) outside 1..2"),
+    (2, {(1, 1): ((3, 1),)}, "target index 3 outside 1..2 at (1,1)"),
+    (2, {(2, 1): ((0, 1),)}, "target index 0 outside 1..2 at (2,1)"),
+])
+def test_structure_tensor_rejects_indices_outside_the_basis(dim, table,
+                                                           message):
+    with pytest.raises(IndexOutOfRange) as info:
+        StructureTensor(dim, table)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_structure_tensor_rejects_dimension_below_one(dim):
+    with pytest.raises(DimensionMismatch) as info:
+        StructureTensor(dim, {})
+    assert str(info.value) == f"dimension must be >= 1, got {dim}"
 
 
 def test_parse_table_matches_the_public_constructor():

@@ -17,6 +17,7 @@ from lnz import (
     CharSequence,
     ElementInDerivedSubalgebra,
     NonNilpotent,
+    NotFiltered,
     SecondTypeParams,
     StructureTensor,
     Vec,
@@ -98,6 +99,20 @@ def test_gradation_of_abelian_algebra():
     assert grad.algebra.table == {}
 
 
+def test_gradation_refuses_a_series_that_is_no_filtration():
+    # nilpotent, not Leibniz: L^2 = <e_2, e_3>, L^3 = <e_3>, L^4 = 0, and
+    # [e_2, e_2] = -e_3 lies in L^3 but not in L^4
+    algebra = StructureTensor(3, {(1, 1): ((2, Fraction(-2, 3)),),
+                                  (2, 1): ((3, Fraction(-5, 6)),),
+                                  (2, 2): ((3, Fraction(-1)),)})
+    assert lower_central_series(algebra).dims == (3, 2, 1, 0)
+    with pytest.raises(NotFiltered) as info:
+        natural_gradation(algebra)
+    assert info.value.pair == (2, 2)
+    assert str(info.value) == ("[L^2, L^2] is not inside L^4: sections 2 "
+                               "and 2 bracket outside it")
+
+
 def test_induced_product_respects_degrees():
     row = row_by_id("1,2")
     algebra = build_second_type(10, row.make_params([1] * len(row.params)))
@@ -122,6 +137,13 @@ def test_char_sequence_at_short_generator():
     seq = char_sequence_at(CHAIN9, Vec.basis(9, 4))
     assert seq.parts == tuple([1] * 9)
     assert seq < CharSequence((6, 3))
+
+
+def test_char_sequence_orders_lexicographically():
+    low, high = CharSequence((5, 1, 1)), CharSequence((5, 2))
+    assert low < high and low <= high and high > low and high >= low
+    assert high >= CharSequence((5, 2)) and not high > CharSequence((5, 2))
+    assert max(high, low) is high
 
 
 def test_char_sequence_rejects_derived_elements():

@@ -70,12 +70,10 @@ def test_beta_zero_forces_zero_alphas():
         build_second_type(9, SecondTypeParams(0, (1, 0, 0, 0), 0))
 
 
-def test_strict_mode_requires_a_row():
+def test_params_off_every_row_are_built():
     params = SecondTypeParams(0, (1, 1, 1, 1), -1)
     assert find_second_type_row(params) is None
-    with pytest.raises(InadmissibleParams):
-        build_second_type(9, params, strict=True)
-    # without strict the same table is built and is still Leibniz-closed
+    # the table is built as on a row, and is still Leibniz-closed
     loose = build_second_type(9, params)
     assert leibniz_residual(loose).violations == ()
 

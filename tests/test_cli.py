@@ -189,6 +189,41 @@ def test_check_rejects_hostile_document(capsys, tmp_path, kind):
     assert "malformed document" in err
 
 
+# schema errors past the top level, each with the place it names
+CELL = '{"i": 1, "j": 1, "terms": [[2, "1"]]}'
+SCHEMA = [
+    ('"name": 5, "table": []', '"name" must be a string'),
+    ('"table": {}', '"table" must be a list'),
+    ('"table": [%s, 7]' % CELL,
+     "table[1] must be an object with keys i, j, terms"),
+    ('"table": [{"i": 1, "j": 1}]',
+     "table[0] must be an object with keys i, j, terms"),
+    ('"table": [{"i": "1", "j": 1, "terms": []}]',
+     "table[0].i must be an integer"),
+    ('"table": [%s, {"i": 2, "j": true, "terms": []}]' % CELL,
+     "table[1].j must be an integer"),
+    ('"table": [{"i": 1, "j": 1, "terms": "2"}]',
+     "table[0].terms must be a list"),
+    ('"table": [{"i": 1, "j": 1, "terms": [[2, "1"], [2]]}]',
+     "table[0].terms[1] must be a [target, coefficient] pair"),
+    ('"table": [{"i": 1, "j": 1, "terms": ["2"]}]',
+     "table[0].terms[0] must be a [target, coefficient] pair"),
+    ('"table": [{"i": 1, "j": 1, "terms": [["2", "1"]]}]',
+     "table[0].terms[0] target must be an integer"),
+    ('"table": [%s, {"i": 2, "j": 1, "terms": [[3, "1"]]}]' % CELL,
+     "table[1].terms[0] target 3 outside 1..2"),
+]
+
+
+@pytest.mark.parametrize("body, message", SCHEMA)
+def test_check_names_where_the_schema_fails(capsys, tmp_path, body, message):
+    doc = tmp_path / "schema.json"
+    doc.write_text('{"dim": 2, %s}' % body)
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 65 and out == ""
+    assert err == f"lnz: malformed document: {message}\n"
+
+
 def test_check_empty_table_in_huge_dimension(tmp_path):
     doc = tmp_path / "huge.json"
     doc.write_text('{"dim": 100000, "table": []}')
@@ -291,6 +326,21 @@ def test_analyze_non_nilpotent(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(doc))
     assert code == 0
     assert "nilindex: none" in out
+
+
+def test_analyze_refuses_a_series_that_is_no_filtration(capsys, tmp_path):
+    # nilpotent, not Leibniz: [e_2, e_2] = -e_3 lies in L^3, not in L^4 = 0
+    doc = tmp_path / "n3.json"
+    doc.write_text(serialize(StructureTensor(3, {
+        (1, 1): ((2, Fraction(-2, 3)),), (2, 1): ((3, Fraction(-5, 6)),),
+        (2, 2): ((3, Fraction(-1)),)})))
+    code, _, err = run(capsys, "check", str(doc))
+    assert code == 1 and err == "3 violating triples\n"
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert code == 2
+    assert out.splitlines()[-1] == "nilindex: 4"
+    assert err == ("lnz: error: [L^2, L^2] is not inside L^4: sections 2 "
+                   "and 2 bracket outside it\n")
 
 
 def test_analyze_seed_env(capsys, chain_doc, monkeypatch):

@@ -14,7 +14,9 @@ the central series terms, and a gradation in ``Fraction`` arithmetic on
 reduced echelon rows, kept here, checks the integer-row gradation.  The
 graded table is also read off the sections alone, through the inverse of
 the matrix whose columns they are, on catalog instances at n = 9 to 32,
-moved and unmoved, and on random strictly triangular tables.
+moved and unmoved, and on random strictly triangular tables.  Where a
+section product has a coordinate below its degree, the central series is
+no filtration and the gradation must refuse with ``NotFiltered``.
 """
 
 import random
@@ -22,10 +24,11 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, GradedChange2, MatrixQ, NonNilpotent, PolyQ,
-                 SingularChange, StructureTensor, Vec, apply_change,
-                 block_diag, bracket, build_first_type, build_second_type,
-                 char_sequence_estimate, completed_first_type_change,
+from lnz import (BasisChange, GradedChange2, MatrixQ, NonNilpotent,
+                 NotFiltered, PolyQ, SingularChange, StructureTensor, Vec,
+                 apply_change, block_diag, bracket, build_first_type,
+                 build_second_type, char_sequence_estimate,
+                 completed_first_type_change,
                  completed_second_type_change, enumerate_catalog,
                  invert, jordan_block, kernel_basis, leibniz_residual,
                  lower_central_series, natural_gradation,
@@ -623,16 +626,55 @@ def random_rational_table(rng, n, triangular):
     return StructureTensor(n, table, "random")
 
 
-def test_integer_series_and_gradation_match_fraction_references():
+def random_filtered_table(rng, n):
+    """Cells with denominators where [e_i, e_1] has a nonzero e_(i+1) term
+    and every [e_i, e_j] lies in the span of the e_k with k >= i + j.  So
+    L^k is spanned by e_k .. e_n and [L^i, L^j] lies in L^(i+j): the
+    central series is a filtration, though the table need not be Leibniz.
+    """
+    density = rng.choice((0.2, 0.5, 0.9))
+    table = {}
+    for i in range(1, n):
+        for j in range(1, n + 1 - i):
+            if j > 1 and rng.random() >= density:
+                continue
+            targets = rng.sample(range(i + j, n + 1),
+                                 rng.randint(1, min(3, n + 1 - i - j)))
+            cell = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                    for k in targets}
+            if j == 1:
+                cell[i + 1] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                       rng.randint(1, 6))
+            table[(i, j)] = list(cell.items())
+    return StructureTensor(n, table, "random")
+
+
+def ref_degrees(piece_dims):
+    return [d for d, size in enumerate(piece_dims, 1) for _ in range(size)]
+
+
+def series_gradation_cases():
+    """Random rational tables, then tables whose series is a filtration,
+    each plain or moved by a rational change (so that the terms are no
+    coordinate subspaces)."""
     rng = random.Random(1999)
-    nilpotent = fractional = lead_products = 0
     for t in range(240):
-        # strictly triangular, triangular moved by a rational change (so
-        # the terms are no coordinate subspaces), or a general table
+        # strictly triangular, triangular moved, or a general table
         algebra = random_rational_table(rng, rng.randint(1, 8), t % 3 != 2)
         if t % 3 == 1:
             algebra = apply_change(algebra,
                                    random_rational_change(rng, algebra.dim))
+        yield algebra
+    rng = random.Random(2999)
+    for t in range(120):
+        algebra = random_filtered_table(rng, rng.randint(2, 8))
+        yield (apply_change(algebra, random_rational_change(rng, algebra.dim))
+               if t % 3 else algebra)
+
+
+def test_integer_series_and_gradation_match_fraction_references():
+    nilpotent = fractional = lead_products = refused = 0
+    for algebra in series_gradation_cases():
         terms, flag = ref_rref_series(algebra)
         series = lower_central_series(algebra)
         assert [tuple(v.coords for v in term) for term in series.terms] \
@@ -645,6 +687,14 @@ def test_integer_series_and_gradation_match_fraction_references():
                 natural_gradation(algebra)
             continue
         piece_dims, sections, graded = ref_fraction_gradation(algebra, terms)
+        _, lower = ref_section_gradation(algebra, sections,
+                                         ref_degrees(piece_dims))
+        if lower:
+            with pytest.raises(NotFiltered) as info:
+                natural_gradation(algebra)
+            assert info.value.pair == lower[0]
+            refused += 1
+            continue
         got = natural_gradation(algebra)
         assert got.piece_dims == piece_dims
         assert [v.coords for v in got.sections] == sections
@@ -658,6 +708,7 @@ def test_integer_series_and_gradation_match_fraction_references():
         fractional += bool(deep)
         lead_products += any(a in deep or b in deep for a, b in graded.table)
     assert nilpotent >= 150 and fractional >= 50 and lead_products >= 30
+    assert refused >= 100
 
 
 def ref_inverse_columns(columns):
@@ -679,20 +730,30 @@ def ref_inverse_columns(columns):
             for c in range(n)]
 
 
-def ref_section_gradation(algebra, grading):
-    """The graded table from the sections alone: [s_a, s_b] written in
-    section coordinates, through the inverse of the matrix whose columns
-    are the sections, keeps its coordinates of degree d_a + d_b.  Also
-    returns the pairs (a, b) with a nonzero coordinate of lower degree,
-    which a Leibniz algebra has none of, as [s_a, s_b] lies in
-    L^(d_a + d_b) there; a random table need not have that."""
-    sections, degrees = grading.sections, grading.degrees
-    inverse = ref_inverse_columns([v.coords for v in sections])
+def ref_sections(terms):
+    """The rows of each series term whose pivot is no pivot of the next
+    term, degree by degree, and the degree of each."""
+    def pivot(v):
+        return next(c for c, x in enumerate(v) if x)
+    found = [(v, d) for d in range(1, len(terms)) for v in terms[d - 1]
+             if pivot(v) not in {pivot(w) for w in terms[d]}]
+    return [v for v, _ in found], [d for _, d in found]
+
+
+def ref_section_gradation(algebra, sections, degrees):
+    """The graded table from the sections (coordinate tuples) alone:
+    [s_a, s_b] written in section coordinates, through the inverse of the
+    matrix whose columns are the sections, keeps its coordinates of degree
+    d_a + d_b.  Also returns the pairs (a, b), in order, with a nonzero
+    coordinate of lower degree, which a Leibniz algebra has none of, as
+    [s_a, s_b] lies in L^(d_a + d_b) there; a random table need not have
+    that, and then the gradation must refuse."""
+    inverse = ref_inverse_columns(sections)
     table, lower = {}, []
     for a, (x, da) in enumerate(zip(sections, degrees), 1):
         for b, (y, db) in enumerate(zip(sections, degrees), 1):
             coords = [Fraction(0)] * algebra.dim
-            for k, w in enumerate(bracket(algebra, x, y).coords):
+            for k, w in enumerate(bracket(algebra, Vec(x), Vec(y)).coords):
                 for s, z in inverse[k] if w else ():
                     coords[s] += w * z
             if any(c for c, d in zip(coords, degrees) if d < da + db):
@@ -720,7 +781,8 @@ def sparse_rational_change(rng, n):
 def gradation_oracle_cases():
     """Catalog instances, each also moved by a sparse rational change and
     a few by a dense one, flagged Leibniz, then random strictly triangular
-    tables, which are nilpotent but need not be Leibniz."""
+    tables, which are nilpotent but need not be Leibniz, and random tables
+    whose series is a filtration, some moved by a sparse rational change."""
     rng = random.Random(2024)
     for n, step in ((9, 2), (10, 2), (16, 4), (32, 16)):
         for t, inst in enumerate(list(enumerate_catalog((n,), (2,)))[::step]):
@@ -733,16 +795,34 @@ def gradation_oracle_cases():
     for t in range(240):
         yield random_rational_table(rng, rng.randint(1, 10), True).renamed(
             "random" if t % 2 else None), False
+    for t in range(200):
+        algebra = random_filtered_table(rng, rng.randint(2, 10))
+        if t % 3:
+            algebra = apply_change(algebra,
+                                   sparse_rational_change(rng, algebra.dim))
+        yield algebra.renamed("filtered" if t % 2 else None), False
 
 
 def test_gradation_matches_section_coordinates():
-    cases, named, dims, moved = 0, 0, set(), 0
+    cases, named, dims, moved, refused = 0, 0, set(), 0, 0
     for algebra, leibniz in gradation_oracle_cases():
+        # the sections the gradation must pick, from its series terms
+        sections, degrees = ref_sections([
+            tuple(v.coords for v in term)
+            for term in lower_central_series(algebra).terms])
+        table, lower = ref_section_gradation(algebra, sections, degrees)
+        if lower:
+            assert not leibniz
+            with pytest.raises(NotFiltered) as info:
+                natural_gradation(algebra)
+            assert info.value.pair == lower[0]
+            refused += 1
+            continue
         grading = natural_gradation(algebra)
+        assert [v.coords for v in grading.sections] == sections
+        assert grading.degrees == tuple(degrees)
         graded = grading.algebra
-        table, lower = ref_section_gradation(algebra, grading)
         assert graded.table == table
-        assert not (leibniz and lower)
         assert graded == StructureTensor(algebra.dim, graded.table)
         assert graded.name == (None if algebra.name is None
                                else f"gr({algebra.name})")
@@ -751,4 +831,4 @@ def test_gradation_matches_section_coordinates():
         dims.add(algebra.dim)
         moved += len(algebra.table) > 2 * algebra.dim
     assert cases >= 400 and dims >= {9, 10, 16, 32}
-    assert 100 <= named < cases and moved >= 100
+    assert 100 <= named < cases and moved >= 100 and refused >= 100

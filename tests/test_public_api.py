@@ -9,12 +9,13 @@ PUBLIC_NAMES = (
     "DuplicateEntry", "EchelonSpan", "ElementInDerivedSubalgebra",
     "EpsilonMismatch", "Equivalent", "FirstTypeParams", "Gradation",
     "GradedChange2", "InadmissibleParams", "IndexOutOfRange", "MatrixQ",
-    "NonNilpotent", "NotNilpotent", "NotNormalForm", "NullitySignature",
+    "NonNilpotent", "NotFiltered", "NotNilpotent", "NotNormalForm",
+    "NullitySignature",
     "ParamSpec", "ParityViolation", "PolyQ", "Record", "Report", "Residual",
     "RestrictionViolated", "SecondTypeParams", "SingularChange",
     "StructureTensor", "ToolkitError", "Unknown", "UnknownFamily",
     "ValidationReport", "Vec", "algebra", "analysis", "apply_change",
-    "basis_bracket", "binomial_product_check", "block_diag", "bracket",
+    "binomial_product_check", "block_diag", "bracket",
     "build_construction_stage", "build_first_type", "build_second_type",
     "build_type1_branch_a", "build_type1_branch_b", "catalog",
     "catalog_index_document", "char_sequence_at", "char_sequence_estimate",

@@ -499,8 +499,13 @@ def fracs(text):
     # root of the gcd at B4 = 1 - A4; the witness keeps B4 = 1
     (1, "1/3,1/3,3,-1/2", "-37/41,-1/5,9/41,27/410", "1,2,1"),
     # alpha1 rule with num = 0 and den = 1 + t/3: at den's root t = -3,
-    # outside the height-1 grid, B4 comes from the alpha3 equation alone
+    # outside the height-1 grid, B4 comes from the equations in s^2; the
+    # alpha3 and the alpha4 one (alpha4 = 1) both give +-2
     (0, "1,0,1/6,1", "0,0,-4/3,-8", "1,-3,2"),
+    # alpha1 rule with num = 0 and den = 1 + 2t: at den's root t = -1/2,
+    # B4 = +-3 comes from the alpha3 equation alone, as alpha4 = 0 and
+    # alpha2 * alpha3 = 0 leave the alpha4 one without an s^2 term
+    (0, "1,0,1,0", "0,0,12,0", "1,-1/2,3"),
     # a linear gcd whose root A4 = 10007 lies above the divisor bound of
     # the higher-degree root search
     (0, "1,1,2,1",
