@@ -5,6 +5,7 @@ prints the formatted pass/fail line, and asserts on the recorded status.
 Run with -s (or look at the captured stdout of a failure) to see the lines.
 """
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -79,6 +80,23 @@ def test_overall_report_state(report):
     counts = report.counts
     assert counts["fail"] == 0
     assert counts["pass"] >= len(CRITERIA)
+
+
+def masked_sha256(text: str) -> str:
+    """sha256 of report text with every timing, like 0.4s, masked."""
+    return hashlib.sha256(re.sub(r"\d+\.\ds", "#s", text).encode()).hexdigest()
+
+
+def test_report_text_is_pinned(report):
+    # every record, its order and its text, apart from the seconds
+    assert masked_sha256(report.to_text()) == (
+        "dda86ccd11c802624fd1a5a01bde0ea63bfc6f8eeb41e82316a7c2585f43f42d")
+
+
+def test_verify_all_cli_text_is_pinned(capsys):
+    assert main(["verify-all", "--dims", "9"]) == 0
+    assert masked_sha256(capsys.readouterr().out) == (
+        "cf1d29a0a515b4a67d635baf8a86c84491dba7716dd442073e0f5f59fe339fcb")
 
 
 def test_small_oracles_recompute_series_at_smallest_dimension():
