@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,9 +145,10 @@ class StructureTensor:
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.table.items()))))
 
-    def __getstate__(self):     # without the weak series memo of analysis
+    def __getstate__(self):     # without the weak memos (``_memo``)
         state = dict(self.__dict__)
         state.pop("_series", None)
+        state.pop("_cells", None)
         return state
 
     def terms(self, i: int, j: int) -> tuple:
@@ -216,18 +218,39 @@ class Residual:
         return len(self.violations)
 
 
-def _integer_cells(algebra: StructureTensor) -> tuple:
-    """``(scale, by_left)``: the table read once as integer cells, times
+class _Cells(list):
+    """``[scale, by_left]``: the table read once as integer cells, times
     ``scale``, the lcm of its denominators.  ``by_left[i]`` lists
     ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based.  A positive
-    multiple of the table has the same spans and Jordan block profiles."""
-    scale = lcm(*(c.denominator for terms in algebra.table.values()
-                  for _, c in terms))
-    by_left: list = [[] for _ in range(algebra.dim)]
-    for (i, j), terms in algebra.table.items():
-        by_left[i - 1].append((j - 1, tuple(
-            (k - 1, c.numerator * (scale // c.denominator)) for k, c in terms)))
-    return scale, by_left
+    multiple of the table has the same spans and Jordan block profiles.
+    A list, since a tuple cannot be weakly referenced (``_memo``)."""
+
+    def __init__(self, algebra: StructureTensor):
+        scale = lcm(*(c.denominator for terms in algebra.table.values()
+                      for _, c in terms))
+        by_left: list = [[] for _ in range(algebra.dim)]
+        for (i, j), terms in algebra.table.items():
+            by_left[i - 1].append((j - 1, tuple(
+                (k - 1, c.numerator * (scale // c.denominator))
+                for k, c in terms)))
+        super().__init__((scale, by_left))
+
+
+def _memo(algebra: StructureTensor, key: str, build):
+    """``build(algebra)``, or what it last gave for this tensor object while
+    a caller still holds that: the tensor keeps a weak reference under
+    ``key``, so nothing outlives its callers."""
+    ref = algebra.__dict__.get(key)
+    value = ref() if ref is not None else None
+    if value is None:
+        value = build(algebra)
+        object.__setattr__(algebra, key, weakref.ref(value))
+    return value
+
+
+def _integer_cells(algebra: StructureTensor) -> _Cells:
+    """The integer cells of the table, shared while a reader holds them."""
+    return _memo(algebra, "_cells", _Cells)
 
 
 def _times_basis(by_left: list, row: dict) -> dict:

@@ -7,14 +7,17 @@ materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
 of a nilpotent algebra.  A series keeps the integer cells it read
-(``algebra._integer_cells``); the gradation and the estimate reuse them.
+(``algebra._integer_cells``); the gradation and the estimate reuse them,
+and [L, L] (``derived_span``) is its second term.
 
-The tensor keeps a weak reference to the series last built for it, so a
-caller that still holds the series (``lnz analyze``, while the gradation
-and the estimate ask for it) gets it back without a second build.  It is
-weak so that no series outlives its callers, as a strong memo on each of
-the battery's instances would; it is per object, not per content, and is
-not pickled.
+The tensor keeps a weak reference to the series last built for it, and
+one to its integer cells (``algebra._memo``).  So a caller that still
+holds the series (``lnz analyze``, the battery on each instance) shares
+it with every reader that asks again, and its cells with every reader of
+``_integer_cells``: the residual, the right annihilator, ``apply_change``
+and the generated changes.  The memo is weak so that nothing outlives its
+callers, as a strong memo on each of the battery's instances would; it
+is per object, not per content, and is not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
@@ -27,13 +30,12 @@ otherwise returns a sampled lower bound.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .algebra import (StructureTensor, Vec, _integer_cells, _tensor,
+from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
 from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
 from .linalg import (EchelonSpan, MatrixQ, _combine, _eliminate,
@@ -52,7 +54,7 @@ class CentralSeries:
     stabilises at a nonzero subspace the repeated term is dropped and
     ``nilpotent`` is False.  ``len(series)`` counts the terms, so for a
     nilpotent algebra it is the nilindex.  ``_cells`` is the integer view
-    ``(scale, by_left)`` of the table that ``_build_series`` read.
+    ``[scale, by_left]`` of the table that ``_build_series`` read.
     """
 
     ambient_dim: int
@@ -75,24 +77,19 @@ class CentralSeries:
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
     """The descending central series; the same object as long as a caller
     holds the one last built for this tensor."""
-    ref = algebra.__dict__.get("_series")
-    series = ref() if ref is not None else None
-    if series is None:
-        series = _build_series(algebra)
-        object.__setattr__(algebra, "_series", weakref.ref(series))
-    return series
+    return _memo(algebra, "_series", _build_series)
 
 
 def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
-    scale, by_left = _integer_cells(algebra)
+    cells = _integer_cells(algebra)
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
     terms = [rows]
     while True:
         # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
         nxt = EchelonSpan(n)
         for u in rows:
-            for prod in _times_basis(by_left, u).values():
+            for prod in _times_basis(cells[1], u).values():
                 nxt.add(prod)
         if nxt.dim == 0:
             terms.append(())
@@ -104,7 +101,7 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
         rows = tuple(nxt.reduced_rows())
         terms.append(rows)
     series = CentralSeries(n, tuple(terms), nilpotent)
-    object.__setattr__(series, "_cells", (scale, by_left))
+    object.__setattr__(series, "_cells", cells)
     return series
 
 
@@ -201,7 +198,8 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
                     f, residue = _eliminate(residue, rows[s], pivot_of[s])
                     denominator *= f
             if any(residue.values()):
-                raise NotFiltered((a + 1, b + 1), degree_of[a], degree_of[b])
+                raise NotFiltered((a + 1, b + 1), degree_of[a], degree_of[b],
+                                  (pivot_of[a] + 1, pivot_of[b] + 1))
             if terms:
                 table[(a + 1, b + 1)] = tuple(reversed(terms))
     graded = _tensor(n, table, None if algebra.name is None
@@ -224,9 +222,15 @@ class CharSequence:
 
 
 def derived_span(algebra: StructureTensor) -> EchelonSpan:
-    """Echelon span of [L, L], read off the integer cells."""
-    _, by_left = _integer_cells(algebra)
-    return EchelonSpan(algebra.dim, (dict(t) for row in by_left for _, t in row))
+    """Echelon span of [L, L], read off the central series."""
+    return _derived(lower_central_series(algebra))
+
+
+def _derived(series: CentralSeries) -> EchelonSpan:
+    """[L, L]: the second term of the series, or L itself when the series
+    stops at L."""
+    return EchelonSpan(series.ambient_dim,
+                       series.rows[1 if len(series) > 1 else 0])
 
 
 def _profile(by_left: list, x) -> CharSequence:
@@ -249,10 +253,11 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     x must lie outside the derived subalgebra; right multiplication must
     be nilpotent (NotNilpotent propagates otherwise).
     """
+    series = lower_central_series(algebra)      # held for derived_span
     if derived_span(algebra).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return _profile(_integer_cells(algebra)[1], x.coords)
+    return _profile(series._cells[1], x.coords)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
@@ -276,8 +281,7 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     n = algebra.dim
     series = lower_central_series(algebra)
     _, by_left = series._cells
-    # [L, L] is L^2, or L itself when the series stops at L
-    derived = EchelonSpan(n, series.rows[1 if len(series) > 1 else 0])
+    derived = _derived(series)
     bound = series.dims if series.nilpotent else None
     rng = random.Random(seed)
     basis = ([int(k == i) for k in range(n)] for i in range(n))

@@ -20,11 +20,14 @@ class NonNilpotent(ToolkitError):
 class NotFiltered(ToolkitError):
     """Some [L^i, L^j] of a nilpotent algebra leaves L^(i+j), so there is
     no graded product.  ``pair`` holds the 1-based graded indices of the
-    first two sections, of degrees i and j, whose bracket leaves it."""
+    first two sections, of degrees i and j, whose bracket leaves it; the
+    message also names each section's leading basis vector e_k, given in
+    ``leads``."""
 
-    def __init__(self, pair, i, j):
+    def __init__(self, pair, i, j, leads):
         super().__init__(f"[L^{i}, L^{j}] is not inside L^{i + j}: sections "
-                         f"{pair[0]} and {pair[1]} bracket outside it")
+                         f"{pair[0]} (e_{leads[0]}) and {pair[1]} "
+                         f"(e_{leads[1]}) bracket outside it")
         self.pair = pair
 
 

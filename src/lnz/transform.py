@@ -5,10 +5,10 @@ of the first generator is A1*e_1 + A4*e_m and the image of the second
 generator e_m is scaled by B4 (m = 4 for second type, n - 2 for first
 type).  One builder regenerates every other basis vector by
 right-bracketing with the new e_1, so the whole change is an invertible
-matrix and can be pushed through any structure tensor directly.  The
-closed-form maps below say what happens to the family parameters; the
-checks in ``verify`` replay them through the direct route for thousands
-of cases.
+matrix and can be pushed through any structure tensor directly; the
+change keeps the integer columns it was built from.  The closed-form
+maps below say what happens to the family parameters; the checks in
+``verify`` replay them through the direct route for thousands of cases.
 
 When the alternating products are switched on (epsilon = 1) the second
 generator's scale is no longer free: keeping the alternating coefficient
@@ -70,12 +70,8 @@ class BasisChange:
     def __post_init__(self):
         if self.matrix.rows != self.matrix.cols:
             raise SingularChange("change matrix must be square")
-        cols = _int_rows(self.matrix.column(i) for i in range(self.dim))
-        inverse = _inverse_columns(*cols)
-        if inverse is None:
-            raise SingularChange("change matrix is singular")
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_inverse_cols", inverse)
+        _keep_columns(self, _int_rows(self.matrix.column(i)
+                                      for i in range(self.dim)))
 
     @cached_property
     def inverse(self) -> MatrixQ:
@@ -93,6 +89,16 @@ class BasisChange:
 
     def inverted(self) -> "BasisChange":
         return BasisChange(self.inverse)
+
+
+def _keep_columns(change: BasisChange, cols: tuple):
+    """Keep the integer columns ``(scale, columns)`` of the matrix, which
+    hold no zero, and those of its inverse on ``change``."""
+    inverse = _inverse_columns(*cols)
+    if inverse is None:
+        raise SingularChange("change matrix is singular")
+    object.__setattr__(change, "_cols", cols)
+    object.__setattr__(change, "_inverse_cols", inverse)
 
 
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
@@ -201,7 +207,9 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
 
     Every other e'_j is [e'_{j-1}, e'_1], for j = 2..m-1 and then
     j = m+1..n, each an integer row over its own scale from
-    ``_times_basis`` on the integer cells of the table.
+    ``_times_basis`` on the integer cells of the table.  The change keeps
+    these columns, brought to one scale, rather than reading them back
+    off its matrix.
     """
     n = algebra.dim
     if not 1 <= m <= n:
@@ -214,12 +222,17 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
         if j == m:
             s, (col,) = _int_rows([{m - 1: b}])
         else:
-            col = _combine(e1, _times_basis(by_left, cols[-1][1]))
+            # without the cancelled zeros, which the inverse must not see
+            col = {k: x for k, x in _combine(
+                e1, _times_basis(by_left, cols[-1][1])).items() if x}
             s = cols[-1][0] * s_e1 * s_table
         cols.append((s, col))
     scale = lcm(*(s for s, _ in cols))
-    return BasisChange(_matrix_of_columns(scale, [
-        {k: x * (scale // s) for k, x in col.items()} for s, col in cols]))
+    cols = [{k: x * (scale // s) for k, x in col.items()} for s, col in cols]
+    change = object.__new__(BasisChange)
+    object.__setattr__(change, "matrix", _matrix_of_columns(scale, cols))
+    _keep_columns(change, (scale, cols))
+    return change
 
 
 def completed_second_type_change(algebra: StructureTensor,

@@ -6,7 +6,9 @@ characteristic sequence, nilindex and annihilator, the closed-form
 parameter maps agree with direct basis-change recomputation, the printed
 invariants are invariant, and the equivalence decision is sound on
 spot-check pairs.  Failures become report records, never exceptions, so
-one broken family does not hide the rest.
+one broken family does not hide the rest.  The checks of catalog
+instances visit each instance once, together, while its central series
+is held, so that they share the series and its integer cells.
 
 A handful of "flagged" records document readings and observations that a
 user should know about but that are not failures.
@@ -20,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Vec, bracket, is_lie, leibniz_residual
+from .algebra import Vec, _integer_cells, bracket, is_lie, leibniz_residual
 from .analysis import (char_sequence_at, char_sequence_estimate,
                        lower_central_series, natural_gradation,
                        right_annihilator)
@@ -135,14 +137,15 @@ def _replay(family: str, n: int, p, g):
     tensor; None when the moved tensor is not in normal form."""
     if family in _FAMILIES[:2]:
         tensor = build_second_type(n, p)
-        change = completed_second_type_change(tensor, g)
-        extract = extract_second_type
+        complete, extract = completed_second_type_change, extract_second_type
     else:
         branch_a = family == "first-branch-a"
         tensor = (build_type1_branch_a if branch_a
                   else build_type1_branch_b)(n, *p)
-        change = completed_first_type_change(tensor, g)
+        complete = completed_first_type_change
         extract = extract_type1_a if branch_a else extract_type1_b
+    cells = _integer_cells(tensor)  # held: the change and apply_change share it
+    change = complete(tensor, g)
     try:
         return extract(apply_change(tensor, change))
     except NotNormalForm:
@@ -191,33 +194,71 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
             f"verification needs n >= 9 everywhere, got dims {list(dims)}")
     report = Report()
     instances = list(enumerate_catalog(dims, samples))
-
-    _check_residuals(report, instances, samples)
-    nilindex_failures = _check_gradation(report, instances)
-    _check_char_sequence(report, instances, budget, seed)
+    nilindex_failures: list = []
+    checks = [_check_residuals.steps(report, instances, samples),
+              _check_gradation.steps(report, instances, nilindex_failures),
+              _check_char_sequence.steps(report, instances, budget, seed),
+              _check_annihilator.steps(report, instances),
+              _check_non_lie.steps(report, instances),
+              _check_small_oracles.steps(report, instances, seed)]
+    _one_pass(instances, checks)
+    # next() now records a check's verdict, in the order of the criteria
+    residuals, gradation, char_sequence, annihilator, non_lie, small = checks
+    for check in (residuals, gradation, char_sequence):
+        next(check, None)
     _conclude(report, "nilindex", f"{len(instances)} instances",
               nilindex_failures[:5], "term n-3 nonzero and term n-2 zero "
               "everywhere (nilindex n-2)")
-    _check_annihilator(report, instances)
+    next(annihilator, None)
     _check_formula_oracle(report, dims, oracle_trials, seed)
     _check_invariance(report, oracle_trials, seed)
-    _check_non_lie(report, instances)
+    next(non_lie, None)
     _check_equivalence_spots(report)
-    _check_small_oracles(report, instances, seed)
+    next(small, None)
     _flag_notes(report, instances)
     return report
 
 
+def _one_pass(instances, checks):
+    """Step the generators of instance checks through ``instances``
+    together, each up to its verdict.  While they read an instance, its
+    central series is held, so they share it and its integer cells; it is
+    dropped before the next instance."""
+    for inst in instances:
+        series = lower_central_series(inst.tensor)
+        for check in checks:
+            next(check)
+        del series
+
+
+class _InstanceCheck:
+    """A check over catalog instances, written as a generator function of
+    (report, instances, ...) that yields after it reads each instance and
+    then records its verdict.  ``steps`` is that function, for
+    ``_one_pass``; calling the check runs it on its own."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __call__(self, report, instances, *args, **kwargs):
+        check = self.steps(report, instances, *args, **kwargs)
+        _one_pass(instances, [check])
+        next(check, None)
+
+
+@_InstanceCheck
 def _check_residuals(report, instances, samples=DEFAULT_FREE_SAMPLES):
     """Record catalog-consistency: all residuals empty, and an instance of
-    every row admitted, except rows ``samples`` give no value (named)."""
-    t0 = time.monotonic()
-    bad = []
+    every row admitted, except rows ``samples`` give no value (named).
+    The time gate sums the residual computations alone."""
+    bad, elapsed = [], 0.0
     for inst in instances:
+        t0 = time.monotonic()
         res = leibniz_residual(inst.tensor)
+        elapsed += time.monotonic() - t0
         if not res.is_empty():
             bad.append(f"{inst.label()} ({len(res)} violations)")
-    elapsed = time.monotonic() - t0
+        yield
     dims = {inst.n for inst in instances}
     seen = {inst.row.row_id for inst in instances}
     admitted = [row for row in CATALOG_ROWS
@@ -237,62 +278,59 @@ def _check_residuals(report, instances, samples=DEFAULT_FREE_SAMPLES):
               gate=60)
 
 
-def _check_gradation(report, instances) -> list:
-    """Record gradation-dims and return the nilindex failures, both read
-    off one natural gradation per instance.
-
-    The series dims are the suffix sums of the piece dims, so the nilindex
-    is the number of pieces plus one.  A non-nilpotent instance fails both
-    criteria; only then is its series computed, for the nilindex detail.
-    """
-    graded, nilindex = [], []
+@_InstanceCheck
+def _check_gradation(report, instances, nilindex: list):
+    """Record gradation-dims and append the nilindex failures, read off
+    the series, to ``nilindex``.  A non-nilpotent instance fails both."""
+    graded = []
     for inst in instances:
+        dims = lower_central_series(inst.tensor).dims   # ends in 0 if nilpotent
+        if dims[-1] or len(dims) != inst.n - 2:
+            nilindex.append(f"{inst.label()}: series dims {list(dims)}")
         try:
             pieces = natural_gradation(inst.tensor).piece_dims
+            if pieces != _expected_gradation(inst.n):
+                graded.append(f"{inst.label()}: {list(pieces)}")
         except NonNilpotent:
             graded.append(f"{inst.label()}: not nilpotent")
-            dims = list(lower_central_series(inst.tensor).dims)
-            nilindex.append(f"{inst.label()}: series dims {dims}")
-            continue
-        if pieces != _expected_gradation(inst.n):
-            graded.append(f"{inst.label()}: {list(pieces)}")
-        if len(pieces) + 1 != inst.n - 2:
-            dims = [sum(pieces[k:]) for k in range(len(pieces) + 1)]
-            nilindex.append(f"{inst.label()}: series dims {dims}")
+        yield
     _conclude(report, "gradation-dims", f"{len(instances)} instances",
               graded[:5], "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
-    return nilindex
 
 
+@_InstanceCheck
 def _check_char_sequence(report, instances, budget, seed):
-    t0 = time.monotonic()
-    bad = []
-    reps = {}
+    """Record char-sequence: C(e_1) on every instance and the sampled
+    estimate on the first instance of each row; the time gate sums these
+    computations alone."""
+    at_e1, estimated, reps, elapsed = [], [], set(), 0.0
     for inst in instances:
+        t0 = time.monotonic()
         expected = (inst.n - 3, 3)
         try:
             got = char_sequence_at(inst.tensor, Vec.basis(inst.n, 1)).parts
         except NotNilpotent:
             got = "not nilpotent"
         if got != expected:
-            bad.append(f"{inst.label()}: C(e_1) = {got}")
-        reps.setdefault(inst.row.row_id, inst)
-    for inst in reps.values():
-        expected = (inst.n - 3, 3)
-        try:
-            est = char_sequence_estimate(inst.tensor, budget=budget,
-                                         seed=seed).parts
-        except NotNilpotent:
-            est = "not nilpotent"
-        if est != expected:
-            bad.append(f"{inst.label()}: estimate {est}")
-    elapsed = time.monotonic() - t0
+            at_e1.append(f"{inst.label()}: C(e_1) = {got}")
+        if inst.row.row_id not in reps:
+            reps.add(inst.row.row_id)
+            try:
+                est = char_sequence_estimate(inst.tensor, budget=budget,
+                                             seed=seed).parts
+            except NotNilpotent:
+                est = "not nilpotent"
+            if est != expected:
+                estimated.append(f"{inst.label()}: estimate {est}")
+        elapsed += time.monotonic() - t0
+        yield
     _conclude(report, "char-sequence",
               f"{len(instances)} instances, {len(reps)} sampled estimates "
-              f"(budget {budget})", bad[:5],
+              f"(budget {budget})", (at_e1 + estimated)[:5],
               f"(n-3, 3) everywhere in {elapsed:.1f}s", elapsed, gate=30)
 
 
+@_InstanceCheck
 def _check_annihilator(report, instances):
     bad = []
     for inst in instances:
@@ -304,6 +342,7 @@ def _check_annihilator(report, instances):
         if missing:
             names = ", ".join(f"e_{i}" for i in missing)
             bad.append(f"{inst.label()}: {names} outside annihilator")
+        yield
     _conclude(report, "right-annihilator", f"{len(instances)} instances",
               bad[:5], "contains e_2, e_3 (second type) and e_2..e_{n-3} "
               "(first type)")
@@ -415,6 +454,7 @@ def verify_homogeneity(trials: int = 100, seed: int = 0) -> bool:
     return True
 
 
+@_InstanceCheck
 def _check_non_lie(report, instances):
     bad = []
     for inst in instances:
@@ -422,6 +462,7 @@ def _check_non_lie(report, instances):
             bad.append(inst.label())
         elif inst.tensor.coefficient(1, 1, 2) != 1:
             bad.append(f"{inst.label()}: [e_1,e_1] is not e_2")
+        yield
     _conclude(report, "non-lie", f"{len(instances)} instances", bad[:5],
               "antisymmetry fails everywhere, witness [e_1,e_1] = e_2")
 
@@ -506,7 +547,22 @@ def _brute_block_sizes(m: MatrixQ) -> tuple:
     return tuple(sizes)
 
 
+@_InstanceCheck
 def _check_small_oracles(report, instances, seed):
+    """Record small-oracles: block sizes of conjugated Jordan matrices, and
+    the central series of each instance at the smallest n, against
+    brute-force recomputation; each part stops at its first failure."""
+    lcs_failures, lcs_checked = [], 0
+    smallest = min(inst.n for inst in instances)
+    for inst in instances:
+        if inst.n == smallest and not lcs_failures:
+            dims = list(lower_central_series(inst.tensor).dims)
+            naive = _naive_series_dims(inst.tensor)
+            lcs_checked += 1
+            if dims != naive:
+                lcs_failures.append(f"{inst.label()}: series dims {dims} "
+                                    f"vs naive {naive}")
+        yield
     rng = random.Random(seed + 4)
     failures = []
     trials = 0
@@ -529,24 +585,11 @@ def _check_small_oracles(report, instances, seed):
             failures.append(f"partition {partition}: rank method {got}, "
                             f"kernel method {brute}")
             break
-
-    lcs_checked = 0
-    smallest = min(inst.n for inst in instances)
-    for inst in instances:
-        if inst.n != smallest:
-            continue
-        series = lower_central_series(inst.tensor)
-        naive = _naive_series_dims(inst.tensor)
-        lcs_checked += 1
-        if list(series.dims) != naive:
-            failures.append(f"{inst.label()}: series dims "
-                            f"{list(series.dims)} vs naive {naive}")
-            break
     _conclude(report, "small-oracles",
               f"{trials} conjugated nilpotent matrices, "
               f"{lcs_checked} series recomputations at n={smallest}",
-              failures, "rank-difference block sizes and central series "
-              "match brute-force recomputation")
+              failures + lcs_failures, "rank-difference block sizes and "
+              "central series match brute-force recomputation")
 
 
 def _naive_series_dims(algebra) -> list:

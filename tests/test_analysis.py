@@ -110,7 +110,7 @@ def test_gradation_refuses_a_series_that_is_no_filtration():
         natural_gradation(algebra)
     assert info.value.pair == (2, 2)
     assert str(info.value) == ("[L^2, L^2] is not inside L^4: sections 2 "
-                               "and 2 bracket outside it")
+                               "(e_2) and 2 (e_2) bracket outside it")
 
 
 def test_induced_product_respects_degrees():
@@ -424,3 +424,46 @@ def test_each_call_reads_the_table_once(monkeypatch, tmp_path, capsys):
         reads.clear()
         call(algebra.renamed(None))     # a fresh tensor, no series memo
         assert len(reads) == 1
+
+
+def count_cell_builds(monkeypatch):
+    """Tensors whose integer cells are built, not read from the memo."""
+    built = []
+    cells = lnz.algebra._Cells
+
+    def counted(algebra):
+        built.append(algebra)
+        return cells(algebra)
+    monkeypatch.setattr(lnz.algebra, "_Cells", counted)
+    return built
+
+
+def test_analyze_builds_the_integer_cells_once(monkeypatch, tmp_path,
+                                               capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(build_second_type(
+        16, SecondTypeParams(1, (0, 1, 0, 2), -1))))
+    built = count_cell_builds(monkeypatch)
+    assert main(["analyze", str(path)]) == 0
+    assert "right annihilator dim: 3" in capsys.readouterr().out
+    # the annihilator shares the cells of the series the CLI holds
+    assert len(built) == 1
+
+
+def test_memo_lets_go_of_the_series_and_its_cells(monkeypatch):
+    algebra = build_second_type(10, SecondTypeParams(0, (1, 0, 2, 0), -1))
+    built = count_cell_builds(monkeypatch)
+    series = lower_central_series(algebra)
+    leibniz_residual(algebra)
+    right_annihilator(algebra)
+    char_sequence_at(algebra, Vec.basis(10, 1))
+    assert len(built) == 1
+    assert algebra._cells() is series._cells
+    refs = (algebra._series, algebra._cells)
+    del series
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # with nothing held, each reader builds and drops its own cells
+    right_annihilator(algebra)
+    right_annihilator(algebra)
+    assert len(built) == 3 and algebra._cells() is None

@@ -340,7 +340,7 @@ def test_analyze_refuses_a_series_that_is_no_filtration(capsys, tmp_path):
     assert code == 2
     assert out.splitlines()[-1] == "nilindex: 4"
     assert err == ("lnz: error: [L^2, L^2] is not inside L^4: sections 2 "
-                   "and 2 bracket outside it\n")
+                   "(e_2) and 2 (e_2) bracket outside it\n")
 
 
 def test_analyze_seed_env(capsys, chain_doc, monkeypatch):

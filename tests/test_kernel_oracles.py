@@ -10,8 +10,10 @@ with entries large enough to fill its packed slots, and over all pairs
 of moved basis vectors checks ``apply_change``.  A dense
 ``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
 On random rational tables, the ``rref`` of the stacked brackets checks
-the central series terms, and a gradation in ``Fraction`` arithmetic on
-reduced echelon rows, kept here, checks the integer-row gradation.  The
+the central series terms, the span of every listed product checks
+``derived_span`` and which elements ``char_sequence_at`` refuses, and a
+gradation in ``Fraction`` arithmetic on reduced echelon rows, kept here,
+checks the integer-row gradation.  The
 graded table is also read off the sections alone, through the inverse of
 the matrix whose columns they are, on catalog instances at n = 9 to 32,
 moved and unmoved, and on random strictly triangular tables.  Where a
@@ -24,16 +26,19 @@ from fractions import Fraction
 
 import pytest
 
-from lnz import (BasisChange, GradedChange2, MatrixQ, NonNilpotent,
-                 NotFiltered, PolyQ, SingularChange, StructureTensor, Vec,
-                 apply_change, block_diag, bracket, build_first_type,
-                 build_second_type, char_sequence_estimate,
+from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
+                 MatrixQ, NonNilpotent, NotFiltered, NotNilpotent, PolyQ,
+                 SingularChange, StructureTensor, Vec, apply_change,
+                 block_diag, bracket, build_first_type, build_second_type,
+                 char_sequence_at, char_sequence_estimate,
                  completed_first_type_change,
-                 completed_second_type_change, enumerate_catalog,
+                 completed_second_type_change, derived_span,
+                 enumerate_catalog,
                  invert, jordan_block, kernel_basis, leibniz_residual,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
                  right_annihilator, row_by_id, rref, serialize)
+from lnz.verify import _naive_series_dims
 
 
 def unimodular(rng, n):
@@ -709,6 +714,59 @@ def test_integer_series_and_gradation_match_fraction_references():
         lead_products += any(a in deep or b in deep for a, b in graded.table)
     assert nilpotent >= 150 and fractional >= 50 and lead_products >= 30
     assert refused >= 100
+
+
+def ref_derived(algebra):
+    """[L, L] as the dense reference span of every product the table lists
+    (``StructureTensor.terms``), without the central series."""
+    n = algebra.dim
+    span = RefSpan(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            v = [Fraction(0)] * n
+            for k, c in algebra.terms(i, j):
+                v[k - 1] = c
+            span.add(v)
+    return span
+
+
+def test_derived_span_matches_all_products():
+    rng = random.Random(3999)
+    whole = proper = inside = 0
+    for algebra in series_gradation_cases():
+        n = algebra.dim
+        ref = ref_derived(algebra)
+        assert derived_span(algebra).basis() == tuple(map(tuple, ref.rows))
+        whole += len(ref.rows) == n
+        proper += 0 < len(ref.rows) < n
+        # char_sequence_at refuses x exactly when x lies in [L, L]
+        probes = [Vec.basis(n, i).coords for i in range(1, n + 1)]
+        if ref.rows:
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in ref.rows]
+            probes.append(tuple(sum(x * row[t] for x, row in zip(c, ref.rows))
+                                for t in range(n)))
+        for x in probes:
+            inside_ref = not any(ref.reduce(x))
+            inside += inside_ref
+            try:
+                char_sequence_at(algebra, Vec(x))
+                refused = False
+            except ElementInDerivedSubalgebra:
+                refused = True
+            except NotNilpotent:
+                refused = False
+            assert refused == inside_ref
+    assert whole >= 40 and proper >= 200 and inside >= 1000
+
+
+def test_series_drops_a_cancelled_product():
+    # [e_2 + e_3, e_1] = e_4 - e_4 cancels: L^2 = <e_2 + e_3, e_4>, L^3 = 0
+    algebra = StructureTensor(4, {(1, 1): ((2, 1), (3, 1)), (2, 1): ((4, 1),),
+                                  (3, 1): ((4, -1),)})
+    assert lower_central_series(algebra).rows[1] == ({1: 1, 2: 1}, {3: 1})
+    assert list(lower_central_series(algebra).dims) \
+        == _naive_series_dims(algebra) == [4, 2, 0]
 
 
 def ref_inverse_columns(columns):
