@@ -286,6 +286,40 @@ def test_slow_check_trips_its_time_gate(monkeypatch):
     assert record.detail == "took 31.5s, budget is 30s"
 
 
+def test_instance_checks_trip_their_time_gates(monkeypatch):
+    # each reading goes up by 1.0: 97 instances at n = 9, one residual
+    # span and one C(e_1) span (with its estimate) each
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(lnz.verify, "time",
+                        SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    report = verify_all(dims=(9,), oracle_trials=1)
+    consistency = report.record("catalog-consistency")
+    assert consistency.status == "fail"
+    assert consistency.detail == "took 97.0s, budget is 60s"
+    char_sequence = report.record("char-sequence")
+    assert char_sequence.status == "fail"
+    assert char_sequence.detail == "took 97.0s, budget is 30s"
+
+
+def test_failure_report_text_is_pinned(monkeypatch):
+    # the crafted failures of the tests above, in one battery
+    instances = list(enumerate_catalog((9,)))
+    first, perturbed = instances[0], dict(instances[1].tensor.table)
+    perturbed[(1, 4)] = ((5, Fraction(-2)),)    # [e_1, e_4] = -2 e_5
+    outside = dict(first.tensor.table)
+    outside[(1, 2)] = ((3, Fraction(1)),)       # [e_1, e_2] = e_3
+    bad = [instances[1]._replace(tensor=StructureTensor(9, perturbed)),
+           first._replace(tensor=StructureTensor(9, outside)),
+           first._replace(tensor=StructureTensor(9, {})),
+           first._replace(tensor=StructureTensor(9, {(2, 1): [(2, 1)]}))]
+    monkeypatch.setattr(lnz.verify, "enumerate_catalog",
+                        lambda dims, samples: bad)
+    report = verify_all(dims=(9,), oracle_trials=1)
+    assert [r.name for r in report.records] == list(CRITERIA + FLAGGED)
+    assert masked_sha256(report.to_text()) == (
+        "42f31b1905bfdf4dc86cef9909b19a92a164ffa1f2f3cd174e73927f7f3d12d6")
+
+
 def test_verify_all_report_in_process(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(["verify-all", "--dims", "9", "--report", str(path)]) == 0
