@@ -158,10 +158,9 @@ class StructureTensor:
         return self.table.get((i, j), ())
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        for kk, c in self.terms(i, j):
-            if kk == k:
-                return c
-        return Fraction(0)
+        if not 1 <= k <= self.dim:
+            raise IndexOutOfRange(f"target index {k} outside 1..{self.dim}")
+        return next((c for kk, c in self.terms(i, j) if kk == k), _ZERO)
 
     def entries(self):
         """All nonzero table cells, sorted by (i, j)."""

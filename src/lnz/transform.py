@@ -340,6 +340,12 @@ def param_map_type1_b(p, g: GradedChange2) -> tuple:
 # ----------------------------------------------------------------------
 # extraction back out of a tensor
 
+def _normal_dim(algebra: StructureTensor) -> int:
+    if algebra.dim < 9:     # the smallest normal forms have n = 9
+        raise NotNormalForm(f"normal forms need n >= 9, got {algebra.dim}")
+    return algebra.dim
+
+
 def _rebuilt(algebra: StructureTensor, read):
     """The parameters ``read()`` returns with the normal form built from
     them, provided that form is ``algebra`` cell for cell."""
@@ -359,7 +365,7 @@ def extract_second_type(algebra: StructureTensor) -> SecondTypeParams:
     the whole tensor is rebuilt and compared, so any algebra that merely
     resembles the normal form is rejected.
     """
-    n = algebra.dim
+    n = _normal_dim(algebra)
     eps = algebra.coefficient(4, n - 1, n)
     if eps not in (0, 1):
         raise NotNormalForm(f"alternating coefficient {eps} is not 0 or 1")
@@ -375,7 +381,7 @@ def extract_second_type(algebra: StructureTensor) -> SecondTypeParams:
 
 def extract_type1_a(algebra: StructureTensor) -> tuple:
     """Read (alpha1, alpha2, beta2) off the annihilator branch form."""
-    n = algebra.dim
+    n = _normal_dim(algebra)
     p = (algebra.coefficient(1, n - 2, 2),
          algebra.coefficient(1, n - 2, n - 1),
          algebra.coefficient(n - 2, n - 2, n - 1))
@@ -384,7 +390,7 @@ def extract_type1_a(algebra: StructureTensor) -> tuple:
 
 def extract_type1_b(algebra: StructureTensor) -> tuple:
     """Read (alpha1, a2, b2) off the non-annihilator branch form."""
-    n = algebra.dim
+    n = _normal_dim(algebra)
     if algebra.coefficient(1, n - 2, n - 1) != -1:
         raise NotNormalForm("[e_1, e_{n-2}] must carry -e_{n-1} here")
     p = (algebra.coefficient(1, n - 2, 2),

@@ -6,9 +6,9 @@ characteristic sequence, nilindex and annihilator, the closed-form
 parameter maps agree with direct basis-change recomputation, the printed
 invariants are invariant, and the equivalence decision is sound on
 spot-check pairs.  Failures become report records, never exceptions, so
-one broken family does not hide the rest.  The checks of catalog
-instances visit each instance once, together, while its central series
-is held, so that they share the series and its integer cells.
+one broken family does not hide the rest.  One loop reads each catalog
+instance in turn while it holds the instance's central series, so every
+check of that instance shares the series and its integer cells.
 
 A handful of "flagged" records document readings and observations that a
 user should know about but that are not failures.
@@ -175,6 +175,13 @@ def _conclude(report, name, subject, failures, passed, elapsed=None,
         report.add(name, subject, "pass", passed)
 
 
+#: The criteria in the order the report lists them, before the flags.
+_CRITERIA = ("catalog-consistency", "gradation-dims", "char-sequence",
+             "nilindex", "right-annihilator", "formula-oracle",
+             "nullity-invariance", "non-lie", "equivalence-spots",
+             "small-oracles")
+
+
 def _expected_gradation(n: int) -> tuple:
     return (2, 2, 2) + (1,) * (n - 6)
 
@@ -194,121 +201,48 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
             f"verification needs n >= 9 everywhere, got dims {list(dims)}")
     report = Report()
     instances = list(enumerate_catalog(dims, samples))
-    nilindex_failures: list = []
-    checks = [_check_residuals.steps(report, instances, samples),
-              _check_gradation.steps(report, instances, nilindex_failures),
-              _check_char_sequence.steps(report, instances, budget, seed),
-              _check_annihilator.steps(report, instances),
-              _check_non_lie.steps(report, instances),
-              _check_small_oracles.steps(report, instances, seed)]
-    _one_pass(instances, checks)
-    # next() now records a check's verdict, in the order of the criteria
-    residuals, gradation, char_sequence, annihilator, non_lie, small = checks
-    for check in (residuals, gradation, char_sequence):
-        next(check, None)
-    _conclude(report, "nilindex", f"{len(instances)} instances",
-              nilindex_failures[:5], "term n-3 nonzero and term n-2 zero "
-              "everywhere (nilindex n-2)")
-    next(annihilator, None)
+    _check_instances(report, instances, samples, budget, seed)
     _check_formula_oracle(report, dims, oracle_trials, seed)
     _check_invariance(report, oracle_trials, seed)
-    next(non_lie, None)
     _check_equivalence_spots(report)
-    next(small, None)
-    _flag_notes(report, instances)
+    report.records.sort(key=lambda r: _CRITERIA.index(r.name))
+    _flag_notes(report)
     return report
 
 
-def _one_pass(instances, checks):
-    """Step the generators of instance checks through ``instances``
-    together, each up to its verdict.  While they read an instance, its
-    central series is held, so they share it and its integer cells; it is
-    dropped before the next instance."""
+def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
+                     budget=200, seed=0):
+    """Record the seven checks of catalog instances: catalog-consistency,
+    gradation-dims, char-sequence (C(e_1) everywhere, the sampled estimate
+    on the first instance of each row), nilindex, right-annihilator,
+    non-lie and small-oracles (the series at the smallest n against
+    brute force, up to the first failure).  The 60 s gate sums the
+    residual spans alone, the 30 s gate the C(e_1) and estimate spans."""
+    residual, graded, nilindex, at_e1, estimated, outside, lie, series_bad = (
+        [] for _ in range(8))
+    reps, rechecked, residual_s, sequence_s = set(), 0, 0.0, 0.0
+    smallest = min(inst.n for inst in instances)
     for inst in instances:
-        series = lower_central_series(inst.tensor)
-        for check in checks:
-            next(check)
-        del series
-
-
-class _InstanceCheck:
-    """A check over catalog instances, written as a generator function of
-    (report, instances, ...) that yields after it reads each instance and
-    then records its verdict.  ``steps`` is that function, for
-    ``_one_pass``; calling the check runs it on its own."""
-
-    def __init__(self, steps):
-        self.steps = steps
-
-    def __call__(self, report, instances, *args, **kwargs):
-        check = self.steps(report, instances, *args, **kwargs)
-        _one_pass(instances, [check])
-        next(check, None)
-
-
-@_InstanceCheck
-def _check_residuals(report, instances, samples=DEFAULT_FREE_SAMPLES):
-    """Record catalog-consistency: all residuals empty, and an instance of
-    every row admitted, except rows ``samples`` give no value (named).
-    The time gate sums the residual computations alone."""
-    bad, elapsed = [], 0.0
-    for inst in instances:
+        n, tensor = inst.n, inst.tensor
+        series = lower_central_series(tensor)
         t0 = time.monotonic()
-        res = leibniz_residual(inst.tensor)
-        elapsed += time.monotonic() - t0
+        res = leibniz_residual(tensor)
+        residual_s += time.monotonic() - t0
         if not res.is_empty():
-            bad.append(f"{inst.label()} ({len(res)} violations)")
-        yield
-    dims = {inst.n for inst in instances}
-    seen = {inst.row.row_id for inst in instances}
-    admitted = [row for row in CATALOG_ROWS
-                if any(row.parity == "any" or n % 2 == 0 for n in dims)]
-    skipped = [row.row_id for row in admitted if not row.sample_grid(samples)]
-    missing = [row.row_id for row in admitted
-               if row.row_id not in seen and row.row_id not in skipped]
-    if bad:
-        bad = ["nonzero residual at " + "; ".join(bad[:5])]
-    elif missing:
-        bad = ["no instances of rows " + ", ".join(missing)]
-    passed = f"all residuals empty in {elapsed:.1f}s"
-    if skipped:
-        passed += "; no admissible sample for rows " + ", ".join(skipped)
-    _conclude(report, "catalog-consistency",
-              f"{len(instances)} catalog instances", bad, passed, elapsed,
-              gate=60)
-
-
-@_InstanceCheck
-def _check_gradation(report, instances, nilindex: list):
-    """Record gradation-dims and append the nilindex failures, read off
-    the series, to ``nilindex``.  A non-nilpotent instance fails both."""
-    graded = []
-    for inst in instances:
-        dims = lower_central_series(inst.tensor).dims   # ends in 0 if nilpotent
-        if dims[-1] or len(dims) != inst.n - 2:
-            nilindex.append(f"{inst.label()}: series dims {list(dims)}")
+            residual.append(f"{inst.label()} ({len(res)} violations)")
+        lcs = list(series.dims)     # ends in 0 if nilpotent
+        if lcs[-1] or len(lcs) != n - 2:
+            nilindex.append(f"{inst.label()}: series dims {lcs}")
         try:
-            pieces = natural_gradation(inst.tensor).piece_dims
-            if pieces != _expected_gradation(inst.n):
+            pieces = natural_gradation(tensor).piece_dims
+            if pieces != _expected_gradation(n):
                 graded.append(f"{inst.label()}: {list(pieces)}")
         except NonNilpotent:
             graded.append(f"{inst.label()}: not nilpotent")
-        yield
-    _conclude(report, "gradation-dims", f"{len(instances)} instances",
-              graded[:5], "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
-
-
-@_InstanceCheck
-def _check_char_sequence(report, instances, budget, seed):
-    """Record char-sequence: C(e_1) on every instance and the sampled
-    estimate on the first instance of each row; the time gate sums these
-    computations alone."""
-    at_e1, estimated, reps, elapsed = [], [], set(), 0.0
-    for inst in instances:
         t0 = time.monotonic()
-        expected = (inst.n - 3, 3)
+        expected = (n - 3, 3)
         try:
-            got = char_sequence_at(inst.tensor, Vec.basis(inst.n, 1)).parts
+            got = char_sequence_at(tensor, Vec.basis(n, 1)).parts
         except NotNilpotent:
             got = "not nilpotent"
         if got != expected:
@@ -316,36 +250,58 @@ def _check_char_sequence(report, instances, budget, seed):
         if inst.row.row_id not in reps:
             reps.add(inst.row.row_id)
             try:
-                est = char_sequence_estimate(inst.tensor, budget=budget,
+                est = char_sequence_estimate(tensor, budget=budget,
                                              seed=seed).parts
             except NotNilpotent:
                 est = "not nilpotent"
             if est != expected:
                 estimated.append(f"{inst.label()}: estimate {est}")
-        elapsed += time.monotonic() - t0
-        yield
-    _conclude(report, "char-sequence",
-              f"{len(instances)} instances, {len(reps)} sampled estimates "
-              f"(budget {budget})", (at_e1 + estimated)[:5],
-              f"(n-3, 3) everywhere in {elapsed:.1f}s", elapsed, gate=30)
-
-
-@_InstanceCheck
-def _check_annihilator(report, instances):
-    bad = []
-    for inst in instances:
-        n = inst.n
-        ann = right_annihilator(inst.tensor)
-        span = EchelonSpan(n, ann)
+        sequence_s += time.monotonic() - t0
+        span = EchelonSpan(n, right_annihilator(tensor))
         need = [2, 3] if inst.row.kind == "second" else list(range(2, n - 2))
         missing = [i for i in need if not span.contains(Vec.basis(n, i))]
         if missing:
             names = ", ".join(f"e_{i}" for i in missing)
-            bad.append(f"{inst.label()}: {names} outside annihilator")
-        yield
-    _conclude(report, "right-annihilator", f"{len(instances)} instances",
-              bad[:5], "contains e_2, e_3 (second type) and e_2..e_{n-3} "
-              "(first type)")
+            outside.append(f"{inst.label()}: {names} outside annihilator")
+        if is_lie(tensor):
+            lie.append(inst.label())
+        elif tensor.coefficient(1, 1, 2) != 1:
+            lie.append(f"{inst.label()}: [e_1,e_1] is not e_2")
+        if n == smallest and not series_bad:
+            naive = _naive_series_dims(tensor)
+            rechecked += 1
+            if lcs != naive:
+                series_bad.append(f"{inst.label()}: series dims {lcs} "
+                                  f"vs naive {naive}")
+    dims = {inst.n for inst in instances}
+    seen = {inst.row.row_id for inst in instances}
+    admitted = [row for row in CATALOG_ROWS
+                if any(row.parity == "any" or n % 2 == 0 for n in dims)]
+    skipped = [row.row_id for row in admitted if not row.sample_grid(samples)]
+    absent = [row.row_id for row in admitted
+              if row.row_id not in seen and row.row_id not in skipped]
+    if residual:
+        residual = ["nonzero residual at " + "; ".join(residual[:5])]
+    elif absent:
+        residual = ["no instances of rows " + ", ".join(absent)]
+    passed = f"all residuals empty in {residual_s:.1f}s"
+    if skipped:
+        passed += "; no admissible sample for rows " + ", ".join(skipped)
+    count = f"{len(instances)} instances"
+    _conclude(report, "catalog-consistency", f"{len(instances)} catalog "
+              "instances", residual, passed, residual_s, gate=60)
+    _conclude(report, "gradation-dims", count, graded[:5],
+              "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
+    _conclude(report, "char-sequence", f"{count}, {len(reps)} sampled "
+              f"estimates (budget {budget})", (at_e1 + estimated)[:5],
+              f"(n-3, 3) everywhere in {sequence_s:.1f}s", sequence_s, gate=30)
+    _conclude(report, "nilindex", count, nilindex[:5], "term n-3 nonzero and "
+              "term n-2 zero everywhere (nilindex n-2)")
+    _conclude(report, "right-annihilator", count, outside[:5], "contains "
+              "e_2, e_3 (second type) and e_2..e_{n-3} (first type)")
+    _conclude(report, "non-lie", count, lie[:5],
+              "antisymmetry fails everywhere, witness [e_1,e_1] = e_2")
+    _check_small_oracles(report, series_bad, rechecked, smallest, seed)
 
 
 def _check_formula_oracle(report, dims, trials, seed):
@@ -454,19 +410,6 @@ def verify_homogeneity(trials: int = 100, seed: int = 0) -> bool:
     return True
 
 
-@_InstanceCheck
-def _check_non_lie(report, instances):
-    bad = []
-    for inst in instances:
-        if is_lie(inst.tensor):
-            bad.append(inst.label())
-        elif inst.tensor.coefficient(1, 1, 2) != 1:
-            bad.append(f"{inst.label()}: [e_1,e_1] is not e_2")
-        yield
-    _conclude(report, "non-lie", f"{len(instances)} instances", bad[:5],
-              "antisymmetry fails everywhere, witness [e_1,e_1] = e_2")
-
-
 def _spot_pairs():
     """(p, q, expected-kind, note) tuples for the equivalence decision."""
     def sp(eps, alphas):
@@ -547,22 +490,11 @@ def _brute_block_sizes(m: MatrixQ) -> tuple:
     return tuple(sizes)
 
 
-@_InstanceCheck
-def _check_small_oracles(report, instances, seed):
-    """Record small-oracles: block sizes of conjugated Jordan matrices, and
-    the central series of each instance at the smallest n, against
-    brute-force recomputation; each part stops at its first failure."""
-    lcs_failures, lcs_checked = [], 0
-    smallest = min(inst.n for inst in instances)
-    for inst in instances:
-        if inst.n == smallest and not lcs_failures:
-            dims = list(lower_central_series(inst.tensor).dims)
-            naive = _naive_series_dims(inst.tensor)
-            lcs_checked += 1
-            if dims != naive:
-                lcs_failures.append(f"{inst.label()}: series dims {dims} "
-                                    f"vs naive {naive}")
-        yield
+def _check_small_oracles(report, series_failures, rechecked, smallest, seed):
+    """Record small-oracles: block sizes of conjugated Jordan matrices
+    against brute-force recomputation, which stops at its first failure,
+    with the ``rechecked`` brute-force central series at n = ``smallest``
+    and their ``series_failures``."""
     rng = random.Random(seed + 4)
     failures = []
     trials = 0
@@ -587,8 +519,8 @@ def _check_small_oracles(report, instances, seed):
             break
     _conclude(report, "small-oracles",
               f"{trials} conjugated nilpotent matrices, "
-              f"{lcs_checked} series recomputations at n={smallest}",
-              failures + lcs_failures, "rank-difference block sizes and "
+              f"{rechecked} series recomputations at n={smallest}",
+              failures + series_failures, "rank-difference block sizes and "
               "central series match brute-force recomputation")
 
 
@@ -618,7 +550,7 @@ def _naive_series_dims(algebra) -> list:
     return dims
 
 
-def _flag_notes(report, instances):
+def _flag_notes(report):
     chain_only = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
     ok_reading = leibniz_residual(chain_only).is_empty()
     report.add("reading-beta-e6", "beta = 0 families", "flagged",

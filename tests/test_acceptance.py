@@ -18,10 +18,9 @@ import lnz.verify
 from lnz import (BasisChange, MatrixQ, SecondTypeParams, StructureTensor,
                  completed_second_type_change, enumerate_catalog, verify_all)
 from lnz.cli import main
-from lnz.verify import (Report, _check_annihilator, _check_equivalence_spots,
-                        _check_formula_oracle, _check_invariance,
-                        _check_non_lie, _check_residuals,
-                        _check_small_oracles)
+from lnz.verify import (Report, _check_equivalence_spots,
+                        _check_formula_oracle, _check_instances,
+                        _check_invariance)
 
 CRITERIA = (
     "catalog-consistency",
@@ -101,7 +100,7 @@ def test_verify_all_cli_text_is_pinned(capsys):
 
 def test_small_oracles_recompute_series_at_smallest_dimension():
     report = Report()
-    _check_small_oracles(report, list(enumerate_catalog((10,))), seed=0)
+    _check_instances(report, list(enumerate_catalog((10,))))
     record = report.record("small-oracles")
     found = re.search(r"(\d+) series recomputations at n=10", record.subject)
     assert record.status == "pass"
@@ -118,11 +117,11 @@ def test_formula_oracle_on_odd_dimensions_only():
 def test_residuals_need_every_admitted_row_not_a_count():
     instances = list(enumerate_catalog((9,)))
     report = Report()
-    _check_residuals(report, instances)
+    _check_instances(report, instances)
     assert report.record("catalog-consistency").status == "pass"
     dropped = instances[0].row.row_id
     report = Report()
-    _check_residuals(report, [i for i in instances
+    _check_instances(report, [i for i in instances
                               if i.row.row_id != dropped])
     record = report.record("catalog-consistency")
     assert record.status == "fail"
@@ -134,13 +133,13 @@ def test_residuals_skip_rows_without_an_admissible_sample():
     instances = list(enumerate_catalog((9,), (1,)))
     assert "0,9" not in {inst.row.row_id for inst in instances}
     report = Report()
-    _check_residuals(report, instances, (1,))
+    _check_instances(report, instances, (1,))
     record = report.record("catalog-consistency")
     assert record.status == "pass"
     assert record.detail.endswith("; no admissible sample for rows 0,9")
     # the default samples admit every row, and the detail names none
     report = Report()
-    _check_residuals(report, list(enumerate_catalog((9,))))
+    _check_instances(report, list(enumerate_catalog((9,))))
     assert "admissible" not in report.record("catalog-consistency").detail
 
 
@@ -184,7 +183,7 @@ def test_small_oracles_accept_a_non_nilpotent_instance():
     instances[0] = instances[0]._replace(
         tensor=StructureTensor(9, {(2, 1): [(2, 1)]}))
     report = Report()
-    _check_small_oracles(report, instances, seed=0)
+    _check_instances(report, instances)
     record = report.record("small-oracles")
     assert record.status == "pass", record.detail
 
@@ -221,7 +220,7 @@ def test_perturbed_coefficient_fails_catalog_consistency():
     table[(1, 4)] = ((5, Fraction(-2)),)        # [e_1, e_4] = -2 e_5
     instances[1] = inst._replace(tensor=StructureTensor(9, table))
     report = Report()
-    _check_residuals(report, instances)
+    _check_instances(report, instances)
     record = report.record("catalog-consistency")
     assert record.status == "fail"
     assert record.detail == ("nonzero residual at l(0,2)[lambda=0] n=9 "
@@ -233,8 +232,8 @@ def test_e2_outside_the_annihilator_fails():
     table = dict(inst.tensor.table)
     table[(1, 2)] = ((3, Fraction(1)),)         # [e_1, e_2] = e_3
     report = Report()
-    _check_annihilator(report,
-                       [inst._replace(tensor=StructureTensor(9, table))])
+    _check_instances(report,
+                     [inst._replace(tensor=StructureTensor(9, table))])
     record = report.record("right-annihilator")
     assert record.status == "fail"
     assert record.detail == "l(0,1) n=9: e_2 outside annihilator"
@@ -243,7 +242,7 @@ def test_e2_outside_the_annihilator_fails():
 def test_empty_table_fails_non_lie():
     inst = next(iter(enumerate_catalog((9,))))
     report = Report()
-    _check_non_lie(report, [inst._replace(tensor=StructureTensor(9, {}))])
+    _check_instances(report, [inst._replace(tensor=StructureTensor(9, {}))])
     record = report.record("non-lie")
     assert record.status == "fail"
     assert record.detail == "l(0,1) n=9"

@@ -294,6 +294,16 @@ def test_structure_tensor_rejects_indices_outside_the_basis(dim, table,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("k", [0, 10, 99])
+def test_coefficient_rejects_a_target_outside_the_basis(k):
+    algebra = StructureTensor(9, {(1, 1): [(2, 1)]})
+    assert algebra.coefficient(1, 1, 2) == 1
+    assert algebra.coefficient(1, 1, 9) == 0
+    with pytest.raises(IndexOutOfRange) as info:
+        algebra.coefficient(1, 1, k)
+    assert str(info.value) == f"target index {k} outside 1..9"
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_structure_tensor_rejects_dimension_below_one(dim):
     with pytest.raises(DimensionMismatch) as info:

@@ -384,6 +384,14 @@ def test_extract_rejects_non_normal_tensors():
         extract_type1_b(build_type1_branch_a(9, 1, 0, 2))
 
 
+@pytest.mark.parametrize("extract", [extract_second_type, extract_type1_a,
+                                     extract_type1_b])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_extract_rejects_every_dimension_below_nine(extract, dim):
+    with pytest.raises(NotNormalForm, match=f"n >= 9, got {dim}$"):
+        extract(StructureTensor(dim, {(1, 1): [(dim, 1)]}))
+
+
 # ----------------------------------------------------------------------
 # nullity signatures
 
