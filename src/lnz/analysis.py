@@ -7,8 +7,9 @@ materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
 of a nilpotent algebra.  A series keeps the integer cells it read
-(``algebra._integer_cells``); the gradation and the estimate reuse them,
-and [L, L] (``derived_span``) is its second term.
+(``algebra._integer_cells``); the gradation and the estimate reuse them.
+[L, L] (``derived_span``) is its second term, which ``char_sequence_at``
+and the estimate read off the series they already hold.
 
 The tensor keeps a weak reference to the series last built for it, and
 one to its integer cells (``algebra._memo``).  So a caller that still
@@ -163,9 +164,7 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
                     at_column.setdefault(j, []).append(len(rows))
                 rows.append(row)
                 degree_of.append(d)
-    m, top = len(rows), len(spans) - 1
-    if m != n:
-        raise NonNilpotent("section extraction lost dimensions")  # pragma: no cover
+    top = len(spans) - 1
     piece_dims = tuple(degree_of.count(d) for d in range(1, top + 1))
     start = [sum(piece_dims[:d]) for d in range(top + 1)]
     pivot_of = [min(row) for row in rows]
@@ -181,14 +180,14 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     # j of some [R_a, e_j] has a nonzero residue; a visits those b, in order.
     scale, by_left = series._cells
     table = {}
-    for a in range(m):
+    for a in range(n):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
         for b in sorted({s for j in right for s in at_column.get(j, ())}):
             target = degree_of[a] + degree_of[b]
             residue = _combine(rows[b], right)
             denominator = scale * lead[a] * lead[b]
             terms = []
-            for s in range(m - 1, start[min(target, top + 1) - 1] - 1, -1):
+            for s in range(n - 1, start[min(target, top + 1) - 1] - 1, -1):
                 c = residue.get(pivot_of[s])
                 if c:
                     if degree_of[s] == target:
@@ -253,8 +252,8 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     x must lie outside the derived subalgebra; right multiplication must
     be nilpotent (NotNilpotent propagates otherwise).
     """
-    series = lower_central_series(algebra)      # held for derived_span
-    if derived_span(algebra).contains(x):
+    series = lower_central_series(algebra)
+    if _derived(series).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
     return _profile(series._cells[1], x.coords)

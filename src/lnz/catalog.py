@@ -454,16 +454,11 @@ def find_second_type_row(params: SecondTypeParams):
 
 
 def _solve_row_values(row: CatalogRow, targets: tuple):
-    env = {}
-    for spec in row.params:
-        solved = None
-        for slot, target in zip(row.slots, targets):
-            if slot[0] == "mul" and slot[2] == spec.name:
-                solved = target / slot[1]
-                break
-        if solved is None:   # pragma: no cover - every row has a linear slot
-            return None
-        env[spec.name] = solved
+    # each parameter's value is read off its first "mul" slot
+    env = {spec.name: next(target / slot[1]
+                           for slot, target in zip(row.slots, targets)
+                           if slot[0] == "mul" and slot[2] == spec.name)
+           for spec in row.params}
     if slot_uses_inv2(row.slots) and env.get("lambda") == 0:
         return None
     values = tuple(env[spec.name] for spec in row.params)

@@ -14,10 +14,12 @@ divides each finished row by its gcd, so entries stay small and zero
 cells cost nothing.  ``_reduced_rows`` is the one back-substitution, to
 integer rows canonical for the span; ``EchelonSpan.basis()`` is their
 ``Fraction`` view, the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
-and ``EchelonSpan`` sit on the kernel; ``rref`` goes through ``EchelonSpan``
-and ``kernel_basis`` reads its reduced integer rows.  ``_inverse_columns``
-reduces [M^T | I] to the columns of M^-1 as integer rows over one scale,
-which ``invert`` views as a ``MatrixQ`` and ``BasisChange`` keeps.
+and ``EchelonSpan`` sit on the kernel; ``rank`` and the ``EchelonSpan``
+constructor share its one echelon loop (``_echelon``).  ``rref`` goes
+through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
+rows.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1 as
+integer rows over one scale, which ``invert`` views as a ``MatrixQ`` and
+``BasisChange`` keeps.
 ``_combine``, beside the kernel, is the one sparse row-times-rows product.
 Above the kernel, one integer layout of the structure table, the cells by
 left index (``algebra._integer_cells``), and one product of an integer
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotNilpotent
 
@@ -82,7 +84,7 @@ class MatrixQ:
     def __getitem__(self, rc):
         r, c = rc
         if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r},{c}) outside {self.rows}x{self.cols}")
+            raise IndexOutOfRange(f"({r},{c}) outside {self.rows}x{self.cols}")
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple:
@@ -359,9 +361,8 @@ class EchelonSpan:
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        self._rows: dict = {}   # pivot column -> sparse integer row
-        for v in vectors:
-            self.add(v)
+        # pivot column -> sparse integer row
+        self._rows = _echelon(self._integral(v) for v in vectors)
 
     @property
     def dim(self) -> int:
@@ -543,10 +544,13 @@ def rational_roots(p: PolyQ, bound: int = 0) -> list:
 
     Candidates come from the usual divisor test on the primitive integer
     form.  With ``bound > 0`` only divisors up to that bound are tried,
-    which keeps the search cheap for huge coefficients.
+    which keeps the search cheap for huge coefficients; ``bound = 0``
+    means no bound, and a negative bound raises ``ValueError``.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
+    if bound < 0:
+        raise ValueError(f"bound must be 0 (none) or positive, got {bound}")
     coeffs = list(p.coeffs)
     shift = 0
     while coeffs and coeffs[0] == 0:
@@ -561,16 +565,9 @@ def rational_roots(p: PolyQ, bound: int = 0) -> list:
         lead, const = abs(ints[-1]), abs(ints[0])
 
         def divisors(m):
-            out = []
-            d = 1
-            while d * d <= m:
-                if m % d == 0:
-                    out.append(d)
-                    out.append(m // d)
-                d += 1
-                if bound and d > bound:
-                    break
-            return sorted(set(x for x in out if not bound or x <= bound))
+            top = min(isqrt(m), bound) if bound else isqrt(m)
+            return sorted({x for d in range(1, top + 1) if m % d == 0
+                           for x in (d, m // d) if not bound or x <= bound})
 
         poly = PolyQ(tuple(coeffs))
         for num in divisors(const):

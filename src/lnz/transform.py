@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
                       _integer_cells, _load_json, _tensor, _times_basis)
@@ -445,9 +445,8 @@ def nullity_signature(p) -> NullitySignature:
     if isinstance(p, FirstTypeParams):
         return nullity_signature((p.branch, p.branch_params()))
     branch, triple = p
-    x1, x2, x3 = (_frac(v) for v in triple)
+    a1, a2, b2 = (_frac(v) for v in triple)
     if branch == "a":
-        a1, a2, b2 = x1, x2, x3
         bits = [("alpha1", a1 == 0), ("beta2", b2 == 0),
                 ("alpha1-beta2", a1 - b2 == 0)]
         if a1 == 0:
@@ -456,7 +455,6 @@ def nullity_signature(p) -> NullitySignature:
             bits.append(("1+alpha2", 1 + a2 == 0))
         return NullitySignature("first-a", tuple(bits))
     if branch == "b":
-        a1, a2, b2 = x1, x2, x3
         bits = [("alpha1", a1 == 0), ("b2", b2 == 0),
                 ("1+a2", 1 + a2 == 0), ("alpha1+b2", a1 + b2 == 0)]
         return NullitySignature("first-b", tuple(bits))
@@ -497,22 +495,11 @@ def _rational_sqrt(x: Fraction):
 
 def _grid_axis(height: int) -> list:
     """All reduced fractions p/q with |p|, q <= height, in a canonical
-    order: by height, then by value."""
-    seen = {Q(0)}
-    out = [Q(0)]
-    for h in range(1, height + 1):
-        batch = set()
-        for den in range(1, h + 1):
-            for num in range(-h, h + 1):
-                if gcd(abs(num), den) != 1 or max(abs(num), den) != h:
-                    continue
-                v = Q(num, den)
-                if v not in seen:
-                    batch.add(v)
-        for v in sorted(batch):
-            seen.add(v)
-            out.append(v)
-    return out
+    order: 0 first, then by height max(|p|, q), then by value."""
+    return sorted({Q(p, q) for q in range(1, height + 1)
+                   for p in range(-height, height + 1)},
+                  key=lambda v: (v != 0, max(abs(v.numerator), v.denominator),
+                                 v))
 
 
 def _forward_matches(p: SecondTypeParams, q: SecondTypeParams,

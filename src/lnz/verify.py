@@ -373,12 +373,8 @@ def scale_identities_hold(p: SecondTypeParams, g: GradedChange2) -> bool:
     """
     a1, a2, a3, a4 = p.alphas
     A1, A4 = g.A1, g.A4
-    if p.epsilon == 0:
-        q = param_map_case1(p, g)
-        B4 = g.B4
-    else:
-        q = param_map_case2(p, g)
-        B4 = A1 - A4
+    q = _map_of(_FAMILIES[p.epsilon])(p, g)
+    B4 = g.B4 if p.epsilon == 0 else A1 - A4
     b1, b2, b3, b4 = q.alphas
     D = A1 * A1 + a1 * A1 * A4 + a3 * A4 * A4
     E = A1 + a2 * A4

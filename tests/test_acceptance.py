@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +48,15 @@ FLAGGED = (
 @pytest.fixture(scope="session")
 def report():
     return verify_all(dims=(9, 10), seed=0)
+
+
+def one_per_row(instances) -> list:
+    """The first instance of each row, in catalog order: the fewest that
+    leave no admitted row absent from catalog-consistency."""
+    firsts = {}
+    for inst in instances:
+        firsts.setdefault(inst.row.row_id, inst)
+    return list(firsts.values())
 
 
 def line_for(record) -> str:
@@ -100,7 +110,7 @@ def test_verify_all_cli_text_is_pinned(capsys):
 
 def test_small_oracles_recompute_series_at_smallest_dimension():
     report = Report()
-    _check_instances(report, list(enumerate_catalog((10,))))
+    _check_instances(report, list(islice(enumerate_catalog((10,)), 1)))
     record = report.record("small-oracles")
     found = re.search(r"(\d+) series recomputations at n=10", record.subject)
     assert record.status == "pass"
@@ -115,7 +125,7 @@ def test_formula_oracle_on_odd_dimensions_only():
 
 
 def test_residuals_need_every_admitted_row_not_a_count():
-    instances = list(enumerate_catalog((9,)))
+    instances = one_per_row(enumerate_catalog((9,)))
     report = Report()
     _check_instances(report, instances)
     assert report.record("catalog-consistency").status == "pass"
@@ -130,7 +140,7 @@ def test_residuals_need_every_admitted_row_not_a_count():
 
 def test_residuals_skip_rows_without_an_admissible_sample():
     # row 0,9 excludes lambda = 0 and 1, so the samples (1,) admit no value
-    instances = list(enumerate_catalog((9,), (1,)))
+    instances = one_per_row(enumerate_catalog((9,), (1,)))
     assert "0,9" not in {inst.row.row_id for inst in instances}
     report = Report()
     _check_instances(report, instances, (1,))
@@ -139,7 +149,7 @@ def test_residuals_skip_rows_without_an_admissible_sample():
     assert record.detail.endswith("; no admissible sample for rows 0,9")
     # the default samples admit every row, and the detail names none
     report = Report()
-    _check_instances(report, list(enumerate_catalog((9,))))
+    _check_instances(report, one_per_row(enumerate_catalog((9,))))
     assert "admissible" not in report.record("catalog-consistency").detail
 
 
@@ -178,7 +188,7 @@ def test_non_nilpotent_instance_is_a_failure_record(monkeypatch):
 
 
 def test_small_oracles_accept_a_non_nilpotent_instance():
-    instances = list(enumerate_catalog((9,)))
+    instances = list(islice(enumerate_catalog((9,)), 1))
     # [e_2, e_1] = e_2: series dims (9, 1), with the repeated term dropped
     instances[0] = instances[0]._replace(
         tensor=StructureTensor(9, {(2, 1): [(2, 1)]}))
@@ -212,7 +222,7 @@ def test_one_series_per_battery_instance(monkeypatch):
 
 
 def test_perturbed_coefficient_fails_catalog_consistency():
-    instances = list(enumerate_catalog((9,)))
+    instances = list(islice(enumerate_catalog((9,)), 2))
     inst = instances[1]
     assert inst.label() == "l(0,2)[lambda=0] n=9"
     table = dict(inst.tensor.table)

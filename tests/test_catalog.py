@@ -78,6 +78,16 @@ def test_params_off_every_row_are_built():
     assert leibniz_residual(loose).violations == ()
 
 
+def test_every_free_parameter_has_a_linear_slot():
+    # find_second_type_row and build_first_type read each parameter's
+    # value off a ("mul", c, name) slot with c != 0
+    for row in CATALOG_ROWS:
+        linear = {slot[2] for slot in row.slots
+                  if slot[0] == "mul" and slot[1] != 0}
+        for spec in row.params:
+            assert spec.name in linear, (row.row_id, spec.name)
+
+
 def test_find_row_round_trips_all_samples():
     for row in CATALOG_ROWS:
         if row.kind != "second":

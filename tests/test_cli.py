@@ -396,6 +396,15 @@ def test_catalog_unknown_family(capsys):
     assert "no catalog family" in err
 
 
+@pytest.mark.parametrize("type_, label, params", [
+    ("2", "34", ()), ("1", "0,2", ("--params", "1"))])
+def test_catalog_family_of_the_other_type(capsys, type_, label, params):
+    code, out, err = run(capsys, "catalog", "--type", type_, "--family",
+                         label, "--dim", "9", *params)
+    assert code == 2 and out == ""
+    assert err == f"lnz: error: family {label!r} is not type {type_}\n"
+
+
 def test_catalog_ambiguous_label(capsys):
     code, _, err = run(capsys, "catalog", "--type", "2", "--family", "0,6",
                        "--dim", "9", "--params", "1")

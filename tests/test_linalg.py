@@ -255,6 +255,14 @@ def test_rows_and_columns_outside_the_matrix_raise():
             change.column(bad)
 
 
+def test_entries_outside_the_matrix_raise_index_out_of_range():
+    m = MatrixQ.from_rows([[1, 2], [3, 4]])
+    assert m[1, 0] == 3
+    for r, c in ((2, 0), (0, 2), (-1, 1)):
+        with pytest.raises(IndexOutOfRange, match=rf"\({r},{c}\) outside 2x2"):
+            m[r, c]
+
+
 @pytest.mark.parametrize("dense, sparse", [
     ([0.5, 0, 1], {0: 0.5, 2: 1}),
     (["1/2", "0", "1"], {0: "1/2", 1: "0", 2: "1"}),
@@ -341,6 +349,14 @@ def test_rational_roots():
     assert rational_roots(poly(1, 0, 1)) == []    # t^2 + 1
     # bound drops large candidates
     assert rational_roots(poly(-7, 1), bound=5) == []
+
+
+def test_rational_roots_reject_a_negative_bound():
+    # bound = 0 means no bound; a negative one would silently drop roots
+    assert rational_roots(poly(-2, 1), bound=0) == [Q(2)]
+    for bound in (-1, -5):
+        with pytest.raises(ValueError, match=f"got {bound}"):
+            rational_roots(poly(-2, 1), bound=bound)
 
 
 def test_resultant_detects_common_roots():

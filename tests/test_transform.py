@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -658,3 +659,14 @@ def test_change_document_errors():
         parse_change('{"dim": 1, "matrix": [[0.5]]}')
     with pytest.raises(SingularChange):
         parse_change('{"dim": 2, "matrix": [["1", "1"], ["1", "1"]]}')
+
+
+def test_grid_axis_is_every_reduced_fraction_by_height():
+    for h in range(1, 9):
+        reference = [Fraction(0)]
+        for height in range(1, h + 1):
+            reference += sorted(
+                Fraction(p, q) for q in range(1, height + 1)
+                for p in range(-height, height + 1)
+                if p and math.gcd(p, q) == 1 and max(abs(p), q) == height)
+        assert lnz.transform._grid_axis(h) == reference
