@@ -6,11 +6,14 @@ must agree with, checks the central series, the gradation and the
 sampled characteristic sequence on catalog algebras moved into a dense
 basis, with and without denominators.  Public ``bracket`` over all basis
 triples checks the Leibniz residual, on sparse and dense random tables
-with entries large enough to fill its packed slots, and over all pairs
+with entries large enough to fill its packed slots and one pair (j, k)
+that fails at every left index, and over all pairs
 of moved basis vectors checks ``apply_change``.  A dense
 ``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
-On random rational tables, the ``rref`` of the stacked brackets checks
-the central series terms, the span of every listed product checks
+On random rational tables, and on tables whose terms meet one column
+through several single-entry products (``c e_m``, some cancelled to
+zero), the ``rref`` of the stacked brackets checks the central series
+terms, the span of every listed product checks
 ``derived_span`` and which elements ``char_sequence_at`` refuses, and a
 gradation in ``Fraction`` arithmetic on reduced echelon rows, kept here,
 checks the integer-row gradation.  The
@@ -421,6 +424,32 @@ def test_residual_on_the_smallest_tables_and_in_the_last_slot():
     assert [(i, j, k) for i, j, k, _ in expected] == [(1, 3, 1)]
     assert [t for t, x in enumerate(expected[0][3], 1) if x] == [n]
     assert leibniz_residual(top).violations == expected
+
+
+def test_residual_one_pair_failing_at_every_left_index():
+    # every entry is +-M; the cells that (n, 2, 3) reads are signed so that
+    # its coordinate 1 adds up to the bound 3 n M^2, the others at random.
+    # Then (2, 3) fails at every left index, the last one included, and
+    # some defects below it end in a negative coordinate n
+    M = Fraction(2 ** 31 + 11, 7)
+    n, i, j, k, t = 6, 6, 2, 3, 1
+    negative = ({(m, k, t) for m in range(1, n + 1)}
+                | {(t, j, t), (j, k, k), (i, t, t)})
+    read = {(a, b, c) for m in range(1, n + 1) for a, b, c in
+            ((j, k, m), (i, j, m), (i, k, m), (i, m, t), (m, k, t), (m, j, t))}
+    rng = random.Random(6)
+    algebra = StructureTensor(n, {
+        (a, b): [(c, -M if (a, b, c) in negative
+                  else M if (a, b, c) in read else rng.choice((-M, M)))
+                 for c in range(1, n + 1)]
+        for a in range(1, n + 1) for b in range(1, n + 1)})
+    expected = ref_residual(algebra)
+    assert leibniz_residual(algebra).violations == expected
+    pair = [(a, v) for a, b, c, v in expected if (b, c) == (j, k)]
+    assert [a for a, _ in pair] == list(range(1, n + 1))
+    assert pair[-1][1].coords[t - 1] == 3 * n * M * M
+    assert [a for a, v in pair if v.coords[-1] < 0] == [1, 5]
+    assert min(min(v.coords) for _, v in pair) < 0 < max(pair[0][1].coords)
 
 
 def ref_apply_change(algebra, change):
@@ -890,3 +919,77 @@ def test_gradation_matches_section_coordinates():
         moved += len(algebra.table) > 2 * algebra.dim
     assert cases >= 400 and dims >= {9, 10, 16, 32}
     assert 100 <= named < cases and moved >= 100 and refused >= 100
+
+
+def check_series(algebra):
+    """The series terms and flag against ``ref_rref_series``; returns the
+    reference terms."""
+    terms, flag = ref_rref_series(algebra)
+    series = lower_central_series(algebra)
+    assert [tuple(v.coords for v in term) for term in series.terms] == terms
+    assert series.nilpotent == flag
+    return terms
+
+
+def repeated_single_entries(algebra, terms):
+    """Products [u, e_j] of the rows u of each reference term with one
+    nonzero coordinate, at a column where an earlier such product of the
+    same term had another coefficient."""
+    n = algebra.dim
+    basis = [Vec.basis(n, i) for i in range(1, n + 1)]
+    repeats = 0
+    for term in terms:
+        first = {}
+        for u in term:
+            for e in basis:
+                nonzero = [(t, x) for t, x in
+                           enumerate(bracket(algebra, Vec(u), e).coords) if x]
+                if len(nonzero) == 1:
+                    t, x = nonzero[0]
+                    repeats += first.setdefault(t, x) != x
+    return repeats
+
+
+@pytest.mark.parametrize("beta", [Fraction(2), Fraction(-1, 3), Fraction(1)])
+def test_series_with_repeated_single_entry_products(beta):
+    # the chain [e_i, e_1] = e_(i+1) beside [e_1, e_5] = beta e_6 and
+    # [e_2, e_4] = -beta e_6: L^1 and L^2 each meet e_6 twice, once with
+    # coefficient 1, and L^1 meets e_2 through two cells
+    n = 6
+    table = {(i, 1): ((i + 1, 1),) for i in range(1, n)}
+    table[(1, 5)] = ((6, beta),)
+    table[(2, 4)] = ((6, -beta),)
+    table[(1, 2)] = ((2, 3 * beta),)
+    algebra = StructureTensor(n, table)
+    terms = check_series(algebra)
+    assert repeated_single_entries(algebra, terms) >= 2 + (beta != 1)
+
+
+def test_series_keeps_a_single_entry_after_a_cancelled_one():
+    # [e_2 + e_3, e_1] = e_4 - e_4 cancels to a zero at column 4, and
+    # [e_2 + e_3, e_2] = 3 e_4 comes after it: L^3 = <e_4, e_5>
+    algebra = StructureTensor(5, {(1, 1): ((2, 1), (3, 1)), (2, 1): ((4, 1),),
+                                  (3, 1): ((4, -1),), (2, 2): ((4, 3),),
+                                  (4, 1): ((5, 1),)})
+    terms = check_series(algebra)
+    assert lower_central_series(algebra).rows[2] == ({3: 1}, {4: 1})
+    assert [len(term) for term in terms] == [5, 3, 2, 1, 0]
+
+
+def test_series_on_random_single_term_tables():
+    rng = random.Random(2024)
+    coefficients = [Fraction(c) for c in (1, -1, 2, 3)] \
+        + [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 5)]
+    repeats = nilpotent = 0
+    for n in range(3, 13):
+        for t in range(4):
+            density = rng.choice((0.3, 0.6))
+            table = {(i, j): ((rng.randint(max(i, j) + 1 if t % 2 else 1, n),
+                               rng.choice(coefficients)),)
+                     for i in range(1, n + 1) for j in range(1, n + 1)
+                     if (max(i, j) < n or not t % 2) and rng.random() < density}
+            algebra = StructureTensor(n, table)
+            terms = check_series(algebra)
+            repeats += repeated_single_entries(algebra, terms)
+            nilpotent += lower_central_series(algebra).nilpotent
+    assert repeats >= 200 and 20 <= nilpotent < 40
