@@ -7,8 +7,8 @@ algebra is one whose residual
 
     [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] + [[e_i, e_k], e_j]
 
-vanishes for every triple.  ``leibniz_residual`` visits only the triples
-where a term can be nonzero, and tests each with one sum of packed ints.
+vanishes for every triple.  ``leibniz_residual`` tests all left indices
+i of a pair (j, k) at once, with one sum of packed ints.
 
 Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
@@ -265,46 +265,56 @@ def _times_basis(by_left: list, row: dict) -> dict:
 
 
 def leibniz_residual(algebra: StructureTensor) -> Residual:
-    """Exact defect of the Leibniz identity over all n^3 basis triples.
+    """Exact defect of the Leibniz identity over all n^3 basis triples,
+    listed by j, then k, then i.
 
-    The three terms need (j, k), (i, j) and (i, k) to be cells, so every
-    left index i is visited when (j, k) is a cell, and otherwise only the
-    i for which (i, j) or (i, k) is.  Each integer cell is packed once
-    into one int, coordinate t (0-based) in a balanced slot of W bits at
-    bit W*t, W the bit length of 3*n*M^2 plus 2 for M the largest |entry|.
-    A defect coordinate sums at most 3n products of size at most M^2, so
-    it stays below 2^(W-2): the slots never overlap, and a triple's packed
-    sum is 0 exactly when its defect is.  Only a nonzero sum is unpacked.
+    Integer cells are packed in balanced slots of W bits, W the bit length
+    of 3*n*M^2 plus 2 for M the largest |entry|: coordinate t of [e_i, e_m]
+    at bit W*(n*i + t) in column m, and coefficient c^m_{i,j} at bit W*n*i.
+    So the three terms of a pair (j, k), for every i at once, are O(n)
+    products of packed ints.  Slot (i, t) of their sum, coordinate t of
+    the defect of (i, j, k), adds at most 3n products of size at most M^2,
+    so it stays below 2^(W-2): the slots never overlap, a block is 0
+    exactly when its triple's defect is, and only a nonzero one is unpacked.
     """
     n = algebra.dim
     scale, by_left = _integer_cells(algebra)
     top = max((abs(c) for row in by_left for _, t in row for _, c in t), default=0)
     width = (3 * n * top * top).bit_length() + 2
-    cells = {i: dict(row) for i, row in enumerate(by_left) if row}
-    packed = {i: {j: sum(c << width * t for t, c in terms)   # cell (i, j) packed
-                  for j, terms in row.items()} for i, row in cells.items()}
-    packed_by_right: dict = {}          # j -> {i: cell (i, j) packed}
-    for i, row in packed.items():
-        for j, word in row.items():
-            packed_by_right.setdefault(j, {})[i] = word
-    lefts, rights = sorted(cells), sorted(packed_by_right)
+    block = width * n
+    by_right: dict = {}         # k -> {m: cell (m, k) packed over t}
+    columns: dict = {}          # m -> cells (i, m) packed over i and t
+    over_left: dict = {}        # j -> {m: c^m_{i,j} packed over i}
+    for i, row in enumerate(by_left):
+        for j, terms in row:
+            word = sum(c << width * t for t, c in terms)
+            by_right.setdefault(j, {})[i] = word
+            columns[j] = columns.get(j, 0) + (word << block * i)
+            coefficients = over_left.setdefault(j, {})
+            for m, c in terms:
+                coefficients[m] = coefficients.get(m, 0) + (c << block * i)
+    half, mask = 1 << (block - 1), (1 << block) - 1
     violations = []
-    for j in sorted(cells.keys() | packed_by_right.keys()):
-        w_j, p_j = cells.get(j, {}), packed_by_right.get(j, {})
-        for k in rights:
-            w_jk, p_k = w_j.get(k, ()), packed_by_right[k]
-            for i in lefts if w_jk else sorted(p_j.keys() | p_k.keys()):
-                w_i, p_i = cells[i], packed[i]
-                acc = 0
-                for m, c in w_jk:
-                    acc += c * p_i.get(m, 0)
-                for m, c in w_i.get(j, ()):
-                    acc -= c * p_k.get(m, 0)
-                for m, c in w_i.get(k, ()):
-                    acc += c * p_j.get(m, 0)
-                if acc:
+    for j in range(n):
+        w_j, a_j, p_j = dict(by_left[j]), over_left.get(j, {}), by_right.get(j, {})
+        for k in sorted(by_right):
+            p_k, acc = by_right[k], 0
+            for m, c in w_j.get(k, ()):
+                acc += c * columns.get(m, 0)
+            for m, a in a_j.items():
+                if m in p_k:
+                    acc -= a * p_k[m]
+            for m, a in over_left[k].items():
+                if m in p_j:
+                    acc += a * p_j[m]
+            i = 0
+            while acc:
+                part = ((acc + half) & mask) - half     # the block of i
+                if part:
                     violations.append((i + 1, j + 1, k + 1,
-                                       _unpack(acc, n, width, scale * scale)))
+                                       _unpack(part, n, width, scale * scale)))
+                acc = (acc - part) >> block
+                i += 1
     return Residual(n, tuple(violations))
 
 

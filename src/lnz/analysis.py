@@ -6,8 +6,10 @@ carry an induced product that respects degrees; ``natural_gradation``
 materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
-of a nilpotent algebra.  A series keeps the integer cells it read
-(``algebra._integer_cells``); the gradation and the estimate reuse them.
+of a nilpotent algebra.  A term's products c e_m with one nonzero entry
+go to the span only once per column m, and not when c cancels to 0.  A
+series keeps the integer cells it read (``algebra._integer_cells``); the
+gradation and the estimate reuse them.
 [L, L] (``derived_span``) is its second term, which ``char_sequence_at``
 and the estimate read off the series they already hold.
 
@@ -85,18 +87,21 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     cells = _integer_cells(algebra)
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
-    terms = [rows]
-    while True:
-        # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k
+    terms, nilpotent = [rows], True
+    while rows:
+        # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k.  Only the
+        # first single-entry product c e_m per column m can add to the span
+        lines = set()
         nxt = EchelonSpan(n)
         for u in rows:
             for prod in _times_basis(cells[1], u).values():
+                if len(prod) == 1:
+                    [(m, c)] = prod.items()
+                    if not c or m in lines:
+                        continue
+                    lines.add(m)
                 nxt.add(prod)
-        if nxt.dim == 0:
-            terms.append(())
-            nilpotent = True
-            break
-        if nxt.dim == len(rows):
+        if nxt.dim == len(rows):        # stabilised at a nonzero subspace
             nilpotent = False
             break
         rows = tuple(nxt.reduced_rows())
