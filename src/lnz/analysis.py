@@ -86,6 +86,15 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
 def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     cells = _integer_cells(algebra)
+    series = CentralSeries(n, *_series_by_terms(n, cells[1]))
+    object.__setattr__(series, "_cells", cells)
+    return series
+
+
+def _series_by_terms(n: int, by_left: list) -> tuple:
+    """The per-term loop: ``(terms, nilpotent)`` of the series of the
+    integer cells ``by_left``, each term spanned by the products [u, e_j]
+    of the rows u of the one before."""
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
     terms, nilpotent = [rows], True
     while rows:
@@ -94,7 +103,7 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
         lines = set()
         nxt = EchelonSpan(n)
         for u in rows:
-            for prod in _times_basis(cells[1], u).values():
+            for prod in _times_basis(by_left, u).values():
                 if len(prod) == 1:
                     [(m, c)] = prod.items()
                     if not c or m in lines:
@@ -106,9 +115,7 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
             break
         rows = tuple(nxt.reduced_rows())
         terms.append(rows)
-    series = CentralSeries(n, tuple(terms), nilpotent)
-    object.__setattr__(series, "_cells", cells)
-    return series
+    return tuple(terms), nilpotent
 
 
 def nilindex(algebra: StructureTensor) -> int:

@@ -248,8 +248,17 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     n = m.rows
     if n == 0:
         return ()
-    base = dict(enumerate(_int_rows(m.row(r) for r in range(n))[1]))
+    # at_least[k-1] blocks have size >= k; the sizes are its transpose
+    at_least = _ranks_at_least(m)
+    return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
 
+
+def _ranks_at_least(m: MatrixQ) -> list:
+    """The rank-of-powers loop: ``at_least[k - 1]`` = rank(N^(k-1)) -
+    rank(N^k), the number of blocks of size k or more, for a square
+    matrix N of size at least 1."""
+    n = m.rows
+    base = dict(enumerate(_int_rows(m.row(r) for r in range(n))[1]))
     ranks = [n]
     basis = _echelon(base.values())
     while basis:
@@ -260,9 +269,7 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
         basis = _echelon({j: x for j, x in _combine(row, base).items() if x}
                          for row in basis.values())
     ranks.append(0)
-    # at_least[k-1] blocks have size >= k; the sizes are its transpose
-    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
-    return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
+    return [a - b for a, b in zip(ranks, ranks[1:])]
 
 
 def jordan_block(size: int) -> MatrixQ:
