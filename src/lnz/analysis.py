@@ -6,9 +6,13 @@ carry an induced product that respects degrees; ``natural_gradation``
 materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
-of a nilpotent algebra.  A term's products c e_m with one nonzero entry
-go to the span only once per column m, and not when c cancels to 0.  A
-series keeps the integer cells it read (``algebra._integer_cells``); the
+of a nilpotent algebra.  The terms are read off the Jordan chains of
+right multiplication by e_1 when every product of a chain vector lands
+deeper in them, which proves that R_(e_1)^k(L) = L^(k+1) for every k (see
+``_build_series``); that holds on every catalog normal form.  Otherwise
+each term is spanned by the products of the one before, where products
+c e_m with one nonzero entry go to the span only once per column m, and
+not when c cancels to 0.  A series keeps the integer cells it read (``algebra._integer_cells``); the
 gradation and the estimate reuse them.
 [L, L] (``derived_span``) is its second term, which ``char_sequence_at``
 and the estimate read off the series they already hold.
@@ -41,8 +45,8 @@ from itertools import chain
 from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
 from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
-from .linalg import (EchelonSpan, MatrixQ, _combine, _eliminate,
-                     _fraction_row, _kernel, nilpotent_block_sizes)
+from .linalg import (EchelonSpan, MatrixQ, _chains, _combine, _eliminate,
+                     _fraction_row, _kernel, _reduce, nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,51 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
 
 
 def _build_series(algebra: StructureTensor) -> CentralSeries:
+    """The series off the Jordan chains of R_x, x = e_1, when they certify
+    it (``_chain_series``), and otherwise off the per-term loop.
+
+    The certificate: the chain vectors at level k or deeper span
+    C_k = R_x^k(L), and R_x^k(L) lies in L^(k+1).  If every product
+    [v, e_j] of a level-t vector lies in C_(t+1), then [C_t, L] lies in
+    C_(t+1) for every t; so, with C_0 = L = L^1, L^(k+1) = [L^k, L] =
+    [C_(k-1), L] lies in C_k by induction, and L^(k+1) = C_k.  Then the
+    C_k and the zero term C_(top+1) are the series, and the algebra is
+    nilpotent.  Reduced rows are canonical for a span, so both paths give
+    the same rows.
+    """
     n = algebra.dim
     cells = _integer_cells(algebra)
-    series = CentralSeries(n, *_series_by_terms(n, cells[1]))
+    terms = _chain_series(n, cells[1])
+    series = (CentralSeries(n, terms, True) if terms is not None
+              else CentralSeries(n, *_series_by_terms(n, cells[1])))
     object.__setattr__(series, "_cells", cells)
     return series
+
+
+def _chain_series(n: int, by_left: list):
+    """The terms of ``_build_series``'s certificate, or None when it fails.
+
+    Walks the levels of the chains of R_x deepest first with one span:
+    each product [v, e_j] of a level-t vector v must reduce to zero
+    against C_(t+1) before the level-t vectors join the span as C_t.  A
+    chain that meets its own span before 0, or a product that lands
+    shallower, fails the certificate.
+    """
+    levels = _chains(n, {i: dict(cell) for i, row in enumerate(by_left)
+                         for j, cell in row if j == 0})
+    if levels is None:
+        return None
+    span, terms = EchelonSpan(n), [()]
+    for level in reversed(levels):
+        for v in level:
+            for prod in _times_basis(by_left, v).values():
+                row = {k: c for k, c in prod.items() if c}
+                if _reduce(span._rows, row)[0] is not None:
+                    return None
+        for v in level:
+            span.add(v)
+        terms.append(tuple(span.reduced_rows()))
+    return tuple(reversed(terms))
 
 
 def _series_by_terms(n: int, by_left: list) -> tuple:

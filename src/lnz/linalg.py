@@ -15,7 +15,12 @@ cells cost nothing.  ``_reduced_rows`` is the one back-substitution, to
 integer rows canonical for the span; ``EchelonSpan.basis()`` is their
 ``Fraction`` view, the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
 and ``EchelonSpan`` sit on the kernel; ``rank`` and the ``EchelonSpan``
-constructor share its one echelon loop (``_echelon``).  ``rref`` goes
+constructor share its one echelon loop (``_echelon``).  ``_chains``
+grows the Jordan chains of a map through the basis vectors in one
+``EchelonSpan``.  When they reach 0 and span, they certify the Jordan
+block sizes (``nilpotent_block_sizes``) and, for right multiplication by
+e_1, the central series (``analysis._build_series``); otherwise the rank
+of the powers and the per-term loop run as before.  ``rref`` goes
 through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
 rows.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1 as
 integer rows over one scale, which ``invert`` views as a ``MatrixQ`` and
@@ -236,20 +241,29 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     """Jordan block sizes of a nilpotent matrix, largest first.
 
     The number of blocks of size at least k equals rank(N^(k-1)) - rank(N^k),
-    so the whole partition falls out of the rank sequence of the powers.
-    Instead of forming the powers, the loop pushes an echelon row basis of
-    the current power's row space through N (the row space of E*N equals
-    that of N^k when E spans N^(k-1)'s rows), which keeps both the row
-    count and the integer entries small.  Raises NotNilpotent when the
-    rank sequence stops falling before it reaches zero.
+    and this is read off one of two certificates.  First ``_chains`` looks
+    for Jordan chains through the basis vectors (the columns of N):
+    vectors e_i, N e_i, ..., each growing one span, that end in 0 and
+    together span Q^n.  On such a basis N is in Jordan form, one block per
+    chain, so the vectors N^k e_i count the blocks longer than k.  When
+    there are none (a chain meets its own span before 0), the rank-of-
+    powers loop (``_ranks_at_least``) pushes an echelon row basis of the
+    current power's row space through N instead of forming the powers (the
+    row space of E*N equals that of N^k when E spans N^(k-1)'s rows),
+    which keeps both the row count and the integer entries small.  It
+    raises NotNilpotent when the rank sequence stops falling before it
+    reaches zero; a matrix with a chain basis is nilpotent.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("block sizes need a square matrix")
     n = m.rows
     if n == 0:
         return ()
+    columns = dict(enumerate(_int_rows(m.column(c) for c in range(n))[1]))
+    levels = _chains(n, columns)
     # at_least[k-1] blocks have size >= k; the sizes are its transpose
-    at_least = _ranks_at_least(m)
+    at_least = (_ranks_at_least(m) if levels is None
+                else [len(level) for level in levels])
     return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
 
 
@@ -270,6 +284,36 @@ def _ranks_at_least(m: MatrixQ) -> list:
                          for row in basis.values())
     ranks.append(0)
     return [a - b for a, b in zip(ranks, ranks[1:])]
+
+
+def _chains(n: int, image: dict):
+    """Jordan chains of a linear map N of Q^n through the basis vectors,
+    or None.
+
+    ``image`` maps i to N e_i as a sparse integer row (a missing i to 0).
+    From each e_i that is not yet a pivot, in order of i, the vectors
+    v = e_i, N v, N^2 v, ... go to one ``EchelonSpan`` through ``add``
+    until N^l v = 0.  Returns None at the first nonzero vector that does
+    not grow the span.  Otherwise every column is a pivot, so the vectors
+    are a basis of Q^n on which N is a sum of Jordan blocks, one per chain,
+    and ``levels[k]`` lists the vectors N^k e_i: ``len(levels[k])`` chains
+    are longer than k, and the vectors of levels[k:] span N^k(Q^n).
+    """
+    span = EchelonSpan(n)
+    levels: list = []
+    for i in range(n):
+        if i in span._rows:
+            continue
+        v, k = {i: 1}, 0
+        while v:
+            if not span.add(v):
+                return None
+            if k == len(levels):
+                levels.append([])
+            levels[k].append(v)
+            v = {c: x for c, x in _combine(v, image).items() if x}
+            k += 1
+    return levels
 
 
 def jordan_block(size: int) -> MatrixQ:

@@ -95,34 +95,56 @@ def permuted_jordan(rng, partition):
     return MatrixQ.from_rows(entries)
 
 
-def dense_unimodular(n):
-    """L * U with L, U the all-ones unit triangular matrices."""
-    return MatrixQ.from_rows([[min(i, j) + 1 for j in range(n)]
-                              for i in range(n)])
+def unimodular(rng, n):
+    """M0 * P for a signed permutation P, with M0 = L * U and L, U the
+    all-ones unit triangular matrices: a dense integer matrix of
+    determinant +-1."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return MatrixQ.from_rows([[(min(i, perm[j]) + 1) * signs[j]
+                               for j in range(n)] for i in range(n)])
 
 
-def test_block_sizes_of_permuted_jordan_matrices_take_the_chains():
+def dense_unimodular(rng, n):
+    """L * U with L, U unit triangular and random entries in [-2, 2]
+    off the diagonal: determinant 1, and dense both ways."""
+    lower, upper = ([[int(i == j) or (rng.randint(-2, 2) if i > j else 0)
+                      for j in range(n)] for i in range(n)] for _ in range(2))
+    return MatrixQ.from_rows(lower) @ MatrixQ.from_rows(upper).transpose()
+
+
+def test_block_sizes_of_permuted_jordan_matrices_take_the_chains(
+        monkeypatch):
     rng = random.Random(2601)
+    loops = counted(monkeypatch, linalg, "_ranks_at_least")
     for _ in range(150):
         partition = random_partition(rng, rng.randint(1, 12))
         m = permuted_jordan(rng, partition)
         assert nilpotent_block_sizes(m) == tuple(partition)
         assert brute_block_sizes(m) == tuple(partition)
+    assert not loops
 
 
 def test_block_sizes_of_conjugated_jordan_matrices_take_the_loop(
         monkeypatch):
-    # two blocks of different sizes: the chain of a basis vector is as long
-    # as the largest block, so the second one meets the first before 0
+    # with s the largest block size, no basis vector lies in ker N^(s-1):
+    # then every chain through a basis vector has length s, so a smaller
+    # block cannot be met, and the chains must stop at a nonzero vector
     rng = random.Random(2602)
     loops = counted(monkeypatch, linalg, "_ranks_at_least")
     cases = 0
-    for _ in range(60):
+    for _ in range(80):
         partition = random_partition(rng, rng.randint(3, 9))
-        if len(set(partition)) < 2:
-            continue
-        u = dense_unimodular(sum(partition))
+        n = sum(partition)
+        u = dense_unimodular(rng, n)
         m = u @ block_diag(*[jordan_block(k) for k in partition]) @ invert(u)
+        deep = m
+        for _ in range(partition[0] - 2):
+            deep = deep @ m
+        if len(set(partition)) < 2 or not all(
+                any(deep.column(c)) for c in range(n)):
+            continue
         assert nilpotent_block_sizes(m) == tuple(partition)
         assert brute_block_sizes(m) == tuple(partition)
         cases += 1
@@ -155,7 +177,10 @@ def check_series(algebra):
     return series
 
 
-def test_series_and_e1_profile_of_every_catalog_instance_take_the_chains():
+def test_series_and_e1_profile_of_every_catalog_instance_take_the_chains(
+        monkeypatch):
+    loops = counted(monkeypatch, analysis, "_series_by_terms")
+    profiles = counted(monkeypatch, linalg, "_ranks_at_least")
     cases = 0
     for inst in enumerate_catalog((9, 10, 16, 32)):
         n = inst.n
@@ -165,6 +190,8 @@ def test_series_and_e1_profile_of_every_catalog_instance_take_the_chains():
             == (n - 3, 3)
         cases += 1
     assert cases == 97 + 3 * 342
+    # check_series called the per-term loop once per instance itself
+    assert len(loops) == cases and not profiles
 
 
 def random_rational_table(rng, n, shape):
@@ -192,28 +219,39 @@ def random_rational_table(rng, n, shape):
     return StructureTensor(n, table)
 
 
-def test_series_on_random_rational_tables():
+def test_series_on_random_rational_tables(monkeypatch):
     rng = random.Random(2603)
+    loops = counted(monkeypatch, analysis, "_series_by_terms")
+    certified = {"triangular": 0, "filtered": 0, "general": 0}
     nilpotent = 0
     for t in range(300):
         shape = ("triangular", "filtered", "general")[t % 3]
         algebra = random_rational_table(rng, rng.randint(1, 10), shape)
+        before = len(loops)
         series = check_series(algebra)
+        # one call is check_series's own; a second one is the fallback
+        certified[shape] += len(loops) - before == 1
         nilpotent += series.nilpotent
-    assert 200 <= nilpotent < 300
+    assert certified == {"triangular": 39, "filtered": 100, "general": 6}
+    assert nilpotent == 207
 
 
-def test_series_of_moved_catalog_instances_take_the_loop(monkeypatch):
+def test_series_of_moved_catalog_instances_take_either_path(monkeypatch):
+    # after a dense change, the chains certify the series exactly when the
+    # chains of the new e_1 run through the new basis and R_(e_1)^k(L) has
+    # the dimension of L^(k+1) for every k
+    rng = random.Random(2604)
     loops = counted(monkeypatch, analysis, "_series_by_terms")
     cases = 0
     for inst in enumerate_catalog((9, 10)):
-        if cases == 20:
-            break
         moved = apply_change(inst.tensor,
-                             BasisChange(dense_unimodular(inst.n)))
+                             BasisChange(unimodular(rng, inst.n)))
         check_series(moved)
         cases += 1
-        assert len(loops) == 2 * cases
+        if cases == 60:
+            break
+    # one call per case is check_series's own
+    assert len(loops) - cases == 46
 
 
 def planted_second_type():
