@@ -12,8 +12,8 @@ deeper in them, which proves that R_(e_1)^k(L) = L^(k+1) for every k (see
 ``_build_series``); that holds on every catalog normal form.  Otherwise
 each term is spanned by the products of the one before, where products
 c e_m with one nonzero entry go to the span only once per column m, and
-not when c cancels to 0.  A series keeps the integer cells it read (``algebra._integer_cells``); the
-gradation and the estimate reuse them.
+not when c cancels to 0.  A series keeps the integer cells it read
+(``algebra._integer_cells``); the gradation and the estimate reuse them.
 [L, L] (``derived_span``) is its second term, which ``char_sequence_at``
 and the estimate read off the series they already hold.
 
@@ -331,8 +331,11 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     algebra the search stops at the first candidate that meets them, and
     the answer is certified; on the catalogued algebras the first basis
     vector does.  Otherwise every candidate is tried and the answer is a
-    sampled lower bound for the true maximum.
+    sampled lower bound for the true maximum.  A negative budget raises
+    ``ValueError``.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be 0 or more, got {budget}")
     n = algebra.dim
     series = lower_central_series(algebra)
     _, by_left = series._cells

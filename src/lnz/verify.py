@@ -193,8 +193,11 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
     ``dims`` must all be at least 9; ``samples`` feeds the free parameter
     slots; ``budget`` is the sampling budget of the characteristic
     sequence estimates; ``oracle_trials`` scales the randomized oracle
-    and invariance checks.  Deterministic for a fixed seed.
+    and invariance checks.  Deterministic for a fixed seed.  A negative
+    budget raises ``ValueError`` before any check runs.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be 0 or more, got {budget}")
     dims = tuple(sorted(set(int(n) for n in dims)))
     if not dims or min(dims) < 9:
         raise DimensionTooSmall(

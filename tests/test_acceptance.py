@@ -153,6 +153,13 @@ def test_residuals_skip_rows_without_an_admissible_sample():
     assert "admissible" not in report.record("catalog-consistency").detail
 
 
+def test_verify_all_rejects_a_negative_budget(monkeypatch):
+    # before any work: the catalog is never enumerated
+    monkeypatch.setattr(lnz.verify, "enumerate_catalog", None)
+    with pytest.raises(ValueError, match=r"^budget must be 0 or more, got -3$"):
+        verify_all(dims=(9,), budget=-3)
+
+
 def test_verify_all_cli_with_one_sample_exits_zero(capsys):
     assert main(["verify-all", "--dims", "9", "--samples", "1"]) == 0
     assert "[PASS   ] catalog-consistency" in capsys.readouterr().out

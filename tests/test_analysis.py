@@ -177,6 +177,14 @@ def test_estimate_takes_derived_span_from_the_series():
         == CharSequence((1, 1, 1))
 
 
+def test_estimate_rejects_a_negative_budget(monkeypatch):
+    # before any work: the series is never asked for
+    monkeypatch.setattr(lnz.analysis, "lower_central_series", None)
+    algebra = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
+    with pytest.raises(ValueError, match=r"^budget must be 0 or more, got -1$"):
+        char_sequence_estimate(algebra, budget=-1)
+
+
 def test_estimate_is_deterministic():
     algebra = build_second_type(9, SecondTypeParams(0, (2, 1, 1, 0), -1))
     a = char_sequence_estimate(algebra, budget=25, seed=7)
