@@ -45,8 +45,9 @@ from itertools import chain
 from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
 from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
-from .linalg import (EchelonSpan, MatrixQ, _chains, _combine, _eliminate,
-                     _fraction_row, _kernel, _reduce, nilpotent_block_sizes)
+from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _chains, _combine,
+                     _eliminate, _fraction_row, _kernel, _reduce,
+                     nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -112,26 +113,27 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
 def _chain_series(n: int, by_left: list):
     """The terms of ``_build_series``'s certificate, or None when it fails.
 
-    Walks the levels of the chains of R_x deepest first with one span:
+    Walks the levels of the chains of R_x deepest first, keeping the
+    canonical rows of the span of the levels walked (``_add_reduced``):
     each product [v, e_j] of a level-t vector v must reduce to zero
-    against C_(t+1) before the level-t vectors join the span as C_t.  A
-    chain that meets its own span before 0, or a product that lands
-    shallower, fails the certificate.
+    against those of C_(t+1) before the level-t vectors join them as C_t,
+    whose rows are then term t.  A chain that meets its own span before 0,
+    or a product that lands shallower, fails the certificate.
     """
     levels = _chains(n, {i: dict(cell) for i, row in enumerate(by_left)
                          for j, cell in row if j == 0})
     if levels is None:
         return None
-    span, terms = EchelonSpan(n), [()]
+    reduced, terms = {}, [()]         # the canonical rows of C_(t+1)
     for level in reversed(levels):
         for v in level:
             for prod in _times_basis(by_left, v).values():
                 row = {k: c for k, c in prod.items() if c}
-                if _reduce(span._rows, row)[0] is not None:
+                if _reduce(reduced, row)[0] is not None:
                     return None
         for v in level:
-            span.add(v)
-        terms.append(tuple(span.reduced_rows()))
+            _add_reduced(reduced, v)
+        terms.append(tuple(reduced[p] for p in sorted(reduced)))
     return tuple(reversed(terms))
 
 

@@ -11,9 +11,11 @@ Rational input is scaled once by the lcm of its denominators
 (``_int_rows``), which changes no span and no block profile.  Reduction
 cross-multiplies (fraction-free, in the spirit of Bareiss 1968) and
 divides each finished row by its gcd, so entries stay small and zero
-cells cost nothing.  ``_reduced_rows`` is the one back-substitution, to
-integer rows canonical for the span; ``EchelonSpan.basis()`` is their
-``Fraction`` view, the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
+cells cost nothing.  ``_back_substitute`` is the one back-substitution,
+to integer rows canonical for the span: ``_reduced_rows`` runs it over an
+echelon basis, and ``_add_reduced`` keeps canonical rows canonical as a
+vector joins them.  ``EchelonSpan.basis()`` is their ``Fraction`` view,
+the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
 and ``EchelonSpan`` sit on the kernel; ``rank`` and the ``EchelonSpan``
 constructor share its one echelon loop (``_echelon``).  ``_chains``
 grows the Jordan chains of a map through the basis vectors in one
@@ -217,19 +219,39 @@ def _echelon(rows) -> dict:
 
 
 def _reduced_rows(ech: dict) -> list:
-    """The one back-substitution: echelon rows ``ech`` (pivot -> row)
-    reduced in integers, by pivot.  Each row is zero at every other pivot,
-    divided by its gcd and positive at its pivot: canonical for the span."""
+    """Echelon rows ``ech`` (pivot -> row) reduced in integers, by pivot,
+    through ``_back_substitute``, deepest pivot first.  Each row is zero
+    at every other pivot, divided by its gcd and positive at its pivot:
+    canonical for the span."""
     reduced: dict = {}
     for p in sorted(ech, reverse=True):
-        row = ech[p]
-        for q in [c for c in row if c != p and c in reduced]:
-            row = _eliminate(row, reduced[q], q)[1]
-        g = gcd(*row.values())
-        if row[p] < 0:
-            g = -g
-        reduced[p] = {c: x // g for c, x in row.items()} if g != 1 else row
+        reduced[p] = _back_substitute(reduced, ech[p], p)
     return [reduced[p] for p in sorted(reduced)]
+
+
+def _back_substitute(reduced: dict, row: dict, p: int) -> dict:
+    """A row whose first column is p, made zero at each pivot of the
+    canonical rows ``reduced`` (pivot -> row) where it is nonzero, all of
+    them above p, then divided by its gcd and positive at p."""
+    for q in [c for c in row if c != p and c in reduced]:
+        row = _eliminate(row, reduced[q], q)[1]
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    return {c: x // g for c, x in row.items()} if g != 1 else row
+
+
+def _add_reduced(reduced: dict, vector: dict) -> None:
+    """Add a sparse integer vector outside the span of the canonical rows
+    ``reduced`` (pivot -> row, as ``_reduced_rows`` makes them) and keep
+    them canonical: the new row is back-substituted, and its pivot column
+    is eliminated from the rows that meet it."""
+    p, row = _reduce(reduced, vector)
+    row = _back_substitute(reduced, row, p)
+    for q, other in reduced.items():
+        if p in other:
+            reduced[q] = _back_substitute({p: row}, other, q)
+    reduced[p] = row
 
 
 def rank(m: MatrixQ) -> int:
