@@ -1,0 +1,175 @@
+"""Per-layer timings of lnz on fresh tensors, one interpreter per tree.
+
+Run from the repository root, naming each source tree to measure:
+
+    python bench/layers.py -o layers.json before=/path/to/old/src after=src
+
+Each tree is timed in its own interpreter, which imports lnz from that
+tree alone; with several trees the rounds alternate between them, the
+first tree of a round rotating.  A round times seven layers:
+``lower_central_series``, ``char_sequence_at(e_1)``,
+``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
+``leibniz_residual``, ``right_annihilator`` and ``apply_change`` by the
+completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
+type, epsilon = 1, lambda = 2) at each size, as the normal form and after
+the dense unimodular change M0 * P (M0[i][j] = min(i, j) + 1, P the
+order-reversing permutation with alternating signs), on which the Jordan
+chains of R_(e_1) certify nothing and the general loops run.  Every
+timed call gets a tensor parsed afresh from its document before the clock
+starts, so no call shares a series or integer cells with another, and
+runs with the garbage collector off, as in ``timeit``.
+
+The JSON output holds, per tree, layer, form ("normal" or "dense") and
+size, the median and quartiles of the per-call times in milliseconds and
+the number of calls; the host and the settings are recorded beside them.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+LAYERS = ("lower_central_series", "char_sequence_at", "char_sequence_estimate",
+          "natural_gradation", "leibniz_residual", "right_annihilator",
+          "apply_change")
+FORMS = ("normal", "dense")
+
+
+def dense_change(lnz, n: int):
+    """M0 * P: column j of M0 = L * U (all-ones unit triangular factors)
+    at row i is min(i, j) + 1; P reverses the basis and negates every
+    other vector.  Determinant +-1, and the moved table is dense."""
+    return lnz.BasisChange(lnz.MatrixQ.from_rows(
+        [[(min(i, n - 1 - j) + 1) * (-1) ** j for j in range(n)]
+         for i in range(n)]))
+
+
+def measure(src: str, sizes, repeats: int) -> dict:
+    """Per-call seconds of every layer, form and size, with lnz imported
+    from ``src``; keys are "layer/form/n"."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    import lnz
+    if not Path(lnz.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"lnz came from {lnz.__file__}, not from {src}")
+    row = lnz.row_by_id("1,2")
+    times: dict = {}
+    for n in sizes:
+        normal = row.build(n, (Fraction(2),))
+        change = lnz.completed_second_type_change(normal,
+                                                  lnz.GradedChange2(2, 1, 3))
+        e1 = lnz.Vec.basis(n, 1)
+        calls = {
+            "lower_central_series": lnz.lower_central_series,
+            "char_sequence_at": lambda t: lnz.char_sequence_at(t, e1),
+            "char_sequence_estimate": lnz.char_sequence_estimate,
+            "natural_gradation": lnz.natural_gradation,
+            "leibniz_residual": lnz.leibniz_residual,
+            "right_annihilator": lnz.right_annihilator,
+            "apply_change": lambda t: lnz.apply_change(t, change),
+        }
+        documents = {"normal": lnz.serialize(normal),
+                     "dense": lnz.serialize(lnz.apply_change(
+                         normal, dense_change(lnz, n)))}
+        for form, text in documents.items():
+            for layer in LAYERS:
+                spent = times.setdefault(f"{layer}/{form}/{n}", [])
+                for _ in range(repeats):
+                    tensor = lnz.parse(text)
+                    gc.disable()
+                    start = perf_counter()
+                    calls[layer](tensor)
+                    spent.append(perf_counter() - start)
+                    gc.enable()
+    return times
+
+
+def summary(seconds: list) -> dict:
+    ms = sorted(1e3 * s for s in seconds)
+    q1, median, q3 = (statistics.quantiles(ms, n=4, method="inclusive")
+                      if len(ms) > 1 else ms * 3)
+    return {"median": round(median, 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "calls": len(ms)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("trees", nargs="*", metavar="NAME=SRC",
+                        help="a label and the src directory holding lnz")
+    parser.add_argument("--sizes", default="10,16,32",
+                        help="comma-separated dimensions, even (default "
+                             "10,16,32)")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="interpreters per tree (default 3)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="calls per layer, form and size in each "
+                             "round (default 5)")
+    parser.add_argument("-o", "--output", help="JSON file to write")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if any(n < 9 or n % 2 for n in sizes):
+        parser.error("sizes must be even and at least 10 (row 1,2 needs "
+                     "even n >= 9)")
+    if args.rounds < 1 or args.repeats < 1:
+        parser.error("--rounds and --repeats must be at least 1")
+    if args.worker:
+        json.dump(measure(args.worker, sizes, args.repeats), sys.stdout)
+        return 0
+    if not args.trees or not args.output:
+        parser.error("name at least one tree and an --output file")
+    if not all("=" in t for t in args.trees):
+        parser.error("name each tree as NAME=SRC")
+    trees = dict(t.split("=", 1) for t in args.trees)
+    raw: dict = {name: {} for name in trees}
+    for r in range(args.rounds):
+        names = list(trees)
+        names = names[r % len(names):] + names[:r % len(names)]
+        for name in names:
+            done = subprocess.run(
+                [sys.executable, *(f"-W{w}" for w in sys.warnoptions),
+                 __file__, "--worker", trees[name], "--sizes", args.sizes,
+                 "--repeats", str(args.repeats)],
+                check=True, capture_output=True, text=True,
+                env={k: v for k, v in os.environ.items()
+                     if k != "PYTHONPATH"})
+            for key, seconds in json.loads(done.stdout).items():
+                raw[name].setdefault(key, []).extend(seconds)
+    results = {}
+    for name, cells in raw.items():
+        out = results[name] = {}
+        for key, seconds in cells.items():
+            layer, form, n = key.split("/")
+            out.setdefault(layer, {}).setdefault(form, {})[n] = \
+                summary(seconds)
+    doc = {"script": "bench/layers.py", "unit": "ms",
+           "host": {"python": platform.python_version(),
+                    "machine": platform.machine(), "cpus": os.cpu_count()},
+           "settings": {"row": "1,2", "values": {"lambda": 2},
+                        "sizes": sizes, "rounds": args.rounds,
+                        "repeats": args.repeats, "trees": list(trees)},
+           "results": results}
+    Path(args.output).write_text(json.dumps(doc, indent=1) + "\n",
+                                 encoding="utf-8")
+    print("median ms" + "".join(f"  n={n}: " + " ".join(trees)
+                                for n in sizes))
+    for layer in LAYERS:
+        for form in FORMS:
+            cells = "".join(
+                "  " + " ".join(f"{results[name][layer][form][str(n)]['median']:.3f}"
+                                for name in trees) for n in sizes)
+            print(f"{layer} {form}{cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
