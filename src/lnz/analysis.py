@@ -133,7 +133,10 @@ def _chain_series(n: int, by_left: list):
                     return None
         for v in level:
             _add_reduced(reduced, v)
-        terms.append(tuple(reduced[p] for p in sorted(reduced)))
+        # a tuple of a list takes a freed tuple of its size; tuple() of a
+        # generator reshapes a 10-slot one, so the terms of every series
+        # would pile up in the interpreter's free lists (peak memory)
+        terms.append(tuple([reduced[p] for p in sorted(reduced)]))
     return tuple(reversed(terms))
 
 
