@@ -15,9 +15,9 @@ from .errors import (DimensionMismatch, DimensionTooSmall, DocumentError,
 from .linalg import (EchelonSpan, MatrixQ, PolyQ, block_diag, invert,
                      jordan_block, kernel_basis, nilpotent_block_sizes,
                      poly_gcd, rank, rational_roots, resultant, rref)
-from .algebra import (Residual, StructureTensor, Vec, binomial_product_check,
-                      bracket, is_lie, leibniz_residual, parse,
-                      parse_fraction, right_mul_matrix, serialize)
+from .algebra import (Residual, StructureTensor, Vec, bracket, is_lie,
+                      leibniz_residual, parse, parse_fraction,
+                      right_mul_matrix, serialize)
 from .analysis import (CentralSeries, CharSequence, Gradation,
                        char_sequence_at, char_sequence_estimate, derived_span,
                        lower_central_series, natural_gradation, nilindex,

@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
                      IndexOutOfRange)
@@ -349,32 +349,6 @@ def right_mul_matrix(algebra: StructureTensor, x: Vec) -> MatrixQ:
             for k, c in terms:
                 entries[(k - 1) * n + i - 1] += xj * c
     return MatrixQ(n, n, tuple(entries))
-
-
-def binomial_product_check(algebra: StructureTensor, betas: Sequence) -> bool:
-    """Check the alternating-binomial closed form of the derived products.
-
-    ``betas`` uses 1-based subscripts (betas[m] belongs to basis index m;
-    betas[0] is ignored); entries 5..n-1 are read.  For every cell with
-    5 <= i <= n-3 and 6 <= j <= n+3-i the table entry must be exactly
-
-        sum((-1)^k * C(j-4, k) * betas[i+k] for k in 0..j-4) * e_{i+j-3}.
-
-    Returns True when every such cell matches.
-    """
-    n = algebra.dim
-    if n < 9:
-        raise IndexOutOfRange(f"need dimension >= 9, got {n}")
-    if len(betas) < n:
-        raise IndexOutOfRange(f"betas must cover subscripts up to {n - 1}")
-    for i in range(5, n - 2):
-        for j in range(6, n + 4 - i):
-            coeff = sum((-1) ** k * comb(j - 4, k) * _frac(betas[i + k])
-                        for k in range(j - 3))
-            expected = ((i + j - 3, coeff),) if coeff != 0 else ()
-            if algebra.terms(i, j) != expected:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ of a nilpotent algebra.  The terms are read off the Jordan chains of
 right multiplication by e_1 when every product of a chain vector lands
 deeper in them, which proves that R_(e_1)^k(L) = L^(k+1) for every k (see
 ``_build_series``); that holds on every catalog normal form.  Otherwise
-each term is spanned by the products of the one before, where products
-c e_m with one nonzero entry go to the span only once per column m, and
-not when c cancels to 0.  A series keeps the integer cells it read
+each term is the canonical rows of one echelon of the products of the
+one before (``_series_by_terms``).  A series keeps the integer cells it read
 (``algebra._integer_cells``); the gradation and the estimate reuse them.
 [L, L] (``derived_span``) is its second term, which ``char_sequence_at``
 and the estimate read off the series they already hold.
@@ -46,8 +45,8 @@ from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
 from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
 from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _chains, _combine,
-                     _eliminate, _fraction_row, _kernel, _reduce,
-                     nilpotent_block_sizes)
+                     _echelon, _eliminate, _fraction_row, _kernel, _reduce,
+                     _reduced_rows, nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -142,27 +141,19 @@ def _chain_series(n: int, by_left: list):
 
 def _series_by_terms(n: int, by_left: list) -> tuple:
     """The per-term loop: ``(terms, nilpotent)`` of the series of the
-    integer cells ``by_left``, each term spanned by the products [u, e_j]
-    of the rows u of the one before."""
+    integer cells ``by_left``.  L^(k+1) is spanned by the products [u, e_j]
+    of the rows u of L^k; each term is the canonical rows (``_reduced_rows``)
+    of one echelon (``_echelon``) of those products, stripped of the zeros
+    that cancelled in them."""
     rows = tuple({i: 1} for i in range(n))      # L^1 = L, already reduced
     terms, nilpotent = [rows], True
     while rows:
-        # L^{k+1} is spanned by [u, e_j] for u in a basis of L^k.  Only the
-        # first single-entry product c e_m per column m can add to the span
-        lines = set()
-        nxt = EchelonSpan(n)
-        for u in rows:
-            for prod in _times_basis(by_left, u).values():
-                if len(prod) == 1:
-                    [(m, c)] = prod.items()
-                    if not c or m in lines:
-                        continue
-                    lines.add(m)
-                nxt.add(prod)
-        if nxt.dim == len(rows):        # stabilised at a nonzero subspace
+        ech = _echelon({k: c for k, c in prod.items() if c} for u in rows
+                       for prod in _times_basis(by_left, u).values())
+        if len(ech) == len(rows):       # stabilised at a nonzero subspace
             nilpotent = False
             break
-        rows = tuple(nxt.reduced_rows())
+        rows = tuple(_reduced_rows(ech))
         terms.append(rows)
     return tuple(terms), nilpotent
 

@@ -22,7 +22,8 @@ grows the Jordan chains of a map through the basis vectors in one
 ``EchelonSpan``.  When they reach 0 and span, they certify the Jordan
 block sizes (``nilpotent_block_sizes``) and, for right multiplication by
 e_1, the central series (``analysis._build_series``); otherwise the rank
-of the powers and the per-term loop run as before.  ``rref`` goes
+of the powers runs on the same columns (``_ranks_at_least``), and the
+series takes one ``_echelon`` per term.  ``rref`` goes
 through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
 rows.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1 as
 integer rows over one scale, which ``invert`` views as a ``MatrixQ`` and
@@ -263,18 +264,15 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     """Jordan block sizes of a nilpotent matrix, largest first.
 
     The number of blocks of size at least k equals rank(N^(k-1)) - rank(N^k),
-    and this is read off one of two certificates.  First ``_chains`` looks
-    for Jordan chains through the basis vectors (the columns of N):
-    vectors e_i, N e_i, ..., each growing one span, that end in 0 and
-    together span Q^n.  On such a basis N is in Jordan form, one block per
-    chain, so the vectors N^k e_i count the blocks longer than k.  When
-    there are none (a chain meets its own span before 0), the rank-of-
-    powers loop (``_ranks_at_least``) pushes an echelon row basis of the
-    current power's row space through N instead of forming the powers (the
-    row space of E*N equals that of N^k when E spans N^(k-1)'s rows),
-    which keeps both the row count and the integer entries small.  It
-    raises NotNilpotent when the rank sequence stops falling before it
-    reaches zero; a matrix with a chain basis is nilpotent.
+    and this is read off the columns of N (as sparse integer rows) in one of
+    two ways.  First ``_chains`` looks for Jordan chains through the basis
+    vectors: vectors e_i, N e_i, ..., each growing one span, that end in 0
+    and together span Q^n.  On such a basis N is in Jordan form, one block
+    per chain, so the vectors N^k e_i count the blocks longer than k.  When
+    there are none (a chain meets its own span before 0), the rank-of-powers
+    loop (``_ranks_at_least``) runs on the same columns.  It raises
+    NotNilpotent when the rank sequence stops falling before it reaches
+    zero; a matrix with a chain basis is nilpotent.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("block sizes need a square matrix")
@@ -284,25 +282,27 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     columns = dict(enumerate(_int_rows(m.column(c) for c in range(n))[1]))
     levels = _chains(n, columns)
     # at_least[k-1] blocks have size >= k; the sizes are its transpose
-    at_least = (_ranks_at_least(m) if levels is None
+    at_least = (_ranks_at_least(n, columns) if levels is None
                 else [len(level) for level in levels])
     return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
 
 
-def _ranks_at_least(m: MatrixQ) -> list:
+def _ranks_at_least(n: int, columns: dict) -> list:
     """The rank-of-powers loop: ``at_least[k - 1]`` = rank(N^(k-1)) -
-    rank(N^k), the number of blocks of size k or more, for a square
-    matrix N of size at least 1."""
-    n = m.rows
-    base = dict(enumerate(_int_rows(m.row(r) for r in range(n))[1]))
+    rank(N^k), the number of blocks of size k or more, for N of size n >= 1
+    given by its columns (i -> N e_i as a sparse integer row).  These are
+    the rows of N^T, and rank (N^T)^k = rank N^k; so an echelon basis of the
+    rows of (N^T)^(k-1) is pushed through N^T instead of forming the powers
+    (its product with N^T spans the rows of (N^T)^k), which keeps both the
+    row count and the integer entries small."""
     ranks = [n]
-    basis = _echelon(base.values())
+    basis = _echelon(columns.values())
     while basis:
         ranks.append(len(basis))
         if ranks[-1] == ranks[-2]:
             raise NotNilpotent(
                 f"matrix is not nilpotent: rank stabilises at {ranks[-1]}")
-        basis = _echelon({j: x for j, x in _combine(row, base).items() if x}
+        basis = _echelon({j: x for j, x in _combine(row, columns).items() if x}
                          for row in basis.values())
     ranks.append(0)
     return [a - b for a, b in zip(ranks, ranks[1:])]
@@ -364,7 +364,8 @@ def rref(m: MatrixQ) -> tuple:
     span = EchelonSpan(m.cols, (m.row(r) for r in range(m.rows)))
     rows = span.basis()
     rows += ((Fraction(0),) * m.cols,) * (m.rows - len(rows))
-    return MatrixQ.from_rows(rows), span.pivots()
+    return (MatrixQ(m.rows, m.cols, tuple(x for r in rows for x in r)),
+            span.pivots())
 
 
 def invert(m: MatrixQ):

@@ -532,7 +532,7 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     roots of each equation in s^2 alone; for epsilon = 1 the map pins B4
     itself and the witness keeps B4 = 1.  Only epsilon = 0 then falls
     back on a grid of heights up to ``budget`` (at most 8); anything else
-    is Unknown.
+    is Unknown.  A negative budget raises ``ValueError``.
 
     Why no rational witness is missed before the grid, up to one bound:
     a linear gcd's root is taken at any height, but a gcd of higher
@@ -551,6 +551,8 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
       and no B4 != 0 fits, or num(0) and den(0) are both nonzero and
       A4 = 0 is a witness.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be 0 or more, got {budget}")
     if p.epsilon != q.epsilon:
         raise EpsilonMismatch(
             f"cannot compare epsilon={p.epsilon} with epsilon={q.epsilon}")

@@ -1,14 +1,15 @@
 import json
 import random
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 
 from lnz import (BasisChange, DimensionMismatch, DocumentError, DuplicateEntry,
                  IndexOutOfRange, MatrixQ, SecondTypeParams, StructureTensor,
-                 Vec, binomial_product_check, bracket, build_construction_stage,
-                 build_second_type, build_type1_branch_b, enumerate_catalog,
-                 is_lie, leibniz_residual, parse, parse_change, parse_fraction,
+                 Vec, bracket, build_construction_stage, build_second_type,
+                 build_type1_branch_b, enumerate_catalog, is_lie,
+                 leibniz_residual, parse, parse_change, parse_fraction,
                  right_mul_matrix, serialize, serialize_change)
 
 CHAIN = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
@@ -116,27 +117,42 @@ def test_chain_algebra_cell_count():
     assert len(list(CHAIN.entries())) == 7
 
 
+def binomial_closed_form_holds(algebra, betas):
+    """The paper's alternating-binomial closed form of the derived products:
+    for 5 <= i <= n-3 and 6 <= j <= n+3-i the cell [e_i, e_j] is exactly
+
+        sum((-1)^k * C(j-4, k) * betas[i+k] for k in 0..j-4) * e_{i+j-3},
+
+    with ``betas`` by 1-based subscript (betas[0] is not read)."""
+    n = algebra.dim
+    for i in range(5, n - 2):
+        for j in range(6, n + 4 - i):
+            coeff = sum((-1) ** k * comb(j - 4, k) * Q(betas[i + k])
+                        for k in range(j - 3))
+            if algebra.terms(i, j) != (((i + j - 3, coeff),) if coeff else ()):
+                return False
+    return True
+
+
 def test_binomial_products():
     n = 10
     alphas = (Q(1), Q(-2), Q(0), Q(3))
     zero = [Q(0)] * n
-    assert binomial_product_check(
+    assert binomial_closed_form_holds(
         build_construction_stage(n, alphas, zero), zero)
     const = [Q(5)] * n
-    assert binomial_product_check(
+    assert binomial_closed_form_holds(
         build_construction_stage(n, alphas, const), const)
     linear = [Q(i) for i in range(n)]
-    assert binomial_product_check(
+    assert binomial_closed_form_holds(
         build_construction_stage(n, alphas, linear), linear)
     # constant and linear betas both telescope to zero on the checked
     # range, so use a geometric pattern to see an actual mismatch:
     # sum (-1)^k C(m,k) 2^(i+k) = 2^i (1-2)^m never vanishes
     powers = [Q(2) ** i for i in range(n)]
     stage = build_construction_stage(n, alphas, powers)
-    assert binomial_product_check(stage, powers)
-    assert not binomial_product_check(stage, zero)
-    with pytest.raises(IndexOutOfRange):
-        binomial_product_check(CHAIN, [Q(0)] * 3)
+    assert binomial_closed_form_holds(stage, powers)
+    assert not binomial_closed_form_holds(stage, zero)
 
 
 def reference_text(algebra):

@@ -15,7 +15,6 @@ from lnz import (
     ParityViolation,
     SecondTypeParams,
     UnknownFamily,
-    binomial_product_check,
     build_construction_stage,
     build_first_type,
     build_second_type,
@@ -276,9 +275,16 @@ def test_stage_with_trivial_tail_matches_normal_form():
 
 
 def test_stage_satisfies_binomial_closed_form():
-    betas = [Fraction(0)] + [Fraction(2) ** m for m in range(1, 10)]
-    stage = build_construction_stage(10, (0, 0, 0, 0), betas)
-    assert binomial_product_check(stage, betas)
+    # with betas[m] = 2^m the closed form's alternating sum over k of
+    # C(j-4, k) 2^(i+k) is 2^i (1 - 2)^(j-4), so [e_i, e_j] is
+    # (-1)^j 2^i e_(i+j-3) for 5 <= i <= n-3 and 6 <= j <= n+3-i
+    n = 10
+    betas = [Fraction(0)] + [Fraction(2) ** m for m in range(1, n)]
+    stage = build_construction_stage(n, (0, 0, 0, 0), betas)
+    cells = [(i, j) for i in range(5, n - 2) for j in range(6, n + 4 - i)]
+    assert len(cells) == 6
+    for i, j in cells:
+        assert stage.terms(i, j) == ((i + j - 3, (-1) ** j * 2 ** i),)
 
 
 @pytest.mark.parametrize("n, digest", [

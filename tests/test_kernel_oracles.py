@@ -10,9 +10,10 @@ with entries large enough to fill its packed slots and one pair (j, k)
 that fails at every left index, and over all pairs
 of moved basis vectors checks ``apply_change``.  A dense
 ``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
-On random rational tables, and on tables whose terms meet one column
+On random rational tables, on tables whose terms meet one column
 through several single-entry products (``c e_m``, some cancelled to
-zero), the ``rref`` of the stacked brackets checks the central series
+zero), and on catalog forms with a permuted basis, where the per-term
+loop runs, the ``rref`` of the stacked brackets checks the central series
 terms, the span of every listed product checks
 ``derived_span`` and which elements ``char_sequence_at`` refuses, and a
 gradation in ``Fraction`` arithmetic on reduced echelon rows, kept here,
@@ -41,6 +42,7 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
                  right_annihilator, row_by_id, rref, serialize)
+from lnz import analysis
 from lnz.verify import _naive_series_dims
 
 
@@ -993,3 +995,33 @@ def test_series_on_random_single_term_tables():
             repeats += repeated_single_entries(algebra, terms)
             nilpotent += lower_central_series(algebra).nilpotent
     assert repeats >= 200 and 20 <= nilpotent < 40
+
+
+def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
+        monkeypatch):
+    # a catalog normal form with its basis permuted: every cell keeps one
+    # entry, so the products repeat single-entry columns, and the chains of
+    # R_(e_1) no longer certify the series.  Row 1,2 needs even n, so row
+    # 0,2 stands in for it at n = 9
+    loops = []
+    per_term = analysis._series_by_terms
+
+    def spy(*args):
+        loops.append(1)
+        return per_term(*args)
+    monkeypatch.setattr(analysis, "_series_by_terms", spy)
+    forms = [("0,2", (1,), 9), ("1,2", (2,), 10), ("1,2", (2,), 16)] \
+        + [("34", (1,), n) for n in (9, 10, 16)]
+    for row_id, values, n in forms:
+        rng = random.Random(2700 + n)
+        perm = rng.sample(range(n), n)
+        change = BasisChange(MatrixQ.from_rows(
+            [[int(perm[j] == i) for j in range(n)] for i in range(n)]))
+        algebra = apply_change(catalog_algebra(row_id, values, n), change)
+        # one entry per cell, and columns that several cells meet
+        targets = [k for cell in algebra.table.values() for k, _ in cell]
+        assert len(targets) == len(algebra.table) > len(set(targets))
+        terms = check_series(algebra)
+        assert [len(term) for term in terms] \
+            == _naive_series_dims(algebra)
+    assert len(loops) == len(forms)

@@ -319,6 +319,14 @@ def test_rref_idempotent():
         assert p1 == p2 and r1.entries == r2.entries
 
 
+def test_rref_keeps_the_shape_of_a_matrix_without_rows():
+    reduced, pivots = rref(MatrixQ(0, 3, ()))
+    assert (reduced.rows, reduced.cols, pivots) == (0, 3, ())
+    reduced, pivots = rref(MatrixQ.zero(2, 3))
+    assert (reduced.rows, reduced.cols, pivots) == (2, 3, ())
+    assert reduced.is_zero()
+
+
 def poly(*coeffs):
     return PolyQ.of(*coeffs)
 

@@ -15,7 +15,7 @@ PUBLIC_NAMES = (
     "RestrictionViolated", "SecondTypeParams", "SingularChange",
     "StructureTensor", "ToolkitError", "Unknown", "UnknownFamily",
     "ValidationReport", "Vec", "algebra", "analysis", "apply_change",
-    "binomial_product_check", "block_diag", "bracket",
+    "block_diag", "bracket",
     "build_construction_stage", "build_first_type", "build_second_type",
     "build_type1_branch_a", "build_type1_branch_b", "catalog",
     "catalog_index_document", "char_sequence_at", "char_sequence_estimate",

@@ -466,6 +466,17 @@ def test_decide_equivalent_with_witness():
     assert param_map_case1(p, g).alphas == q.alphas
 
 
+def test_decide_rejects_a_negative_budget_before_any_work():
+    p = SecondTypeParams(0, (1, 0, 0, 1), -1)
+    q = SecondTypeParams(0, (2, 0, 0, 4), -1)
+    assert isinstance(decide_equivalence(p, q, budget=0), Equivalent)
+    # the epsilon mismatch of the second call is never looked at
+    for other in (q, SecondTypeParams(1, (0, 0, 0, 1), -1)):
+        with pytest.raises(ValueError,
+                           match="budget must be 0 or more, got -1"):
+            decide_equivalence(p, other, budget=-1)
+
+
 def test_decide_equal_params_is_identity():
     p = SecondTypeParams(0, (1, 2, 3, 4), -1)
     out = decide_equivalence(p, p)
