@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -145,7 +144,7 @@ class StructureTensor:
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.table.items()))))
 
-    def __getstate__(self):     # without the weak memos (``_memo``)
+    def __getstate__(self):     # without what ``_memo`` keeps
         state = dict(self.__dict__)
         state.pop("_series", None)
         state.pop("_cells", None)
@@ -217,39 +216,33 @@ class Residual:
         return len(self.violations)
 
 
-class _Cells(list):
-    """``[scale, by_left]``: the table read once as integer cells, times
+def _build_cells(algebra: StructureTensor) -> tuple:
+    """``(scale, by_left)``: the table read once as integer cells, times
     ``scale``, the lcm of its denominators.  ``by_left[i]`` lists
     ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based.  A positive
-    multiple of the table has the same spans and Jordan block profiles.
-    A list, since a tuple cannot be weakly referenced (``_memo``)."""
-
-    def __init__(self, algebra: StructureTensor):
-        scale = lcm(*(c.denominator for terms in algebra.table.values()
-                      for _, c in terms))
-        by_left: list = [[] for _ in range(algebra.dim)]
-        for (i, j), terms in algebra.table.items():
-            by_left[i - 1].append((j - 1, tuple(
-                (k - 1, c.numerator * (scale // c.denominator))
-                for k, c in terms)))
-        super().__init__((scale, by_left))
+    multiple of the table has the same spans and Jordan block profiles."""
+    scale = lcm(*(c.denominator for terms in algebra.table.values()
+                  for _, c in terms))
+    by_left: list = [[] for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.table.items():
+        by_left[i - 1].append((j - 1, tuple(
+            (k - 1, c.numerator * (scale // c.denominator))
+            for k, c in terms)))
+    return scale, by_left
 
 
 def _memo(algebra: StructureTensor, key: str, build):
-    """``build(algebra)``, or what it last gave for this tensor object while
-    a caller still holds that: the tensor keeps a weak reference under
-    ``key``, so nothing outlives its callers."""
-    ref = algebra.__dict__.get(key)
-    value = ref() if ref is not None else None
+    """``build(algebra)``, kept in the tensor under ``key`` from the first
+    call on and returned by every later one, as ``cached_property`` does."""
+    value = algebra.__dict__.get(key)
     if value is None:
-        value = build(algebra)
-        object.__setattr__(algebra, key, weakref.ref(value))
+        value = algebra.__dict__[key] = build(algebra)
     return value
 
 
-def _integer_cells(algebra: StructureTensor) -> _Cells:
-    """The integer cells of the table, shared while a reader holds them."""
-    return _memo(algebra, "_cells", _Cells)
+def _integer_cells(algebra: StructureTensor) -> tuple:
+    """The integer cells of the table (``_build_cells``), kept per tensor."""
+    return _memo(algebra, "_cells", _build_cells)
 
 
 def _times_basis(by_left: list, row: dict) -> dict:

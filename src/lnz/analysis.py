@@ -11,19 +11,16 @@ right multiplication by e_1 when every product of a chain vector lands
 deeper in them, which proves that R_(e_1)^k(L) = L^(k+1) for every k (see
 ``_build_series``); that holds on every catalog normal form.  Otherwise
 each term is the canonical rows of one echelon of the products of the
-one before (``_series_by_terms``).  A series keeps the integer cells it read
-(``algebra._integer_cells``); the gradation and the estimate reuse them.
-[L, L] (``derived_span``) is its second term, which ``char_sequence_at``
-and the estimate read off the series they already hold.
+one before (``_series_by_terms``).  [L, L] (``derived_span``) is its
+second term, which ``char_sequence_at`` and the estimate read off the
+series.
 
-The tensor keeps a weak reference to the series last built for it, and
-one to its integer cells (``algebra._memo``).  So a caller that still
-holds the series (``lnz analyze``, the battery on each instance) shares
-it with every reader that asks again, and its cells with every reader of
-``_integer_cells``: the residual, the right annihilator, ``apply_change``
-and the generated changes.  The memo is weak so that nothing outlives its
-callers, as a strong memo on each of the battery's instances would; it
-is per object, not per content, and is not pickled.
+The tensor keeps its series and its integer cells
+(``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
+So the first reader of either builds it, and every later reader of that
+tensor object reuses it: the gradation, the characteristic sequence, the
+residual, the right annihilator, ``apply_change`` and the generated
+changes.  The cache is per object, not per content, and is not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
@@ -60,8 +57,7 @@ class CentralSeries:
     hits zero, the zero term is included and ``nilpotent`` is True; when it
     stabilises at a nonzero subspace the repeated term is dropped and
     ``nilpotent`` is False.  ``len(series)`` counts the terms, so for a
-    nilpotent algebra it is the nilindex.  ``_cells`` is the integer view
-    ``[scale, by_left]`` of the table that ``_build_series`` read.
+    nilpotent algebra it is the nilindex.
     """
 
     ambient_dim: int
@@ -82,8 +78,8 @@ class CentralSeries:
 
 
 def lower_central_series(algebra: StructureTensor) -> CentralSeries:
-    """The descending central series; the same object as long as a caller
-    holds the one last built for this tensor."""
+    """The descending central series, built on the first call for this
+    tensor object and kept with it."""
     return _memo(algebra, "_series", _build_series)
 
 
@@ -101,12 +97,10 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
     the same rows.
     """
     n = algebra.dim
-    cells = _integer_cells(algebra)
-    terms = _chain_series(n, cells[1])
-    series = (CentralSeries(n, terms, True) if terms is not None
-              else CentralSeries(n, *_series_by_terms(n, cells[1])))
-    object.__setattr__(series, "_cells", cells)
-    return series
+    _, by_left = _integer_cells(algebra)
+    terms = _chain_series(n, by_left)
+    return (CentralSeries(n, terms, True) if terms is not None
+            else CentralSeries(n, *_series_by_terms(n, by_left)))
 
 
 def _chain_series(n: int, by_left: list):
@@ -199,7 +193,7 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     the degree-(i+j) part of their bracket, read only for the pairs where
     it can be nonzero.  That bracket must lie in L^(i+j), as in every
     Leibniz algebra, or NotFiltered names the pair.  The series comes from
-    ``lower_central_series``, so a caller that holds it shares it.
+    ``lower_central_series``, so it is the one the tensor keeps.
     """
     n = algebra.dim
     series = lower_central_series(algebra)
@@ -230,7 +224,7 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
     # nothing exactly when it lies in L^(i+j).  The residue stays an integer
     # row over one common denominator.  Only a section b nonzero at a column
     # j of some [R_a, e_j] has a nonzero residue; a visits those b, in order.
-    scale, by_left = series._cells
+    scale, by_left = _integer_cells(algebra)
     table = {}
     for a in range(n):
         right = _times_basis(by_left, rows[a])    # [R_a, e_j], times scale
@@ -308,7 +302,7 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     if _derived(series).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return _profile(series._cells[1], x.coords)
+    return _profile(_integer_cells(algebra)[1], x.coords)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
@@ -334,7 +328,7 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
         raise ValueError(f"budget must be 0 or more, got {budget}")
     n = algebra.dim
     series = lower_central_series(algebra)
-    _, by_left = series._cells
+    _, by_left = _integer_cells(algebra)
     derived = _derived(series)
     bound = series.dims if series.nilpotent else None
     rng = random.Random(seed)

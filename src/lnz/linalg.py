@@ -50,7 +50,14 @@ from .errors import DimensionMismatch, IndexOutOfRange, NotNilpotent
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """An int, Fraction or string such as "1/10" as a Fraction.  A float
+    raises TypeError, since the float 0.1 is not 1/10."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an int, a Fraction or a "
+                        "string such as '1/10'")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ characteristic sequence, nilindex and annihilator, the closed-form
 parameter maps agree with direct basis-change recomputation, the printed
 invariants are invariant, and the equivalence decision is sound on
 spot-check pairs.  Failures become report records, never exceptions, so
-one broken family does not hide the rest.  One loop reads each catalog
-instance in turn while it holds the instance's central series, so every
-check of that instance shares the series and its integer cells.
+one broken family does not hide the rest.  One loop takes the catalog
+instances one at a time, as ``enumerate_catalog`` yields them, and keeps
+none.  Each tensor keeps its own central series and integer cells, so
+every check of an instance shares them, and they go with the instance.
 
 A handful of "flagged" records document readings and observations that a
 user should know about but that are not failures.
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Vec, _integer_cells, bracket, is_lie, leibniz_residual
+from .algebra import Vec, bracket, is_lie, leibniz_residual
 from .analysis import (char_sequence_at, char_sequence_estimate,
                        lower_central_series, natural_gradation,
                        right_annihilator)
@@ -144,7 +145,6 @@ def _replay(family: str, n: int, p, g):
                   else build_type1_branch_b)(n, *p)
         complete = completed_first_type_change
         extract = extract_type1_a if branch_a else extract_type1_b
-    cells = _integer_cells(tensor)  # held: the change and apply_change share it
     change = complete(tensor, g)
     try:
         return extract(apply_change(tensor, change))
@@ -203,8 +203,8 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
         raise DimensionTooSmall(
             f"verification needs n >= 9 everywhere, got dims {list(dims)}")
     report = Report()
-    instances = list(enumerate_catalog(dims, samples))
-    _check_instances(report, instances, samples, budget, seed)
+    _check_instances(report, enumerate_catalog(dims, samples), samples,
+                     budget, seed)
     _check_formula_oracle(report, dims, oracle_trials, seed)
     _check_invariance(report, oracle_trials, seed)
     _check_equivalence_spots(report)
@@ -220,13 +220,19 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
     on the first instance of each row), nilindex, right-annihilator,
     non-lie and small-oracles (the series at the smallest n against
     brute force, up to the first failure).  The 60 s gate sums the
-    residual spans alone, the 30 s gate the C(e_1) and estimate spans."""
+    residual spans alone, the 30 s gate the C(e_1) and estimate spans.
+    ``instances`` is read once, in order, and no instance is kept."""
     residual, graded, nilindex, at_e1, estimated, outside, lie, series_bad = (
         [] for _ in range(8))
-    reps, rechecked, residual_s, sequence_s = set(), 0, 0.0, 0.0
-    smallest = min(inst.n for inst in instances)
+    reps, dims, seen, residual_s, sequence_s = set(), set(), set(), 0.0, 0.0
+    total, rechecked, smallest = 0, 0, None
     for inst in instances:
         n, tensor = inst.n, inst.tensor
+        total += 1
+        dims.add(n)
+        seen.add(inst.row.row_id)
+        if smallest is None or n < smallest:    # recheck at the new smallest
+            smallest, rechecked, series_bad = n, 0, []
         series = lower_central_series(tensor)
         t0 = time.monotonic()
         res = leibniz_residual(tensor)
@@ -276,8 +282,6 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
             if lcs != naive:
                 series_bad.append(f"{inst.label()}: series dims {lcs} "
                                   f"vs naive {naive}")
-    dims = {inst.n for inst in instances}
-    seen = {inst.row.row_id for inst in instances}
     admitted = [row for row in CATALOG_ROWS
                 if any(row.parity == "any" or n % 2 == 0 for n in dims)]
     skipped = [row.row_id for row in admitted if not row.sample_grid(samples)]
@@ -290,9 +294,9 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
     passed = f"all residuals empty in {residual_s:.1f}s"
     if skipped:
         passed += "; no admissible sample for rows " + ", ".join(skipped)
-    count = f"{len(instances)} instances"
-    _conclude(report, "catalog-consistency", f"{len(instances)} catalog "
-              "instances", residual, passed, residual_s, gate=60)
+    count = f"{total} instances"
+    _conclude(report, "catalog-consistency", f"{total} catalog instances",
+              residual, passed, residual_s, gate=60)
     _conclude(report, "gradation-dims", count, graded[:5],
               "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
     _conclude(report, "char-sequence", f"{count}, {len(reps)} sampled "

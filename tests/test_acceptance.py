@@ -8,6 +8,7 @@ Run with -s (or look at the captured stdout of a failure) to see the lines.
 import hashlib
 import json
 import re
+import weakref
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -344,3 +345,23 @@ def test_verify_all_report_in_process(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert [c["name"] for c in doc["checks"]] == list(CRITERIA + FLAGGED)
     assert doc["summary"] == {"pass": 10, "fail": 0, "flagged": 5}
+
+
+def test_battery_lets_go_of_each_instance(monkeypatch):
+    # verify_all streams the catalog: when instance k is yielded, instance
+    # k - 1 keeps its series and cells, and instance k - 2's tensor is gone
+    refs, held, gone = [], [], []
+
+    def streamed(dims, samples):
+        for inst in enumerate_catalog(dims, samples):
+            if refs:
+                held.append({"_series", "_cells"} <= vars(refs[-1]()).keys())
+            if len(refs) > 1:
+                gone.append(refs[-2]() is None)
+            refs.append(weakref.ref(inst.tensor))
+            yield inst
+    monkeypatch.setattr(lnz.verify, "enumerate_catalog", streamed)
+    report = verify_all(dims=(9,), oracle_trials=1)
+    assert report.ok
+    assert len(gone) == len(refs) - 2 > 0
+    assert all(held) and all(gone)

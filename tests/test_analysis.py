@@ -1,7 +1,6 @@
 """Structural analysis: series, gradation, characteristic sequence."""
 
 import copy
-import gc
 import pickle
 import random
 from fractions import Fraction
@@ -10,9 +9,9 @@ import pytest
 
 import lnz.algebra
 import lnz.analysis
-import lnz.transform
 from lnz import (
     BasisChange,
+    GradedChange2,
     MatrixQ,
     CharSequence,
     ElementInDerivedSubalgebra,
@@ -25,6 +24,7 @@ from lnz import (
     build_second_type,
     char_sequence_at,
     char_sequence_estimate,
+    completed_second_type_change,
     derived_span,
     leibniz_residual,
     lower_central_series,
@@ -331,18 +331,20 @@ def test_invariants_survive_basis_change():
 
 
 # ----------------------------------------------------------------------
-# the weak series memo
+# the series and the integer cells each tensor keeps
 
 
-def count_builds(monkeypatch):
-    """Tensors whose series the private builder computes, in call order."""
+def count_builds(monkeypatch, module=lnz.analysis, builder="_build_series"):
+    """Tensors that ``module.builder`` builds for, in call order: by
+    default the central series, or ``lnz.algebra, "_build_cells"`` for
+    the integer cells."""
     built = []
-    builder = lnz.analysis._build_series
+    build = getattr(module, builder)
 
     def counted(algebra):
         built.append(algebra)
-        return builder(algebra)
-    monkeypatch.setattr(lnz.analysis, "_build_series", counted)
+        return build(algebra)
+    monkeypatch.setattr(module, builder, counted)
     return built
 
 
@@ -364,21 +366,21 @@ def test_analyze_builds_one_series_per_document(monkeypatch, tmp_path, capsys):
     assert len(calls) == 2 and len(built) == 1
 
 
-def test_series_memo_dies_with_its_last_holder(monkeypatch):
-    algebra = build_second_type(9, SecondTypeParams(0, (1, 0, 2, 0), -1))
-    built = count_builds(monkeypatch)
-    series = lower_central_series(algebra)
-    dims = series.dims
-    assert lower_central_series(algebra) is series
-    assert sum(natural_gradation(algebra).piece_dims) == 9
-    assert nilindex(algebra) == len(dims)
-    assert len(built) == 1
-    ref = algebra._series
-    del series
-    gc.collect()
-    assert ref() is None
-    again = lower_central_series(algebra)
-    assert len(built) == 2 and again.dims == dims
+def test_each_tensor_builds_its_cells_and_series_once(monkeypatch):
+    algebra = build_second_type(10, SecondTypeParams(0, (1, 0, 2, 0), -1))
+    cells = count_builds(monkeypatch, lnz.algebra, "_build_cells")
+    series = count_builds(monkeypatch)
+    for _ in range(2):          # the second round reuses what the first built
+        leibniz_residual(algebra)
+        lower_central_series(algebra)
+        natural_gradation(algebra)
+        char_sequence_at(algebra, Vec.basis(10, 1))
+        char_sequence_estimate(algebra)
+        right_annihilator(algebra)
+        apply_change(algebra, completed_second_type_change(
+            algebra, GradedChange2(2, 1, 3)))
+    assert [t is algebra for t in cells + series] == [True, True]
+    assert lower_central_series(algebra) is lower_central_series(algebra)
 
 
 def test_equal_tensors_never_share_a_series(monkeypatch):
@@ -407,71 +409,16 @@ def test_analysed_tensor_pickles_and_copies():
             assert lower_central_series(back).dims == dims
 
 
-def count_reads(monkeypatch):
-    """Tensors whose table is read into integer cells, in call order."""
-    reads = []
-    reader = lnz.algebra._integer_cells
-
-    def counted(algebra):
-        reads.append(algebra)
-        return reader(algebra)
-    for module in (lnz.algebra, lnz.analysis, lnz.transform):
-        monkeypatch.setattr(module, "_integer_cells", counted)
-    return reads
-
-
 def test_each_call_reads_the_table_once(monkeypatch, tmp_path, capsys):
     algebra = build_second_type(16, SecondTypeParams(1, (0, 1, 0, 2), -1))
     path = tmp_path / "doc.json"
     path.write_text(serialize(algebra))
-    reads = count_reads(monkeypatch)
+    built = count_builds(monkeypatch, lnz.algebra, "_build_cells")
     assert main(["analyze", str(path)]) == 0
-    assert "nilindex: 14" in capsys.readouterr().out
-    assert len(reads) == 2          # the series and the annihilator
+    out = capsys.readouterr().out
+    assert "nilindex: 14" in out and "right annihilator dim: 3" in out
+    assert len(built) == 1          # every reader shares the document's cells
     for call in (natural_gradation, char_sequence_estimate):
-        reads.clear()
-        call(algebra.renamed(None))     # a fresh tensor, no series memo
-        assert len(reads) == 1
-
-
-def count_cell_builds(monkeypatch):
-    """Tensors whose integer cells are built, not read from the memo."""
-    built = []
-    cells = lnz.algebra._Cells
-
-    def counted(algebra):
-        built.append(algebra)
-        return cells(algebra)
-    monkeypatch.setattr(lnz.algebra, "_Cells", counted)
-    return built
-
-
-def test_analyze_builds_the_integer_cells_once(monkeypatch, tmp_path,
-                                               capsys):
-    path = tmp_path / "doc.json"
-    path.write_text(serialize(build_second_type(
-        16, SecondTypeParams(1, (0, 1, 0, 2), -1))))
-    built = count_cell_builds(monkeypatch)
-    assert main(["analyze", str(path)]) == 0
-    assert "right annihilator dim: 3" in capsys.readouterr().out
-    # the annihilator shares the cells of the series the CLI holds
-    assert len(built) == 1
-
-
-def test_memo_lets_go_of_the_series_and_its_cells(monkeypatch):
-    algebra = build_second_type(10, SecondTypeParams(0, (1, 0, 2, 0), -1))
-    built = count_cell_builds(monkeypatch)
-    series = lower_central_series(algebra)
-    leibniz_residual(algebra)
-    right_annihilator(algebra)
-    char_sequence_at(algebra, Vec.basis(10, 1))
-    assert len(built) == 1
-    assert algebra._cells() is series._cells
-    refs = (algebra._series, algebra._cells)
-    del series
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    # with nothing held, each reader builds and drops its own cells
-    right_annihilator(algebra)
-    right_annihilator(algebra)
-    assert len(built) == 3 and algebra._cells() is None
+        built.clear()
+        call(algebra.renamed(None))     # a fresh tensor, with no cells yet
+        assert len(built) == 1

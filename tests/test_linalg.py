@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lnz import (BasisChange, EchelonSpan, IndexOutOfRange, MatrixQ,
-                 NotNilpotent, PolyQ, SecondTypeParams, SingularChange, Vec,
+from lnz import (BasisChange, EchelonSpan, FirstTypeParams, GradedChange2,
+                 IndexOutOfRange, MatrixQ, NotNilpotent, PolyQ,
+                 SecondTypeParams, SingularChange, StructureTensor, Vec,
                  block_diag, build_second_type, invert, jordan_block,
                  kernel_basis, nilpotent_block_sizes, poly_gcd, rank,
                  rational_roots, resultant, right_mul_matrix, rref)
@@ -264,7 +265,7 @@ def test_entries_outside_the_matrix_raise_index_out_of_range():
 
 
 @pytest.mark.parametrize("dense, sparse", [
-    ([0.5, 0, 1], {0: 0.5, 2: 1}),
+    (["0.5", 0, 1], {0: "0.5", 2: 1}),
     (["1/2", "0", "1"], {0: "1/2", 1: "0", 2: "1"}),
     ([Q(1, 2), 0, Q(1)], {0: Q(1, 2), 2: Q(1)}),
     ([1, 0, 2], {0: 1, 1: 0, 2: 2}),
@@ -394,3 +395,28 @@ def test_matmul_apply_consistency():
         left = (a @ b).apply(v)
         right = a.apply(b.apply(v))
         assert left == right
+
+
+#: Constructors that coerce their values exactly, each giving back the
+#: coerced form of the value it was handed.
+EXACT = {
+    "Vec": lambda v: Vec((v, 1)).coords[0],
+    "MatrixQ.from_rows": lambda v: MatrixQ.from_rows([[v, 1]])[0, 0],
+    "PolyQ": lambda v: PolyQ((v, 1)).coeffs[0],
+    "GradedChange2": lambda v: GradedChange2(1, v).A4,
+    "SecondTypeParams": lambda v: SecondTypeParams(0, (v, 0, 0, 0),
+                                                   -1).alphas[0],
+    "FirstTypeParams": lambda v: FirstTypeParams(34, (v, 1, 1)).p[0],
+    "StructureTensor": lambda v: StructureTensor(
+        2, {(1, 1): [(2, v)]}).coefficient(1, 1, 2),
+    "EchelonSpan": lambda v: 1 / EchelonSpan(2, [[v, 1]]).basis()[0][1],
+}
+
+
+@pytest.mark.parametrize("make", EXACT.values(), ids=EXACT)
+def test_constructors_take_exact_values_and_refuse_floats(make):
+    for value in (Q(1, 10), "1/10"):
+        assert make(value) == Q(1, 10)
+    assert make(3) == 3 and type(make(3)) is Q
+    with pytest.raises(TypeError, match=r"^0\.1 is a float"):
+        make(0.1)
