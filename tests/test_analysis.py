@@ -409,15 +409,21 @@ def test_analysed_tensor_pickles_and_copies():
             assert lower_central_series(back).dims == dims
 
 
-def test_each_call_reads_the_table_once(monkeypatch, tmp_path, capsys):
-    algebra = build_second_type(16, SecondTypeParams(1, (0, 1, 0, 2), -1))
+def test_analyze_builds_the_integer_cells_once(monkeypatch, tmp_path,
+                                               capsys):
     path = tmp_path / "doc.json"
-    path.write_text(serialize(algebra))
+    path.write_text(serialize(build_second_type(
+        16, SecondTypeParams(1, (0, 1, 0, 2), -1))))
     built = count_builds(monkeypatch, lnz.algebra, "_build_cells")
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "nilindex: 14" in out and "right annihilator dim: 3" in out
     assert len(built) == 1          # every reader shares the document's cells
+
+
+def test_each_call_reads_the_table_once(monkeypatch):
+    algebra = build_second_type(16, SecondTypeParams(1, (0, 1, 0, 2), -1))
+    built = count_builds(monkeypatch, lnz.algebra, "_build_cells")
     for call in (natural_gradation, char_sequence_estimate):
         built.clear()
         call(algebra.renamed(None))     # a fresh tensor, with no cells yet
