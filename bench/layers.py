@@ -13,8 +13,10 @@ first tree of a round rotating.  A round times seven layers:
 completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
 type, epsilon = 1, lambda = 2) at each size, as the normal form and after
 the dense unimodular change M0 * P (M0[i][j] = min(i, j) + 1, P the
-order-reversing permutation with alternating signs), on which the Jordan
-chains of R_(e_1) certify nothing and the general loops run.  Every
+order-reversing permutation with alternating signs), where no Jordan chain
+of R_(e_1) runs through the basis: there the central series is certified
+off the echelons of the powers of R_(e_1), and the Jordan block sizes
+take the power loop.  Every
 timed call gets a tensor parsed afresh from its document before the clock
 starts, so no call shares a series or integer cells with another, and
 runs with the garbage collector off, as in ``timeit``.

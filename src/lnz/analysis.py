@@ -6,14 +6,15 @@ carry an induced product that respects degrees; ``natural_gradation``
 materialises that graded algebra on a concatenated section basis.  Each
 term is kept as reduced sparse integer rows; ``CentralSeries.terms``
 builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
-of a nilpotent algebra.  The terms are read off the Jordan chains of
-right multiplication by e_1 when every product of a chain vector lands
-deeper in them, which proves that R_(e_1)^k(L) = L^(k+1) for every k (see
-``_build_series``); that holds on every catalog normal form.  Otherwise
-each term is the canonical rows of one echelon of the products of the
-one before (``_series_by_terms``).  [L, L] (``derived_span``) is its
-second term, which ``char_sequence_at`` and the estimate read off the
-series.
+of a nilpotent algebra.  The terms are read off the levels of right
+multiplication by e_1 (``linalg._levels``: its Jordan chains, or the
+echelons of its powers in any other basis) when every product of a
+level vector lands deeper in them, which proves that R_(e_1)^k(L) =
+L^(k+1) for every k (see ``_build_series``); that holds on every catalog
+normal form.  Otherwise each term is the canonical rows of one echelon
+of the products of the one before (``_series_by_terms``).  [L, L]
+(``derived_span``) is its second term, which ``char_sequence_at`` and
+the estimate read off the series.
 
 The tensor keeps its series and its integer cells
 (``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
@@ -40,9 +41,10 @@ from itertools import chain
 
 from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
-from .errors import ElementInDerivedSubalgebra, NonNilpotent, NotFiltered
-from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _chains, _combine,
-                     _echelon, _eliminate, _fraction_row, _kernel, _reduce,
+from .errors import (ElementInDerivedSubalgebra, NonNilpotent, NotFiltered,
+                     NotNilpotent)
+from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _combine, _echelon,
+                     _eliminate, _fraction_row, _kernel, _levels, _reduce,
                      _reduced_rows, nilpotent_block_sizes)
 
 
@@ -84,38 +86,42 @@ def lower_central_series(algebra: StructureTensor) -> CentralSeries:
 
 
 def _build_series(algebra: StructureTensor) -> CentralSeries:
-    """The series off the Jordan chains of R_x, x = e_1, when they certify
-    it (``_chain_series``), and otherwise off the per-term loop.
+    """The series off the levels of R_x, x = e_1, when they certify it
+    (``_certified_series``), and otherwise off the per-term loop.
 
-    The certificate: the chain vectors at level k or deeper span
-    C_k = R_x^k(L), and R_x^k(L) lies in L^(k+1).  If every product
-    [v, e_j] of a level-t vector lies in C_(t+1), then [C_t, L] lies in
-    C_(t+1) for every t; so, with C_0 = L = L^1, L^(k+1) = [L^k, L] =
-    [C_(k-1), L] lies in C_k by induction, and L^(k+1) = C_k.  Then the
-    C_k and the zero term C_(top+1) are the series, and the algebra is
-    nilpotent.  Reduced rows are canonical for a span, so both paths give
-    the same rows.
+    The certificate: the level-t vectors (``linalg._levels``) complement
+    C_(t+1) in C_t, where C_k = R_x^k(L) is spanned by the levels k and
+    deeper, and R_x^k(L) lies in L^(k+1).  If every product [v, e_j] of a
+    level-t vector lies in C_(t+1), then [C_t, L] lies in C_(t+1) for
+    every t; so, with C_0 = L = L^1, L^(k+1) = [L^k, L] = [C_(k-1), L]
+    lies in C_k by induction, and L^(k+1) = C_k.  Then the C_k and the
+    zero term C_(top+1) are the series, and the algebra is nilpotent.
+    Reduced rows are canonical for a span, so both paths give the same
+    rows.
     """
     n = algebra.dim
     _, by_left = _integer_cells(algebra)
-    terms = _chain_series(n, by_left)
+    terms = _certified_series(n, by_left)
     return (CentralSeries(n, terms, True) if terms is not None
             else CentralSeries(n, *_series_by_terms(n, by_left)))
 
 
-def _chain_series(n: int, by_left: list):
+def _certified_series(n: int, by_left: list):
     """The terms of ``_build_series``'s certificate, or None when it fails.
 
-    Walks the levels of the chains of R_x deepest first, keeping the
-    canonical rows of the span of the levels walked (``_add_reduced``):
-    each product [v, e_j] of a level-t vector v must reduce to zero
-    against those of C_(t+1) before the level-t vectors join them as C_t,
-    whose rows are then term t.  A chain that meets its own span before 0,
-    or a product that lands shallower, fails the certificate.
+    Walks the levels of R_x deepest first, keeping the canonical rows of
+    the span of the levels walked (``_add_reduced``): each product [v, e_j]
+    of a level-t vector v must reduce to zero against those of C_(t+1)
+    before the level-t vectors join them as C_t, whose rows are then term
+    t.  An R_x that is not nilpotent, or a product that lands shallower,
+    fails the certificate.  The levels are the Jordan chains of R_x on
+    every catalog normal form, and the echelons of its powers in a basis
+    without such chains.
     """
-    levels = _chains(n, {i: dict(cell) for i, row in enumerate(by_left)
-                         for j, cell in row if j == 0})
-    if levels is None:
+    try:
+        levels = _levels(n, {i: dict(cell) for i, row in enumerate(by_left)
+                             for j, cell in row if j == 0})
+    except NotNilpotent:
         return None
     reduced, terms = {}, [()]         # the canonical rows of C_(t+1)
     for level in reversed(levels):

@@ -17,13 +17,13 @@ echelon basis, and ``_add_reduced`` keeps canonical rows canonical as a
 vector joins them.  ``EchelonSpan.basis()`` is their ``Fraction`` view,
 the canonical RREF.  ``rank``, ``nilpotent_block_sizes``
 and ``EchelonSpan`` sit on the kernel; ``rank`` and the ``EchelonSpan``
-constructor share its one echelon loop (``_echelon``).  ``_chains``
-grows the Jordan chains of a map through the basis vectors in one
-``EchelonSpan``.  When they reach 0 and span, they certify the Jordan
-block sizes (``nilpotent_block_sizes``) and, for right multiplication by
-e_1, the central series (``analysis._build_series``); otherwise the rank
-of the powers runs on the same columns (``_ranks_at_least``), and the
-series takes one ``_echelon`` per term.  ``rref`` goes
+constructor share its one echelon loop (``_echelon``).  ``_levels``
+splits a nilpotent map N into levels, level k a complement of N^(k+1)
+in N^k: its Jordan chains through the basis vectors when ``_chains``
+finds them, and otherwise the echelons of the powers.  Their sizes give
+the Jordan block sizes (``nilpotent_block_sizes``); for right
+multiplication by e_1 they certify the central series when its products
+land deeper (``analysis._build_series``).  ``rref`` goes
 through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
 rows.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1 as
 integer rows over one scale, which ``invert`` views as a ``MatrixQ`` and
@@ -149,11 +149,16 @@ def _int_rows(rows) -> tuple:
 
     ``rows`` holds dense sequences or sparse mappings.  All rows are scaled
     by ``scale``, the lcm of their denominators, so spans are unchanged and
-    a matrix keeps its Jordan block profile.  Zero entries are dropped.
+    a matrix keeps its Jordan block profile.  Zero entries are dropped, but
+    a float, even 0.0, raises ``_frac``'s TypeError.
     """
     rows = [{c: x for c, x in (r.items() if isinstance(r, Mapping)
-                               else enumerate(r)) if x} for r in rows]
-    scale = lcm(*(x.denominator for r in rows for x in r.values()))
+                               else enumerate(r)) if x or type(x) is float}
+            for r in rows]
+    try:
+        scale = lcm(*(x.denominator for r in rows for x in r.values()))
+    except AttributeError:
+        return _int_rows([{c: _frac(x) for c, x in r.items()} for r in rows])
     return scale, [{c: x.numerator * (scale // x.denominator)
                     for c, x in r.items()} for r in rows]
 
@@ -271,15 +276,9 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     """Jordan block sizes of a nilpotent matrix, largest first.
 
     The number of blocks of size at least k equals rank(N^(k-1)) - rank(N^k),
-    and this is read off the columns of N (as sparse integer rows) in one of
-    two ways.  First ``_chains`` looks for Jordan chains through the basis
-    vectors: vectors e_i, N e_i, ..., each growing one span, that end in 0
-    and together span Q^n.  On such a basis N is in Jordan form, one block
-    per chain, so the vectors N^k e_i count the blocks longer than k.  When
-    there are none (a chain meets its own span before 0), the rank-of-powers
-    loop (``_ranks_at_least``) runs on the same columns.  It raises
-    NotNilpotent when the rank sequence stops falling before it reaches
-    zero; a matrix with a chain basis is nilpotent.
+    the size of level k - 1 of N (``_levels``, on the columns of N as
+    sparse integer rows).  It raises NotNilpotent when the rank sequence
+    stops falling before it reaches zero.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("block sizes need a square matrix")
@@ -287,32 +286,34 @@ def nilpotent_block_sizes(m: MatrixQ) -> tuple:
     if n == 0:
         return ()
     columns = dict(enumerate(_int_rows(m.column(c) for c in range(n))[1]))
-    levels = _chains(n, columns)
     # at_least[k-1] blocks have size >= k; the sizes are its transpose
-    at_least = (_ranks_at_least(n, columns) if levels is None
-                else [len(level) for level in levels])
+    at_least = [len(level) for level in _levels(n, columns)]
     return tuple(sum(c > j for c in at_least) for j in range(at_least[0]))
 
 
-def _ranks_at_least(n: int, columns: dict) -> list:
-    """The rank-of-powers loop: ``at_least[k - 1]`` = rank(N^(k-1)) -
-    rank(N^k), the number of blocks of size k or more, for N of size n >= 1
-    given by its columns (i -> N e_i as a sparse integer row).  These are
-    the rows of N^T, and rank (N^T)^k = rank N^k; so an echelon basis of the
-    rows of (N^T)^(k-1) is pushed through N^T instead of forming the powers
-    (its product with N^T spans the rows of (N^T)^k), which keeps both the
-    row count and the integer entries small."""
-    ranks = [n]
-    basis = _echelon(columns.values())
-    while basis:
-        ranks.append(len(basis))
-        if ranks[-1] == ranks[-2]:
+def _levels(n: int, image: dict) -> list:
+    """The levels of a nilpotent map N of Q^n, given by ``image`` (i -> N e_i
+    as a sparse integer row, a missing i -> 0): ``levels[k]`` holds sparse
+    integer vectors that complement N^(k+1)(Q^n) in N^k(Q^n), so levels[k:]
+    is a basis of N^k(Q^n).  They are the Jordan chains through the basis
+    vectors (``_chains``) when those exist.  Otherwise the power loop
+    echelons the images of the rows of the echelon of N^k(Q^n), which span
+    N^(k+1)(Q^n), and level k is the rows of the first echelon whose pivot
+    is no pivot of the second: pivot sets belong to the span, and shrink
+    with it.  Raises NotNilpotent when the rank stops falling above 0."""
+    levels = _chains(n, image)
+    if levels is not None:
+        return levels
+    levels, ech = [], {i: {i: 1} for i in range(n)}
+    while ech:
+        deeper = _echelon({j: x for j, x in _combine(row, image).items() if x}
+                          for row in ech.values())
+        if len(deeper) == len(ech):
             raise NotNilpotent(
-                f"matrix is not nilpotent: rank stabilises at {ranks[-1]}")
-        basis = _echelon({j: x for j, x in _combine(row, columns).items() if x}
-                         for row in basis.values())
-    ranks.append(0)
-    return [a - b for a, b in zip(ranks, ranks[1:])]
+                f"matrix is not nilpotent: rank stabilises at {len(ech)}")
+        levels.append([row for p, row in ech.items() if p not in deeper])
+        ech = deeper
+    return levels
 
 
 def _chains(n: int, image: dict):
@@ -476,7 +477,7 @@ class EchelonSpan:
                 f"vector of length {len(vector)} in ambient dimension {n}")
         else:
             items = enumerate(vector)
-        row = {c: x for c, x in items if x}
+        row = {c: x for c, x in items if x or type(x) is float}
         if all(type(x) is int for x in row.values()):
             return row
         return _int_rows([{c: _frac(x) for c, x in row.items()}])[1][0]

@@ -1,18 +1,20 @@
-"""The Jordan-chain certificates against the loops they stand in for.
+"""The level certificates against the loops they stand in for.
 
-``nilpotent_block_sizes`` reads the block sizes off Jordan chains of the
-basis vectors when it finds them, and otherwise runs the rank-of-powers
-loop (``linalg._ranks_at_least``); the central series reads its terms
-off the chains of right multiplication by e_1 when every product of a
-chain vector lands deeper, and otherwise runs the per-term loop
-(``analysis._series_by_terms``).  Each test counts the calls of the loop,
-so it shows which path ran, and checks the answer against a test-local
-oracle: dense ``Fraction`` ranks of the powers for the block sizes, and
-the per-term loop, called directly, for the series.
+``nilpotent_block_sizes`` reads the block sizes off the levels of the
+matrix (``linalg._levels``): its Jordan chains through the basis vectors
+when it finds them, and otherwise the power loop; the central series
+reads its terms off the levels of right multiplication by e_1 when every
+product of a level vector lands deeper, and otherwise runs the per-term
+loop (``analysis._series_by_terms``).  Each test counts the runs of the
+power loop or the per-term loop, so it shows which path ran, and checks
+the answer against a test-local oracle: dense ``Fraction`` ranks of the
+powers for the block sizes, and the per-term loop, called directly, for
+the series.
 """
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -70,6 +72,21 @@ def counted(monkeypatch, module, name):
     return calls
 
 
+def power_loops(monkeypatch):
+    """Count the runs of the power loop of ``linalg._levels`` from here on:
+    the calls in which ``_chains`` finds no chains."""
+    calls = []
+    chains = linalg._chains
+
+    def spy(*args):
+        levels = chains(*args)
+        if levels is None:
+            calls.append(1)
+        return levels
+    monkeypatch.setattr(linalg, "_chains", spy)
+    return calls
+
+
 def random_partition(rng, n):
     left, parts = n, []
     while left:
@@ -117,7 +134,7 @@ def dense_unimodular(rng, n):
 def test_block_sizes_of_permuted_jordan_matrices_take_the_chains(
         monkeypatch):
     rng = random.Random(2601)
-    loops = counted(monkeypatch, linalg, "_ranks_at_least")
+    loops = power_loops(monkeypatch)
     for _ in range(150):
         partition = random_partition(rng, rng.randint(1, 12))
         m = permuted_jordan(rng, partition)
@@ -132,7 +149,7 @@ def test_block_sizes_of_conjugated_jordan_matrices_take_the_loop(
     # then every chain through a basis vector has length s, so a smaller
     # block cannot be met, and the chains must stop at a nonzero vector
     rng = random.Random(2602)
-    loops = counted(monkeypatch, linalg, "_ranks_at_least")
+    loops = power_loops(monkeypatch)
     cases = 0
     for _ in range(80):
         partition = random_partition(rng, rng.randint(3, 9))
@@ -153,7 +170,7 @@ def test_block_sizes_of_conjugated_jordan_matrices_take_the_loop(
 
 
 def test_block_sizes_refuse_a_non_nilpotent_matrix(monkeypatch):
-    loops = counted(monkeypatch, linalg, "_ranks_at_least")
+    loops = power_loops(monkeypatch)
     with pytest.raises(NotNilpotent,
                        match=r"^matrix is not nilpotent: rank stabilises at 3$"):
         nilpotent_block_sizes(MatrixQ.identity(3))
@@ -180,7 +197,7 @@ def check_series(algebra):
 def test_series_and_e1_profile_of_every_catalog_instance_take_the_chains(
         monkeypatch):
     loops = counted(monkeypatch, analysis, "_series_by_terms")
-    profiles = counted(monkeypatch, linalg, "_ranks_at_least")
+    profiles = power_loops(monkeypatch)
     cases = 0
     for inst in enumerate_catalog((9, 10, 16, 32)):
         n = inst.n
@@ -232,14 +249,14 @@ def test_series_on_random_rational_tables(monkeypatch):
         # one call is check_series's own; a second one is the fallback
         certified[shape] += len(loops) - before == 1
         nilpotent += series.nilpotent
-    assert certified == {"triangular": 39, "filtered": 100, "general": 6}
+    assert certified == {"triangular": 43, "filtered": 100, "general": 7}
     assert nilpotent == 207
 
 
 def test_series_of_moved_catalog_instances_take_either_path(monkeypatch):
-    # after a dense change, the chains certify the series exactly when the
-    # chains of the new e_1 run through the new basis and R_(e_1)^k(L) has
-    # the dimension of L^(k+1) for every k
+    # after a dense change, the levels of the new e_1 certify the series
+    # exactly when R_(e_1)^k(L) has the dimension of L^(k+1) for every k,
+    # which holds on all of these 60
     rng = random.Random(2604)
     loops = counted(monkeypatch, analysis, "_series_by_terms")
     cases = 0
@@ -251,7 +268,34 @@ def test_series_of_moved_catalog_instances_take_either_path(monkeypatch):
         if cases == 60:
             break
     # one call per case is check_series's own
-    assert len(loops) - cases == 46
+    assert len(loops) - cases == 0
+
+
+def test_series_of_moved_catalog_instances_off_the_power_loop(monkeypatch):
+    # where no chains of R_(e_1) run through the moved basis, its levels
+    # come from the power loop; the series skips the per-term loop unless
+    # R_(e_1)^k(L) falls short of L^(k+1) for the new e_1
+    loops = counted(monkeypatch, analysis, "_series_by_terms")
+    powers = power_loops(monkeypatch)
+    paths = {}
+    for make in (unimodular, dense_unimodular):
+        for n, step in ((9, 3), (10, 9), (16, 43)):
+            rng = random.Random(2900 + n)
+            del loops[:], powers[:]
+            cases = 0
+            for inst in islice(enumerate_catalog((n,)), 0, None, step):
+                check_series(apply_change(inst.tensor,
+                                          BasisChange(make(rng, n))))
+                cases += 1
+            # one loop call per case is check_series's own
+            paths[make.__name__, n] = (cases, len(powers), len(loops) - cases)
+    # (instances, power loops, per-term fallbacks)
+    assert paths == {
+        ("unimodular", 9): (33, 27, 0), ("unimodular", 10): (38, 26, 3),
+        ("unimodular", 16): (8, 8, 3),
+        ("dense_unimodular", 9): (33, 15, 5),
+        ("dense_unimodular", 10): (38, 16, 11),
+        ("dense_unimodular", 16): (8, 5, 4)}
 
 
 def planted_second_type():
@@ -276,6 +320,32 @@ def test_planted_tables_fail_the_check_and_equal_the_loop(monkeypatch):
     series = check_series(algebra)
     assert series.dims == (2, 1) and not series.nilpotent
     assert len(loops) == 4
+
+
+def test_planted_table_in_a_dense_basis_falls_back(monkeypatch):
+    # R_(e_1) is nilpotent in any basis, so the power loop gives its levels,
+    # but no R_x takes L^3 (L^3 / L^4 has dimension 1) onto L^4 (L^4 / L^5
+    # has dimension 2): some product lands shallower
+    loops = counted(monkeypatch, analysis, "_series_by_terms")
+    powers = power_loops(monkeypatch)
+    rng = random.Random(2905)
+    moved = apply_change(planted_second_type(),
+                         BasisChange(unimodular(rng, 9)))
+    series = check_series(moved)
+    assert series.dims == (9, 7, 6, 5, 3, 1, 0) and series.nilpotent
+    assert len(powers) == 1 and len(loops) == 2
+
+
+def test_series_falls_back_when_e1_is_not_nilpotent(monkeypatch):
+    # [e_1, e_1] = e_1 and [e_2, e_1] = e_3: R_(e_1) fixes e_1, so the
+    # chains fail, the power loop raises NotNilpotent and the per-term loop
+    # runs
+    loops = counted(monkeypatch, analysis, "_series_by_terms")
+    powers = power_loops(monkeypatch)
+    algebra = StructureTensor(3, {(1, 1): ((1, 1),), (2, 1): ((3, 1),)})
+    series = check_series(algebra)
+    assert series.dims == (3, 2, 1) and not series.nilpotent
+    assert len(powers) == 1 and len(loops) == 2
 
 
 def test_certified_series_feeds_the_gradation():

@@ -43,6 +43,7 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
                  right_annihilator, row_by_id, rref, serialize)
 from lnz import analysis
+from lnz.algebra import _integer_cells
 from lnz.verify import _naive_series_dims
 
 
@@ -1000,9 +1001,10 @@ def test_series_on_random_single_term_tables():
 def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
         monkeypatch):
     # a catalog normal form with its basis permuted: every cell keeps one
-    # entry, so the products repeat single-entry columns, and the chains of
-    # R_(e_1) no longer certify the series.  Row 1,2 needs even n, so row
-    # 0,2 stands in for it at n = 9
+    # entry, so the products repeat single-entry columns.  The levels of
+    # R_(e_1) certify the series on some of these forms; the per-term loop
+    # then runs on them directly, so it meets every form.  Row 1,2 needs
+    # even n, so row 0,2 stands in for it at n = 9
     loops = []
     per_term = analysis._series_by_terms
 
@@ -1012,6 +1014,7 @@ def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
     monkeypatch.setattr(analysis, "_series_by_terms", spy)
     forms = [("0,2", (1,), 9), ("1,2", (2,), 10), ("1,2", (2,), 16)] \
         + [("34", (1,), n) for n in (9, 10, 16)]
+    certified = 0
     for row_id, values, n in forms:
         rng = random.Random(2700 + n)
         perm = rng.sample(range(n), n)
@@ -1021,7 +1024,15 @@ def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
         # one entry per cell, and columns that several cells meet
         targets = [k for cell in algebra.table.values() for k, _ in cell]
         assert len(targets) == len(algebra.table) > len(set(targets))
+        before = len(loops)
         terms = check_series(algebra)
         assert [len(term) for term in terms] \
             == _naive_series_dims(algebra)
-    assert len(loops) == len(forms)
+        if len(loops) == before:
+            certified += 1
+            series = lower_central_series(algebra)
+            rows, nilpotent = per_term(n, _integer_cells(algebra)[1])
+            assert (rows, nilpotent) == (series.rows, series.nilpotent)
+            assert [len(term) for term in rows] \
+                == _naive_series_dims(algebra)
+    assert len(loops) == len(forms) - certified and certified == 2

@@ -420,3 +420,23 @@ def test_constructors_take_exact_values_and_refuse_floats(make):
     assert make(3) == 3 and type(make(3)) is Q
     with pytest.raises(TypeError, match=r"^0\.1 is a float"):
         make(0.1)
+
+
+#: Kernels handed a ``MatrixQ`` built with its raw constructor, which
+#: stores its entries as they are, or a vector for a span.
+KERNELS = {
+    "rank": lambda v: rank(MatrixQ(1, 2, (v, 1))),
+    "invert": lambda v: invert(MatrixQ(2, 2, (v, 1, 1, 0))),
+    "nilpotent_block_sizes": lambda v: nilpotent_block_sizes(
+        MatrixQ(2, 2, (v, 0, 1, 0))),
+    "EchelonSpan": lambda v: EchelonSpan(2, [[v, 1]]),
+}
+
+
+@pytest.mark.parametrize("value", (0.1, 0.0, -2.0))
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS)
+def test_kernels_refuse_floats_even_zero(kernel, value):
+    with pytest.raises(TypeError, match=rf"^{value!r} is a float"):
+        kernel(value)
+    kernel(0)
+    kernel(Q(0))
