@@ -11,10 +11,12 @@ first tree of a round rotating.  A round times seven layers:
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
 ``leibniz_residual``, ``right_annihilator`` and ``apply_change`` by the
 completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
-type, epsilon = 1, lambda = 2) at each size, as the normal form and after
-the dense unimodular change M0 * P (M0[i][j] = min(i, j) + 1, P the
-order-reversing permutation with alternating signs), where no Jordan chain
-of R_(e_1) runs through the basis: there the central series is certified
+type, epsilon = 1, lambda = 2) at each even size, and on row 0,2
+(epsilon = 0, lambda = 1) at each odd size, since row 1,2 needs even n;
+each as the normal form and after the dense unimodular change M0 * P
+(M0[i][j] = min(i, j) + 1, P the order-reversing permutation with
+alternating signs), where no Jordan chain of R_(e_1) runs through the
+basis: there the central series is certified
 off the echelons of the powers of R_(e_1), and the Jordan block sizes
 take the power loop.  Every
 timed call gets a tensor parsed afresh from its document before the clock
@@ -45,6 +47,7 @@ LAYERS = ("lower_central_series", "char_sequence_at", "char_sequence_estimate",
           "natural_gradation", "leibniz_residual", "right_annihilator",
           "apply_change")
 FORMS = ("normal", "dense")
+ROWS = (("1,2", 2), ("0,2", 1))     # (row, lambda) at even and at odd n
 
 
 def dense_change(lnz, n: int):
@@ -63,10 +66,10 @@ def measure(src: str, sizes, repeats: int) -> dict:
     import lnz
     if not Path(lnz.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"lnz came from {lnz.__file__}, not from {src}")
-    row = lnz.row_by_id("1,2")
     times: dict = {}
     for n in sizes:
-        normal = row.build(n, (Fraction(2),))
+        row_id, value = ROWS[n % 2]
+        normal = lnz.row_by_id(row_id).build(n, (Fraction(value),))
         change = lnz.completed_second_type_change(normal,
                                                   lnz.GradedChange2(2, 1, 3))
         e1 = lnz.Vec.basis(n, 1)
@@ -107,9 +110,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="*", metavar="NAME=SRC",
                         help="a label and the src directory holding lnz")
-    parser.add_argument("--sizes", default="10,16,32",
-                        help="comma-separated dimensions, even (default "
-                             "10,16,32)")
+    parser.add_argument("--sizes", default="9,10,16,32",
+                        help="comma-separated dimensions, at least 9 "
+                             "(default 9,10,16,32)")
     parser.add_argument("--rounds", type=int, default=3,
                         help="interpreters per tree (default 3)")
     parser.add_argument("--repeats", type=int, default=5,
@@ -119,9 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
-    if any(n < 9 or n % 2 for n in sizes):
-        parser.error("sizes must be even and at least 10 (row 1,2 needs "
-                     "even n >= 9)")
+    if any(n < 9 for n in sizes):
+        parser.error("sizes must be at least 9 (second-type rows need "
+                     "n >= 9)")
     if args.rounds < 1 or args.repeats < 1:
         parser.error("--rounds and --repeats must be at least 1")
     if args.worker:
@@ -156,7 +159,9 @@ def main(argv=None) -> int:
     doc = {"script": "bench/layers.py", "unit": "ms",
            "host": {"python": platform.python_version(),
                     "machine": platform.machine(), "cpus": os.cpu_count()},
-           "settings": {"row": "1,2", "values": {"lambda": 2},
+           "settings": {"rows": {str(n): {"row": ROWS[n % 2][0],
+                                          "lambda": ROWS[n % 2][1]}
+                                 for n in sizes},
                         "sizes": sizes, "rounds": args.rounds,
                         "repeats": args.repeats, "trees": list(trees)},
            "results": results}

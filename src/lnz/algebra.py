@@ -8,7 +8,8 @@ algebra is one whose residual
     [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] + [[e_i, e_k], e_j]
 
 vanishes for every triple.  ``leibniz_residual`` tests all left indices
-i of a pair (j, k) at once, with one sum of packed ints.
+i of a pair (j, k) at once, with one sum of packed ints, and reads the
+two double brackets of a pair once for (j, k) and (k, j).
 
 Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
@@ -269,6 +270,9 @@ def leibniz_residual(algebra: StructureTensor) -> Residual:
     the defect of (i, j, k), adds at most 3n products of size at most M^2,
     so it stays below 2^(W-2): the slots never overlap, a block is 0
     exactly when its triple's defect is, and only a nonzero one is unpacked.
+    The double brackets, the costly terms, enter (k, j) with the signs
+    they have in (j, k), negated, and cancel at j = k; so the pair j < k
+    sums them once and keeps the sum for (k, j).
     """
     n = algebra.dim
     scale, by_left = _integer_cells(algebra)
@@ -287,19 +291,26 @@ def leibniz_residual(algebra: StructureTensor) -> Residual:
             for m, c in terms:
                 coefficients[m] = coefficients.get(m, 0) + (c << block * i)
     half, mask = 1 << (block - 1), (1 << block) - 1
-    violations = []
+    violations, mirrored = [], {}   # (k, j) -> double brackets added at (j, k)
     for j in range(n):
         w_j, a_j, p_j = dict(by_left[j]), over_left.get(j, {}), by_right.get(j, {})
         for k in sorted(by_right):
-            p_k, acc = by_right[k], 0
+            acc = 0
             for m, c in w_j.get(k, ()):
                 acc += c * columns.get(m, 0)
-            for m, a in a_j.items():
-                if m in p_k:
-                    acc -= a * p_k[m]
-            for m, a in over_left[k].items():
-                if m in p_j:
-                    acc += a * p_j[m]
+            if k < j:
+                acc -= mirrored.pop((j, k), 0)
+            elif k > j and p_j:
+                p_k, double = by_right[k], 0
+                for m, a in over_left[k].items():
+                    if m in p_j:
+                        double += a * p_j[m]
+                for m, a in a_j.items():
+                    if m in p_k:
+                        double -= a * p_k[m]
+                if double:
+                    mirrored[(k, j)] = double
+                    acc += double
             i = 0
             while acc:
                 part = ((acc + half) & mask) - half     # the block of i

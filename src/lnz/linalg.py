@@ -25,9 +25,11 @@ the Jordan block sizes (``nilpotent_block_sizes``); for right
 multiplication by e_1 they certify the central series when its products
 land deeper (``analysis._build_series``).  ``rref`` goes
 through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
-rows.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1 as
-integer rows over one scale, which ``invert`` views as a ``MatrixQ`` and
-``BasisChange`` keeps.
+rows; the right annihilator refines a kernel by ``_reduce`` on a
+sentinel column and reads it off ``_reduced_rows`` over the reversed
+columns.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1
+as integer rows over one scale, which ``invert`` views as a ``MatrixQ``
+and ``BasisChange`` keeps.
 ``_combine``, beside the kernel, is the one sparse row-times-rows product.
 Above the kernel, one integer layout of the structure table, the cells by
 left index (``algebra._integer_cells``), and one product of an integer
@@ -409,14 +411,11 @@ def _matrix_of_columns(scale: int, cols: list) -> MatrixQ:
 
 
 def kernel_basis(m: MatrixQ) -> list:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    return _kernel(EchelonSpan(m.cols, (m.row(r) for r in range(m.rows))))
-
-
-def _kernel(span: EchelonSpan) -> list:
-    """``kernel_basis`` of the rows that ``span`` holds, read off its
-    reduced integer rows with one ``Fraction`` per nonzero entry."""
-    n = span.ambient_dim
+    """Basis of the right kernel, one vector per free column, in column
+    order, read off the reduced integer rows of the span of the rows with
+    one ``Fraction`` per nonzero entry."""
+    n = m.cols
+    span = EchelonSpan(n, (m.row(r) for r in range(m.rows)))
     zero, one = Fraction(0), Fraction(1)
     free = {f: [zero] * n for f in range(n) if f not in span._rows}
     for f, v in free.items():

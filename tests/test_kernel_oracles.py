@@ -6,10 +6,14 @@ must agree with, checks the central series, the gradation and the
 sampled characteristic sequence on catalog algebras moved into a dense
 basis, with and without denominators.  Public ``bracket`` over all basis
 triples checks the Leibniz residual, on sparse and dense random tables
-with entries large enough to fill its packed slots and one pair (j, k)
-that fails at every left index, and over all pairs
+with entries large enough to fill its packed slots, one pair (j, k)
+that fails at every left index, and a pair with j > k, which takes the
+double brackets of (k, j), or with j = k failing at the slot bound or
+alone, and over all pairs
 of moved basis vectors checks ``apply_change``.  A dense
-``kernel_basis`` of the stacked functionals checks ``right_annihilator``.
+``kernel_basis`` of the stacked functionals checks ``right_annihilator``,
+also on catalog rows moved into a dense basis and on entries of 30 to 40
+bits, where the kernel refinement eliminates and divides by gcds.
 On random rational tables, on tables whose terms meet one column
 through several single-entry products (``c e_m``, some cancelled to
 zero), and on catalog forms with a permuted basis, where the per-term
@@ -27,6 +31,7 @@ no filtration and the gradation must refuse with ``NotFiltered``.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -44,6 +49,7 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
                  right_annihilator, row_by_id, rref, serialize)
 from lnz import analysis
 from lnz.algebra import _integer_cells
+from lnz.linalg import _eliminate
 from lnz.verify import _naive_series_dims
 
 
@@ -455,6 +461,45 @@ def test_residual_one_pair_failing_at_every_left_index():
     assert min(min(v.coords) for _, v in pair) < 0 < max(pair[0][1].coords)
 
 
+@pytest.mark.parametrize("i, j, k", [(1, 3, 2), (2, 5, 1), (1, 2, 2)])
+def test_residual_mirrored_and_diagonal_pairs_at_their_bound(i, j, k):
+    # a pair (j, k) with j > k takes the double brackets that the pair
+    # (k, j) summed, negated, and a diagonal pair has none.  Every entry is
+    # +-M, signed as in test_residual_defect_at_the_slot_bound so that the
+    # products of coordinate t of (i, j, k) add up: to the slot bound
+    # 3 n M^2 when j > k, and to n M^2, the first term alone, when j = k
+    M = Fraction(2 ** 31 + 11, 7)
+    for n in (6, 7):
+        t = n
+        negative = ({(m, k, t) for m in range(1, n + 1)}
+                    | {(t, j, t), (j, k, k), (i, t, t)})
+        algebra = StructureTensor(n, {
+            (a, b): [(c, -M if (a, b, c) in negative else M)
+                     for c in range(1, n + 1)]
+            for a in range(1, n + 1) for b in range(1, n + 1)})
+        expected = ref_residual(algebra)
+        assert leibniz_residual(algebra).violations == expected
+        defect = next(v for a, b, c, v in expected if (a, b, c) == (i, j, k))
+        assert defect.coords[t - 1] == (3 if j > k else 1) * n * M * M
+
+
+def test_residual_only_a_mirrored_or_a_diagonal_triple_fails():
+    M = Fraction(-(2 ** 35) - 1, 3 ** 20)
+    # in (1, 1, 2) the double bracket [[e_1, e_2], e_1] = M^2 e_4 cancels
+    # [e_1, [e_1, e_2]] = -M^2 e_4; the pair (2, 1) takes it negated, and
+    # there it is the whole defect: (1, 2, 1), with j > k, fails alone
+    mirrored = StructureTensor(4, {(1, 2): [(3, M)], (3, 1): [(4, M)],
+                                   (1, 3): [(4, -M)]})
+    expected = ref_residual(mirrored)
+    assert expected == ((1, 2, 1, Vec((0, 0, 0, -M * M))),)
+    assert leibniz_residual(mirrored).violations == expected
+    # [e_1, e_1] = M e_2, [e_1, e_2] = M e_3: only (1, 1, 1) fails
+    diagonal = StructureTensor(3, {(1, 1): [(2, M)], (1, 2): [(3, M)]})
+    expected = ref_residual(diagonal)
+    assert expected == ((1, 1, 1, Vec((0, 0, M * M))),)
+    assert leibniz_residual(diagonal).violations == expected
+
+
 def ref_apply_change(algebra, change):
     """c'(i, j) = M^-1 [M e_i, M e_j], one dense bracket per pair, times
     M^-1 as the sum of its columns over the bracket's nonzero entries."""
@@ -575,6 +620,53 @@ def test_right_annihilator_matches_dense_kernel():
         fractional += any(x.denominator > 1 for v in got for x in v.coords)
     assert cases == 48 + 3 + 97
     assert proper >= 110 and fractional >= 12
+
+
+def refinement_cases():
+    # rows 1,7 (n = 12) and 40 (n = 10) moved by dense signed unimodular
+    # changes; then tables with numerators of 30 to 40 bits of either sign
+    # over 32-bit denominators, on a few left indices and targets, so that
+    # a few dense functionals leave a large kernel whose entries grow
+    for seed in range(3):
+        for row_id, values, n in (("1,7", (1, 2, -1), 12), ("40", (1, 2), 10)):
+            yield apply_change(catalog_algebra(row_id, values, n),
+                               dense_change(n, seed))
+    rng = random.Random(1930)
+    denominators = [rng.getrandbits(32) | (1 << 31) | 1 for _ in range(3)]
+    for n in (5, 8, 11):
+        for few in (1, 2, 3):
+            lefts = rng.sample(range(1, n + 1), few)
+            targets = rng.sample(range(1, n + 1), few)
+            yield StructureTensor(n, {
+                (i, j): [(k, Fraction(rng.choice((-1, 1))
+                                      * rng.getrandbits(rng.randint(30, 40)),
+                                      rng.choice(denominators)))
+                         for k in targets]
+                for i in lefts for j in range(1, n + 1) if rng.random() < 0.8})
+
+
+def test_right_annihilator_refinement_on_dense_and_large_entries(monkeypatch):
+    # every refinement step reduces a kernel vector against the pivot in
+    # the sentinel column -1; count the steps, and those whose result the
+    # gcd division shortens
+    real, steps, divided = analysis._reduce, [], []
+
+    def spy(ech, row):
+        if -1 in ech:
+            steps.append(row)
+            divided.append(gcd(*_eliminate(row, ech[-1], -1)[1].values()) > 1)
+        return real(ech, row)
+    monkeypatch.setattr(analysis, "_reduce", spy)
+    cases = proper = fractional = 0
+    for algebra in refinement_cases():
+        got = right_annihilator(algebra)
+        assert got == ref_right_annihilator(algebra)
+        cases += 1
+        proper += 0 < len(got) < algebra.dim
+        fractional += any(x.denominator > 1 for v in got for x in v.coords)
+    assert cases == 6 + 9
+    assert proper == 13 and fractional == 9
+    assert len(steps) >= 250 and sum(divided) >= 100
 
 
 def ref_rref_series(algebra):
