@@ -11,7 +11,7 @@ first tree of a round rotating.  A round times seven layers:
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
 ``leibniz_residual``, ``right_annihilator`` and ``apply_change`` by the
 completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
-type, epsilon = 1, lambda = 2) at each even size, and on row 0,2
+type, epsilon = 1, lambda = 1) at each even size, and on row 0,2
 (epsilon = 0, lambda = 1) at each odd size, since row 1,2 needs even n;
 each as the normal form and after the dense unimodular change M0 * P
 (M0[i][j] = min(i, j) + 1, P the order-reversing permutation with
@@ -47,7 +47,7 @@ LAYERS = ("lower_central_series", "char_sequence_at", "char_sequence_estimate",
           "natural_gradation", "leibniz_residual", "right_annihilator",
           "apply_change")
 FORMS = ("normal", "dense")
-ROWS = (("1,2", 2), ("0,2", 1))     # (row, lambda) at even and at odd n
+ROWS = (("1,2", 1), ("0,2", 1))     # (row, lambda) at even and at odd n
 
 
 def dense_change(lnz, n: int):

@@ -29,7 +29,8 @@ takes the lexicographic maximum over all such x.  ``char_sequence_estimate``
 certifies that maximum when a nilpotent algebra has an element whose
 powers R_x^k reach the ranks dim L^{k+1} of the central series, and
 otherwise returns a sampled lower bound.  The right annihilator is
-refined from the basis one functional of the integer cells at a time.
+the kernel of the functionals of the integer cells, by ``linalg._kernel``,
+the routine behind ``kernel_basis``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
 from .errors import (ElementInDerivedSubalgebra, NonNilpotent, NotFiltered,
                      NotNilpotent)
 from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _combine, _echelon,
-                     _eliminate, _fraction_row, _levels, _reduce,
+                     _eliminate, _fraction_row, _kernel, _levels, _reduce,
                      _reduced_rows, nilpotent_block_sizes)
 
 
@@ -359,31 +360,12 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
 
 
 def right_annihilator(algebra: StructureTensor) -> tuple:
-    """Basis of {x : [y, x] = 0 for all y}, as a tuple of Vec: the one
-    ``kernel_basis`` gives for the functionals f = sum_j c^k_{i,j} x_j.
-    Each f refines the kernel from the basis: the first v with f(v) != 0
-    goes, and each other w with f(w) != 0 becomes f(v) w - f(w) v over
-    its gcd (``_reduce``, f in a sentinel column -1).  Its canonical rows
-    over the reversed columns end each at a free column, with 1 there."""
-    n = algebra.dim
+    """Basis of {x : [y, x] = 0 for all y}, as a tuple of Vec: the kernel
+    of the functionals f = sum_j c^k_{i,j} x_j of the integer cells, one
+    per (i, k), by ``linalg._kernel``, as ``kernel_basis`` gives it."""
     functionals: dict = {}      # (i, k) -> {j: c^k_{i,j} times scale}
     for i, row in enumerate(_integer_cells(algebra)[1]):
         for j, terms in row:
             for k, c in terms:
                 functionals.setdefault((i, k), {})[j] = c
-    kernel = [{j: 1} for j in range(n)]
-    for f in functionals.values():
-        pivot, refined, columns = None, [], f.keys()
-        for v in kernel:
-            value = (not columns.isdisjoint(v)
-                     and sum([x * f[j] for j, x in v.items() if j in f]))
-            if not value:
-                refined.append(v)
-            elif pivot is None:
-                pivot = {-1: {-1: value, **v}}
-            else:
-                refined.append(_reduce(pivot, {-1: value, **v})[1])
-        kernel = refined
-    rows = _reduced_rows(_echelon({n - 1 - c: x for c, x in v.items()}
-                                  for v in kernel))
-    return tuple(_vec(_fraction_row(n, row)[::-1]) for row in reversed(rows))
+    return tuple(_vec(v) for v in _kernel(algebra.dim, functionals.values()))

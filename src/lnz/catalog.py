@@ -200,11 +200,13 @@ class CatalogRow:
         return FirstTypeParams(self.family_id, filled)
 
     def build(self, n: int, values: Sequence = ()) -> StructureTensor:
-        """The algebra this row denotes at dimension n and the values."""
-        params = self.make_params(values)
-        if self.kind == "second":
-            return build_second_type(n, params)
-        return build_first_type(n, params)
+        """The algebra this row denotes at dimension n and the values; values
+        that ``violations`` rejects raise InadmissibleParams with its text."""
+        if self.kind == "first":
+            return build_first_type(n, self.make_params(values))
+        if problems := self.violations(values):
+            raise InadmissibleParams("; ".join(problems))
+        return build_second_type(n, self.make_params(values))
 
     def violations(self, values: Sequence, n: int | None = None) -> list:
         """Human-readable admissibility problems; empty when fine."""

@@ -5,8 +5,8 @@ package.  The convention throughout is that operators act on column
 vectors: the matrix of a linear map holds the image of the i-th basis
 vector in column i.
 
-Spans, ranks, inverses and Jordan block profiles all go through one
-elimination kernel, ``_reduce``, on sparse integer rows ({column: int}).
+Spans, ranks, kernels, inverses and Jordan block profiles all go through
+one elimination kernel, ``_reduce``, on sparse integer rows ({column: int}).
 Rational input is scaled once by the lcm of its denominators
 (``_int_rows``), which changes no span and no block profile.  Reduction
 cross-multiplies (fraction-free, in the spirit of Bareiss 1968) and
@@ -24,9 +24,10 @@ finds them, and otherwise the echelons of the powers.  Their sizes give
 the Jordan block sizes (``nilpotent_block_sizes``); for right
 multiplication by e_1 they certify the central series when its products
 land deeper (``analysis._build_series``).  ``rref`` goes
-through ``EchelonSpan`` and ``kernel_basis`` reads its reduced integer
-rows; the right annihilator refines a kernel by ``_reduce`` on a
-sentinel column and reads it off ``_reduced_rows`` over the reversed
+through ``EchelonSpan``.  ``_kernel`` is the one kernel routine, behind
+``kernel_basis`` and the right annihilator: it refines the kernel of
+sparse integer functionals one functional at a time, by ``_reduce`` on a
+sentinel column, and reads it off ``_reduced_rows`` over the reversed
 columns.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1
 as integer rows over one scale, which ``invert`` views as a ``MatrixQ``
 and ``BasisChange`` keeps.
@@ -412,20 +413,33 @@ def _matrix_of_columns(scale: int, cols: list) -> MatrixQ:
 
 def kernel_basis(m: MatrixQ) -> list:
     """Basis of the right kernel, one vector per free column, in column
-    order, read off the reduced integer rows of the span of the rows with
-    one ``Fraction`` per nonzero entry."""
-    n = m.cols
-    span = EchelonSpan(n, (m.row(r) for r in range(m.rows)))
-    zero, one = Fraction(0), Fraction(1)
-    free = {f: [zero] * n for f in range(n) if f not in span._rows}
-    for f, v in free.items():
-        v[f] = one
-    for row in span.reduced_rows():
-        p = min(row)
-        for f, x in row.items():
-            if f != p:
-                free[f][p] = Fraction(-x, row[p])
-    return [tuple(v) for v in free.values()]
+    order: ``_kernel`` of the rows as sparse integer functionals."""
+    return _kernel(m.cols, _int_rows(m.row(r) for r in range(m.rows))[1])
+
+
+def _kernel(n: int, functionals) -> list:
+    """The kernel in Q^n of sparse integer functionals, one ``Fraction``
+    tuple per free column, in column order, 1 there and 0 at the others.
+    It is refined from the basis one functional f at a time: the first v
+    with f(v) != 0 goes, and each other w with f(w) != 0 becomes
+    f(v) w - f(w) v over its gcd (``_reduce``, f in a sentinel column -1).
+    Its canonical rows over the reversed columns end at the free columns."""
+    kernel = [{j: 1} for j in range(n)]
+    for f in functionals:
+        pivot, refined, columns = None, [], f.keys()
+        for v in kernel:
+            value = (not columns.isdisjoint(v)
+                     and sum([x * f[j] for j, x in v.items() if j in f]))
+            if not value:
+                refined.append(v)
+            elif pivot is None:
+                pivot = {-1: {-1: value, **v}}
+            else:
+                refined.append(_reduce(pivot, {-1: value, **v})[1])
+        kernel = refined
+    rows = _reduced_rows(_echelon({n - 1 - c: x for c, x in v.items()}
+                                  for v in kernel))
+    return [_fraction_row(n, row)[::-1] for row in reversed(rows)]
 
 
 class EchelonSpan:

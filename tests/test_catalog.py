@@ -151,6 +151,40 @@ def test_first_type_rejects_bad_subscripts():
         build_first_type(8, FirstTypeParams(34, (0, 0, 0)))
 
 
+def test_row_build_refuses_what_violations_rejects():
+    # each excluded value and two values outside each finite set, the
+    # other parameters at the row's first sample, at an admissible n
+    refused = 0
+    for row in CATALOG_ROWS:
+        n = 10 if row.parity == "even" else 9
+        base = row.sample_grid(DEFAULT_FREE_SAMPLES)[0]
+        for at, spec in enumerate(row.params):
+            bad = (spec.excluded if spec.finite is None
+                   else (max(spec.finite) + 1, Fraction(1, 3)))
+            for value in bad:
+                values = base[:at] + (value,) + base[at + 1:]
+                problems = row.violations(values, n)
+                assert problems, (row.row_id, values)
+                with pytest.raises(InadmissibleParams) as info:
+                    row.build(n, values)
+                assert all(p in str(info.value) for p in problems)
+                refused += 1
+    assert refused == 51
+    with pytest.raises(InadmissibleParams, match=r"^lambda = 2 not admissible "
+                       r"for row 1,2: lambda must lie in \{0, 1\}$"):
+        row_by_id("1,2").build(10, (2,))
+    with pytest.raises(InadmissibleParams, match=r"^lambda = 1 not admissible "
+                       r"for row 0,9"):
+        row_by_id("0,9").build(9, (1,))
+    with pytest.raises(InadmissibleParams, match="2/lambda undefined"):
+        row_by_id("1,27").build(10, (0, 1))
+    built = 0
+    for inst in enumerate_catalog((9, 10)):
+        assert inst.row.build(inst.n, inst.values).table == inst.tensor.table
+        built += 1
+    assert built == 439
+
+
 def test_first_type_is_leibniz_at_all_samples():
     for fam in (34, 35, 36, 37, 38, 39, 40, 41):
         row = row_by_id(str(fam))

@@ -10,8 +10,9 @@ with entries large enough to fill its packed slots, one pair (j, k)
 that fails at every left index, and a pair with j > k, which takes the
 double brackets of (k, j), or with j = k failing at the slot bound or
 alone, and over all pairs
-of moved basis vectors checks ``apply_change``.  A dense
-``kernel_basis`` of the stacked functionals checks ``right_annihilator``,
+of moved basis vectors checks ``apply_change``.  A dense Gauss-Jordan
+kernel of the stacked functionals (``gauss_jordan_kernel`` of
+``test_linalg``) checks ``right_annihilator``,
 also on catalog rows moved into a dense basis and on entries of 30 to 40
 bits, where the kernel refinement eliminates and divides by gcds.
 On random rational tables, on tables whose terms meet one column
@@ -43,14 +44,15 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
                  completed_first_type_change,
                  completed_second_type_change, derived_span,
                  enumerate_catalog,
-                 invert, jordan_block, kernel_basis, leibniz_residual,
+                 invert, jordan_block, leibniz_residual,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
                  right_annihilator, row_by_id, rref, serialize)
-from lnz import analysis
+from lnz import analysis, linalg
 from lnz.algebra import _integer_cells
 from lnz.linalg import _eliminate
 from lnz.verify import _naive_series_dims
+from test_linalg import gauss_jordan_kernel
 
 
 def unimodular(rng, n):
@@ -577,15 +579,14 @@ def test_apply_change_matches_dense_brackets():
 
 def ref_right_annihilator(algebra):
     """One dense Fraction functional sum_j c^k_{i,j} x_j per (i, k), and
-    the kernel of the stacked matrix."""
+    the Gauss-Jordan kernel of the stacked matrix, which shares no code
+    with ``kernel_basis``."""
     n = algebra.dim
     rows = {}
     for (i, j), terms in algebra.table.items():
         for k, c in terms:
             rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] = c
-    if not rows:
-        return tuple(Vec.basis(n, i) for i in range(1, n + 1))
-    return tuple(Vec(v) for v in kernel_basis(MatrixQ.from_rows(rows.values())))
+    return tuple(Vec(v) for v in gauss_jordan_kernel(list(rows.values()), n))
 
 
 def annihilator_cases():
@@ -649,14 +650,14 @@ def test_right_annihilator_refinement_on_dense_and_large_entries(monkeypatch):
     # every refinement step reduces a kernel vector against the pivot in
     # the sentinel column -1; count the steps, and those whose result the
     # gcd division shortens
-    real, steps, divided = analysis._reduce, [], []
+    real, steps, divided = linalg._reduce, [], []
 
     def spy(ech, row):
         if -1 in ech:
             steps.append(row)
             divided.append(gcd(*_eliminate(row, ech[-1], -1)[1].values()) > 1)
         return real(ech, row)
-    monkeypatch.setattr(analysis, "_reduce", spy)
+    monkeypatch.setattr(linalg, "_reduce", spy)
     cases = proper = fractional = 0
     for algebra in refinement_cases():
         got = right_annihilator(algebra)

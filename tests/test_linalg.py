@@ -232,6 +232,21 @@ def test_kernel_basis_matches_gauss_jordan():
         kinds["repeated"] += r > 1 and trial % 4 == 0 and bool(got)
         kinds["empty"] += r == 0 or c == 0
     assert min(kinds.values()) >= 40, kinds
+    # the refinement's hard cases: numerators of 30 to 40 bits of either
+    # sign over 32-bit denominators, and a few dense functionals that leave
+    # a large kernel with fractional entries
+    rng = random.Random(4130)
+    denominators = [rng.getrandbits(32) | (1 << 31) | 1 for _ in range(3)]
+    sizes = ((1, 9), (2, 12), (3, 12), (3, 16), (6, 8), (9, 9))
+    for r, c in sizes:
+        rows = [[Q(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(30, 40)),
+                   rng.choice(denominators)) for _ in range(c)]
+                for _ in range(r)]
+        got = kernel_basis(MatrixQ(r, c, tuple(x for row in rows for x in row)))
+        assert got == gauss_jordan_kernel(rows, c)
+        assert len(got) == c - r
+        assert r == c or max(x.denominator.bit_length()
+                             for v in got for x in v) >= 60 * r
 
 
 def test_rows_and_columns_outside_the_matrix_raise():
@@ -430,6 +445,7 @@ KERNELS = {
     "nilpotent_block_sizes": lambda v: nilpotent_block_sizes(
         MatrixQ(2, 2, (v, 0, 1, 0))),
     "EchelonSpan": lambda v: EchelonSpan(2, [[v, 1]]),
+    "kernel_basis": lambda v: kernel_basis(MatrixQ(1, 2, (v, 1))),
 }
 
 
