@@ -6,8 +6,8 @@ Run from the repository root, naming each source tree to measure:
 
 Each tree is timed in its own interpreter, which imports lnz from that
 tree alone; with several trees the rounds alternate between them, the
-first tree of a round rotating.  A round times seven layers:
-``lower_central_series``, ``char_sequence_at(e_1)``,
+first tree of a round rotating.  A round times eight layers: ``parse``
+of the document, ``lower_central_series``, ``char_sequence_at(e_1)``,
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
 ``leibniz_residual``, ``right_annihilator`` and ``apply_change`` by the
 completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
@@ -19,9 +19,12 @@ alternating signs), where no Jordan chain of R_(e_1) runs through the
 basis: there the central series is certified
 off the echelons of the powers of R_(e_1), and the Jordan block sizes
 take the power loop.  Every
-timed call gets a tensor parsed afresh from its document before the clock
-starts, so no call shares a series or integer cells with another, and
-runs with the garbage collector off, as in ``timeit``.
+timed call but ``parse`` gets a tensor parsed afresh from its document
+before the clock starts, so no call shares a series or integer cells with
+another, and runs with the garbage collector off, as in ``timeit``.
+Where ``parse`` hands the tensor its integer cells (``BENCH_32.json``
+on), the other layers do not time building them.  Each layer, form and
+size first makes one untimed call.
 
 The JSON output holds, per tree, layer, form ("normal" or "dense") and
 size, the median and quartiles of the per-call times in milliseconds and
@@ -43,9 +46,9 @@ from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
-LAYERS = ("lower_central_series", "char_sequence_at", "char_sequence_estimate",
-          "natural_gradation", "leibniz_residual", "right_annihilator",
-          "apply_change")
+LAYERS = ("parse", "lower_central_series", "char_sequence_at",
+          "char_sequence_estimate", "natural_gradation", "leibniz_residual",
+          "right_annihilator", "apply_change")
 FORMS = ("normal", "dense")
 ROWS = (("1,2", 1), ("0,2", 1))     # (row, lambda) at even and at odd n
 
@@ -61,7 +64,7 @@ def dense_change(lnz, n: int):
 
 def measure(src: str, sizes, repeats: int) -> dict:
     """Per-call seconds of every layer, form and size, with lnz imported
-    from ``src``; keys are "layer/form/n"."""
+    from ``src``, after one untimed call; keys are "layer/form/n"."""
     sys.path.insert(0, str(Path(src).resolve()))
     import lnz
     if not Path(lnz.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -74,6 +77,7 @@ def measure(src: str, sizes, repeats: int) -> dict:
                                                   lnz.GradedChange2(2, 1, 3))
         e1 = lnz.Vec.basis(n, 1)
         calls = {
+            "parse": lnz.parse,
             "lower_central_series": lnz.lower_central_series,
             "char_sequence_at": lambda t: lnz.char_sequence_at(t, e1),
             "char_sequence_estimate": lnz.char_sequence_estimate,
@@ -88,13 +92,15 @@ def measure(src: str, sizes, repeats: int) -> dict:
         for form, text in documents.items():
             for layer in LAYERS:
                 spent = times.setdefault(f"{layer}/{form}/{n}", [])
-                for _ in range(repeats):
-                    tensor = lnz.parse(text)
+                for call in range(1 + repeats):     # call 0 warms up
+                    arg = text if layer == "parse" else lnz.parse(text)
                     gc.disable()
                     start = perf_counter()
-                    calls[layer](tensor)
-                    spent.append(perf_counter() - start)
+                    calls[layer](arg)
+                    seconds = perf_counter() - start
                     gc.enable()
+                    if call:
+                        spent.append(seconds)
     return times
 
 
@@ -163,7 +169,8 @@ def main(argv=None) -> int:
                                           "lambda": ROWS[n % 2][1]}
                                  for n in sizes},
                         "sizes": sizes, "rounds": args.rounds,
-                        "repeats": args.repeats, "trees": list(trees)},
+                        "repeats": args.repeats, "warmup": 1,
+                        "trees": list(trees)},
            "results": results}
     Path(args.output).write_text(json.dumps(doc, indent=1) + "\n",
                                  encoding="utf-8")

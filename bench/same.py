@@ -14,6 +14,9 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   [-3, 3]; row 1,2 (lambda = 1) at n = 16 and 32, as the normal form and
   after ``bench/layers.py``'s dense change; and every 7th catalog
   instance at n = 16 (49).
+* ``cells``: the integer cells ``(scale, by_left)`` of each table of that
+  set after a round trip through its document, ``parse(serialize(t))``,
+  as ``lnz.algebra._integer_cells`` gives them, order included.
 * ``kernel_basis/functionals``: ``kernel_basis`` of the stacked functionals
   sum_j c^k_(i,j) x_j of each table of that set.
 * ``kernel_basis/random``: ``kernel_basis`` of 3,000 random rational
@@ -48,7 +51,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ITEMS = ("right_annihilator", "kernel_basis/functionals",
+ITEMS = ("right_annihilator", "cells", "kernel_basis/functionals",
          "kernel_basis/random", "build", "docs", "verify-all")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 
@@ -165,6 +168,8 @@ def digests(src: str) -> dict:
     cases = {
         "right_annihilator": ([v.coords for v in lnz.right_annihilator(t)]
                               for t in table_set),
+        "cells": (lnz.algebra._integer_cells(lnz.parse(lnz.serialize(t)))
+                  for t in table_set),
         "kernel_basis/functionals": (lnz.kernel_basis(functionals(lnz, t))
                                      for t in table_set),
         "kernel_basis/random": (lnz.kernel_basis(m)

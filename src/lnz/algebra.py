@@ -16,9 +16,12 @@ table entries by (i, j), terms by target index, and writes coefficients as
 reduced fraction strings, so equal algebras serialise to identical bytes,
 those of ``json.dumps(doc, indent=2)`` plus a newline; ``serialize`` writes
 them directly.  ``parse`` checks and converts each distinct coefficient
-string once per document, straight from the digits its pattern matched,
-and validates the table once: its cells go to the tensor as they are,
-without a second pass through the constructor's normaliser.
+once per document, straight from the digits its pattern matched, and
+validates the table once: its cells go to the tensor as they are,
+without a second pass through the constructor's normaliser, and so do
+its integer cells, each distinct numerator scaled once.  Only a tensor
+built in memory has its integer cells built from its ``Fraction`` table
+(``_build_cells``), by its first reader.
 """
 
 from __future__ import annotations
@@ -220,8 +223,10 @@ class Residual:
 def _build_cells(algebra: StructureTensor) -> tuple:
     """``(scale, by_left)``: the table read once as integer cells, times
     ``scale``, the lcm of its denominators.  ``by_left[i]`` lists
-    ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based.  A positive
-    multiple of the table has the same spans and Jordan block profiles."""
+    ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based, in the
+    table's order.  A positive multiple of the table has the same spans and
+    Jordan block profiles.  Only constructed tensors need it: ``parse``
+    hands a document's tensor the same cells."""
     scale = lcm(*(c.denominator for terms in algebra.table.values()
                   for _, c in terms))
     by_left: list = [[] for _ in range(algebra.dim)]
@@ -242,7 +247,8 @@ def _memo(algebra: StructureTensor, key: str, build):
 
 
 def _integer_cells(algebra: StructureTensor) -> tuple:
-    """The integer cells of the table (``_build_cells``), kept per tensor."""
+    """The integer cells of the table, kept per tensor: those ``parse``
+    read, or ``_build_cells`` on first call."""
     return _memo(algebra, "_cells", _build_cells)
 
 
@@ -394,27 +400,31 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def _coeff_from_document(raw, where, known: dict) -> Fraction:
-    """A document coefficient.  ``where()`` names its location; it is
-    formatted only for an error.  ``known`` maps the strings already read
-    from the document to their values; a string that fails is not kept."""
+    """A document coefficient read for the first time, kept in ``known``
+    (its value by the string or int as written) unless it fails.
+    ``where()`` names its location; it is formatted only for an error."""
     if type(raw) is str:                # json.loads makes no subclasses
-        value = known.get(raw)
-        if value is None:
-            match = _FRACTION_RE.fullmatch(raw)
-            if match is None:
-                raise DocumentError(f"coefficient {raw!r} at {where()} is not "
-                                    "an exact fraction string like '-3/4'")
-            value = known[raw] = _digits_to_fraction(
-                match, lambda: f"coefficient at {where()}")
-        return value
-    if type(raw) is int:
-        return Fraction(raw)
-    raise DocumentError(f"coefficient at {where()} must be an exact fraction "
-                        f"string, got {type(raw).__name__}")
+        match = _FRACTION_RE.fullmatch(raw)
+        if match is None:
+            raise DocumentError(f"coefficient {raw!r} at {where()} is not "
+                                "an exact fraction string like '-3/4'")
+        value = _digits_to_fraction(match, lambda: f"coefficient at {where()}")
+    elif type(raw) is int:              # not a bool
+        value = Fraction(raw)
+    else:
+        raise DocumentError(f"coefficient at {where()} must be an exact "
+                            f"fraction string, got {type(raw).__name__}")
+    known[raw] = value
+    return value
 
 
 def parse(text: str) -> StructureTensor:
     """Read an algebra document.
+
+    Each distinct coefficient is read once.  The tensor comes with its
+    integer cells (``_integer_cells``) as well as its table: their scale is
+    the lcm of the distinct denominators, and each distinct numerator is
+    scaled once, so no reader of a parsed document runs ``_build_cells``.
 
     Raises DocumentError for syntax and schema problems (with line/column
     when the JSON reader reports one), IndexOutOfRange for basis indices
@@ -439,8 +449,8 @@ def parse(text: str) -> StructureTensor:
     def t_where():                      # the term being read when it fails
         return f"table[{pos}].terms[{t_pos}]"
 
-    known: dict = {}
-    seen, table = set(), {}
+    known: dict = {}                    # coefficient as written -> Fraction
+    seen, cells = set(), []             # cells: (i, j, {k: as written})
     for pos, entry in enumerate(entries):
         where = f"table[{pos}]"
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
@@ -468,11 +478,27 @@ def parse(text: str) -> StructureTensor:
                 raise IndexOutOfRange(f"{t_where()} target {k} outside 1..{dim}")
             if k in terms:
                 raise DuplicateEntry(f"target {k} appears twice in cell ({i},{j})")
-            terms[k] = _coeff_from_document(raw, t_where, known)
-        cell = tuple(sorted(kc for kc in terms.items() if kc[1]))
-        if cell:
-            table[(i, j)] = cell
-    return _tensor(dim, table, name)
+            # the type test comes first: a list or a dict does not hash
+            if type(raw) is not str or raw not in known:
+                _coeff_from_document(raw, t_where, known)
+            terms[k] = raw
+        cells.append((i, j, terms))
+    scale = lcm(*(v.denominator for v in known.values()))
+    scaled = {raw: v.numerator * (scale // v.denominator)
+              for raw, v in known.items()}
+    zero = {raw for raw, c in scaled.items() if not c}
+    table, by_left = {}, [[] for _ in range(dim)]
+    for i, j, terms in cells:
+        if zero:
+            terms = {k: raw for k, raw in terms.items() if raw not in zero}
+        if terms:
+            cell = sorted(terms.items())
+            table[(i, j)] = tuple([(k, known[raw]) for k, raw in cell])
+            by_left[i - 1].append(
+                (j - 1, tuple([(k - 1, scaled[raw]) for k, raw in cell])))
+    tensor = _tensor(dim, table, name)
+    tensor.__dict__["_cells"] = scale, by_left
+    return tensor
 
 
 # json.dumps(doc, indent=2) puts each value on a line, two spaces a level;

@@ -18,10 +18,11 @@ the estimate read off the series.
 
 The tensor keeps its series and its integer cells
 (``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
-So the first reader of either builds it, and every later reader of that
-tensor object reuses it: the gradation, the characteristic sequence, the
-residual, the right annihilator, ``apply_change`` and the generated
-changes.  The cache is per object, not per content, and is not pickled.
+A parsed document comes with its cells; otherwise the first reader of
+either builds it, and every later reader of that tensor object reuses
+it: the gradation, the characteristic sequence, the residual, the right
+annihilator, ``apply_change`` and the generated changes.  The cache is
+per object, not per content, and is not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
@@ -281,9 +282,14 @@ def derived_span(algebra: StructureTensor) -> EchelonSpan:
 
 def _derived(series: CentralSeries) -> EchelonSpan:
     """[L, L]: the second term of the series, or L itself when the series
-    stops at L."""
-    return EchelonSpan(series.ambient_dim,
-                       series.rows[1 if len(series) > 1 else 0])
+    stops at L.  The term's canonical rows are an echelon already, pivot
+    first and gcd-normalised, so the span takes copies of them as they
+    are, without a second elimination."""
+    span = object.__new__(EchelonSpan)
+    span.ambient_dim = series.ambient_dim
+    span._rows = {min(row): dict(row)
+                  for row in series.rows[1 if len(series) > 1 else 0]}
+    return span
 
 
 def _profile(by_left: list, x) -> CharSequence:

@@ -107,12 +107,15 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     c'[i][j] expands [e'_i, e'_j] in the primed basis.  For each new basis
     vector e'_i, a column of the matrix, ``algebra._times_basis`` gives
     the nonzero [e'_i, e_b]; each is pulled back through the inverse once
-    and combined along column j with the b that are nonzero there.
+    and added, times entry b of column j, into [e'_i, e'_j] for the j
+    that an index of the matrix by row lists at b, so the work follows the
+    nonzeros of the table and of the matrix, not the n^2 pairs.
     Everything runs on sparse integers: the integer cells of the table
     (``algebra._integer_cells``) and the integer columns of the matrix and
-    of its inverse that the change keeps, so zero entries cost nothing and
-    each nonzero output term makes one ``Fraction``.  The cells come out
-    sorted and without zeros, so the tensor takes them as they are.
+    of its inverse that the change keeps.  Each distinct integer of the
+    output becomes one ``Fraction``, shared by every term that holds it.
+    The cells come out sorted and without zeros, so the tensor takes them
+    as they are.
     """
     n = algebra.dim
     if change.dim != n:
@@ -123,18 +126,30 @@ def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTens
     s_inverse, back = change._inverse_cols
     back = dict(enumerate(back))
     scale = s_table * s_matrix ** 2 * s_inverse
+    at_row: dict = {}                   # b -> [(j, entry b of column j)]
+    for j, col in enumerate(cols, 1):
+        for b, x in col.items():
+            at_row.setdefault(b, []).append((j, x))
+    fractions: dict = {}                # v -> Fraction(v, scale)
     table = {}
     for i, col in enumerate(cols, 1):
-        # [e'_i, e_b] in new coordinates, for every b (0-based)
-        products = {b: _combine(prod, back)
-                    for b, prod in _times_basis(by_left, col).items()}
-        for j, other in enumerate(cols, 1):
-            acc = _combine(other, products)
-            if acc:
-                cell = tuple((t + 1, Fraction(v, scale))
-                             for t, v in sorted(acc.items()) if v)
-                if cell:
-                    table[(i, j)] = cell
+        sums: dict = {}                 # j -> [e'_i, e'_j], new coordinates
+        for b, prod in _times_basis(by_left, col).items():
+            image = _combine(prod, back)
+            for j, x in at_row.get(b, ()):
+                acc = sums.setdefault(j, {})
+                for t, v in image.items():
+                    acc[t] = acc.get(t, 0) + x * v
+        for j in sorted(sums):
+            cell = []
+            for t, v in sorted(sums[j].items()):
+                if v:
+                    f = fractions.get(v)
+                    if f is None:
+                        f = fractions[v] = Fraction(v, scale)
+                    cell.append((t + 1, f))
+            if cell:
+                table[(i, j)] = tuple(cell)
     return _tensor(n, table, algebra.name)
 
 
@@ -167,7 +182,10 @@ def parse_change(text: str) -> BasisChange:
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"matrix row {r} must hold {dim} entries")
         for c, raw in enumerate(row):
-            entries.append(_coeff_from_document(raw, where, known))
+            # the type test comes first: a list or a dict does not hash
+            value = known.get(raw) if type(raw) is str else None
+            entries.append(value if value is not None
+                           else _coeff_from_document(raw, where, known))
     return BasisChange(MatrixQ(dim, dim, tuple(entries)))
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from lnz import (BasisChange, DimensionMismatch, DocumentError, DuplicateEntry,
                  IndexOutOfRange, MatrixQ, SecondTypeParams, StructureTensor,
-                 Vec, bracket, build_construction_stage, build_second_type,
-                 build_type1_branch_b, enumerate_catalog, is_lie,
-                 leibniz_residual, parse, parse_change, parse_fraction,
+                 Vec, apply_change, bracket, build_construction_stage,
+                 build_second_type, build_type1_branch_b, enumerate_catalog,
+                 is_lie, leibniz_residual, parse, parse_change, parse_fraction,
                  right_mul_matrix, serialize, serialize_change)
+from lnz.algebra import _build_cells
+from test_kernel_oracles import catalog_algebra, signed_unimodular_rows
 
 CHAIN = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
 
@@ -354,6 +356,42 @@ def test_parse_table_matches_the_public_constructor():
         parse('{"dim": 2, "table": ['
               '{"i": 1, "j": 1, "terms": [[2, "0"]]},'
               '{"i": 1, "j": 1, "terms": [[2, "1"]]}]}')
+
+
+def test_parse_hands_the_tensor_its_integer_cells():
+    # parse builds the integer cells with the table; they must be those
+    # _build_cells reads off the same table, in the same order
+    def seeded(text):
+        algebra = parse(text)
+        cells = vars(algebra)["_cells"]
+        assert cells == _build_cells(algebra)
+        assert all(type(c) is int for row in cells[1] for _, cell in row
+                   for _, c in cell)
+        return cells
+
+    for inst in enumerate_catalog((9, 10, 16, 32)):
+        seeded(serialize(inst.tensor))
+    # round 0 of the dense benchmark documents at seeds 0-9
+    for seed in range(10):
+        rng = random.Random(f"lnz-bench/{seed}/0")
+        for row_id, values, n in (("1,7", (1, 2, -1), 12), ("40", (1, 2), 10)):
+            change = BasisChange(MatrixQ.from_rows(
+                signed_unimodular_rows(rng, n)))
+            seeded(serialize(apply_change(
+                catalog_algebra(row_id, values, n), change)))
+    # every spelling, repeated strings and equal values spelled apart
+    rng = random.Random(17)
+    spellings = ["0", "-0", "0/7", 0, "1", "-2/4", "1/2", "3", -5, "7/3",
+                 "14/6"]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        table = [{"i": i, "j": j, "terms": [
+                     [k, rng.choice(spellings)]
+                     for k in rng.sample(range(1, n + 1), rng.randint(0, n))]}
+                 for i, j in rng.sample(keys, rng.randint(0, len(keys)))]
+        seeded(json.dumps({"dim": n, "table": table}))
+    assert seeded('{"dim": 3, "table": []}') == (1, [[], [], []])
 
 
 def test_renamed_does_not_alias_the_table():

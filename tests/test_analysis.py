@@ -9,6 +9,8 @@ import pytest
 
 import lnz.algebra
 import lnz.analysis
+import lnz.cli
+import lnz.transform
 from lnz import (
     BasisChange,
     GradedChange2,
@@ -411,14 +413,26 @@ def test_analysed_tensor_pickles_and_copies():
 
 def test_analyze_builds_the_integer_cells_once(monkeypatch, tmp_path,
                                                capsys):
+    # parse builds them with the table; no reader rebuilds them, and every
+    # reader gets the very object that parse handed the tensor
     path = tmp_path / "doc.json"
     path.write_text(serialize(build_second_type(
         16, SecondTypeParams(1, (0, 1, 0, 2), -1))))
     built = count_builds(monkeypatch, lnz.algebra, "_build_cells")
+    parsed, read = [], []
+    public_parse, public_cells = lnz.algebra.parse, lnz.algebra._integer_cells
+    monkeypatch.setattr(lnz.cli, "parse", lambda text: parsed.append(
+        public_parse(text)) or parsed[-1])
+    for module in (lnz.algebra, lnz.analysis, lnz.transform):
+        monkeypatch.setattr(module, "_integer_cells", lambda t: read.append(
+            (t, public_cells(t))) or read[-1][1])
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "nilindex: 14" in out and "right annihilator dim: 3" in out
-    assert len(built) == 1          # every reader shares the document's cells
+    assert len(built) == 0 and len(parsed) == 1
+    seeded = vars(parsed[0])["_cells"]
+    assert len(read) >= 4
+    assert all(t is parsed[0] and cells is seeded for t, cells in read)
 
 
 def test_each_call_reads_the_table_once(monkeypatch):

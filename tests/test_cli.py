@@ -13,6 +13,7 @@ import pytest
 
 import lnz
 from lnz import (
+    DocumentError,
     GradedChange2,
     SecondTypeParams,
     StructureTensor,
@@ -20,6 +21,7 @@ from lnz import (
     build_second_type,
     completed_second_type_change,
     parse,
+    parse_change,
     serialize,
     serialize_change,
 )
@@ -187,6 +189,42 @@ def test_check_rejects_hostile_document(capsys, tmp_path, kind):
     code, _, err = run(capsys, "check", str(doc))
     assert code == 65
     assert "malformed document" in err
+
+
+# coefficients of a type no exact fraction has: JSON text and type name
+WRONG_TYPES = {"list": ("[1]", "list"), "dict": ('{"1": 2}', "dict"),
+               "null": ("null", "NoneType"), "true": ("true", "bool"),
+               "false": ("false", "bool"), "float": ("0.5", "float"),
+               "float-one": ("1.0", "float")}
+
+
+@pytest.mark.parametrize("after", [False, True], ids=["first", "after"])
+@pytest.mark.parametrize("kind", WRONG_TYPES)
+def test_coefficients_of_the_wrong_type(capsys, tmp_path, kind, after):
+    # first in its cell or row, or after the string "1" and the int 1 have
+    # been read, which true and 1.0 equal as dict keys: a DocumentError
+    # that names the type, never a TypeError, and exit 65
+    raw, name = WRONG_TYPES[kind]
+    message = f"must be an exact fraction string, got {name}"
+    values = ['"1"', "1", raw] if after else [raw, '"1"', "1"]
+    text = ('{"dim": 3, "table": [{"i": 1, "j": 1, "terms": [%s]}]}'
+            % ", ".join(f"[{k}, {v}]" for k, v in enumerate(values, 1)))
+    change_text = ('{"dim": 3, "matrix": [[%s], ["0", "1", "0"], '
+                   '["0", "0", "1"]]}' % ", ".join(values))
+    with pytest.raises(DocumentError, match=message):
+        parse(text)
+    with pytest.raises(DocumentError, match=message):
+        parse_change(change_text)
+    doc, change_doc = tmp_path / "doc.json", tmp_path / "change.json"
+    doc.write_text(text)
+    change_doc.write_text(change_text)
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 65 and out == "" and message in err
+    space = tmp_path / "space.json"
+    space.write_text('{"dim": 3, "table": []}')
+    code, out, err = run(capsys, "transform", str(space), "--change",
+                         str(change_doc))
+    assert code == 65 and out == "" and message in err
 
 
 # schema errors past the top level, each with the place it names

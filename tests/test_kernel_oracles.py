@@ -48,7 +48,7 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
                  lower_central_series, natural_gradation,
                  nilpotent_block_sizes, rank, rational_roots, resultant,
                  right_annihilator, row_by_id, rref, serialize)
-from lnz import analysis, linalg
+from lnz import analysis, linalg, transform
 from lnz.algebra import _integer_cells
 from lnz.linalg import _eliminate
 from lnz.verify import _naive_series_dims
@@ -561,6 +561,31 @@ def apply_change_cases():
             yield inst.tensor, BasisChange(MatrixQ.identity(n))
             if n == 9:
                 yield inst.tensor, random_rational_change(rng, n)
+    # large sparse tables, where the row index of the change skips most
+    # pairs (i, j), and a dense table after a unimodular change
+    for n in (32, 64):
+        yield from graded_cases(n)
+    yield (catalog_algebra("1,7", (1, 2, -1), 16),
+           BasisChange(MatrixQ.from_rows(signed_unimodular_rows(rng, 16))))
+
+
+def graded_cases(n):
+    """Rows 0,2 (second type) and 34 (first type) at lambda = 1, each with
+    the graded change (A1, A4, B4) = (2, 1, 3) completed to a full basis."""
+    for row_id, complete in (("0,2", completed_second_type_change),
+                             ("34", completed_first_type_change)):
+        algebra = row_by_id(row_id).build(n, (Fraction(1),))
+        yield algebra, complete(algebra, GradedChange2(2, 1, 3))
+
+
+def signed_unimodular_rows(rng, n):
+    """M0 * P: M0[i][j] = min(i, j) + 1, determinant 1, and P a seeded
+    signed permutation, so every table it moves comes out dense."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[(min(i, perm[j]) + 1) * signs[j] for j in range(n)]
+            for i in range(n)]
 
 
 def test_apply_change_matches_dense_brackets():
@@ -575,6 +600,22 @@ def test_apply_change_matches_dense_brackets():
         with_denominators += any(c.denominator > 1 for terms in got.table.values()
                                  for _, c in terms)
     assert with_denominators >= 50 and catalog >= 40 and identity >= 20
+
+
+def test_apply_change_combines_once_per_table_cell(monkeypatch):
+    # one pull-back through the inverse per nonzero [e'_i, e_b] and none
+    # per pair (i, j), which would make n^2 + n + cells calls
+    combined = []
+    public = transform._combine
+    monkeypatch.setattr(transform, "_combine", lambda row, rows: (
+        combined.append(row) or public(row, rows)))
+    cells = []
+    for algebra, change in graded_cases(64):
+        combined.clear()
+        apply_change(algebra, change)
+        cells.append(len(algebra.table))
+        assert len(combined) <= len(algebra.table)
+    assert cells == [124, 64]
 
 
 def ref_right_annihilator(algebra):
