@@ -17,12 +17,20 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
 * ``cells``: the integer cells ``(scale, by_left)`` of each table of that
   set after a round trip through its document, ``parse(serialize(t))``,
   as ``lnz.algebra._integer_cells`` gives them, order included.
+* ``series``: the rows (each as its sorted (column, value) pairs), dims
+  and ``nilpotent`` of ``lower_central_series`` on that set.
+* ``residual``: the violations of ``leibniz_residual`` on that set, in
+  order, each with its defect.
 * ``kernel_basis/functionals``: ``kernel_basis`` of the stacked functionals
   sum_j c^k_(i,j) x_j of each table of that set.
 * ``kernel_basis/random``: ``kernel_basis`` of 3,000 random rational
   matrices, r and c in 0..8, at densities 0, 0.2, 0.5 and 1.
 * ``build``: ``CatalogRow.build`` of every row over its sample grid at
   n = 9, 10 and 16, as the serialized table or the exception raised.
+* ``equiv``: the verdict of ``decide_equivalence`` on every ordered pair
+  of the 62 epsilon = 0 second-type tuples of the catalog's sample grid
+  (3,844 pairs) at budget 1, then on every 7th ordered pair of the 245
+  epsilon = 1 tuples (8,575 pairs) at budget 6.
 * ``docs``: the exit code, stdout, stderr and written file of every
   round-0 operation of the sparse_docs and dense_docs workloads of
   ``perfbench/workloads.py`` at seeds 1-3, in a scratch directory whose
@@ -51,8 +59,9 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ITEMS = ("right_annihilator", "cells", "kernel_basis/functionals",
-         "kernel_basis/random", "build", "docs", "verify-all")
+ITEMS = ("right_annihilator", "cells", "series", "residual",
+         "kernel_basis/functionals", "kernel_basis/random", "build", "equiv",
+         "docs", "verify-all")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 
 
@@ -129,6 +138,22 @@ def builds(lnz):
                     yield f"{type(exc).__name__}: {exc}"
 
 
+def series(lnz, tensor):
+    found = lnz.lower_central_series(tensor)
+    return ([[sorted(row.items()) for row in term] for term in found.rows],
+            found.dims, found.nilpotent)
+
+
+def verdicts(lnz):
+    for epsilon, budget, step in ((0, 1, 1), (1, 6, 7)):
+        params = [row.make_params(values) for row in lnz.CATALOG_ROWS
+                  if row.kind == "second" and row.epsilon == epsilon
+                  for values in row.sample_grid(lnz.DEFAULT_FREE_SAMPLES)]
+        pairs = [(p, q) for p in params for q in params]
+        for p, q in pairs[::step]:
+            yield lnz.decide_equivalence(p, q, budget=budget)
+
+
 def docs(workloads):
     for name in ("sparse_docs", "dense_docs"):
         for seed in (1, 2, 3):
@@ -170,11 +195,14 @@ def digests(src: str) -> dict:
                               for t in table_set),
         "cells": (lnz.algebra._integer_cells(lnz.parse(lnz.serialize(t)))
                   for t in table_set),
+        "series": (series(lnz, t) for t in table_set),
+        "residual": (lnz.leibniz_residual(t).violations for t in table_set),
         "kernel_basis/functionals": (lnz.kernel_basis(functionals(lnz, t))
                                      for t in table_set),
         "kernel_basis/random": (lnz.kernel_basis(m)
                                 for m in random_matrices(lnz)),
         "build": builds(lnz),
+        "equiv": verdicts(lnz),
         "docs": docs(workloads),
         "verify-all": verify_all(workloads),
     }

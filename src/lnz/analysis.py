@@ -46,9 +46,9 @@ from .algebra import (StructureTensor, Vec, _integer_cells, _memo, _tensor,
                       _times_basis, _vec)
 from .errors import (ElementInDerivedSubalgebra, NonNilpotent, NotFiltered,
                      NotNilpotent)
-from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _combine, _echelon,
-                     _eliminate, _fraction_row, _kernel, _levels, _reduce,
-                     _reduced_rows, nilpotent_block_sizes)
+from .linalg import (EchelonSpan, MatrixQ, _add_reduced, _combine, _count,
+                     _echelon, _eliminate, _fraction_row, _kernel, _levels,
+                     _reduce, _reduced_rows, nilpotent_block_sizes)
 
 
 @dataclass(frozen=True)
@@ -335,11 +335,10 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
     algebra the search stops at the first candidate that meets them, and
     the answer is certified; on the catalogued algebras the first basis
     vector does.  Otherwise every candidate is tried and the answer is a
-    sampled lower bound for the true maximum.  A negative budget raises
-    ``ValueError``.
+    sampled lower bound for the true maximum.  ``linalg._count`` checks
+    the budget first.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be 0 or more, got {budget}")
+    _count(budget, "budget")
     n = algebra.dim
     series = lower_central_series(algebra)
     _, by_left = _integer_cells(algebra)

@@ -202,11 +202,10 @@ class CatalogRow:
     def build(self, n: int, values: Sequence = ()) -> StructureTensor:
         """The algebra this row denotes at dimension n and the values; values
         that ``violations`` rejects raise InadmissibleParams with its text."""
-        if self.kind == "first":
-            return build_first_type(n, self.make_params(values))
         if problems := self.violations(values):
             raise InadmissibleParams("; ".join(problems))
-        return build_second_type(n, self.make_params(values))
+        build = build_second_type if self.kind == "second" else _build_branch
+        return build(n, self.make_params(values))
 
     def violations(self, values: Sequence, n: int | None = None) -> list:
         """Human-readable admissibility problems; empty when fine."""
@@ -517,6 +516,11 @@ def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
         raise InadmissibleParams(
             f"subscript {params.p} is not admissible for family "
             f"{params.family_id}: " + "; ".join(problems))
+    return _build_branch(n, params)
+
+
+def _build_branch(n: int, params: FirstTypeParams) -> StructureTensor:
+    """The first-type table of admissible ``params``, by its branch."""
     build = (build_type1_branch_a if params.branch == "a"
              else build_type1_branch_b)
     return build(n, *params.branch_params(),

@@ -56,8 +56,8 @@ class DuplicateEntry(DocumentError):
 
 
 class IndexOutOfRange(ToolkitError, IndexError):
-    """A 1-based basis index falls outside 1..dim, or the dimension is
-    below the minimum an operation needs."""
+    """A 1-based basis index outside 1..dim, or a 0-based matrix index
+    outside the matrix; a dimension too small is ``DimensionTooSmall``."""
 
 
 class DimensionTooSmall(ToolkitError):

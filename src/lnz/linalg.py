@@ -63,6 +63,14 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _count(value, name: str, rule: str = "0 or more") -> None:
+    """Check a search budget or bound: an int, not a bool, 0 or more."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class MatrixQ:
     """Dense rational matrix, row-major, immutable."""
@@ -610,21 +618,6 @@ class PolyQ:
         lead = self.leading()
         return PolyQ(tuple(c / lead for c in self.coeffs))
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts)
-
 
 def poly_gcd(p: PolyQ, q: PolyQ) -> PolyQ:
     """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
@@ -640,12 +633,11 @@ def rational_roots(p: PolyQ, bound: int = 0) -> list:
     Candidates come from the usual divisor test on the primitive integer
     form.  With ``bound > 0`` only divisors up to that bound are tried,
     which keeps the search cheap for huge coefficients; ``bound = 0``
-    means no bound, and a negative bound raises ``ValueError``.
+    means no bound; ``_count`` checks the bound before anything else.
     """
+    _count(bound, "bound", "0 (none) or positive")
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    if bound < 0:
-        raise ValueError(f"bound must be 0 (none) or positive, got {bound}")
     coeffs = list(p.coeffs)
     shift = 0
     while coeffs and coeffs[0] == 0:

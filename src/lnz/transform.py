@@ -48,7 +48,7 @@ from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
                      IndexOutOfRange, NotNormalForm, RestrictionViolated,
                      SingularChange, ToolkitError)
-from .linalg import (MatrixQ, PolyQ, _combine, _frac, _int_rows,
+from .linalg import (MatrixQ, PolyQ, _combine, _count, _frac, _int_rows,
                      _inverse_columns, _matrix_of_columns, poly_gcd,
                      rational_roots)
 
@@ -550,7 +550,7 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     roots of each equation in s^2 alone; for epsilon = 1 the map pins B4
     itself and the witness keeps B4 = 1.  Only epsilon = 0 then falls
     back on a grid of heights up to ``budget`` (at most 8); anything else
-    is Unknown.  A negative budget raises ``ValueError``.
+    is Unknown.  ``linalg._count`` checks the budget first.
 
     Why no rational witness is missed before the grid, up to one bound:
     a linear gcd's root is taken at any height, but a gcd of higher
@@ -569,8 +569,7 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
       and no B4 != 0 fits, or num(0) and den(0) are both nonzero and
       A4 = 0 is a witness.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be 0 or more, got {budget}")
+    _count(budget, "budget")
     if p.epsilon != q.epsilon:
         raise EpsilonMismatch(
             f"cannot compare epsilon={p.epsilon} with epsilon={q.epsilon}")
@@ -589,7 +588,7 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
         for s in [Q(1)] if p.epsilon else _solve_s_at(eqs, num, den, t):
             candidates[(t, s)] = None
     if p.epsilon == 0:
-        axis = _grid_axis(max(1, min(int(budget), 8)))
+        axis = _grid_axis(max(1, min(budget, 8)))
         for t in axis:
             for s in axis:
                 if s != 0:

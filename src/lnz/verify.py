@@ -32,8 +32,8 @@ from .catalog import (CATALOG_ROWS, DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       build_type1_branch_b, enumerate_catalog, row_by_id)
 from .errors import (DimensionTooSmall, NonNilpotent, NotNilpotent,
                      NotNormalForm, RestrictionViolated)
-from .linalg import (EchelonSpan, MatrixQ, block_diag, invert, jordan_block,
-                     nilpotent_block_sizes, rank, rref)
+from .linalg import (EchelonSpan, MatrixQ, _count, block_diag, invert,
+                     jordan_block, nilpotent_block_sizes, rank, rref)
 from .transform import (Distinct, Equivalent, GradedChange2, apply_change,
                         completed_first_type_change,
                         completed_second_type_change, decide_equivalence,
@@ -193,11 +193,10 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
     ``dims`` must all be at least 9; ``samples`` feeds the free parameter
     slots; ``budget`` is the sampling budget of the characteristic
     sequence estimates; ``oracle_trials`` scales the randomized oracle
-    and invariance checks.  Deterministic for a fixed seed.  A negative
-    budget raises ``ValueError`` before any check runs.
+    and invariance checks.  Deterministic for a fixed seed.
+    ``linalg._count`` checks the budget before any check runs.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be 0 or more, got {budget}")
+    _count(budget, "budget")
     dims = tuple(sorted(set(int(n) for n in dims)))
     if not dims or min(dims) < 9:
         raise DimensionTooSmall(

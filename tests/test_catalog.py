@@ -194,6 +194,23 @@ def test_first_type_is_leibniz_at_all_samples():
             assert leibniz_residual(algebra).violations == (), (fam, values)
 
 
+def test_first_type_row_build_matches_build_first_type():
+    # the row checks its values once and builds its branch table itself;
+    # the public builder goes round the subscript and checks it again
+    cases = 0
+    for row in CATALOG_ROWS:
+        if row.kind != "first":
+            continue
+        for values in row.sample_grid(DEFAULT_FREE_SAMPLES):
+            for n in (9, 10, 16):
+                built = row.build(n, values)
+                reference = build_first_type(n, row.make_params(values))
+                assert (built.name, built.table) \
+                    == (reference.name, reference.table), (row.row_id, n)
+                cases += 1
+    assert cases == 3 * 35
+
+
 # ----------------------------------------------------------------------
 # row lookup and validation
 

@@ -20,8 +20,8 @@ import pytest
 
 from lnz import (BasisChange, MatrixQ, NotNilpotent, SecondTypeParams,
                  StructureTensor, Vec, analysis, apply_change, block_diag,
-                 build_second_type,
-                 char_sequence_at, enumerate_catalog, invert, jordan_block,
+                 build_second_type, char_sequence_at,
+                 char_sequence_estimate, enumerate_catalog, invert, jordan_block,
                  linalg, lower_central_series, natural_gradation,
                  nilpotent_block_sizes)
 from lnz.algebra import _integer_cells
@@ -251,6 +251,22 @@ def test_series_on_random_rational_tables(monkeypatch):
         nilpotent += series.nilpotent
     assert certified == {"triangular": 43, "filtered": 100, "general": 7}
     assert nilpotent == 207
+
+
+def test_estimate_returns_on_every_nilpotent_random_table():
+    # on a nilpotent table dim [L, L] < n, so some basis vector lies outside
+    # [L, L]: the estimate has a candidate before any draw, and lnz analyze,
+    # which asks for it only on a nilpotent series, needs no fallback
+    rng = random.Random(2603)
+    estimated = {"triangular": 0, "filtered": 0, "general": 0}
+    for t in range(300):
+        shape = ("triangular", "filtered", "general")[t % 3]
+        algebra = random_rational_table(rng, rng.randint(1, 10), shape)
+        if lower_central_series(algebra).nilpotent:
+            estimate = char_sequence_estimate(algebra, budget=0)
+            assert sum(estimate.parts) == algebra.dim
+            estimated[shape] += 1
+    assert estimated == {"triangular": 100, "filtered": 100, "general": 7}
 
 
 def test_series_of_moved_catalog_instances_take_either_path(monkeypatch):

@@ -64,6 +64,31 @@ def test_missing_input_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+CATALOG_0_2 = ["catalog", "--type", "2", "--family", "0,2", "--dim", "9"]
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    (["analyze", "{doc}", "--budget", "x"], 64,
+     "lnz analyze: error: argument --budget: invalid int value: 'x'"),
+    (CATALOG_0_2 + ["--params", "1", "-o", "{missing}/x.json"], 64,
+     "lnz: error: cannot write {missing}/x.json: No such file or directory"),
+    (CATALOG_0_2 + ["--params", "0.5"], 64,
+     "lnz: error: --params: '0.5' is not an exact fraction like '-3/4'"),
+    (["catalog", "--type", "2", "--family", "99", "--epsilon", "1", "--dim",
+      "10", "--params", "1"], 2, "lnz: error: no catalog family '99'"),
+    (["verify-all", "--dims", "9,x"], 64,
+     "lnz: error: --dims must be a comma list of integers, got '9,x'"),
+], ids=["analyze-budget", "catalog-output", "catalog-params",
+        "catalog-family", "verify-all-dims"])
+def test_usage_errors_name_themselves(capsys, tmp_path, chain_doc, argv,
+                                      code, last):
+    # an exception escaping main would fail the test with its traceback
+    where = {"doc": chain_doc, "missing": tmp_path / "missing"}
+    got, out, err = run(capsys, *(a.format(**where) for a in argv))
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == last.format(**where)
+
+
 # ----------------------------------------------------------------------
 # repeated calls in one process
 
@@ -291,6 +316,17 @@ def test_analyze_empty_table_in_large_dimension(tmp_path):
     assert lines[4] == ("characteristic sequence (sampled): ("
                         + ", ".join(["1"] * 400) + ")")
     assert lines[5] == "right annihilator dim: 400"
+
+
+def test_analyze_of_the_one_dimensional_empty_table(capsys, tmp_path):
+    # the smallest nilpotent table: e_1 lies outside [L, L] = 0
+    doc = tmp_path / "point.json"
+    doc.write_text('{"dim": 1, "table": []}')
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert (code, err) == (0, "")
+    assert out == ("dim: 1\ncentral series dims: 1 0\nnilindex: 2\n"
+                   "gradation dims: 1\ncharacteristic sequence (sampled): (1)\n"
+                   "right annihilator dim: 1\n  e_1\n")
 
 
 def test_closed_stdout_pipe_exits_quietly(tmp_path):

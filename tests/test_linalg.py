@@ -1,14 +1,17 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
+import lnz
 from lnz import (BasisChange, EchelonSpan, FirstTypeParams, GradedChange2,
                  IndexOutOfRange, MatrixQ, NotNilpotent, PolyQ,
                  SecondTypeParams, SingularChange, StructureTensor, Vec,
-                 block_diag, build_second_type, invert, jordan_block,
-                 kernel_basis, nilpotent_block_sizes, poly_gcd, rank,
-                 rational_roots, resultant, right_mul_matrix, rref)
+                 block_diag, build_second_type, char_sequence_estimate,
+                 decide_equivalence, invert, jordan_block, kernel_basis,
+                 nilpotent_block_sizes, poly_gcd, rank, rational_roots,
+                 resultant, right_mul_matrix, rref, verify_all)
 
 
 def rand_matrix(rng, r, c, den=3):
@@ -456,3 +459,44 @@ def test_kernels_refuse_floats_even_zero(kernel, value):
         kernel(value)
     kernel(0)
     kernel(Q(0))
+
+
+#: Each entry point with a search budget or bound: how to call it with a
+#: value, the module and name of the first work it would start, and the
+#: message of a negative value.  rational_roots gets the zero polynomial,
+#: which it would refuse with a message of its own after the check.
+BUDGETED = {
+    "char_sequence_estimate": (
+        lambda v: char_sequence_estimate(
+            build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0)),
+            budget=v),
+        "analysis", "lower_central_series", "budget must be 0 or more"),
+    "decide_equivalence": (
+        lambda v: decide_equivalence(SecondTypeParams(0, (1, 0, 0, 1), -1),
+                                     SecondTypeParams(0, (2, 0, 0, 4), -1),
+                                     budget=v),
+        "transform", "nullity_signature", "budget must be 0 or more"),
+    "verify_all": (lambda v: verify_all(dims=(9,), budget=v),
+                   "verify", "enumerate_catalog", "budget must be 0 or more"),
+    "rational_roots": (lambda v: rational_roots(PolyQ.zero(), bound=v),
+                       None, None, "bound must be 0 (none) or positive"),
+}
+
+
+@pytest.mark.parametrize("value", (1.5, Q(3, 2), "6", True, -1),
+                         ids=("float", "Fraction", "str", "bool", "negative"))
+@pytest.mark.parametrize("entry", BUDGETED)
+def test_budgets_and_bounds_are_ints_checked_first(monkeypatch, entry,
+                                                   value):
+    call, module, name, negative = BUDGETED[entry]
+    if module:
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the check")
+        monkeypatch.setattr(getattr(lnz, module), name, spy)
+    what = negative.split()[0]
+    if value == -1:
+        error, message = ValueError, f"{negative}, got -1"
+    else:
+        error, message = TypeError, f"{what} must be an int, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
