@@ -26,7 +26,11 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
 * ``kernel_basis/random``: ``kernel_basis`` of 3,000 random rational
   matrices, r and c in 0..8, at densities 0, 0.2, 0.5 and 1.
 * ``build``: ``CatalogRow.build`` of every row over its sample grid at
-  n = 9, 10 and 16, as the serialized table or the exception raised.
+  n = 9, 10 and 16, as the serialized table with its name masked, or the
+  exception raised.
+* ``names``: the names of those tables, each followed for a first-type
+  row by the name of ``build_first_type`` on the row's parameters; then
+  the names of the ``enumerate_catalog`` instances at n = 9, 10 and 16.
 * ``equiv``: the verdict of ``decide_equivalence`` on every ordered pair
   of the 62 epsilon = 0 second-type tuples of the catalog's sample grid
   (3,844 pairs) at budget 1, then on every 7th ordered pair of the 245
@@ -60,8 +64,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS = ("right_annihilator", "cells", "series", "residual",
-         "kernel_basis/functionals", "kernel_basis/random", "build", "equiv",
-         "docs", "verify-all")
+         "kernel_basis/functionals", "kernel_basis/random", "build", "names",
+         "equiv", "docs", "verify-all")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 
 
@@ -128,14 +132,35 @@ def random_matrices(lnz):
             for _ in range(r * c)))
 
 
-def builds(lnz):
+def outcome(lnz, make):
+    """What ``make()`` returns, or the toolkit error it raises."""
+    try:
+        return make()
+    except lnz.ToolkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def row_builds(lnz):
     for row in lnz.CATALOG_ROWS:
         for values in row.sample_grid(lnz.DEFAULT_FREE_SAMPLES):
             for n in (9, 10, 16):
-                try:
-                    yield lnz.serialize(row.build(n, values))
-                except lnz.ToolkitError as exc:
-                    yield f"{type(exc).__name__}: {exc}"
+                yield row, values, n
+
+
+def builds(lnz):
+    for row, values, n in row_builds(lnz):
+        yield outcome(lnz, lambda: lnz.serialize(
+            row.build(n, values).renamed(None)))
+
+
+def names(lnz):
+    for row, values, n in row_builds(lnz):
+        yield outcome(lnz, lambda: row.build(n, values).name)
+        if row.kind == "first":
+            yield outcome(lnz, lambda: lnz.build_first_type(
+                n, row.make_params(values)).name)
+    yield from (inst.tensor.name
+                for inst in lnz.enumerate_catalog((9, 10, 16)))
 
 
 def series(lnz, tensor):
@@ -202,6 +227,7 @@ def digests(src: str) -> dict:
         "kernel_basis/random": (lnz.kernel_basis(m)
                                 for m in random_matrices(lnz)),
         "build": builds(lnz),
+        "names": names(lnz),
         "equiv": verdicts(lnz),
         "docs": docs(workloads),
         "verify-all": verify_all(workloads),

@@ -15,7 +15,7 @@ the free parameters with their admissible sets, and the parity rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -43,7 +43,6 @@ class SecondTypeParams:
     epsilon: int
     alphas: tuple
     beta: Fraction
-    family_label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.epsilon not in (0, 1):
@@ -195,17 +194,25 @@ class CatalogRow:
         """The parameter object this row denotes at the given values."""
         filled = self.slot_values(values)
         if self.kind == "second":
-            return SecondTypeParams(self.epsilon, filled, self.beta,
-                                    family_label=self.family_label)
+            return SecondTypeParams(self.epsilon, filled, self.beta)
         return FirstTypeParams(self.family_id, filled)
 
     def build(self, n: int, values: Sequence = ()) -> StructureTensor:
-        """The algebra this row denotes at dimension n and the values; values
-        that ``violations`` rejects raise InadmissibleParams with its text."""
+        """The algebra this row denotes at dimension n and the values, named
+        by ``label``; values that ``violations`` rejects raise
+        InadmissibleParams with its text."""
         if problems := self.violations(values):
             raise InadmissibleParams("; ".join(problems))
-        build = build_second_type if self.kind == "second" else _build_branch
-        return build(n, self.make_params(values))
+        params = self.make_params(values)
+        cells = (_second_type_cells(n, params) if self.kind == "second" else
+                 _type1_cells(n, params.branch, *params.branch_params())[0])
+        return StructureTensor(n, cells, self.label(n, values))
+
+    def label(self, n: int, values: Sequence = ()) -> str:
+        """The table's name, ``l(<row>)[<param>=<v>, ...] n=<n>``."""
+        vals = ", ".join(f"{spec.name}={_frac(v)}"
+                         for spec, v in zip(self.params, values))
+        return f"l({self.row_id})" + (f"[{vals}]" if vals else "") + f" n={n}"
 
     def violations(self, values: Sequence, n: int | None = None) -> list:
         """Human-readable admissibility problems; empty when fine."""
@@ -408,7 +415,8 @@ def _chain(n: int, skip: int) -> dict:
 
 
 def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
-    """The second-type normal form at dimension n.
+    """The second-type normal form at dimension n, named
+    ``second-type n=<n>``.
 
     Emits exactly the chain [e_i,e_1]=e_{i+1} (i != 3) plus the products
     controlled by (alpha1..alpha4, beta, epsilon); [e_1,e_5] carries
@@ -417,6 +425,11 @@ def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
     Parameters off the catalog rows, where the transform maps go, are built
     too; ``find_second_type_row(params)`` is None exactly for those.
     """
+    return StructureTensor(n, _second_type_cells(n, params),
+                           f"second-type n={n}")
+
+
+def _second_type_cells(n: int, params: SecondTypeParams) -> dict:
     if n < 9:
         raise DimensionTooSmall(f"second-type families need n >= 9, got {n}")
     if params.epsilon == 1 and n % 2:
@@ -436,9 +449,7 @@ def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
     if params.epsilon == 1:
         for i in range(4, n):
             _put(cells, i, n + 3 - i, (n, Q(-1) if i % 2 else Q(1)))
-    label = params.family_label
-    name = f"l({label})" if label else "second-type"
-    return StructureTensor(n, cells, f"{name} n={n}")
+    return cells
 
 
 def find_second_type_row(params: SecondTypeParams):
@@ -468,40 +479,40 @@ def _solve_row_values(row: CatalogRow, targets: tuple):
     return values
 
 
-def _type1_cells(n: int, *params) -> tuple:
-    """The cells both first-type shapes share, with the three parameters
-    as fractions: the chain with its gap at n-3, and [e_i, e_{n-2}] =
-    alpha1*e_{i+1} for i = 1..n-4."""
+def _type1_cells(n: int, branch: str, *params) -> tuple:
+    """The cells of the first-type shape of ``branch``, "a" or "b", with
+    the three parameters as fractions.  Both shapes share the chain with
+    its gap at n-3 and [e_i, e_{n-2}] = alpha1*e_{i+1} for i = 1..n-4."""
     if n < 9:
         raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
-    p = tuple(_frac(x) for x in params)
+    p = a1, x, y = tuple(_frac(v) for v in params)
     cells = _chain(n, n - 3)
     for i in range(1, n - 3):
-        _put(cells, i, n - 2, (i + 1, p[0]))
+        _put(cells, i, n - 2, (i + 1, a1))
+    if branch == "a":           # x, y = alpha2, beta2
+        _put(cells, 1, n - 2, (n - 1, x))
+        _put(cells, 2, n - 2, (n, x))
+        _put(cells, n - 2, n - 2, (n - 1, y))
+        _put(cells, n - 1, n - 2, (n, y))
+    else:                       # x, y = a2, b2
+        _put(cells, 1, n - 2, (n - 1, -1))
+        _put(cells, 2, n - 2, (n, -(1 + x)))
+        _put(cells, n - 1, n - 2, (n, -y))
+        _put(cells, 1, n - 1, (n, x))
+        _put(cells, n - 2, n - 1, (n, y))
     return cells, p
 
 
-def build_type1_branch_a(n: int, alpha1, alpha2, beta2,
-                         name: str | None = None) -> StructureTensor:
+def build_type1_branch_a(n: int, alpha1, alpha2, beta2) -> StructureTensor:
     """First-type shape where e_{n-1} right-annihilates everything."""
-    cells, (a1, a2, b2) = _type1_cells(n, alpha1, alpha2, beta2)
-    _put(cells, 1, n - 2, (n - 1, a2))
-    _put(cells, 2, n - 2, (n, a2))
-    _put(cells, n - 2, n - 2, (n - 1, b2))
-    _put(cells, n - 1, n - 2, (n, b2))
-    return StructureTensor(n, cells, name or f"type1a({a1},{a2},{b2}) n={n}")
+    cells, p = _type1_cells(n, "a", alpha1, alpha2, beta2)
+    return StructureTensor(n, cells, "type1a({},{},{}) n={}".format(*p, n))
 
 
-def build_type1_branch_b(n: int, alpha1, a2, b2,
-                         name: str | None = None) -> StructureTensor:
+def build_type1_branch_b(n: int, alpha1, a2, b2) -> StructureTensor:
     """First-type shape with [e_1, e_{n-2}] = alpha1*e_2 - e_{n-1}."""
-    cells, (al, a, b) = _type1_cells(n, alpha1, a2, b2)
-    _put(cells, 1, n - 2, (n - 1, -1))
-    _put(cells, 2, n - 2, (n, -(1 + a)))
-    _put(cells, n - 1, n - 2, (n, -b))
-    _put(cells, 1, n - 1, (n, a))
-    _put(cells, n - 2, n - 1, (n, b))
-    return StructureTensor(n, cells, name or f"type1b({al},{a},{b}) n={n}")
+    cells, p = _type1_cells(n, "b", alpha1, a2, b2)
+    return StructureTensor(n, cells, "type1b({},{},{}) n={}".format(*p, n))
 
 
 def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
@@ -516,15 +527,7 @@ def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
         raise InadmissibleParams(
             f"subscript {params.p} is not admissible for family "
             f"{params.family_id}: " + "; ".join(problems))
-    return _build_branch(n, params)
-
-
-def _build_branch(n: int, params: FirstTypeParams) -> StructureTensor:
-    """The first-type table of admissible ``params``, by its branch."""
-    build = (build_type1_branch_a if params.branch == "a"
-             else build_type1_branch_b)
-    return build(n, *params.branch_params(),
-                 name=f"l({params.family_id}){params.p} n={n}")
+    return row.build(n, values)
 
 
 # ----------------------------------------------------------------------
@@ -562,10 +565,7 @@ class CatalogInstance(NamedTuple):
     values: tuple
 
     def label(self) -> str:
-        vals = ", ".join(f"{s.name}={v}"
-                         for s, v in zip(self.row.params, self.values))
-        core = f"l({self.row.row_id})"
-        return f"{core}[{vals}] n={self.n}" if vals else f"{core} n={self.n}"
+        return self.row.label(self.n, self.values)
 
 
 def enumerate_catalog(dims: Sequence[int],
@@ -586,8 +586,7 @@ def enumerate_catalog(dims: Sequence[int],
             if row.parity == "even" and n % 2:
                 continue
             for values in grids:
-                inst = CatalogInstance(row, n, row.build(n, values), values)
-                yield inst._replace(tensor=inst.tensor.renamed(inst.label()))
+                yield CatalogInstance(row, n, row.build(n, values), values)
 
 
 def catalog_index_document() -> str:

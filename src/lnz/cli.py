@@ -23,9 +23,9 @@ from pathlib import Path
 from .algebra import leibniz_residual, parse, parse_fraction, serialize
 from .analysis import (char_sequence_estimate, lower_central_series,
                        natural_gradation, right_annihilator)
-from .catalog import (DEFAULT_FREE_SAMPLES, CatalogInstance,
-                      SecondTypeParams, catalog_index_document, row_by_id,
-                      rows_by_label, validate_params)
+from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
+                      catalog_index_document, row_by_id, rows_by_label,
+                      validate_params)
 from .errors import (DimensionTooSmall, DocumentError, IndexOutOfRange,
                      ParityViolation, ToolkitError, UnknownFamily)
 from .transform import (Distinct, Equivalent, apply_change, decide_equivalence,
@@ -197,22 +197,21 @@ def cmd_catalog(args) -> int:
     if missing:
         raise _UsageError("catalog needs " + " and ".join(missing))
     row = _resolve_row(args)
-    if args.epsilon is not None and row.epsilon != args.epsilon:
-        print(f"error: row {row.row_id} has epsilon {row.epsilon}, "
-              f"not {args.epsilon}", file=sys.stderr)
-        return EX_INADMISSIBLE
-    if args.beta is not None and row.beta != args.beta:
-        print(f"error: row {row.row_id} has beta {row.beta}, not {args.beta}",
-              file=sys.stderr)
-        return EX_INADMISSIBLE
+    for flag, given, has in (("epsilon", args.epsilon, row.epsilon),
+                             ("beta", args.beta, row.beta)):
+        if given is not None and has != given:
+            print(f"error: row {row.row_id} " + (
+                f"has {flag} {has}, not {given}" if row.kind == "second" else
+                "is a first-type row, which has no epsilon or beta"),
+                file=sys.stderr)
+            return EX_INADMISSIBLE
     values = (_csv_fractions(args.params, "--params") if args.params else ())
     report = validate_params(row, values, n=args.dim)
     if not report.ok:
         for problem in report.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EX_INADMISSIBLE
-    inst = CatalogInstance(row, args.dim, row.build(args.dim, values), values)
-    _emit(serialize(inst.tensor.renamed(inst.label())), args.output)
+    _emit(serialize(row.build(args.dim, values)), args.output)
     return EX_OK
 
 

@@ -9,6 +9,7 @@ import pytest
 from lnz import (
     CATALOG_ROWS,
     DEFAULT_FREE_SAMPLES,
+    CatalogInstance,
     DimensionTooSmall,
     FirstTypeParams,
     InadmissibleParams,
@@ -196,19 +197,27 @@ def test_first_type_is_leibniz_at_all_samples():
 
 def test_first_type_row_build_matches_build_first_type():
     # the row checks its values once and builds its branch table itself;
-    # the public builder goes round the subscript and checks it again
+    # the public builder goes round the subscript and checks it again.
+    # Every row names its table once, with the label its instance shows
     cases = 0
     for row in CATALOG_ROWS:
-        if row.kind != "first":
-            continue
         for values in row.sample_grid(DEFAULT_FREE_SAMPLES):
             for n in (9, 10, 16):
+                if row.parity == "even" and n % 2:
+                    continue
                 built = row.build(n, values)
+                label = row.label(n, values)
+                assert built.name == label \
+                    == CatalogInstance(row, n, built, values).label()
+                assert "Fraction(" not in label, label
+                if row.kind != "first":
+                    continue
                 reference = build_first_type(n, row.make_params(values))
                 assert (built.name, built.table) \
                     == (reference.name, reference.table), (row.row_id, n)
                 cases += 1
     assert cases == 3 * 35
+    assert row_by_id("34").build(9, (2,)).name == "l(34)[lambda=2] n=9"
 
 
 # ----------------------------------------------------------------------

@@ -498,6 +498,12 @@ def test_catalog_epsilon_crosscheck(capsys):
                        "--epsilon", "1", "--dim", "9", "--params", "0")
     assert code == 2
     assert "has epsilon 0" in err
+    # a first-type row has no epsilon to compare
+    code, _, err = run(capsys, "catalog", "--type", "1", "--family", "34",
+                       "--dim", "9", "--params", "2", "--epsilon", "0")
+    assert code == 2
+    assert err == ("error: row 34 is a first-type row, which has no "
+                   "epsilon or beta\n")
 
 
 def test_catalog_beta_crosscheck(capsys):
@@ -505,6 +511,11 @@ def test_catalog_beta_crosscheck(capsys):
                        "--dim", "9", "--beta", "-1")
     assert code == 2
     assert "has beta 0" in err
+    code, _, err = run(capsys, "catalog", "--type", "1", "--family", "34",
+                       "--dim", "9", "--params", "2", "--beta", "-1")
+    assert code == 2
+    assert err == ("error: row 34 is a first-type row, which has no "
+                   "epsilon or beta\n")
 
 
 def test_catalog_inadmissible_parameter(capsys):
