@@ -41,6 +41,10 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   path is masked.
 * ``verify-all``: the text of ``lnz verify-all --dims 9,10``, with every
   time in seconds masked.
+* ``documents``: the exception type and text that ``parse`` and
+  ``parse_change`` give on each of ten header faults (``HEADER_FAULTS``),
+  then ``serialize_change`` of each round-0 change of the sparse_docs and
+  dense_docs workloads at seeds 1-3, and of its ``inverted()``.
 
 The JSON output holds, per item and tree, the number of cases and the
 digest, and names the first item, in the order above, whose digests
@@ -65,8 +69,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS = ("right_annihilator", "cells", "series", "residual",
          "kernel_basis/functionals", "kernel_basis/random", "build", "names",
-         "equiv", "docs", "verify-all")
+         "equiv", "docs", "verify-all", "documents")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
+# a list, a string, five bad dims, an unknown key, an integer over the
+# default digit limit (4,300), deep nesting and truncated JSON
+HEADER_FAULTS = ("[]", '"x"', '{"dim": true}', '{"dim": 0}', '{"dim": "3"}',
+                 '{"dim": 1.0}', '{"dim": 2, "extra": 0}',
+                 '{"dim": %s}' % ("7" * 5000),
+                 "[" * 100_000 + "]" * 100_000, '{\n  "dim": 2,\n')
 
 
 def random_table(lnz, rng):
@@ -204,6 +214,21 @@ def verify_all(workloads):
     yield [code, SECONDS.sub("<s>", out), SECONDS.sub("<s>", err)]
 
 
+def documents(lnz, workloads):
+    for text in HEADER_FAULTS:
+        for read in (lnz.parse, lnz.parse_change):
+            yield outcome(lnz, lambda: read(text))
+    for name in ("sparse_docs", "dense_docs"):
+        for seed in (1, 2, 3):
+            with tempfile.TemporaryDirectory() as workdir:
+                workload = workloads.make(name, seed, Path(workdir))
+                workload.prepare(0)
+                for doc in workload.inputs:
+                    change = lnz.parse_change(doc["change_text"])
+                    yield lnz.serialize_change(change)
+                    yield lnz.serialize_change(change.inverted())
+
+
 def digests(src: str) -> dict:
     """Item -> [cases, sha256] with lnz imported from ``src``."""
     src_path = Path(src).resolve()
@@ -231,6 +256,7 @@ def digests(src: str) -> dict:
         "equiv": verdicts(lnz),
         "docs": docs(workloads),
         "verify-all": verify_all(workloads),
+        "documents": documents(lnz, workloads),
     }
     out = {}
     for item in ITEMS:

@@ -24,12 +24,11 @@ from .analysis import (CentralSeries, CharSequence, Gradation,
                        right_annihilator)
 from .catalog import (CATALOG_ROWS, CatalogInstance, CatalogRow,
                       DEFAULT_FREE_SAMPLES, FirstTypeParams, ParamSpec,
-                      SecondTypeParams, ValidationReport,
-                      build_construction_stage, build_first_type,
-                      build_second_type, build_type1_branch_a,
-                      build_type1_branch_b, catalog_index_document,
-                      enumerate_catalog, find_second_type_row, row_by_id,
-                      rows_by_label, validate_params)
+                      SecondTypeParams, build_construction_stage,
+                      build_first_type, build_second_type,
+                      build_type1_branch_a, build_type1_branch_b,
+                      catalog_index_document, enumerate_catalog,
+                      find_second_type_row, row_by_id, rows_by_label)
 from .transform import (BasisChange, Distinct, Equivalent, GradedChange2,
                         NullitySignature, Unknown, apply_change,
                         completed_first_type_change,

@@ -15,13 +15,15 @@ Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
 reduced fraction strings, so equal algebras serialise to identical bytes,
 those of ``json.dumps(doc, indent=2)`` plus a newline; ``serialize`` writes
-them directly.  ``parse`` checks and converts each distinct coefficient
-once per document, straight from the digits its pattern matched, and
-validates the table once: its cells go to the tensor as they are,
-without a second pass through the constructor's normaliser, and so do
-its integer cells, each distinct numerator scaled once.  Only a tensor
-built in memory has its integer cells built from its ``Fraction`` table
-(``_build_cells``), by its first reader.
+them directly.  ``_document`` checks the header of both document kinds,
+algebras here and basis changes in ``transform``, by one rule and with
+one message per fault.  ``parse`` checks and converts each distinct
+coefficient once per document, straight from the digits its pattern
+matched, and validates the table once: its cells go to the tensor as
+they are, without a second pass through the constructor's normaliser,
+and so do its integer cells, each distinct numerator scaled once.  Only
+a tensor built in memory has its integer cells built from its
+``Fraction`` table (``_build_cells``), by its first reader.
 """
 
 from __future__ import annotations
@@ -374,17 +376,31 @@ def _digits_to_fraction(match: re.Match, where) -> Fraction:
         raise DocumentError(f"{where()} has too many digits") from None
 
 
-def _load_json(text: str, prefix: str = ""):
-    """json.loads with every failure, including integers over the
-    interpreter's digit limit and deep nesting, as a DocumentError."""
+def _document(text: str, fields: set, kind: str) -> tuple:
+    """``(doc, dim)`` of a document's text, both kinds checked by one rule:
+    a JSON object with no key outside ``fields`` and a "dim" that is a
+    positive int, not a bool.  Every failure, including integers over the
+    interpreter's digit limit and deep nesting, is a DocumentError with
+    the same text for both kinds but the ``kind`` it names."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(prefix + exc.msg, exc.lineno, exc.colno) from None
+        raise DocumentError("not valid JSON: " + exc.msg, exc.lineno,
+                            exc.colno) from None
     except ValueError:
-        raise DocumentError(prefix + "an integer has too many digits") from None
+        raise DocumentError("not valid JSON: an integer has too many "
+                            "digits") from None
     except RecursionError:
-        raise DocumentError(prefix + "nested too deeply") from None
+        raise DocumentError("not valid JSON: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{kind} document must be a JSON object")
+    extra = set(doc) - fields
+    if extra:
+        raise DocumentError(f"unknown {kind} fields {sorted(extra)}")
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise DocumentError("\"dim\" must be a positive integer")
+    return doc, dim
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -430,15 +446,7 @@ def parse(text: str) -> StructureTensor:
     when the JSON reader reports one), IndexOutOfRange for basis indices
     outside 1..dim, and DuplicateEntry for repeated cells.
     """
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentError("top level must be an object")
-    unknown = set(doc) - {"dim", "name", "table"}
-    if unknown:
-        raise DocumentError(f"unknown keys: {sorted(unknown)}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DocumentError(f"\"dim\" must be an integer >= 1, got {dim!r}")
+    doc, dim = _document(text, {"dim", "name", "table"}, "algebra")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError("\"name\" must be a string")

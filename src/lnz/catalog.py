@@ -531,32 +531,7 @@ def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
 
 
 # ----------------------------------------------------------------------
-# validation and enumeration
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    row_id: str
-    problems: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_params(row, values: Sequence = (), n: int | None = None
-                    ) -> ValidationReport:
-    """Check values against a row's admissible sets; never raises."""
-    if isinstance(row, str):
-        try:
-            row = row_by_id(row)
-        except UnknownFamily as exc:
-            return ValidationReport(False, row, (str(exc),))
-    try:
-        problems = tuple(row.violations(values, n))
-    except Exception as exc:   # defensive: a report, never a throw
-        problems = (str(exc),)
-    return ValidationReport(not problems, row.row_id, problems)
-
+# enumeration
 
 class CatalogInstance(NamedTuple):
     row: CatalogRow

@@ -24,8 +24,7 @@ from .algebra import leibniz_residual, parse, parse_fraction, serialize
 from .analysis import (char_sequence_estimate, lower_central_series,
                        natural_gradation, right_annihilator)
 from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
-                      catalog_index_document, row_by_id, rows_by_label,
-                      validate_params)
+                      catalog_index_document, row_by_id, rows_by_label)
 from .errors import (DimensionTooSmall, DocumentError, IndexOutOfRange,
                      ParityViolation, ToolkitError, UnknownFamily)
 from .transform import (Distinct, Equivalent, apply_change, decide_equivalence,
@@ -206,10 +205,10 @@ def cmd_catalog(args) -> int:
                 file=sys.stderr)
             return EX_INADMISSIBLE
     values = (_csv_fractions(args.params, "--params") if args.params else ())
-    report = validate_params(row, values, n=args.dim)
-    if not report.ok:
-        for problem in report.problems:
-            print(f"error: {problem}", file=sys.stderr)
+    problems = row.violations(values, args.dim)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    if problems:
         return EX_INADMISSIBLE
     _emit(serialize(row.build(args.dim, values)), args.output)
     return EX_OK

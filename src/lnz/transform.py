@@ -30,19 +30,21 @@ height; a gcd of higher degree is searched only for roots with numerator
 and denominator at most 10,000.  The search budget bounds only the
 epsilon = 0 height grid that follows.
 
-``parse_change`` and ``serialize_change`` read and write change documents
-as ``algebra`` does algebra documents.
+``parse_change`` reads change documents under the header rule of algebra
+documents (``algebra._document``); ``serialize_change`` writes them with
+``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
 from .algebra import (StructureTensor, Vec, _coeff_from_document,
-                      _integer_cells, _load_json, _tensor, _times_basis)
+                      _document, _integer_cells, _tensor, _times_basis)
 from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
                       build_type1_branch_a, build_type1_branch_b)
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
@@ -160,15 +162,7 @@ def parse_change(text: str) -> BasisChange:
     given as dim rows of dim exact fraction strings, rows of the same
     matrix whose columns are the new basis vectors.
     """
-    doc = _load_json(text, "not valid JSON: ")
-    if not isinstance(doc, dict):
-        raise DocumentError("change document must be a JSON object")
-    extra = set(doc) - {"dim", "matrix"}
-    if extra:
-        raise DocumentError(f"unknown change fields {sorted(extra)}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DocumentError("\"dim\" must be a positive integer")
+    doc, dim = _document(text, {"dim", "matrix"}, "change")
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != dim:
         raise DocumentError(f"\"matrix\" must be a list of {dim} rows")
@@ -190,13 +184,11 @@ def parse_change(text: str) -> BasisChange:
 
 
 def serialize_change(change: BasisChange) -> str:
-    """Canonical text for a basis-change document, the bytes of
-    ``json.dumps(doc, indent=2) + "\\n"``, written directly."""
-    rows = ",\n".join(
-        "    [\n" + ",\n".join('      "%s"' % x for x in change.matrix.row(r))
-        + "\n    ]" for r in range(change.dim))
-    return ('{\n  "dim": %d,\n  "matrix": ' % change.dim
-            + ("[\n" + rows + "\n  ]" if rows else "[]") + "\n}\n")
+    """Canonical text for a basis-change document:
+    ``json.dumps(doc, indent=2) + "\\n"``, entries as fraction strings."""
+    return json.dumps({"dim": change.dim, "matrix": [
+        [str(x) for x in change.matrix.row(r)] for r in range(change.dim)]},
+        indent=2) + "\n"
 
 
 @dataclass(frozen=True)

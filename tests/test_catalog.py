@@ -28,7 +28,6 @@ from lnz import (
     row_by_id,
     rows_by_label,
     serialize,
-    validate_params,
 )
 
 
@@ -234,17 +233,14 @@ def test_row_lookup():
         rows_by_label("nope")
 
 
-def test_validate_params_reports():
-    bad = validate_params("0,8", [7])
-    assert not bad
-    assert "{-2, -4/3}" in bad.problems[0]
-    assert validate_params("0,2", [1])
-    parity = validate_params("1,2", [0], n=9)
-    assert not parity and "even dimension" in parity.problems[0]
-    unknown = validate_params("zz", [])
-    assert not unknown and "zz" in unknown.problems[0]
-    wrong_count = validate_params("0,1", [3])
-    assert not wrong_count
+def test_row_violations_report():
+    bad = row_by_id("0,8").violations([7])
+    assert len(bad) == 1 and "{-2, -4/3}" in bad[0]
+    assert row_by_id("0,2").violations([1]) == []
+    parity = row_by_id("1,2").violations([0], 9)
+    assert len(parity) == 1 and "even dimension" in parity[0]
+    assert row_by_id("0,1").violations([3]) == [
+        "row 0,1 takes 0 parameter(s) (none), got 1"]
 
 
 # ----------------------------------------------------------------------

@@ -287,6 +287,51 @@ def test_check_names_where_the_schema_fails(capsys, tmp_path, body, message):
     assert err == f"lnz: malformed document: {message}\n"
 
 
+# header faults, one rule for algebra and change documents: the text, and
+# the message, which names the kind of document where it names one
+OBJECT = "{kind} document must be a JSON object"
+DIM = '"dim" must be a positive integer'
+HEADER_FAULTS = {
+    "list": ("[]", OBJECT), "string": ('"x"', OBJECT),
+    "dim-true": ('{"dim": true}', DIM), "dim-zero": ('{"dim": 0}', DIM),
+    "dim-string": ('{"dim": "3"}', DIM), "dim-float": ('{"dim": 1.0}', DIM),
+    "unknown-key": ('{"dim": 2, "extra": 0}',
+                    "unknown {kind} fields ['extra']"),
+    "long-integer": (None, "not valid JSON: an integer has too many digits"),
+    "nested": ("[" * 100_000 + "]" * 100_000,
+               "not valid JSON: nested too deeply"),
+    "truncated": ('{\n  "dim": 2,\n', "not valid JSON: Expecting property "
+                  "name enclosed in double quotes (line 3, column 1)"),
+}
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS)
+def test_document_headers_share_one_rule(capsys, tmp_path, fault):
+    text, message = HEADER_FAULTS[fault]
+    if text is None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        text = '{"dim": %s}' % ("7" * (limit + 1))
+    space = tmp_path / "space.json"
+    space.write_text('{"dim": 3, "table": []}')
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    for kind, read, argv in (
+            ("algebra", parse, ["check", str(doc)]),
+            ("change", parse_change,
+             ["transform", str(space), "--change", str(doc)])):
+        expected = message.format(kind=kind)
+        with pytest.raises(DocumentError) as info:
+            read(text)
+        assert str(info.value) == expected
+        if fault == "truncated":
+            assert (info.value.line, info.value.column) == (3, 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == ""
+        assert err == f"lnz: malformed document: {expected}\n"
+
+
 def test_check_empty_table_in_huge_dimension(tmp_path):
     doc = tmp_path / "huge.json"
     doc.write_text('{"dim": 100000, "table": []}')

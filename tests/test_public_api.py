@@ -14,8 +14,7 @@ PUBLIC_NAMES = (
     "ParamSpec", "ParityViolation", "PolyQ", "Record", "Report", "Residual",
     "RestrictionViolated", "SecondTypeParams", "SingularChange",
     "StructureTensor", "ToolkitError", "Unknown", "UnknownFamily",
-    "ValidationReport", "Vec", "algebra", "analysis", "apply_change",
-    "block_diag", "bracket",
+    "Vec", "algebra", "analysis", "apply_change", "block_diag", "bracket",
     "build_construction_stage", "build_first_type", "build_second_type",
     "build_type1_branch_a", "build_type1_branch_b", "catalog",
     "catalog_index_document", "char_sequence_at", "char_sequence_estimate",
@@ -30,7 +29,7 @@ PUBLIC_NAMES = (
     "parse_fraction", "poly_gcd", "rank", "rational_roots", "resultant",
     "right_annihilator", "right_mul_matrix", "row_by_id", "rows_by_label",
     "rref", "scale_identities_hold", "serialize", "serialize_change",
-    "transform", "validate_params", "verify", "verify_all",
+    "transform", "verify", "verify_all",
     "verify_homogeneity",
 )
 
