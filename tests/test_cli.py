@@ -287,6 +287,50 @@ def test_check_names_where_the_schema_fails(capsys, tmp_path, body, message):
     assert err == f"lnz: malformed document: {message}\n"
 
 
+# faults of one table cell in a dimension 2 document: the exception type
+# and text of parse, and so the stderr line of lnz check with exit 65; the
+# last three pin which fault of a cell with two is named
+SHAPE = "table[%d] must be an object with keys i, j, terms"
+CELL_FAULTS = {
+    "entry-list": ('[%s, [1, 1, []]]' % CELL, DocumentError, SHAPE % 1),
+    "extra-key": ('[{"i": 1, "j": 1, "terms": [], "k": 0}]', DocumentError,
+                  SHAPE % 0),
+    "missing-key": ('[{"j": 1, "terms": []}]', DocumentError, SHAPE % 0),
+    "i-bool": ('[{"i": true, "j": 1, "terms": []}]', DocumentError,
+               "table[0].i must be an integer"),
+    "i-string": ('[%s, {"i": "2", "j": 1, "terms": []}]' % CELL,
+                 DocumentError, "table[1].i must be an integer"),
+    "j-zero": ('[{"i": 1, "j": 0, "terms": []}]', lnz.IndexOutOfRange,
+               "table[0].j = 0 outside 1..2"),
+    "j-over": ('[%s, {"i": 2, "j": 3, "terms": []}]' % CELL,
+               lnz.IndexOutOfRange, "table[1].j = 3 outside 1..2"),
+    "terms-dict": ('[{"i": 1, "j": 2, "terms": {"2": "1"}}]', DocumentError,
+                   "table[0].terms must be a list"),
+    "duplicate": ('[%s, %s]' % (CELL, CELL), lnz.DuplicateEntry,
+                  "cell (1,1) appears twice"),
+    "i-string-j-zero": ('[{"i": "1", "j": 0, "terms": []}]', DocumentError,
+                        "table[0].i must be an integer"),
+    "i-zero-j-string": ('[{"i": 0, "j": "1", "terms": []}]',
+                        lnz.IndexOutOfRange, "table[0].i = 0 outside 1..2"),
+    "duplicate-terms-dict": ('[%s, {"i": 1, "j": 1, "terms": {}}]' % CELL,
+                             lnz.DuplicateEntry, "cell (1,1) appears twice"),
+}
+
+
+@pytest.mark.parametrize("fault", CELL_FAULTS)
+def test_each_cell_fault_keeps_its_type_and_text(capsys, tmp_path, fault):
+    table, kind, message = CELL_FAULTS[fault]
+    text = '{"dim": 2, "table": %s}' % table
+    with pytest.raises(lnz.ToolkitError) as info:
+        parse(text)
+    assert type(info.value) is kind and str(info.value) == message
+    doc = tmp_path / "cell.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 65 and out == ""
+    assert err == f"lnz: malformed document: {message}\n"
+
+
 # header faults, one rule for algebra and change documents: the text, and
 # the message, which names the kind of document where it names one
 OBJECT = "{kind} document must be a JSON object"
@@ -437,6 +481,47 @@ def test_analyze_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     assert runs == 254
     assert digest.hexdigest() == (
         "12a0694eade3f4f7b5c1b059fd0f765ce168d57114fce7b4469cdef3fc4d81b4")
+
+
+def random_rational_document(rng):
+    """A table with n <= 9 whose entries a/b have |a| <= 5 and b <= 6:
+    strictly triangular (so nilpotent) or general, sparse or dense."""
+    n = rng.randint(1, 9)
+    density, triangular = rng.choice((0.1, 0.3, 0.6)), rng.random() < 0.5
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            low = max(i, j) + 1 if triangular else 1
+            if low <= n and rng.random() < density:
+                table[(i, j)] = [
+                    (k, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                    for k in rng.sample(range(low, n + 1),
+                                        rng.randint(1, min(3, n + 1 - low)))]
+    return serialize(StructureTensor(n, table))
+
+
+def test_annihilator_and_violation_lines_are_pinned(capsys, tmp_path,
+                                                    monkeypatch):
+    # sha256 over exit code, stdout and stderr of lnz analyze (budget 0)
+    # and lnz check on 300 random rational tables: the annihilator lines,
+    # with their fractional and negative coefficients, and the violation
+    # lines of the tables that are no Leibniz algebras
+    monkeypatch.delenv("LNZ_SEED", raising=False)
+    rng = random.Random("cli/annihilator-lines")
+    doc = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    lines = violations = 0
+    for _ in range(300):
+        doc.write_text(random_rational_document(rng))
+        for argv in (["analyze", str(doc), "--budget", "0"],
+                     ["check", str(doc)]):
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+            lines += out.count("\n  ")
+            violations += code == 1
+    assert (lines, violations) == (368, 199)
+    assert digest.hexdigest() == (
+        "ff5c46d2a15be1aa916ebcd0daf26707d87204a270e79b962d627452aa6704c0")
 
 
 def test_analyze_non_nilpotent(capsys, tmp_path):

@@ -30,13 +30,15 @@ section product has a coordinate below its degree, the central series is
 no filtration and the gradation must refuse with ``NotFiltered``.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from lnz import (BasisChange, ElementInDerivedSubalgebra, GradedChange2,
+from lnz import (BasisChange, ElementInDerivedSubalgebra, Gradation,
+                 GradedChange2,
                  MatrixQ, NonNilpotent, NotFiltered, NotNilpotent, PolyQ,
                  SingularChange, StructureTensor, Vec, apply_change,
                  block_diag, bracket, build_first_type, build_second_type,
@@ -880,6 +882,52 @@ def test_integer_series_and_gradation_match_fraction_references():
         lead_products += any(a in deep or b in deep for a, b in graded.table)
     assert nilpotent >= 150 and fractional >= 50 and lead_products >= 30
     assert refused >= 100
+
+
+def lazy_gradation_cases():
+    """The 439 catalog instances at n = 9 and 10, then 50 random tables
+    whose series is a filtration and whose gradation exists, half of them
+    moved by a rational change."""
+    yield from (inst.tensor for inst in enumerate_catalog((9, 10)))
+    rng, found = random.Random("lazy-gradation"), 0
+    while found < 50:
+        algebra = random_filtered_table(rng, rng.randint(2, 8))
+        if found % 2:
+            algebra = apply_change(algebra,
+                                   random_rational_change(rng, algebra.dim))
+        try:
+            natural_gradation(algebra.renamed(algebra.name))
+        except NotFiltered:
+            continue
+        found += 1
+        yield algebra
+
+
+def test_gradation_views_equal_eager_ones():
+    # the sections and the graded table, whether read first, compared
+    # first, hashed first or pickled first, equal those of a gradation
+    # built eagerly from Fraction references
+    cases = 0
+    for algebra in lazy_gradation_cases():
+        terms, _ = ref_rref_series(algebra)
+        piece_dims, sections, graded = ref_fraction_gradation(algebra, terms)
+        eager = Gradation(piece_dims, tuple(Vec(v) for v in sections), graded)
+        fresh = [natural_gradation(algebra.renamed(algebra.name))
+                 for _ in range(4)]
+        read, compared, hashed, pickled = fresh
+        assert read.sections == eager.sections
+        assert read.algebra == eager.algebra
+        assert serialize(read.algebra) == serialize(eager.algebra)
+        assert read.degrees == eager.degrees == tuple(ref_degrees(piece_dims))
+        assert compared == eager and eager == compared
+        assert hash(hashed) == hash(eager)
+        for got in (pickle.loads(pickle.dumps(pickled)),
+                    pickle.loads(pickle.dumps(read))):
+            assert got == eager and hash(got) == hash(eager)
+            assert serialize(got.algebra) == serialize(eager.algebra)
+        assert pickled == eager
+        cases += 1
+    assert cases == 489
 
 
 def ref_derived(algebra):
