@@ -6,11 +6,12 @@ Run from the repository root, naming each source tree to measure:
 
 Each tree is timed in its own interpreter, which imports lnz from that
 tree alone; with several trees the rounds alternate between them, the
-first tree of a round rotating.  A round times eight layers: ``parse``
+first tree of a round rotating.  A round times nine layers: ``parse``
 of the document, ``lower_central_series``, ``char_sequence_at(e_1)``,
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
-``leibniz_residual``, ``right_annihilator`` and ``apply_change`` by the
-completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
+``gradation_views`` (``natural_gradation``, then a read of its
+``sections`` and ``algebra``), ``leibniz_residual``, ``right_annihilator``
+and ``apply_change`` by the completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
 type, epsilon = 1, lambda = 1) at each even size, and on row 0,2
 (epsilon = 0, lambda = 1) at each odd size, since row 1,2 needs even n;
 each as the normal form and after the dense unimodular change M0 * P
@@ -47,8 +48,8 @@ from pathlib import Path
 from time import perf_counter
 
 LAYERS = ("parse", "lower_central_series", "char_sequence_at",
-          "char_sequence_estimate", "natural_gradation", "leibniz_residual",
-          "right_annihilator", "apply_change")
+          "char_sequence_estimate", "natural_gradation", "gradation_views",
+          "leibniz_residual", "right_annihilator", "apply_change")
 FORMS = ("normal", "dense")
 ROWS = (("1,2", 1), ("0,2", 1))     # (row, lambda) at even and at odd n
 
@@ -60,6 +61,12 @@ def dense_change(lnz, n: int):
     return lnz.BasisChange(lnz.MatrixQ.from_rows(
         [[(min(i, n - 1 - j) + 1) * (-1) ** j for j in range(n)]
          for i in range(n)]))
+
+
+def gradation_views(lnz, tensor):
+    """The gradation with both of its views read."""
+    grading = lnz.natural_gradation(tensor)
+    return grading.sections, grading.algebra
 
 
 def measure(src: str, sizes, repeats: int) -> dict:
@@ -82,6 +89,7 @@ def measure(src: str, sizes, repeats: int) -> dict:
             "char_sequence_at": lambda t: lnz.char_sequence_at(t, e1),
             "char_sequence_estimate": lnz.char_sequence_estimate,
             "natural_gradation": lnz.natural_gradation,
+            "gradation_views": lambda t: gradation_views(lnz, t),
             "leibniz_residual": lnz.leibniz_residual,
             "right_annihilator": lnz.right_annihilator,
             "apply_change": lambda t: lnz.apply_change(t, change),

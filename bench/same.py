@@ -19,6 +19,9 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   as ``lnz.algebra._integer_cells`` gives them, order included.
 * ``series``: the rows (each as its sorted (column, value) pairs), dims
   and ``nilpotent`` of ``lower_central_series`` on that set.
+* ``gradation``: the piece dims, the section coordinates and
+  ``serialize`` of the graded algebra of ``natural_gradation`` on that
+  set, or the exception type and text it raises.
 * ``residual``: the violations of ``leibniz_residual`` on that set, in
   order, each with its defect.
 * ``kernel_basis/functionals``: ``kernel_basis`` of the stacked functionals
@@ -67,7 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ITEMS = ("right_annihilator", "cells", "series", "residual",
+ITEMS = ("right_annihilator", "cells", "series", "gradation", "residual",
          "kernel_basis/functionals", "kernel_basis/random", "build", "names",
          "equiv", "docs", "verify-all", "documents")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
@@ -179,6 +182,12 @@ def series(lnz, tensor):
             found.dims, found.nilpotent)
 
 
+def gradation(lnz, tensor):
+    grading = lnz.natural_gradation(tensor)
+    return (grading.piece_dims, [v.coords for v in grading.sections],
+            lnz.serialize(grading.algebra))
+
+
 def verdicts(lnz):
     for epsilon, budget, step in ((0, 1, 1), (1, 6, 7)):
         params = [row.make_params(values) for row in lnz.CATALOG_ROWS
@@ -246,6 +255,8 @@ def digests(src: str) -> dict:
         "cells": (lnz.algebra._integer_cells(lnz.parse(lnz.serialize(t)))
                   for t in table_set),
         "series": (series(lnz, t) for t in table_set),
+        "gradation": (outcome(lnz, lambda: gradation(lnz, t))
+                      for t in table_set),
         "residual": (lnz.leibniz_residual(t).violations for t in table_set),
         "kernel_basis/functionals": (lnz.kernel_basis(functionals(lnz, t))
                                      for t in table_set),

@@ -17,13 +17,13 @@ reduced fraction strings, so equal algebras serialise to identical bytes,
 those of ``json.dumps(doc, indent=2)`` plus a newline; ``serialize`` writes
 them directly.  ``_document`` checks the header of both document kinds,
 algebras here and basis changes in ``transform``, by one rule and with
-one message per fault.  ``parse`` checks and converts each distinct
-coefficient once per document, straight from the digits its pattern
-matched, and validates the table once: its cells go to the tensor as
-they are, without a second pass through the constructor's normaliser,
-and so do its integer cells, each distinct numerator scaled once.  Only
-a tensor built in memory has its integer cells built from its
-``Fraction`` table (``_build_cells``), by its first reader.
+one message per fault.  ``parse`` checks each table cell with one test
+and words a fault only when it fails (``_cell_fault``), and converts each
+distinct coefficient once, straight from the digits its pattern matched.
+Its cells go to the tensor as they are, without a second pass through
+the constructor's normaliser, and so do its integer cells, each distinct
+numerator scaled once.  Only a tensor built in memory has its integer
+cells built from its ``Fraction`` table (``_build_cells``), on first read.
 """
 
 from __future__ import annotations
@@ -434,6 +434,22 @@ def _coeff_from_document(raw, where, known: dict) -> Fraction:
     return value
 
 
+def _cell_fault(entry, where: str, dim: int, cells) -> None:
+    """Word the fault of a table entry that failed ``parse``'s one test of a
+    cell: its shape, then i, then j, then a repeated (i, j), then terms."""
+    if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
+        raise DocumentError(f"{where} must be an object with keys i, j, terms")
+    i, j = entry["i"], entry["j"]
+    for label, idx in (("i", i), ("j", j)):
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise DocumentError(f"{where}.{label} must be an integer")
+        if not 1 <= idx <= dim:
+            raise IndexOutOfRange(f"{where}.{label} = {idx} outside 1..{dim}")
+    if (i, j) in cells:
+        raise DuplicateEntry(f"cell ({i},{j}) appears twice")
+    raise DocumentError(f"{where}.terms must be a list")
+
+
 def parse(text: str) -> StructureTensor:
     """Read an algebra document.
 
@@ -458,24 +474,16 @@ def parse(text: str) -> StructureTensor:
         return f"table[{pos}].terms[{t_pos}]"
 
     known: dict = {}                    # coefficient as written -> Fraction
-    seen, cells = set(), []             # cells: (i, j, {k: as written})
+    cells: dict = {}                    # (i, j) -> {k: as written}
     for pos, entry in enumerate(entries):
-        where = f"table[{pos}]"
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
-            raise DocumentError(f"{where} must be an object with keys i, j, terms")
-        i, j = entry["i"], entry["j"]
-        for label, idx in (("i", i), ("j", j)):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise DocumentError(f"{where}.{label} must be an integer")
-            if not 1 <= idx <= dim:
-                raise IndexOutOfRange(f"{where}.{label} = {idx} outside 1..{dim}")
-        if (i, j) in seen:
-            raise DuplicateEntry(f"cell ({i},{j}) appears twice")
-        seen.add((i, j))
-        if not isinstance(entry["terms"], list):
-            raise DocumentError(f"{where}.terms must be a list")
-        terms: dict = {}
-        for t_pos, term in enumerate(entry["terms"]):
+        if not (type(entry) is dict and len(entry) == 3
+                and type(i := entry.get("i")) is int and 0 < i <= dim
+                and type(j := entry.get("j")) is int and 0 < j <= dim
+                and type(entry_terms := entry.get("terms")) is list
+                and (i, j) not in cells):
+            _cell_fault(entry, f"table[{pos}]", dim, cells)
+        terms = cells[(i, j)] = {}
+        for t_pos, term in enumerate(entry_terms):
             if type(term) is not list or len(term) != 2:
                 raise DocumentError(
                     f"{t_where()} must be a [target, coefficient] pair")
@@ -490,13 +498,12 @@ def parse(text: str) -> StructureTensor:
             if type(raw) is not str or raw not in known:
                 _coeff_from_document(raw, t_where, known)
             terms[k] = raw
-        cells.append((i, j, terms))
     scale = lcm(*(v.denominator for v in known.values()))
     scaled = {raw: v.numerator * (scale // v.denominator)
               for raw, v in known.items()}
     zero = {raw for raw, c in scaled.items() if not c}
     table, by_left = {}, [[] for _ in range(dim)]
-    for i, j, terms in cells:
+    for (i, j), terms in cells.items():
         if zero:
             terms = {k: raw for k, raw in terms.items() if raw not in zero}
         if terms:

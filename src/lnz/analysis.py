@@ -3,9 +3,10 @@
 The descending central series is L^1 = L, L^{k+1} = [L^k, L].  When it
 reaches zero the algebra is nilpotent and the quotients L^i / L^{i+1}
 carry an induced product that respects degrees; ``natural_gradation``
-materialises that graded algebra on a concatenated section basis.  Each
-term is kept as reduced sparse integer rows; ``CentralSeries.terms``
-builds the ``Vec``s on first read, and ``len(series)`` is the nilindex
+checks it eagerly and keeps the graded algebra as the series' integer
+section rows and integer graded cells: its ``sections`` and ``algebra``
+are built on first read, as ``CentralSeries.terms`` builds the ``Vec``s
+of the series' reduced integer rows.  ``len(series)`` is the nilindex
 of a nilpotent algebra.  The terms are read off the levels of right
 multiplication by e_1 (``linalg._levels``: its Jordan chains, or the
 echelons of its powers in any other basis) when every product of a
@@ -20,18 +21,17 @@ The tensor keeps its series and its integer cells
 (``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
 A parsed document comes with its cells; otherwise the first reader of
 either builds it, and every later reader of that tensor object reuses
-it: the gradation, the characteristic sequence, the residual, the right
-annihilator, ``apply_change`` and the generated changes.  The cache is
-per object, not per content, and is not pickled.
+it.  The cache is per object, not per content, and is not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
 takes the lexicographic maximum over all such x.  ``char_sequence_estimate``
 certifies that maximum when a nilpotent algebra has an element whose
 powers R_x^k reach the ranks dim L^{k+1} of the central series, and
-otherwise returns a sampled lower bound.  The right annihilator is
-the kernel of the functionals of the integer cells, by ``linalg._kernel``,
-the routine behind ``kernel_basis``.
+otherwise returns a sampled lower bound.  The right annihilator is the
+kernel of the functionals of the integer cells as ``linalg._kernel``'s
+canonical integer rows (``_annihilator_rows``), which ``lnz analyze``
+prints and the battery reads; ``right_annihilator`` is their ``Vec`` view.
 """
 
 from __future__ import annotations
@@ -176,20 +176,32 @@ class Gradation:
     ``piece_dims[i]`` is dim(L^{i+1} / L^{i+2}); ``sections`` holds one
     representative Vec (in the original coordinates) per graded basis
     vector, listed degree by degree; ``algebra`` is the induced product
-    written on that concatenated basis.
+    written on that concatenated basis.  From ``natural_gradation`` both
+    are built on first read and then kept, from the series' integer rows
+    and integer graded cells over their denominators.
     """
 
     piece_dims: tuple
     sections: tuple
     algebra: StructureTensor
 
+    def __getattr__(self, name):    # only what ``__dict__`` does not hold
+        state = self.__dict__
+        if name not in ("sections", "algebra") or "_rows" not in state:
+            raise AttributeError(name)
+        rows = state["_rows"]
+        state[name] = value = (
+            tuple(_vec(_fraction_row(len(rows), row)) for row in rows)
+            if name == "sections" else _tensor(len(rows), {
+                key: tuple([(k, Fraction(c, d)) for k, c, d in cell])
+                for key, cell in state["_cells"].items()}, state["_name"]))
+        return value
+
     @property
     def degrees(self) -> tuple:
         """Degree of each graded basis vector, aligned with ``sections``."""
-        out = []
-        for d, size in enumerate(self.piece_dims, start=1):
-            out.extend([d] * size)
-        return tuple(out)
+        return tuple(d for d, size in enumerate(self.piece_dims, start=1)
+                     for _ in range(size))
 
 
 def natural_gradation(algebra: StructureTensor) -> Gradation:
@@ -246,7 +258,7 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
                 c = residue.get(pivot_of[s])
                 if c:
                     if degree_of[s] == target:
-                        terms.append((s + 1, Fraction(c, denominator)))
+                        terms.append((s + 1, c, denominator))
                     # peel section s = rows[s] / lead[s]: the step scales the
                     # residue by f, so the denominator gains f too
                     f, residue = _eliminate(residue, rows[s], pivot_of[s])
@@ -256,10 +268,11 @@ def natural_gradation(algebra: StructureTensor) -> Gradation:
                                   (pivot_of[a] + 1, pivot_of[b] + 1))
             if terms:
                 table[(a + 1, b + 1)] = tuple(reversed(terms))
-    graded = _tensor(n, table, None if algebra.name is None
-                     else f"gr({algebra.name})")
-    sections = tuple(_vec(_fraction_row(n, row)) for row in rows)
-    return Gradation(piece_dims, sections, graded)
+    gradation = object.__new__(Gradation)
+    gradation.__dict__.update(piece_dims=piece_dims, _rows=rows, _cells=table,
+                              _name=None if algebra.name is None
+                              else f"gr({algebra.name})")
+    return gradation
 
 
 @dataclass(frozen=True, order=True)
@@ -365,12 +378,18 @@ def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,
 
 
 def right_annihilator(algebra: StructureTensor) -> tuple:
-    """Basis of {x : [y, x] = 0 for all y}, as a tuple of Vec: the kernel
-    of the functionals f = sum_j c^k_{i,j} x_j of the integer cells, one
-    per (i, k), by ``linalg._kernel``, as ``kernel_basis`` gives it."""
+    """Basis of {x : [y, x] = 0 for all y}, as a tuple of Vec: the view of
+    ``_annihilator_rows``, as ``kernel_basis`` views ``linalg._kernel``."""
+    return tuple(_vec(_fraction_row(algebra.dim, row, max))
+                 for row in _annihilator_rows(algebra))
+
+
+def _annihilator_rows(algebra: StructureTensor) -> list:
+    """The right annihilator as ``linalg._kernel``'s integer rows: the kernel
+    of the functionals f = sum_j c^k_{i,j} x_j of the cells, one per (i, k)."""
     functionals: dict = {}      # (i, k) -> {j: c^k_{i,j} times scale}
     for i, row in enumerate(_integer_cells(algebra)[1]):
         for j, terms in row:
             for k, c in terms:
                 functionals.setdefault((i, k), {})[j] = c
-    return tuple(_vec(v) for v in _kernel(algebra.dim, functionals.values()))
+    return _kernel(algebra.dim, functionals.values())

@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import leibniz_residual, parse, parse_fraction, serialize
-from .analysis import (char_sequence_estimate, lower_central_series,
-                       natural_gradation, right_annihilator)
+from .analysis import (_annihilator_rows, char_sequence_estimate,
+                       lower_central_series, natural_gradation)
 from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       catalog_index_document, row_by_id, rows_by_label)
 from .errors import (DimensionTooSmall, DocumentError, IndexOutOfRange,
@@ -107,18 +107,16 @@ def _csv_fractions(text: str, what: str) -> tuple:
     return tuple(out)
 
 
-def _combo(coords) -> str:
-    """Linear combination text like '2*e_3 - 1/2*e_7'."""
+def _combo(terms) -> str:
+    """Linear combination text like '2*e_3 - 1/2*e_7' of (column, value)
+    pairs, 0-based columns in increasing order; zero values are left out."""
     parts = []
-    for idx, c in enumerate(coords, start=1):
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = f"e_{idx}" if mag == 1 else f"{mag}*e_{idx}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+    for col, c in terms:
+        if c:
+            mag = abs(c)
+            body = f"e_{col + 1}" if mag == 1 else f"{mag}*e_{col + 1}"
+            sign = ("- " if c < 0 else "+ ") if parts else "-" * (c < 0)
+            parts.append(sign + body)
     return " ".join(parts) if parts else "0"
 
 
@@ -132,7 +130,7 @@ def cmd_check(args) -> int:
         print(f"ok: identity holds on all {algebra.dim}^3 basis triples")
         return EX_OK
     for i, j, k, vec in residual.violations:
-        print(f"({i},{j},{k}): {_combo(vec.coords)}")
+        print(f"({i},{j},{k}): {_combo(enumerate(vec.coords))}")
     print(f"{len(residual)} violating triples", file=sys.stderr)
     return EX_FAIL
 
@@ -153,10 +151,12 @@ def cmd_analyze(args) -> int:
         print(f"characteristic sequence (sampled): {est}")
     else:
         print("nilindex: none (central series stabilizes nonzero)")
-    ann = right_annihilator(algebra)
-    print(f"right annihilator dim: {len(ann)}")
-    for v in ann:
-        print(f"  {_combo(v.coords)}")
+    rows = _annihilator_rows(algebra)
+    print(f"right annihilator dim: {len(rows)}")
+    for row in rows:            # 1 at the free column, its last
+        free = row[max(row)]
+        print("  " + _combo((c, Fraction(x, free))
+                            for c, x in sorted(row.items())))
     return EX_OK
 
 

@@ -174,10 +174,10 @@ def _int_rows(rows) -> tuple:
                     for c, x in r.items()} for r in rows]
 
 
-def _fraction_row(n: int, row: dict) -> tuple:
+def _fraction_row(n: int, row: dict, lead=min) -> tuple:
     """A reduced sparse integer row as the dense ``Fraction`` row with 1 at
-    its pivot."""
-    pivot = row[min(row)]
+    its pivot, or at its last column for ``lead=max`` (a ``_kernel`` row)."""
+    pivot = row[lead(row)]
     dense = [Fraction(0)] * n
     for c, x in row.items():
         dense[c] = Fraction(x, pivot)
@@ -421,17 +421,18 @@ def _matrix_of_columns(scale: int, cols: list) -> MatrixQ:
 
 def kernel_basis(m: MatrixQ) -> list:
     """Basis of the right kernel, one vector per free column, in column
-    order: ``_kernel`` of the rows as sparse integer functionals."""
-    return _kernel(m.cols, _int_rows(m.row(r) for r in range(m.rows))[1])
+    order: the view of ``_kernel`` of the rows as integer functionals."""
+    return [_fraction_row(m.cols, row, max) for row in
+            _kernel(m.cols, _int_rows(m.row(r) for r in range(m.rows))[1])]
 
 
 def _kernel(n: int, functionals) -> list:
-    """The kernel in Q^n of sparse integer functionals, one ``Fraction``
-    tuple per free column, in column order, 1 there and 0 at the others.
-    It is refined from the basis one functional f at a time: the first v
-    with f(v) != 0 goes, and each other w with f(w) != 0 becomes
-    f(v) w - f(w) v over its gcd (``_reduce``, f in a sentinel column -1).
-    Its canonical rows over the reversed columns end at the free columns."""
+    """The kernel in Q^n of sparse integer functionals.  It is refined from
+    the basis one functional f at a time: the first v with f(v) != 0 goes,
+    and each other w with f(w) != 0 becomes f(v) w - f(w) v over its gcd
+    (``_reduce``, f in a sentinel column -1).  Its canonical rows over the
+    reversed columns, back in column order, are the result: one integer
+    row per free column, ending there, positive, and 0 at the others."""
     kernel = [{j: 1} for j in range(n)]
     for f in functionals:
         pivot, refined, columns = None, [], f.keys()
@@ -447,7 +448,7 @@ def _kernel(n: int, functionals) -> list:
         kernel = refined
     rows = _reduced_rows(_echelon({n - 1 - c: x for c, x in v.items()}
                                   for v in kernel))
-    return [_fraction_row(n, row)[::-1] for row in reversed(rows)]
+    return [{n - 1 - c: x for c, x in row.items()} for row in reversed(rows)]
 
 
 class EchelonSpan:

@@ -24,16 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Vec, bracket, is_lie, leibniz_residual
-from .analysis import (char_sequence_at, char_sequence_estimate,
-                       lower_central_series, natural_gradation,
-                       right_annihilator)
+from .analysis import (_annihilator_rows, char_sequence_at,
+                       char_sequence_estimate, lower_central_series,
+                       natural_gradation)
 from .catalog import (CATALOG_ROWS, DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       build_second_type, build_type1_branch_a,
                       build_type1_branch_b, enumerate_catalog, row_by_id)
 from .errors import (DimensionTooSmall, NonNilpotent, NotNilpotent,
                      NotNormalForm, RestrictionViolated)
-from .linalg import (EchelonSpan, MatrixQ, _count, block_diag, invert,
-                     jordan_block, nilpotent_block_sizes, rank, rref)
+from .linalg import (MatrixQ, _count, block_diag, invert, jordan_block,
+                     nilpotent_block_sizes, rank, rref)
 from .transform import (Distinct, Equivalent, GradedChange2, apply_change,
                         completed_first_type_change,
                         completed_second_type_change, decide_equivalence,
@@ -265,9 +265,11 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
             if est != expected:
                 estimated.append(f"{inst.label()}: estimate {est}")
         sequence_s += time.monotonic() - t0
-        span = EchelonSpan(n, right_annihilator(tensor))
+        # e_i is in it exactly when the kernel row of free column i - 1 is e_i
+        alone = {c for row in _annihilator_rows(tensor) if len(row) == 1
+                 for c in row}
         need = [2, 3] if inst.row.kind == "second" else list(range(2, n - 2))
-        missing = [i for i in need if not span.contains(Vec.basis(n, i))]
+        missing = [i for i in need if i - 1 not in alone]
         if missing:
             names = ", ".join(f"e_{i}" for i in missing)
             outside.append(f"{inst.label()}: {names} outside annihilator")

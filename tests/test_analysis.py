@@ -435,6 +435,30 @@ def test_analyze_builds_the_integer_cells_once(monkeypatch, tmp_path,
     assert all(t is parsed[0] and cells is seeded for t, cells in read)
 
 
+def test_analyze_builds_no_gradation_view(monkeypatch, tmp_path, capsys):
+    # lnz analyze reads only the gradation's piece dims: on a parsed n = 32
+    # document it builds no section Vec and no graded-table Fraction, while
+    # a reader of the views builds them through the same spies
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(build_second_type(
+        32, SecondTypeParams(1, (0, 1, 0, 2), -1))))
+    vecs, fractions = [], []
+    real_vec, real_fraction = lnz.analysis._vec, lnz.analysis.Fraction
+    monkeypatch.setattr(lnz.analysis, "_vec", lambda coords: vecs.append(
+        coords) or real_vec(coords))
+    monkeypatch.setattr(lnz.analysis, "Fraction", lambda *args: fractions
+                        .append(args) or real_fraction(*args))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "gradation dims: 2 2 2" + " 1" * 26 + "\n" in out
+    assert "right annihilator dim: 3" in out
+    assert vecs == [] and fractions == []
+    grading = natural_gradation(lnz.algebra.parse(path.read_text()))
+    assert vecs == [] and fractions == []
+    assert len(grading.sections) == len(vecs) == 32
+    assert len(grading.algebra.table) > 0 and len(fractions) > 0
+
+
 def test_each_call_reads_the_table_once(monkeypatch):
     algebra = build_second_type(16, SecondTypeParams(1, (0, 1, 0, 2), -1))
     built = count_builds(monkeypatch, lnz.algebra, "_build_cells")
