@@ -865,6 +865,30 @@ def test_equiv_rejects_beta_zero_with_nonzero_alpha(capsys, p, q, alphas):
             f"got alphas {alphas}") in err
 
 
+def test_values_with_a_leading_minus_take_the_equals_form(capsys,
+                                                         monkeypatch):
+    # argparse reads "--p -2,0,1,0" as two options; "--p=-2,0,1,0" is the
+    # form the help texts and the README give for such values
+    code, out, _ = run(capsys, "equiv", "--epsilon", "1", "--dim", "10",
+                       "--p=-2,0,1,0", "--q=1,0,1/4,0")
+    assert (code, out) == (1, "Distinct\ninvariant: alpha1+2*alpha3\n")
+    code, out, _ = run(capsys, "catalog", "--type", "2", "--family", "0,3",
+                       "--dim", "9", "--params=-1/2")
+    assert code == 0
+    assert parse(out).name == "l(0,3)[lambda=-1/2] n=9"
+    seen = []
+
+    def spy(**kwargs):
+        seen.append(kwargs["samples"])
+        return verify_all(**kwargs)
+
+    verify_all = cli.verify_all
+    monkeypatch.setattr(cli, "verify_all", spy)
+    code, out, _ = run(capsys, "verify-all", "--dims", "9", "--samples=-1,2")
+    assert code == 0 and out.endswith("0 failed, 5 flagged\n")
+    assert seen == [(Fraction(-1), Fraction(2))]
+
+
 # ----------------------------------------------------------------------
 # verify-all argument handling (the full run lives in the acceptance tests)
 

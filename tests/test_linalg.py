@@ -386,6 +386,67 @@ def test_rational_roots_reject_a_negative_bound():
             rational_roots(poly(-2, 1), bound=bound)
 
 
+def ref_poly_gcd(p, q):
+    """Euclid's algorithm in Fraction arithmetic, by ``PolyQ.divmod``,
+    made monic: slow on purpose, and apart from the integer kernel."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def rand_poly(rng, degree, top=6):
+    while True:
+        p = PolyQ(tuple(Q(rng.randint(-top, top), rng.randint(1, top))
+                        for _ in range(degree + 1)))
+        if p.degree == degree:
+            return p
+
+
+def test_poly_gcd_matches_fraction_euclid():
+    rng = random.Random(37)
+    kinds = ("zero", "constant", "random", "scaled", "shared")
+    nontrivial = 0
+    for _ in range(600):
+        common = rand_poly(rng, rng.randint(1, 3), rng.choice((6, 10**6)))
+        pair = []
+        for kind in (rng.choice(kinds), rng.choice(kinds)):
+            if kind == "zero":
+                pair.append(PolyQ.zero())
+            elif kind == "constant":
+                pair.append(rand_poly(rng, 0))
+            elif kind == "random":
+                pair.append(rand_poly(rng, rng.randint(1, 4)))
+            elif kind == "scaled" and pair:
+                pair.append(pair[0] * Q(rng.randint(-9, 9) or 1,
+                                        rng.randint(1, 9)))
+            else:
+                pair.append(common * rand_poly(rng, rng.randint(0, 3)))
+        got, want = poly_gcd(*pair), ref_poly_gcd(*pair)
+        assert got == want and repr(got) == repr(want), pair
+        nontrivial += got.degree >= 1
+    assert nontrivial > 200
+
+
+def test_rational_roots_of_products_of_linear_factors():
+    rng = random.Random(38)
+    for _ in range(300):
+        roots = [Q(rng.randint(-40, 40), rng.randint(1, 40))
+                 for _ in range(rng.randint(1, 4))]
+        poly = PolyQ.constant(Q(rng.choice((-3, 1, 5)), rng.randint(1, 7)))
+        for r in roots:
+            poly = poly * PolyQ.of(-r, 1)
+        if rng.random() < 0.5:          # no rational root of its own
+            poly = poly * rng.choice((PolyQ.of(1, 0, 1), PolyQ.of(-2, 0, 1),
+                                      PolyQ.of(3, 1, 1)))
+        want = sorted(set(roots))
+        assert rational_roots(poly) == rational_roots(poly, bound=0) == want
+        for bound in (1, 7, 40):
+            assert rational_roots(poly, bound=bound) == [
+                r for r in want
+                if abs(r.numerator) <= bound and r.denominator <= bound]
+
+
 def test_resultant_detects_common_roots():
     # p(s) = s - t, q(s) = s - 1 have a common root iff t = 1
     p = [PolyQ.of(0, -1), PolyQ.of(1)]

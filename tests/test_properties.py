@@ -8,9 +8,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from lnz import (BasisChange, MatrixQ, StructureTensor,  # noqa: E402
-                 apply_change, char_sequence_estimate, enumerate_catalog,
-                 lower_central_series, parse, serialize)
+from lnz import (BasisChange, Equivalent, GradedChange2,  # noqa: E402
+                 MatrixQ, RestrictionViolated, SecondTypeParams,
+                 StructureTensor, apply_change, build_second_type,
+                 char_sequence_estimate, completed_second_type_change,
+                 decide_equivalence, enumerate_catalog, extract_second_type,
+                 lower_central_series, param_map_case1, param_map_case2,
+                 parse, serialize)
 
 SETTINGS = hypothesis.settings(deadline=None, database=None, derandomize=True)
 
@@ -96,3 +100,29 @@ def test_change_then_inverse_is_the_identity(drawn, data):
     change = data.draw(changes(n, fractions))
     back = apply_change(apply_change(algebra, change), change.inverted())
     assert back == algebra and back.name == name
+
+
+ALPHAS = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                          Fraction(1, 2), Fraction(-1, 3)))
+#: p/q with |p|, q <= 8: the heights of the epsilon = 0 grid at budget 8
+HEIGHT_8 = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from((0, 1)), st.tuples(*[ALPHAS] * 4),
+                  HEIGHT_8, HEIGHT_8.filter(bool))
+def test_mapped_pairs_are_equivalent_with_a_replayed_witness(eps, alphas,
+                                                             a4, b4):
+    # at budget 1 the grid is only {-1, 0, 1}, so a witness of greater
+    # height comes from the root path: the gcd roots and the s rule
+    p = SecondTypeParams(eps, alphas, -1)
+    try:
+        q = (param_map_case2 if eps else param_map_case1)(
+            p, GradedChange2(1, a4, b4))
+    except RestrictionViolated:
+        hypothesis.reject()
+    out = decide_equivalence(p, q, budget=1)
+    assert isinstance(out, Equivalent)
+    algebra = build_second_type(10, p)
+    change = completed_second_type_change(algebra, out.witness)
+    assert extract_second_type(apply_change(algebra, change)) == q
