@@ -27,6 +27,15 @@ Where ``parse`` hands the tensor its integer cells (``BENCH_32.json``
 on), the other layers do not time building them.  Each layer, form and
 size first makes one untimed call.
 
+A tenth layer, ``decide_equivalence``, takes parameter tuples rather
+than tables: 40 seeded pairs p != q of the second-type catalog sample
+grid whose nullity signatures agree, per epsilon, at budget 1 for
+epsilon = 0, where the height grid adds six candidates (A4 in {-1, 0,
+1}, B4 = +-1) to the root search, and at budget 6 for epsilon = 1, which
+has no grid.  Each round decides every pair once untimed, then times
+each call of ``--repeats`` passes; its cells are keyed by epsilon and
+budget instead of form and size.
+
 The JSON output holds, per tree, layer, form ("normal" or "dense") and
 size, the median and quartiles of the per-call times in milliseconds and
 the number of calls; the host and the settings are recorded beside them.
@@ -40,6 +49,7 @@ import gc
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -52,6 +62,8 @@ LAYERS = ("parse", "lower_central_series", "char_sequence_at",
           "leibniz_residual", "right_annihilator", "apply_change")
 FORMS = ("normal", "dense")
 ROWS = (("1,2", 1), ("0,2", 1))     # (row, lambda) at even and at odd n
+EQUIV = ((0, 1), (1, 6))            # (epsilon, budget) of decide_equivalence
+EQUIV_PAIRS = 40                    # pairs per epsilon
 
 
 def dense_change(lnz, n: int):
@@ -67,6 +79,41 @@ def gradation_views(lnz, tensor):
     """The gradation with both of its views read."""
     grading = lnz.natural_gradation(tensor)
     return grading.sections, grading.algebra
+
+
+def equivalence_pairs(lnz, epsilon: int) -> list:
+    """``EQUIV_PAIRS`` seeded pairs p != q of the sample grid's tuples at
+    ``epsilon`` whose nullity signatures agree."""
+    rng = random.Random(f"layers/equiv/{epsilon}")
+    pool = [row.make_params(values) for row in lnz.CATALOG_ROWS
+            if row.kind == "second" and row.epsilon == epsilon
+            for values in row.sample_grid(lnz.DEFAULT_FREE_SAMPLES)]
+    pairs = []
+    while len(pairs) < EQUIV_PAIRS:
+        p, q = rng.choice(pool), rng.choice(pool)
+        if p != q and lnz.nullity_signature(p) == lnz.nullity_signature(q):
+            pairs.append((p, q))
+    return pairs
+
+
+def time_decisions(lnz, repeats: int) -> dict:
+    """Per-call seconds of ``decide_equivalence`` on the pairs of each
+    (epsilon, budget), after one untimed pass; keys are
+    "decide_equivalence/epsilon=E/budget=B"."""
+    times = {}
+    for epsilon, budget in EQUIV:
+        pairs = equivalence_pairs(lnz, epsilon)
+        spent = times[f"decide_equivalence/epsilon={epsilon}/budget={budget}"] = []
+        for rep in range(1 + repeats):          # pass 0 warms up
+            for p, q in pairs:
+                gc.disable()
+                start = perf_counter()
+                lnz.decide_equivalence(p, q, budget=budget)
+                seconds = perf_counter() - start
+                gc.enable()
+                if rep:
+                    spent.append(seconds)
+    return times
 
 
 def measure(src: str, sizes, repeats: int) -> dict:
@@ -109,6 +156,7 @@ def measure(src: str, sizes, repeats: int) -> dict:
                     gc.enable()
                     if call:
                         spent.append(seconds)
+    times.update(time_decisions(lnz, repeats))
     return times
 
 
@@ -177,6 +225,9 @@ def main(argv=None) -> int:
                                           "lambda": ROWS[n % 2][1]}
                                  for n in sizes},
                         "sizes": sizes, "rounds": args.rounds,
+                        "decide_equivalence": {
+                            "pairs": EQUIV_PAIRS,
+                            "epsilon_budget": [list(c) for c in EQUIV]},
                         "repeats": args.repeats, "warmup": 1,
                         "trees": list(trees)},
            "results": results}
@@ -190,6 +241,12 @@ def main(argv=None) -> int:
                 "  " + " ".join(f"{results[name][layer][form][str(n)]['median']:.3f}"
                                 for name in trees) for n in sizes)
             print(f"{layer} {form}{cells}")
+    for epsilon, budget in EQUIV:
+        form, column = f"epsilon={epsilon}", f"budget={budget}"
+        cells = " ".join(
+            f"{results[name]['decide_equivalence'][form][column]['median']:.3f}"
+            for name in trees)
+        print(f"decide_equivalence {form} {column}  {cells}")
     return 0
 
 

@@ -37,7 +37,10 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
 * ``equiv``: the verdict of ``decide_equivalence`` on every ordered pair
   of the 62 epsilon = 0 second-type tuples of the catalog's sample grid
   (3,844 pairs) at budget 1, then on every 7th ordered pair of the 245
-  epsilon = 1 tuples (8,575 pairs) at budget 6.
+  epsilon = 1 tuples (8,575 pairs) at budget 6, then on 3,000 seeded
+  mapped pairs (p, param_map(p, g)), epsilon 0 and 1 in turn, at budget
+  1 and then at budget 6, so that Equivalent witnesses from the root
+  search are hashed too.
 * ``docs``: the exit code, stdout, stderr and written file of every
   round-0 operation of the sparse_docs and dense_docs workloads of
   ``perfbench/workloads.py`` at seeds 1-3, in a scratch directory whose
@@ -188,13 +191,39 @@ def gradation(lnz, tensor):
             lnz.serialize(grading.algebra))
 
 
-def verdicts(lnz):
+def mapped_pairs(lnz, workloads, grids):
+    """3,000 seeded pairs (p, param_map(p, g)), epsilon 0 and 1 in turn:
+    p from the sample grid, g as the equiv workload draws it."""
+    rng = random.Random("same/mapped-pairs")
+    for k in range(3000):
+        epsilon = k % 2
+        forward = lnz.param_map_case2 if epsilon else lnz.param_map_case1
+        while True:
+            p = rng.choice(grids[epsilon])
+            g = lnz.GradedChange2(rng.choice(workloads.NONZERO),
+                                  rng.choice(workloads.POOL),
+                                  rng.choice(workloads.NONZERO))
+            try:
+                q = forward(p, g)
+            except lnz.RestrictionViolated:
+                continue
+            yield p, q
+            break
+
+
+def verdicts(lnz, workloads):
+    grids = {epsilon: [row.make_params(values) for row in lnz.CATALOG_ROWS
+                       if row.kind == "second" and row.epsilon == epsilon
+                       for values in row.sample_grid(
+                           lnz.DEFAULT_FREE_SAMPLES)]
+             for epsilon in (0, 1)}
     for epsilon, budget, step in ((0, 1, 1), (1, 6, 7)):
-        params = [row.make_params(values) for row in lnz.CATALOG_ROWS
-                  if row.kind == "second" and row.epsilon == epsilon
-                  for values in row.sample_grid(lnz.DEFAULT_FREE_SAMPLES)]
-        pairs = [(p, q) for p in params for q in params]
+        pairs = [(p, q) for p in grids[epsilon] for q in grids[epsilon]]
         for p, q in pairs[::step]:
+            yield lnz.decide_equivalence(p, q, budget=budget)
+    mapped = list(mapped_pairs(lnz, workloads, grids))
+    for budget in (1, 6):
+        for p, q in mapped:
             yield lnz.decide_equivalence(p, q, budget=budget)
 
 
@@ -264,7 +293,7 @@ def digests(src: str) -> dict:
                                 for m in random_matrices(lnz)),
         "build": builds(lnz),
         "names": names(lnz),
-        "equiv": verdicts(lnz),
+        "equiv": verdicts(lnz, workloads),
         "docs": docs(workloads),
         "verify-all": verify_all(workloads),
         "documents": documents(lnz, workloads),

@@ -307,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="row id or printed label, e.g. 0,2 or 34")
     p.add_argument("--dim", type=int)
     p.add_argument("--params", default="",
-                   help="comma list of exact fractions for the free parameters")
+                   help="comma list of exact fractions for the free "
+                        "parameters; write --params=-1/2 when the first "
+                        "value is negative")
     p.add_argument("--epsilon", type=int, choices=(0, 1),
                    help="cross-check the row's alternating-product marker")
     p.add_argument("--beta", type=int, choices=(0, -1),
@@ -328,8 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "give the same algebra")
     p.add_argument("--epsilon", type=int, choices=(0, 1), required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--p", required=True, help="alpha1,alpha2,alpha3,alpha4")
-    p.add_argument("--q", required=True, help="alpha1,alpha2,alpha3,alpha4")
+    p.add_argument("--p", required=True,
+                   help="alpha1,alpha2,alpha3,alpha4[,beta]; write "
+                        "--p=-1,0,0,0 when the first value is negative")
+    p.add_argument("--q", required=True,
+                   help="alpha1,alpha2,alpha3,alpha4[,beta]; write "
+                        "--q=-1,0,0,0 when the first value is negative")
     p.add_argument("--budget", type=_budget, default=6,
                    help="height bound (at most 8) of the epsilon = 0 "
                         "witness grid; epsilon = 1 searches roots only")
@@ -338,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full verification suite")
     p.add_argument("--dims", default="9,10")
     p.add_argument("--samples", default=None,
-                   help="comma list of values for free parameters")
+                   help="comma list of values for free parameters; write "
+                        "--samples=-1,2 when the first value is negative")
     p.add_argument("--budget", type=_budget, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the structured report here")

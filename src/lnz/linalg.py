@@ -39,7 +39,10 @@ the generated changes, ``apply_change``, the derived span, the central
 series, the right multiplications of the characteristic sequence, the
 gradation and the right annihilator.  The central series keeps reduced
 integer rows and builds ``Vec``s from them on demand.  The polynomial
-code below is separate.
+code below is separate: ``PolyQ`` is its public type, and ``poly_gcd``
+and ``rational_roots`` work on integer coefficient lists (primitive
+pseudo-remainders, and root tests by homogenised Horner), as the
+equivalence search does.
 """
 
 from __future__ import annotations
@@ -620,49 +623,109 @@ class PolyQ:
         return PolyQ(tuple(c / lead for c in self.coeffs))
 
 
+def _int_poly(p: PolyQ) -> list:
+    """p times the lcm of its denominators, as a list of ints."""
+    mult = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (mult // c.denominator) for c in p.coeffs]
+
+
+def _primitive(ints: list) -> list:
+    """An integer polynomial divided by its content, leading coefficient
+    positive; the zero polynomial [] stays []."""
+    content = gcd(*ints)
+    if ints and ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints] if content not in (0, 1) else ints
+
+
+def _trimmed(ints: list) -> list:
+    """An integer polynomial without its trailing zeros, in place."""
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two integer polynomials (lists of ints, lowest
+    degree first, no trailing zero), by primitive pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        lead, rem = b[-1], a
+        while len(rem) >= len(b):       # rem <- lead*rem - c*t^shift*b
+            c, shift = rem[-1], len(rem) - len(b)
+            rem = [lead * x for x in rem]
+            for j, y in enumerate(b):
+                rem[shift + j] -= c * y
+            _trimmed(rem)
+        a, b = b, _primitive(rem)
+    return a
+
+
+def _int_poly_dot(pairs) -> list:
+    """The sum of the products a*b over the pairs (a, b) of integer
+    polynomials, without trailing zeros."""
+    out = []
+    for a, b in pairs:
+        out += [0] * (len(a) + len(b) - 1 - len(out))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trimmed(out)
+
+
+def _homogeneous(ints: list, a: int, b: int, degree: int) -> int:
+    """b^degree * p(a/b) for the integer polynomial p, by Horner's rule
+    on the homogenised form; ``degree`` is at least the degree of p."""
+    acc, power = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * power
+        power *= b
+    return acc * b ** (degree + 1 - len(ints))
+
+
 def poly_gcd(p: PolyQ, q: PolyQ) -> PolyQ:
-    """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    """Monic greatest common divisor; gcd(0, 0) is the zero polynomial.
+
+    The gcd is taken on integers: each argument times the lcm of its
+    denominators, then primitive pseudo-remainders (each remainder
+    divided by its content), so no ``Fraction`` arithmetic runs until
+    the primitive gcd is made monic.
+    """
+    g = _int_gcd(_int_poly(p), _int_poly(q))
+    return PolyQ(tuple(Fraction(c, g[-1]) for c in g))
 
 
 def rational_roots(p: PolyQ, bound: int = 0) -> list:
     """All rational roots of p, ascending.
 
     Candidates come from the usual divisor test on the primitive integer
-    form.  With ``bound > 0`` only divisors up to that bound are tried,
-    which keeps the search cheap for huge coefficients; ``bound = 0``
-    means no bound; ``_count`` checks the bound before anything else.
+    form, and each candidate num/den is tested on that form, as
+    sum c_k num^k den^(d-k) = 0, in integers.  With ``bound > 0`` only
+    divisors up to that bound are tried, which keeps the search cheap for
+    huge coefficients; ``bound = 0`` means no bound; ``_count`` checks
+    the bound before anything else.
     """
     _count(bound, "bound", "0 (none) or positive")
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(Fraction(0))
-    if len(coeffs) > 1:
-        mult = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * mult) for c in coeffs]
-        lead, const = abs(ints[-1]), abs(ints[0])
+    ints = _int_poly(p)
+    roots = set() if ints[0] else {Fraction(0)}
+    while not ints[0]:
+        ints.pop(0)
+    if len(ints) > 1:
+        ints = _primitive(ints)
+        degree = len(ints) - 1
 
         def divisors(m):
             top = min(isqrt(m), bound) if bound else isqrt(m)
             return sorted({x for d in range(1, top + 1) if m % d == 0
                            for x in (d, m // d) if not bound or x <= bound})
 
-        poly = PolyQ(tuple(coeffs))
-        for num in divisors(const):
-            for den in divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand not in roots and poly(cand) == 0:
-                        roots.add(cand)
+        for num in divisors(abs(ints[0])):
+            for den in divisors(ints[-1]):
+                for a in (num, -num):
+                    if not _homogeneous(ints, a, den, degree):
+                        roots.add(Fraction(a, den))
     return sorted(roots)
 
 

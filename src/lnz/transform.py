@@ -28,7 +28,13 @@ equations in s^2 alone where num and den both vanish.  Its docstring
 says why no other A4 need be tried.  A linear gcd gives its root at any
 height; a gcd of higher degree is searched only for roots with numerator
 and denominator at most 10,000.  The search budget bounds only the
-epsilon = 0 height grid that follows.
+epsilon = 0 height grid that follows.  Everything before the grid runs
+on integers: the equations are integer polynomials in t over one lcm
+of the eight alphas' denominators, each evaluation at t = a/b is a
+homogenised Horner sum, ``poly_gcd`` and ``rational_roots`` work on
+primitive integer forms, and the nullity bits are integer
+cross-multiplications.  Only the candidates (A4, B4), the witness built
+from them and the grid are ``Fraction``s.
 
 ``parse_change`` reads change documents under the header rule of algebra
 documents (``algebra._document``); ``serialize_change`` writes them with
@@ -50,9 +56,10 @@ from .catalog import (FirstTypeParams, SecondTypeParams, build_second_type,
 from .errors import (DimensionMismatch, DocumentError, EpsilonMismatch,
                      IndexOutOfRange, NotNormalForm, RestrictionViolated,
                      SingularChange, ToolkitError)
-from .linalg import (MatrixQ, PolyQ, _combine, _count, _frac, _int_rows,
-                     _inverse_columns, _matrix_of_columns, poly_gcd,
-                     rational_roots)
+from .linalg import (MatrixQ, PolyQ, _combine, _count, _frac, _homogeneous,
+                     _int_poly_dot, _int_rows,
+                     _inverse_columns, _matrix_of_columns, _trimmed,
+                     poly_gcd, rational_roots)
 
 Q = Fraction
 
@@ -444,13 +451,16 @@ def nullity_signature(p) -> NullitySignature:
     with branch "a" (alpha1, alpha2, beta2) or "b" (alpha1, a2, b2).
     """
     if isinstance(p, SecondTypeParams):
-        a1, a2, a3, a4 = p.alphas
+        # each combination is zero exactly when its terms, cross-multiplied
+        # by the denominators alpha_k = n_k/d_k, balance in integers
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
+            (a.numerator, a.denominator) for a in p.alphas)
         bits = [("beta", p.beta == 0),
-                ("alpha1^2-4*alpha3", a1 * a1 - 4 * a3 == 0),
-                ("alpha1*alpha2-2*alpha3", a1 * a2 - 2 * a3 == 0),
-                ("alpha1*alpha2-2*alpha4", a1 * a2 - 2 * a4 == 0)]
+                ("alpha1^2-4*alpha3", n1 * n1 * d3 == 4 * n3 * d1 * d1),
+                ("alpha1*alpha2-2*alpha3", n1 * n2 * d3 == 2 * n3 * d1 * d2),
+                ("alpha1*alpha2-2*alpha4", n1 * n2 * d4 == 2 * n4 * d1 * d2)]
         if p.epsilon == 1:
-            bits.append(("alpha1+2*alpha3", a1 + 2 * a3 == 0))
+            bits.append(("alpha1+2*alpha3", n1 * d3 == -2 * n3 * d1))
         return NullitySignature(f"second-eps{p.epsilon}", tuple(bits))
     if isinstance(p, FirstTypeParams):
         return nullity_signature((p.branch, p.branch_params()))
@@ -531,7 +541,11 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     (A1, A4, B4), which verify.verify_homogeneity checks).
 
     The search has one rule.  With A4 = t and B4 = s, the four matching
-    equations (``_matching_equations``) are polynomials in s over Q[t].
+    equations (``_matching_equations``) are polynomials in s over Z[t]:
+    each is its condition over Q[t] times a power of the lcm of the
+    alphas' denominators.  They, the rule and the cleared equations below
+    are integer coefficient lists, and each value at t = a/b is the
+    integer sum of c_k a^k b^(d-k), divided out only in a candidate.
     ``_s_rule`` reads s = num/den off the first one that is linear in s:
     the pin num = 1 - t, den = 1 for epsilon = 1; else the alpha2
     equation; else the alpha1 one; and num = den = 0 when neither has an
@@ -542,7 +556,9 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
     roots of each equation in s^2 alone; for epsilon = 1 the map pins B4
     itself and the witness keeps B4 = 1.  Only epsilon = 0 then falls
     back on a grid of heights up to ``budget`` (at most 8); anything else
-    is Unknown.  ``linalg._count`` checks the budget first.
+    is Unknown.  ``linalg._count`` checks the budget first.  The
+    candidates, the witness and the grid are ``Fraction``s, and every
+    candidate is checked by the forward map in ``Fraction`` arithmetic.
 
     Why no rational witness is missed before the grid, up to one bound:
     a linear gcd's root is taken at any height, but a gcd of higher
@@ -595,18 +611,28 @@ def decide_equivalence(p: SecondTypeParams, q: SecondTypeParams,
 def _matching_equations(p_alphas, q_alphas) -> list:
     """The four conditions that the change sends p to q, alpha2 first,
     then alpha1, alpha3 and alpha4: each is a polynomial in s whose
-    coefficients are polynomials in t (A1 normalised to 1)."""
-    a1, a2, a3, a4 = p_alphas
-    q1, q2, q3, q4 = q_alphas
-    D = PolyQ.of(1, a1, a3)          # 1 + a1 t + a3 t^2
-    E = PolyQ.of(1, a2)              # 1 + a2 t
-    zero = PolyQ.zero()
+    coefficients are integer polynomials in t (A1 normalised to 1).
+
+    With L the lcm of the eight denominators and A_k = L*alpha_k,
+    Q_k = L*q_k, the first three conditions are multiplied by L^2 and the
+    last by L^3, which changes none of their roots:
+    L*D = L + A1 t + A3 t^2 and L*E = L + A2 t."""
+    scale = lcm(*(x.denominator for x in p_alphas + q_alphas))
+    A1, A2, A3, A4, Q1, Q2, Q3, Q4 = (
+        x.numerator * (scale // x.denominator) for x in p_alphas + q_alphas)
+    D = _trimmed([scale, A1, A3])
+    E = _trimmed([scale, A2])
     return [
-        [E * q2, PolyQ.constant(-a2)],          # q2 E - a2 s
-        [D * q1, -PolyQ.of(a1, 2 * a3)],        # q1 D - (a1 + 2 a3 t) s
-        [D * q3, zero, PolyQ.constant(-a3)],
-        [(E * D) * q4, zero, -PolyQ.of(a4, a2 * a3)],
+        [_scaled(E, Q2), _trimmed([-A2 * scale])],      # q2 E - a2 s
+        [_scaled(D, Q1), _trimmed([-A1 * scale, -2 * A3 * scale])],
+        [_scaled(D, Q3), [], _trimmed([-A3 * scale])],  # q3 D - a3 s^2
+        [_int_poly_dot([(E, _scaled(D, Q4))]), [],
+         _trimmed([-A4 * scale * scale, -A2 * A3 * scale])],
     ]
+
+
+def _scaled(ints: list, c: int) -> list:
+    return _trimmed([c * x for x in ints])
 
 
 def _s_rule(epsilon: int, eqs: list) -> tuple:
@@ -614,41 +640,50 @@ def _s_rule(epsilon: int, eqs: list) -> tuple:
     equation linear in s: the pin for epsilon = 1, else the alpha2 one,
     else the alpha1 one; (0, 0) when neither has an s term."""
     if epsilon:
-        return PolyQ.of(1, -1), PolyQ.constant(1)
+        return [1, -1], [1]
     for c0, c1 in eqs[:2]:
-        if not c1.is_zero():
-            return c0, -c1
-    return PolyQ.zero(), PolyQ.zero()
+        if c1:
+            return c0, [-x for x in c1]
+    return [], []
 
 
-def _cleared_roots(eqs: list, num: PolyQ, den: PolyQ) -> list:
+def _cleared_roots(eqs: list, num: list, den: list) -> list:
     """Rational roots of the gcd of the equations cleared at s = num/den,
     each the sum of c_k num^k den^(d-k) over its nonzero coefficients;
     none when that gcd is constant or every cleared equation is zero.  A
     linear gcd gives its root directly, at any height; a higher-degree
     one is searched for roots with numerator and denominator at most
     10,000."""
-    powers = {1: (den, num), 2: (den * den, num * den, num * num)}
+    powers = {1: (den, num), 2: [_int_poly_dot([pair]) for pair in
+                                 ((den, den), (num, den), (num, num))]}
     g = PolyQ.zero()
     for eq in eqs:
-        cleared = PolyQ.zero()
-        for c, power in zip(eq, powers[len(eq) - 1]):
-            if not c.is_zero():
-                cleared = cleared + c * power
-        g = poly_gcd(g, cleared)
+        cleared = _int_poly_dot(zip(eq, powers[len(eq) - 1]))
+        g = poly_gcd(g, PolyQ(tuple(cleared)))
     if g.degree == 1:
-        return [-g.coeffs[0] / g.coeffs[1]]
+        return [-g.coeffs[0]]               # g is monic
     return rational_roots(g, bound=10000) if g.degree >= 1 else []
 
 
-def _solve_s_at(eqs: list, num: PolyQ, den: PolyQ, t: Fraction) -> list:
+def _solve_s_at(eqs: list, num: list, den: list, t: Fraction) -> list:
     """Nonzero s candidates at t: num(t)/den(t) where den(t) != 0; where
     both vanish, both rational square roots of each equation in s^2 alone
-    (the last two); otherwise none."""
-    n_t, d_t = num(t), den(t)
+    (the last two); otherwise none.  Each ratio p(t)/q(t) is read off
+    p and q homogenised to one degree at t = a/b, in integers."""
+    a, b = t.numerator, t.denominator
+
+    def at(*polys):
+        degree = max(map(len, polys)) - 1
+        return [_homogeneous(p, a, b, degree) for p in polys]
+
+    n_t, d_t = at(num, den)
     if d_t != 0:
-        return [n_t / d_t] if n_t != 0 else []
+        return [Q(n_t, d_t)] if n_t != 0 else []
     if n_t != 0:
         return []                   # no s solves den(t)*s = num(t)
-    roots = [_rational_sqrt(-c0(t) / c2(t)) for c0, _, c2 in eqs[2:] if c2(t)]
+    roots = []
+    for c0, _, c2 in eqs[2:]:
+        v0, v2 = at(c0, c2)
+        if v2:
+            roots.append(_rational_sqrt(Q(-v0, v2)))
     return [x for r in roots if r for x in (r, -r)]
