@@ -617,9 +617,10 @@ def _matching_equations(p_alphas, q_alphas) -> list:
     Q_k = L*q_k, the first three conditions are multiplied by L^2 and the
     last by L^3, which changes none of their roots:
     L*D = L + A1 t + A3 t^2 and L*E = L + A2 t."""
-    scale = lcm(*(x.denominator for x in p_alphas + q_alphas))
+    alphas = p_alphas + q_alphas
+    scale = lcm(*(x.denominator for x in alphas))
     A1, A2, A3, A4, Q1, Q2, Q3, Q4 = (
-        x.numerator * (scale // x.denominator) for x in p_alphas + q_alphas)
+        x.numerator * (scale // x.denominator) for x in alphas)
     D = _trimmed([scale, A1, A3])
     E = _trimmed([scale, A2])
     return [
