@@ -670,6 +670,93 @@ def test_catalog_first_type(capsys):
     assert algebra.coefficient(1, 7, 8) == 2
 
 
+def test_catalog_row_resolution_is_pinned(capsys):
+    # every row id and printed label under both --type values, and every
+    # bare second-type label under --type 2 with --epsilon 0 and 1, at
+    # n = 10 with the row's first sample tuple; each outcome is checked
+    # by its rule, and the sha256 below pins exit code, stdout digest and
+    # stderr of every case in order
+    rows = {row.row_id: row for row in lnz.CATALOG_ROWS}
+    labels = {}
+    for row in rows.values():
+        labels.setdefault(row.family_label, []).append(row.row_id)
+    # a printed label is its own row's id or belongs to no row id at all
+    assert all(ids == [label] or label not in rows
+               for label, ids in labels.items())
+    assert [label for label, ids in labels.items() if len(ids) > 1] == [
+        "0,6", "0,10"]
+    bare = sorted({row.family_label.split(",")[1] for row in rows.values()
+                   if row.kind == "second"}, key=lambda b: (len(b), b))
+    assert bare == [str(b) for b in range(1, 34)]
+
+    def values(row_id):
+        return rows[row_id].sample_grid(lnz.DEFAULT_FREE_SAMPLES)[0]
+
+    def params(row_id):
+        vals = values(row_id)
+        return [f"--params={','.join(map(str, vals))}"] if vals else []
+
+    def built(row_id):
+        return serialize(rows[row_id].build(10, values(row_id)))
+
+    def error(text, code=2):
+        return code, "", f"lnz: error: {text}\n"
+
+    def ambiguous(label, ids):
+        return error(f"label {label!r} is ambiguous; use a row id: "
+                     f"{', '.join(ids)}", 64)
+
+    cases = []
+    for label, ids in labels.items():
+        kind = rows[ids[0]].kind
+        for type_ in ("1", "2"):
+            argv = ["--type", type_, "--family", label]
+            if (type_ == "2") != (kind == "second"):
+                want = error(f"family {label!r} is not type {type_}")
+            elif len(ids) > 1:
+                want = ambiguous(label, ids)
+            else:
+                argv += params(label)
+                want = 0, built(label), ""
+            cases.append((argv, want))
+        for row_id in ids if len(ids) > 1 else ():
+            cases.append((["--type", "2", "--family", row_id]
+                          + params(row_id), (0, built(row_id), "")))
+            cases.append((["--type", "1", "--family", row_id],
+                          error(f"family {row_id!r} is not type 1")))
+    for b in bare + ["6a", "10c", "34"]:
+        for epsilon in "01":
+            argv = ["--type", "2", "--family", b, "--epsilon", epsilon]
+            full = f"{epsilon},{b}"
+            if b in rows:
+                want = error(f"family {b!r} is not type 2")
+            elif len(labels.get(full, ())) > 1:
+                want = ambiguous(b, labels[full])
+            elif full in labels:
+                argv += params(full)
+                want = 0, built(full), ""
+            else:
+                want = error(f"no catalog family {b!r}")
+            cases.append((argv, want))
+    for argv in (["--type", "2", "--family", "2"],
+                 ["--type", "1", "--family", "2", "--epsilon", "0"],
+                 ["--type", "2", "--family", "8,8", "--epsilon", "0"]):
+        cases.append((argv, error(f"no catalog family {argv[3]!r}")))
+    cases.append((["--type", "2", "--family", "0,2", "--epsilon", "1"]
+                  + params("0,2"),
+                  (2, "", "error: row 0,2 has epsilon 0, not 1\n")))
+    assert len(cases) == 2 * len(labels) + 2 * 6 + 2 * 36 + 4 == 184
+
+    digest = hashlib.sha256()
+    for argv, want in cases:
+        code, out, err = run(capsys, "catalog", "--dim", "10", *argv)
+        assert (code, out, err) == want, argv
+        digest.update(json.dumps([argv, code, hashlib.sha256(
+            out.encode()).hexdigest(), err]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "51e08a626c46f9bf341edbe40701a44be27d210b31e8cc6112d36288fbb8355a")
+
+
 # ----------------------------------------------------------------------
 # transform
 
