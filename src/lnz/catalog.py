@@ -239,9 +239,10 @@ class CatalogRow:
 
     def sample_grid(self, free_samples) -> list:
         """All admissible value tuples, finite sets in full, free slots
-        over the given samples minus exclusions."""
+        over each distinct sample, in first-seen order, minus exclusions."""
         if not self.params:
             return [()]
+        free_samples = tuple(dict.fromkeys(free_samples))
         axes = [spec.sample(free_samples) for spec in self.params]
         return [vals for vals in product(*axes) if not self.violations(vals)]
 

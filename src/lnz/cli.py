@@ -23,8 +23,8 @@ from pathlib import Path
 from .algebra import leibniz_residual, parse, parse_fraction, serialize
 from .analysis import (_annihilator_rows, char_sequence_estimate,
                        lower_central_series, natural_gradation)
-from .catalog import (DEFAULT_FREE_SAMPLES, SecondTypeParams,
-                      catalog_index_document, row_by_id, rows_by_label)
+from .catalog import (CATALOG_ROWS, DEFAULT_FREE_SAMPLES, SecondTypeParams,
+                      catalog_index_document)
 from .errors import (DimensionTooSmall, DocumentError, IndexOutOfRange,
                      ParityViolation, ToolkitError, UnknownFamily)
 from .transform import (Distinct, Equivalent, apply_change, decide_equivalence,
@@ -84,16 +84,6 @@ def _emit(text: str, output: str | None):
         raise _UsageError(f"cannot write {output}: {err.strerror}") from err
 
 
-def _seed_value(flag: int) -> int:
-    env = os.environ.get("LNZ_SEED")
-    if env is None:
-        return flag
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"LNZ_SEED must be an integer, got {env!r}")
-
-
 def _csv_fractions(text: str, what: str) -> tuple:
     out = []
     for piece in text.split(","):
@@ -137,7 +127,6 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     algebra = parse(_read(args.file))
-    seed = _seed_value(args.seed)
     if algebra.name:
         print(f"name: {algebra.name}")
     print(f"dim: {algebra.dim}")
@@ -147,7 +136,8 @@ def cmd_analyze(args) -> int:
         print(f"nilindex: {len(series)}")
         grading = natural_gradation(algebra)
         print("gradation dims: " + " ".join(str(d) for d in grading.piece_dims))
-        est = char_sequence_estimate(algebra, budget=args.budget, seed=seed)
+        est = char_sequence_estimate(algebra, budget=args.budget,
+                                     seed=args.seed)
         print(f"characteristic sequence (sampled): {est}")
     else:
         print("nilindex: none (central series stabilizes nonzero)")
@@ -161,19 +151,13 @@ def cmd_analyze(args) -> int:
 
 
 def _resolve_row(args):
+    """``--family`` as a row id or printed label (no id is another row's
+    label), else under ``--type 2 --epsilon E`` as the label ``E,<family>``."""
     label = args.family
-    rows = []
-    try:
-        rows = [row_by_id(label)]
-    except UnknownFamily:
-        try:
-            rows = list(rows_by_label(label))
-        except UnknownFamily:
-            if args.type == 2 and args.epsilon is not None and "," not in label:
-                try:
-                    rows = list(rows_by_label(f"{args.epsilon},{label}"))
-                except UnknownFamily:
-                    rows = []
+    bare = (f"{args.epsilon},{label}" if args.type == 2 and "," not in label
+            and args.epsilon is not None else None)
+    rows = ([r for r in CATALOG_ROWS if label in (r.row_id, r.family_label)]
+            or [r for r in CATALOG_ROWS if r.family_label == bare])
     if not rows:
         raise UnknownFamily(f"no catalog family {label!r}")
     wanted = "second" if args.type == 2 else "first"
@@ -268,7 +252,7 @@ def cmd_verify_all(args) -> int:
     samples = (DEFAULT_FREE_SAMPLES if args.samples is None
                else _csv_fractions(args.samples, "--samples"))
     report = verify_all(dims=dims, samples=samples, budget=args.budget,
-                        seed=_seed_value(args.seed))
+                        seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.report:
         _emit(report.to_json(), args.report)

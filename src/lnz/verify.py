@@ -190,14 +190,19 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
                seed: int = 0, oracle_trials: int = 100) -> Report:
     """Run every check and return the assembled report.
 
-    ``dims`` must all be at least 9; ``samples`` feeds the free parameter
-    slots; ``budget`` is the sampling budget of the characteristic
-    sequence estimates; ``oracle_trials`` scales the randomized oracle
-    and invariance checks.  Deterministic for a fixed seed.
-    ``linalg._count`` checks the budget before any check runs.
+    ``dims`` must all be ints of at least 9; ``samples`` feeds the free
+    parameter slots; ``budget`` is the sampling budget of the
+    characteristic sequence estimates; ``oracle_trials`` scales the
+    randomized oracle and invariance checks.  Deterministic for a fixed
+    seed.  ``linalg._count`` checks the budget, and a dim that is no
+    ``int`` (a ``bool`` included) is a ``TypeError``, before any check runs.
     """
     _count(budget, "budget")
-    dims = tuple(sorted(set(int(n) for n in dims)))
+    dims = tuple(dims)
+    for n in dims:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"each dim must be an int, got {n!r}")
+    dims = tuple(sorted(set(dims)))
     if not dims or min(dims) < 9:
         raise DimensionTooSmall(
             f"verification needs n >= 9 everywhere, got dims {list(dims)}")

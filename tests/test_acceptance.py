@@ -161,9 +161,25 @@ def test_verify_all_rejects_a_negative_budget(monkeypatch):
         verify_all(dims=(9,), budget=-3)
 
 
+@pytest.mark.parametrize("dim", [9.5, "9", True, Fraction(9)],
+                         ids=["float", "str", "bool", "fraction"])
+def test_verify_all_refuses_a_dim_that_is_no_int(monkeypatch, dim):
+    # before any work: the catalog is never enumerated
+    monkeypatch.setattr(lnz.verify, "enumerate_catalog", None)
+    wanted = f"^each dim must be an int, got {re.escape(repr(dim))}$"
+    with pytest.raises(TypeError, match=wanted):
+        verify_all(dims=(10, dim))
+
+
 def test_verify_all_cli_with_one_sample_exits_zero(capsys):
     assert main(["verify-all", "--dims", "9", "--samples", "1"]) == 0
     assert "[PASS   ] catalog-consistency" in capsys.readouterr().out
+
+
+def test_verify_all_cli_counts_a_repeated_sample_once(capsys):
+    assert main(["verify-all", "--dims", "9", "--samples=1,1,2/2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "[PASS   ] catalog-consistency: 33 catalog instances - ")
 
 
 def test_replay_leaving_normal_form_is_a_failure_record(monkeypatch):

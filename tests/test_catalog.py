@@ -273,6 +273,23 @@ def test_enumeration_respects_sample_choice():
         list(enumerate_catalog((9,), free_param_samples=()))
 
 
+def test_repeated_samples_are_used_once():
+    # each distinct value once, in first-seen order, however it is written
+    def instances(samples):
+        return [(inst.row.row_id, inst.values)
+                for inst in enumerate_catalog((9,), samples)]
+
+    once = instances((1,))
+    assert len(once) == 33
+    assert instances((1, 1)) == instances((1, "1", "2/2")) == once
+    assert instances((2, 1, 2, Fraction(4, 2))) == instances((2, 1))
+    assert instances((2, 1)) != instances((1, 2))
+    assert instances(DEFAULT_FREE_SAMPLES * 2) == instances(
+        DEFAULT_FREE_SAMPLES)
+    assert row_by_id("0,7").sample_grid((1, 2, 1, 2)) == [
+        (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 def test_instance_labels():
     inst = next(iter(enumerate_catalog((9,))))
     assert inst.label() == "l(0,1) n=9"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -114,7 +115,6 @@ def test_in_process_calls_match_fresh_processes(capsys, chain_doc,
                                                 monkeypatch):
     # the shared parser carries nothing from one call to the next: each
     # call prints the bytes and exits with the code of a fresh process
-    monkeypatch.delenv("LNZ_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     env = {**os.environ, "PYTHONPATH": str(Path(lnz.__file__).parents[1])}
     doc = str(chain_doc)
@@ -459,11 +459,10 @@ def test_analyze_full_output(capsys, tmp_path):
     assert set(lines[7:]) == {"  e_2", "  e_3", "  e_9"}
 
 
-def test_analyze_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+def test_analyze_bytes_are_pinned(capsys, tmp_path):
     # sha256 over exit code and stdout of the first instance of every row
     # at n = 9, 16 and 32, with the default options and with a budget and
     # a seed
-    monkeypatch.delenv("LNZ_SEED", raising=False)
     doc = tmp_path / "doc.json"
     digest = hashlib.sha256()
     runs = 0
@@ -500,13 +499,11 @@ def random_rational_document(rng):
     return serialize(StructureTensor(n, table))
 
 
-def test_annihilator_and_violation_lines_are_pinned(capsys, tmp_path,
-                                                    monkeypatch):
+def test_annihilator_and_violation_lines_are_pinned(capsys, tmp_path):
     # sha256 over exit code, stdout and stderr of lnz analyze (budget 0)
     # and lnz check on 300 random rational tables: the annihilator lines,
     # with their fractional and negative coefficients, and the violation
     # lines of the tables that are no Leibniz algebras
-    monkeypatch.delenv("LNZ_SEED", raising=False)
     rng = random.Random("cli/annihilator-lines")
     doc = tmp_path / "doc.json"
     digest = hashlib.sha256()
@@ -547,14 +544,29 @@ def test_analyze_refuses_a_series_that_is_no_filtration(capsys, tmp_path):
                    "(e_2) and 2 (e_2) bracket outside it\n")
 
 
-def test_analyze_seed_env(capsys, chain_doc, monkeypatch):
-    monkeypatch.setenv("LNZ_SEED", "5")
-    code, _, _ = run(capsys, "analyze", str(chain_doc), "--budget", "5")
-    assert code == 0
-    monkeypatch.setenv("LNZ_SEED", "weird")
-    code, _, err = run(capsys, "analyze", str(chain_doc), "--budget", "5")
-    assert code == 64
-    assert "LNZ_SEED" in err
+def test_seed_comes_from_the_flag_alone(capsys, tmp_path, monkeypatch):
+    # two null-filiform algebras side by side: at budget 1 the sampled
+    # sequence reads (3, 1, 1, 1) at seed 3 and (3, 3) at seed 5, so a
+    # seed taken from anywhere but --seed shows in the bytes; verify-all's
+    # durations are masked, they vary from run to run
+    doc = tmp_path / "sum.json"
+    doc.write_text(serialize(StructureTensor(6, {
+        (1, 1): ((2, Fraction(1)),), (2, 1): ((3, Fraction(1)),),
+        (4, 4): ((5, Fraction(1)),), (5, 4): ((6, Fraction(1)),)})))
+
+    def runs():
+        analyzed = run(capsys, "analyze", str(doc), "--budget", "1",
+                       "--seed", "3")
+        code, out, err = run(capsys, "verify-all", "--dims", "9")
+        return analyzed, (code, re.sub(r" in \d+\.\ds", " in _s", out), err)
+
+    monkeypatch.delenv("LNZ_SEED", raising=False)
+    unset = runs()
+    assert "characteristic sequence (sampled): (3, 1, 1, 1)\n" in unset[0][1]
+    assert (unset[0][0], unset[1][0]) == (0, 0)
+    for value in ("5", "weird"):
+        monkeypatch.setenv("LNZ_SEED", value)
+        assert runs() == unset, value
 
 
 def test_analyze_rejects_negative_budget(capsys, chain_doc):
