@@ -45,8 +45,8 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   round-0 operation of the sparse_docs and dense_docs workloads of
   ``perfbench/workloads.py`` at seeds 1-3, in a scratch directory whose
   path is masked.
-* ``verify-all``: the text of ``lnz verify-all --dims 9,10``, with every
-  time in seconds masked.
+* ``verify-all``: the text of ``lnz verify-all`` at ``--dims 9,10``,
+  ``9``, ``10`` and ``15,16``, with every time in seconds masked.
 * ``documents``: the exception type and text that ``parse`` and
   ``parse_change`` give on each of ten header faults (``HEADER_FAULTS``),
   then ``serialize_change`` of each round-0 change of the sparse_docs and
@@ -248,8 +248,9 @@ def docs(workloads):
 
 
 def verify_all(workloads):
-    code, out, err = workloads.cli(["verify-all", "--dims", "9,10"])
-    yield [code, SECONDS.sub("<s>", out), SECONDS.sub("<s>", err)]
+    for dims in ("9,10", "9", "10", "15,16"):
+        code, out, err = workloads.cli(["verify-all", "--dims", dims])
+        yield [dims, code, SECONDS.sub("<s>", out), SECONDS.sub("<s>", err)]
 
 
 def documents(lnz, workloads):

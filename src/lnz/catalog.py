@@ -227,8 +227,6 @@ class CatalogRow:
                 problems.append(
                     f"{spec.name} = {v} not admissible for row {self.row_id}: "
                     f"{spec.name} must lie in {spec.describe()}")
-        if slot_uses_inv2(self.slots) and env.get("lambda") == 0:
-            problems.append("lambda = 0 makes the slot 2/lambda undefined")
         if n is not None:
             if n < 9:
                 problems.append(f"dimension {n} below the minimum 9")
@@ -245,10 +243,6 @@ class CatalogRow:
         free_samples = tuple(dict.fromkeys(free_samples))
         axes = [spec.sample(free_samples) for spec in self.params]
         return [vals for vals in product(*axes) if not self.violations(vals)]
-
-
-def slot_uses_inv2(slots) -> bool:
-    return any(s[0] == "inv2" for s in slots)
 
 
 def _C(c) -> tuple:
@@ -468,16 +462,15 @@ def find_second_type_row(params: SecondTypeParams):
 
 def _solve_row_values(row: CatalogRow, targets: tuple):
     # each parameter's value is read off its first "mul" slot
-    env = {spec.name: next(target / slot[1]
-                           for slot, target in zip(row.slots, targets)
-                           if slot[0] == "mul" and slot[2] == spec.name)
-           for spec in row.params}
-    if slot_uses_inv2(row.slots) and env.get("lambda") == 0:
+    values = tuple(next(target / slot[1]
+                        for slot, target in zip(row.slots, targets)
+                        if slot[0] == "mul" and slot[2] == spec.name)
+                   for spec in row.params)
+    try:
+        solved = row.slot_values(values) == tuple(targets)
+    except ZeroDivisionError:   # lambda = 0 in row 1,27's slot 2/lambda
         return None
-    values = tuple(env[spec.name] for spec in row.params)
-    if row.slot_values(values) != tuple(targets):
-        return None
-    return values
+    return values if solved else None
 
 
 def _type1_cells(n: int, branch: str, *params) -> tuple:

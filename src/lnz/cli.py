@@ -5,6 +5,11 @@ verdict, 2 for inadmissible parameters, 3 for an Unknown equivalence
 verdict, 64 for usage errors, 65 for malformed documents, 141 (128 +
 SIGPIPE) when the reader of standard output goes away, as in ``| head``.
 
+``--budget`` belongs to ``analyze`` (the sample count of the
+characteristic sequence) and ``equiv`` (the height bound of the witness
+grid).  ``verify-all`` has none: e_1 certifies the estimate on every
+catalog row before any sample is drawn.
+
 ``main(argv)`` may be called any number of times in one process; it builds
 the argument parser on the first call and reuses it, and each call parses
 into a fresh namespace.  A shell invocation makes one call, so it runs as
@@ -251,8 +256,7 @@ def cmd_verify_all(args) -> int:
                           f"got {args.dims!r}")
     samples = (DEFAULT_FREE_SAMPLES if args.samples is None
                else _csv_fractions(args.samples, "--samples"))
-    report = verify_all(dims=dims, samples=samples, budget=args.budget,
-                        seed=args.seed)
+    report = verify_all(dims=dims, samples=samples, seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.report:
         _emit(report.to_json(), args.report)
@@ -330,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", default=None,
                    help="comma list of values for free parameters; write "
                         "--samples=-1,2 when the first value is negative")
-    p.add_argument("--budget", type=_budget, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the structured report here")
     p.set_defaults(func=cmd_verify_all)

@@ -32,7 +32,7 @@ from .catalog import (CATALOG_ROWS, DEFAULT_FREE_SAMPLES, SecondTypeParams,
                       build_type1_branch_b, enumerate_catalog, row_by_id)
 from .errors import (DimensionTooSmall, NonNilpotent, NotNilpotent,
                      NotNormalForm, RestrictionViolated)
-from .linalg import (MatrixQ, _count, block_diag, invert, jordan_block,
+from .linalg import (MatrixQ, block_diag, invert, jordan_block,
                      nilpotent_block_sizes, rank, rref)
 from .transform import (Distinct, Equivalent, GradedChange2, apply_change,
                         completed_first_type_change,
@@ -186,18 +186,15 @@ def _expected_gradation(n: int) -> tuple:
     return (2, 2, 2) + (1,) * (n - 6)
 
 
-def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
-               seed: int = 0, oracle_trials: int = 100) -> Report:
+def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, seed: int = 0,
+               oracle_trials: int = 100) -> Report:
     """Run every check and return the assembled report.
 
     ``dims`` must all be ints of at least 9; ``samples`` feeds the free
-    parameter slots; ``budget`` is the sampling budget of the
-    characteristic sequence estimates; ``oracle_trials`` scales the
-    randomized oracle and invariance checks.  Deterministic for a fixed
-    seed.  ``linalg._count`` checks the budget, and a dim that is no
-    ``int`` (a ``bool`` included) is a ``TypeError``, before any check runs.
+    parameter slots; ``oracle_trials`` scales the randomized oracle and
+    invariance checks.  Deterministic for a fixed seed.  A dim that is no
+    ``int`` (a ``bool`` included) is a ``TypeError`` before any check runs.
     """
-    _count(budget, "budget")
     dims = tuple(dims)
     for n in dims:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -207,8 +204,7 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
         raise DimensionTooSmall(
             f"verification needs n >= 9 everywhere, got dims {list(dims)}")
     report = Report()
-    _check_instances(report, enumerate_catalog(dims, samples), samples,
-                     budget, seed)
+    _check_instances(report, enumerate_catalog(dims, samples), samples, seed)
     _check_formula_oracle(report, dims, oracle_trials, seed)
     _check_invariance(report, oracle_trials, seed)
     _check_equivalence_spots(report)
@@ -218,10 +214,11 @@ def verify_all(dims=(9, 10), samples=DEFAULT_FREE_SAMPLES, budget: int = 200,
 
 
 def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
-                     budget=200, seed=0):
+                     seed=0):
     """Record the seven checks of catalog instances: catalog-consistency,
-    gradation-dims, char-sequence (C(e_1) everywhere, the sampled estimate
-    on the first instance of each row), nilindex, right-annihilator,
+    gradation-dims, char-sequence (C(e_1) everywhere, the estimate at its
+    defaults on the first instance of each row, which e_1 certifies
+    before any sample is drawn), nilindex, right-annihilator,
     non-lie and small-oracles (the series at the smallest n against
     brute force, up to the first failure).  The 60 s gate sums the
     residual spans alone, the 30 s gate the C(e_1) and estimate spans.
@@ -263,8 +260,7 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
         if inst.row.row_id not in reps:
             reps.add(inst.row.row_id)
             try:
-                est = char_sequence_estimate(tensor, budget=budget,
-                                             seed=seed).parts
+                est = char_sequence_estimate(tensor).parts
             except NotNilpotent:
                 est = "not nilpotent"
             if est != expected:
@@ -306,7 +302,7 @@ def _check_instances(report, instances, samples=DEFAULT_FREE_SAMPLES,
     _conclude(report, "gradation-dims", count, graded[:5],
               "dims (2,2,2,1,...,1) with n-3 pieces everywhere")
     _conclude(report, "char-sequence", f"{count}, {len(reps)} sampled "
-              f"estimates (budget {budget})", (at_e1 + estimated)[:5],
+              "estimates", (at_e1 + estimated)[:5],
               f"(n-3, 3) everywhere in {sequence_s:.1f}s", sequence_s, gate=30)
     _conclude(report, "nilindex", count, nilindex[:5], "term n-3 nonzero and "
               "term n-2 zero everywhere (nilindex n-2)")

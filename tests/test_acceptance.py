@@ -18,7 +18,8 @@ import pytest
 import lnz.analysis
 import lnz.verify
 from lnz import (BasisChange, MatrixQ, SecondTypeParams, StructureTensor,
-                 completed_second_type_change, enumerate_catalog, verify_all)
+                 char_sequence_estimate, completed_second_type_change,
+                 enumerate_catalog, verify_all)
 from lnz.cli import main
 from lnz.verify import (Report, _check_equivalence_spots,
                         _check_formula_oracle, _check_instances,
@@ -100,13 +101,13 @@ def masked_sha256(text: str) -> str:
 def test_report_text_is_pinned(report):
     # every record, its order and its text, apart from the seconds
     assert masked_sha256(report.to_text()) == (
-        "dda86ccd11c802624fd1a5a01bde0ea63bfc6f8eeb41e82316a7c2585f43f42d")
+        "c6988dcd15723d22169f2c29cc7cbc70f98d802cd7ddf331b03886762aabb9c7")
 
 
 def test_verify_all_cli_text_is_pinned(capsys):
     assert main(["verify-all", "--dims", "9"]) == 0
     assert masked_sha256(capsys.readouterr().out) == (
-        "cf1d29a0a515b4a67d635baf8a86c84491dba7716dd442073e0f5f59fe339fcb")
+        "c422dc478bb59b97a312604e02e8fee81625367aec342298864c7232dd57446b")
 
 
 def test_small_oracles_recompute_series_at_smallest_dimension():
@@ -154,11 +155,22 @@ def test_residuals_skip_rows_without_an_admissible_sample():
     assert "admissible" not in report.record("catalog-consistency").detail
 
 
-def test_verify_all_rejects_a_negative_budget(monkeypatch):
+def test_verify_all_takes_no_budget(monkeypatch):
     # before any work: the catalog is never enumerated
     monkeypatch.setattr(lnz.verify, "enumerate_catalog", None)
-    with pytest.raises(ValueError, match=r"^budget must be 0 or more, got -3$"):
-        verify_all(dims=(9,), budget=-3)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'budget'"):
+        verify_all(dims=(9,), budget=1)
+
+
+def test_e1_certifies_every_catalog_estimate():
+    # why the battery needs no budget: the estimate stops at e_1, before
+    # any sample is drawn, so neither budget nor seed can move it
+    for inst in enumerate_catalog((9, 10)):
+        at_zero = char_sequence_estimate(inst.tensor, budget=0)
+        assert at_zero.parts == (inst.n - 3, 3), inst.label()
+        for seed in (0, 7):
+            assert char_sequence_estimate(inst.tensor, budget=200,
+                                          seed=seed) == at_zero, inst.label()
 
 
 @pytest.mark.parametrize("dim", [9.5, "9", True, Fraction(9)],
@@ -350,7 +362,7 @@ def test_failure_report_text_is_pinned(monkeypatch):
     report = verify_all(dims=(9,), oracle_trials=1)
     assert [r.name for r in report.records] == list(CRITERIA + FLAGGED)
     assert masked_sha256(report.to_text()) == (
-        "42f31b1905bfdf4dc86cef9909b19a92a164ffa1f2f3cd174e73927f7f3d12d6")
+        "8c9eaffbafc6ef82fb5c7bc4dc82b7c93b22d478c3c916d7d4d026c42e558cc0")
 
 
 def test_verify_all_report_in_process(tmp_path, capsys):

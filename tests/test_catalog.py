@@ -101,6 +101,11 @@ def test_find_row_round_trips_all_samples():
             assert found_row.beta == row.beta
 
 
+def test_find_row_skips_lambda_zero_under_a_2_over_lambda_slot():
+    # the tuple reads lambda = 0 off row 1,27, whose first slot is 2/lambda
+    assert find_second_type_row(SecondTypeParams(1, (0, 0, 1, 0), -1)) is None
+
+
 def test_find_row_specific_ids():
     assert find_second_type_row(
         SecondTypeParams(0, (0, 0, 0, 0), 0))[0].row_id == "0,1"
@@ -176,7 +181,9 @@ def test_row_build_refuses_what_violations_rejects():
     with pytest.raises(InadmissibleParams, match=r"^lambda = 1 not admissible "
                        r"for row 0,9"):
         row_by_id("0,9").build(9, (1,))
-    with pytest.raises(InadmissibleParams, match="2/lambda undefined"):
+    with pytest.raises(InadmissibleParams, match=r"^lambda = 0 not admissible "
+                       r"for row 1,27: lambda must lie in any rational "
+                       r"except -1, 0, 1$"):
         row_by_id("1,27").build(10, (0, 1))
     built = 0
     for inst in enumerate_catalog((9, 10)):
@@ -330,7 +337,7 @@ def test_violation_texts_are_pinned():
                 count += 1
     assert count == 1338
     assert digest.hexdigest() == (
-        "e8450e4fbcf1b6b2d2b655597e41bbe01160d5aef923a8ea991d6a240b046ad3")
+        "61b2364227cac4e8b1a47697a5eab54ac61b673060ebc19e8ad2ef33b8dd4580")
 
 
 # ----------------------------------------------------------------------

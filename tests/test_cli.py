@@ -667,6 +667,15 @@ def test_catalog_inadmissible_parameter(capsys):
     assert "must lie in" in err
 
 
+def test_catalog_reports_lambda_zero_under_2_over_lambda_once(capsys):
+    # row 1,27's ParamSpec excludes 0, which is the one reason 2/lambda fails
+    code, out, err = run(capsys, "catalog", "--type", "2", "--family", "1,27",
+                         "--dim", "10", "--params", "0,1")
+    assert (code, out) == (2, "")
+    assert err == ("error: lambda = 0 not admissible for row 1,27: lambda "
+                   "must lie in any rational except -1, 0, 1\n")
+
+
 def test_catalog_parity_check(capsys):
     code, _, err = run(capsys, "catalog", "--type", "2", "--family", "1,2",
                        "--dim", "9", "--params", "0")
@@ -1003,8 +1012,9 @@ def test_verify_all_rejects_bad_dims_list(capsys):
     assert code == 64
 
 
-def test_verify_all_rejects_negative_budget(capsys):
-    code, out, err = run(capsys, "verify-all", "--dims", "9", "--budget", "-1")
+def test_verify_all_takes_no_budget_flag(capsys):
+    # e_1 certifies every catalog estimate, so the battery has no budget
+    code, out, err = run(capsys, "verify-all", "--dims", "9", "--budget", "1")
     assert code == 64
     assert out == ""
-    assert "argument --budget: must be at least 0, got -1" in err
+    assert err.endswith("lnz: error: unrecognized arguments: --budget 1\n")

@@ -11,7 +11,7 @@ from lnz import (BasisChange, EchelonSpan, FirstTypeParams, GradedChange2,
                  block_diag, build_second_type, char_sequence_estimate,
                  decide_equivalence, invert, jordan_block, kernel_basis,
                  nilpotent_block_sizes, poly_gcd, rank, rational_roots,
-                 resultant, right_mul_matrix, rref, verify_all)
+                 resultant, right_mul_matrix, rref)
 
 
 def rand_matrix(rng, r, c, den=3):
@@ -537,8 +537,6 @@ BUDGETED = {
                                      SecondTypeParams(0, (2, 0, 0, 4), -1),
                                      budget=v),
         "transform", "nullity_signature", "budget must be 0 or more"),
-    "verify_all": (lambda v: verify_all(dims=(9,), budget=v),
-                   "verify", "enumerate_catalog", "budget must be 0 or more"),
     "rational_roots": (lambda v: rational_roots(PolyQ.zero(), bound=v),
                        None, None, "bound must be 0 (none) or positive"),
 }
