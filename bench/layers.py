@@ -6,12 +6,17 @@ Run from the repository root, naming each source tree to measure:
 
 Each tree is timed in its own interpreter, which imports lnz from that
 tree alone; with several trees the rounds alternate between them, the
-first tree of a round rotating.  A round times nine layers: ``parse``
+first tree of a round rotating.  A round times eleven layers: ``parse``
 of the document, ``lower_central_series``, ``char_sequence_at(e_1)``,
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
 ``gradation_views`` (``natural_gradation``, then a read of its
-``sections`` and ``algebra``), ``leibniz_residual``, ``right_annihilator``
-and ``apply_change`` by the completed graded change (2, 1, 3).  They run on catalog row 1,2 (second
+``sections`` and ``algebra``), ``leibniz_residual``, ``right_annihilator``,
+``apply_change`` by the completed graded change (2, 1, 3), ``bracket``
+(every row of each central series term bracketed with each basis vector
+and tested for zero, as ``verify``'s brute-force series does) and
+``matmul`` (the change's matrix times its inverse: the completed graded
+change on the normal form, the dense change below on the dense one).
+They run on catalog row 1,2 (second
 type, epsilon = 1, lambda = 1) at each even size, and on row 0,2
 (epsilon = 0, lambda = 1) at each odd size, since row 1,2 needs even n;
 each as the normal form and after the dense unimodular change M0 * P
@@ -20,9 +25,11 @@ alternating signs), where no Jordan chain of R_(e_1) runs through the
 basis: there the central series is certified
 off the echelons of the powers of R_(e_1), and the Jordan block sizes
 take the power loop.  Every
-timed call but ``parse`` gets a tensor parsed afresh from its document
-before the clock starts, so no call shares a series or integer cells with
-another, and runs with the garbage collector off, as in ``timeit``.
+timed call but ``parse`` and ``matmul`` gets a tensor parsed afresh from
+its document before the clock starts (``bracket`` gets its series rows
+and basis vectors, built before the clock as well), so no call shares a
+series, integer cells or a vector's support with another, and runs with
+the garbage collector off, as in ``timeit``.
 Where ``parse`` hands the tensor its integer cells (``BENCH_32.json``
 on), the other layers do not time building them.  Each layer, form and
 size first makes one untimed call.
@@ -59,7 +66,8 @@ from time import perf_counter
 
 LAYERS = ("parse", "lower_central_series", "char_sequence_at",
           "char_sequence_estimate", "natural_gradation", "gradation_views",
-          "leibniz_residual", "right_annihilator", "apply_change")
+          "leibniz_residual", "right_annihilator", "apply_change", "bracket",
+          "matmul")
 FORMS = ("normal", "dense")
 ROWS = (("1,2", 1), ("0,2", 1))     # (row, lambda) at even and at odd n
 EQUIV = ((0, 1), (1, 6))            # (epsilon, budget) of decide_equivalence
@@ -79,6 +87,23 @@ def gradation_views(lnz, tensor):
     """The gradation with both of its views read."""
     grading = lnz.natural_gradation(tensor)
     return grading.sections, grading.algebra
+
+
+def series_operands(lnz, tensor) -> tuple:
+    """The tensor, every row of each of its series terms and the basis, as
+    the brute-force series of ``verify`` brackets them."""
+    n = tensor.dim
+    return (tensor, [v for term in lnz.lower_central_series(tensor).terms
+                     for v in term],
+            [lnz.Vec.basis(n, i) for i in range(1, n + 1)])
+
+
+def bracket_rows(lnz, tensor, rows, basis) -> None:
+    """[v, e_j] of every row v with every basis vector, each tested for
+    zero."""
+    for x in rows:
+        for y in basis:
+            lnz.bracket(tensor, x, y).is_zero()
 
 
 def equivalence_pairs(lnz, epsilon: int) -> list:
@@ -140,15 +165,24 @@ def measure(src: str, sizes, repeats: int) -> dict:
             "leibniz_residual": lnz.leibniz_residual,
             "right_annihilator": lnz.right_annihilator,
             "apply_change": lambda t: lnz.apply_change(t, change),
+            "bracket": lambda operands: bracket_rows(lnz, *operands),
+            "matmul": lambda factors: factors[0] @ factors[1],
         }
+        dense = dense_change(lnz, n)
         documents = {"normal": lnz.serialize(normal),
-                     "dense": lnz.serialize(lnz.apply_change(
-                         normal, dense_change(lnz, n)))}
-        for form, text in documents.items():
+                     "dense": lnz.serialize(lnz.apply_change(normal, dense))}
+        factors = {"normal": (change.matrix, change.inverse),
+                   "dense": (dense.matrix, dense.inverse)}
+        inputs = {"parse": lambda form: documents[form],
+                  "bracket": lambda form: series_operands(
+                      lnz, lnz.parse(documents[form])),
+                  "matmul": lambda form: factors[form]}
+        for form in documents:
             for layer in LAYERS:
                 spent = times.setdefault(f"{layer}/{form}/{n}", [])
                 for call in range(1 + repeats):     # call 0 warms up
-                    arg = text if layer == "parse" else lnz.parse(text)
+                    arg = (inputs[layer](form) if layer in inputs
+                           else lnz.parse(documents[form]))
                     gc.disable()
                     start = perf_counter()
                     calls[layer](arg)

@@ -51,6 +51,14 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   ``parse_change`` give on each of ten header faults (``HEADER_FAULTS``),
   then ``serialize_change`` of each round-0 change of the sparse_docs and
   dense_docs workloads at seeds 1-3, and of its ``inverted()``.
+* ``products``: per table of the 914-table set, the coordinates and
+  ``is_zero`` of ``bracket`` of every ordered pair of basis vectors, and
+  of three seeded rational vectors (a basis pair meets one cell, which
+  holds each target once, so only these sum into a target twice); then
+  ``a @ b`` for 3,000 seeded pairs of rational matrices, r x k by k x c
+  with r, k and c in 0..8, at densities 0, 0.2, 0.5 and 1, each entry as
+  its (numerator, denominator), so that an empty sum (k = 0) reads the
+  same as an int 0 or as a ``Fraction``.
 
 The JSON output holds, per item and tree, the number of cases and the
 digest, and names the first item, in the order above, whose digests
@@ -75,7 +83,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS = ("right_annihilator", "cells", "series", "gradation", "residual",
          "kernel_basis/functionals", "kernel_basis/random", "build", "names",
-         "equiv", "docs", "verify-all", "documents")
+         "equiv", "docs", "verify-all", "documents", "products")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 # a list, a string, five bad dims, an unknown key, an integer over the
 # default digit limit (4,300), deep nesting and truncated JSON
@@ -146,6 +154,28 @@ def random_matrices(lnz):
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             if rng.random() < density else Fraction(0)
             for _ in range(r * c)))
+
+
+def products(lnz, table_set):
+    rng = random.Random("same/products")
+    for tensor in table_set:
+        n = tensor.dim
+        vecs = [lnz.Vec.basis(n, i) for i in range(1, n + 1)]
+        mixed = [lnz.Vec(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                               for _ in range(n))) for _ in range(3)]
+        yield [(w.coords, w.is_zero())
+               for xs in (vecs, mixed) for x in xs for y in xs
+               for w in (lnz.bracket(tensor, x, y),)]
+    for _ in range(3000):
+        r, k, c = (rng.randint(0, 8) for _ in range(3))
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        a, b = (lnz.MatrixQ(rows, cols, tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if rng.random() < density else Fraction(0)
+            for _ in range(rows * cols))) for rows, cols in ((r, k), (k, c)))
+        product = a @ b
+        yield (product.rows, product.cols,
+               [(x.numerator, x.denominator) for x in product.entries])
 
 
 def outcome(lnz, make):
@@ -298,6 +328,7 @@ def digests(src: str) -> dict:
         "docs": docs(workloads),
         "verify-all": verify_all(workloads),
         "documents": documents(lnz, workloads),
+        "products": products(lnz, table_set),
     }
     out = {}
     for item in ITEMS:

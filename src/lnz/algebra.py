@@ -9,7 +9,10 @@ algebra is one whose residual
 
 vanishes for every triple.  ``leibniz_residual`` tests all left indices
 i of a pair (j, k) at once, with one sum of packed ints, and reads the
-two double brackets of a pair once for (j, k) and (k, j).
+two double brackets of a pair once for (j, k) and (k, j).  ``bracket``
+reads the ``Fraction`` table alone, over the supports its ``Vec``s keep,
+so the brute-force oracles built on it share nothing with the integer
+cells below.
 
 Algebras travel as JSON documents.  The canonical serialised form sorts
 table entries by (i, j), terms by target index, and writes coefficients as
@@ -33,6 +36,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (DimensionMismatch, DocumentError, DuplicateEntry,
@@ -44,12 +48,18 @@ _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")   # numerator, denom
 
 @dataclass(frozen=True)
 class Vec:
-    """Vector in the algebra's coordinate space, components over Q."""
+    """Vector in the algebra's coordinate space, components over Q.
+    ``support``, its nonzero ``(k, value)`` pairs (k 1-based, ascending),
+    is read off ``coords`` once and kept; equality and hashing ignore it."""
 
     coords: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_frac(x) for x in self.coords))
+
+    @cached_property
+    def support(self) -> tuple:
+        return tuple((k, x) for k, x in enumerate(self.coords, 1) if x)
 
     @staticmethod
     def basis(n: int, i: int) -> "Vec":
@@ -69,7 +79,7 @@ class Vec:
         return self.coords[k - 1]
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.support
 
     def __iter__(self):
         return iter(self.coords)
@@ -100,10 +110,13 @@ class Vec:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _vec(coords: tuple) -> Vec:
-    """A Vec of a tuple of ``Fraction``s, taken as it is."""
+def _vec(coords: tuple, support: tuple | None = None) -> Vec:
+    """A Vec of a tuple of ``Fraction``s, taken as it is, with its support
+    when the caller has it."""
     vec = object.__new__(Vec)
-    object.__setattr__(vec, "coords", coords)
+    vec.__dict__["coords"] = coords
+    if support is not None:
+        vec.__dict__["support"] = support
     return vec
 
 
@@ -186,22 +199,25 @@ def _tensor(dim: int, table: dict, name: str | None) -> StructureTensor:
 
 
 def bracket(algebra: StructureTensor, x: Vec, y: Vec) -> Vec:
-    """The product [x, y], extended bilinearly from the table."""
+    """The product [x, y], extended bilinearly from the table over the
+    pairs of the supports of x and y; the result keeps its support."""
     n = algebra.dim
     if x.dim != n or y.dim != n:
         raise DimensionMismatch(
             f"vectors of dimension {x.dim}, {y.dim} in an algebra of dimension {n}")
-    out = [Fraction(0)] * n
-    ys = [(j, yj) for j, yj in enumerate(y.coords, 1) if yj]
-    for i, xi in enumerate(x.coords, 1):
-        if xi:
-            for j, yj in ys:
-                terms = algebra.table.get((i, j))
-                if terms:
-                    c = xi * yj
-                    for k, v in terms:
-                        out[k - 1] += c * v
-    return _vec(tuple(out))
+    table, ys, out = algebra.table, y.support, {}
+    for i, xi in x.support:
+        for j, yj in ys:
+            terms = table.get((i, j))
+            if terms:
+                c = xi * yj
+                for k, v in terms:
+                    out[k] = out[k] + c * v if k in out else c * v
+    support = tuple(sorted((k, v) for k, v in out.items() if v))
+    coords = [_ZERO] * n
+    for k, v in support:
+        coords[k - 1] = v
+    return _vec(tuple(coords), support)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,11 @@ class CatalogRow:
         return tuple(_eval_slot(s, env) for s in self.slots)
 
     def make_params(self, values: Sequence = ()):
-        """The parameter object this row denotes at the given values."""
+        """The parameter object this row denotes at the given values;
+        values that ``violations`` rejects raise InadmissibleParams with
+        its text, before any slot is evaluated."""
+        if problems := self.violations(values):
+            raise InadmissibleParams("; ".join(problems))
         filled = self.slot_values(values)
         if self.kind == "second":
             return SecondTypeParams(self.epsilon, filled, self.beta)
@@ -199,10 +203,7 @@ class CatalogRow:
 
     def build(self, n: int, values: Sequence = ()) -> StructureTensor:
         """The algebra this row denotes at dimension n and the values, named
-        by ``label``; values that ``violations`` rejects raise
-        InadmissibleParams with its text."""
-        if problems := self.violations(values):
-            raise InadmissibleParams("; ".join(problems))
+        by ``label``; the values are checked once, by ``make_params``."""
         params = self.make_params(values)
         cells = (_second_type_cells(n, params) if self.kind == "second" else
                  _type1_cells(n, params.branch, *params.branch_params())[0])

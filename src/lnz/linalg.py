@@ -32,6 +32,8 @@ columns.  ``_inverse_columns`` reduces [M^T | I] to the columns of M^-1
 as integer rows over one scale, which ``invert`` views as a ``MatrixQ``
 and ``BasisChange`` keeps.
 ``_combine``, beside the kernel, is the one sparse row-times-rows product.
+``MatrixQ @`` multiplies the ``_int_rows`` of its rows and columns, one
+``Fraction`` per entry, and calls nothing of the kernel.
 Above the kernel, one integer layout of the structure table, the cells by
 left index (``algebra._integer_cells``), and one product of an integer
 row with the basis (``algebra._times_basis``) serve the Leibniz residual,
@@ -135,24 +137,24 @@ class MatrixQ:
                              for c in range(self.cols) for r in range(self.rows)))
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
+        """The product: the rows of self and the columns of other as integer
+        rows over one scale each (``_int_rows``), one ``Fraction`` per entry."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self.row_list(), other.row_list()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return MatrixQ(self.rows, other.cols, tuple(out))
+        sa, a = _int_rows(self.row(r) for r in range(self.rows))
+        sb, b = _int_rows(other.column(c) for c in range(other.cols))
+        scale = sa * sb
+        return MatrixQ(self.rows, other.cols, tuple(
+            Fraction(sum([x * col[k] for k, x in row.items() if k in col]), scale)
+            for row in a for col in b))
 
     def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
+        """Matrix times column vector, returned as a tuple: the product
+        with the vector as a one-column matrix."""
         if len(vector) != self.cols:
             raise DimensionMismatch(f"vector of length {len(vector)} vs {self.cols} columns")
-        vec = [_frac(x) for x in vector]
-        return tuple(sum(x * v for x, v in zip(self.row(r), vec))
-                     for r in range(self.rows))
+        return (self @ MatrixQ(self.cols, 1, tuple(map(_frac, vector)))).entries
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)

@@ -10,6 +10,7 @@ from lnz import (
     CATALOG_ROWS,
     DEFAULT_FREE_SAMPLES,
     CatalogInstance,
+    CatalogRow,
     DimensionTooSmall,
     FirstTypeParams,
     InadmissibleParams,
@@ -191,6 +192,37 @@ def test_row_build_refuses_what_violations_rejects():
         built += 1
     assert built == 439
 
+
+
+@pytest.mark.parametrize("values", [(0, 1), (1, 1), (-1, "1/3"), (2,)])
+def test_make_params_refuses_what_violations_rejects(values):
+    # lambda = 0 would divide by zero in row 1,27's slot 2/lambda, lambda
+    # = 1 and -1 are excluded, and the row takes two values; each raises
+    # with the text of violations
+    row = row_by_id("1,27")
+    problems = row.violations(values)
+    assert problems
+    with pytest.raises(InadmissibleParams) as info:
+        row.make_params(values)
+    assert str(info.value) == "; ".join(problems)
+
+
+def test_build_checks_its_values_once(monkeypatch):
+    calls = []
+    violations = CatalogRow.violations
+
+    def spy(row, *args):
+        calls.append(row.row_id)
+        return violations(row, *args)
+    monkeypatch.setattr(CatalogRow, "violations", spy)
+    row_by_id("0,2").build(9, (1,))
+    row_by_id("34").build(9, (2,))
+    row_by_id("1,27").make_params((2, 1))
+    assert calls == ["0,2", "34", "1,27"]
+    with pytest.raises(InadmissibleParams, match=r"^lambda = 0 not admissible "
+                       r"for row 1,27"):
+        row_by_id("1,27").build(10, (0, 1))
+    assert calls == ["0,2", "34", "1,27", "1,27"]
 
 def test_first_type_is_leibniz_at_all_samples():
     for fam in (34, 35, 36, 37, 38, 39, 40, 41):

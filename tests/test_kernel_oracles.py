@@ -28,6 +28,11 @@ the matrix whose columns they are, on catalog instances at n = 9 to 32,
 moved and unmoved, and on random strictly triangular tables.  Where a
 section product has a coordinate below its degree, the central series is
 no filtration and the gradation must refuse with ``NotFiltered``.
+The oracles' own primitives have references here too: a triple loop
+over the ``Fraction`` table checks ``bracket`` and the support of the
+``Vec`` it returns, and a ``Fraction`` triple loop checks ``MatrixQ @``.
+The brute-force series and block sizes of ``verify`` must still run with
+the fast path's primitives made to raise.
 """
 
 import pickle
@@ -37,7 +42,8 @@ from math import gcd
 
 import pytest
 
-from lnz import (BasisChange, ElementInDerivedSubalgebra, Gradation,
+from lnz import (BasisChange, DimensionMismatch,
+                 ElementInDerivedSubalgebra, Gradation,
                  GradedChange2,
                  MatrixQ, NonNilpotent, NotFiltered, NotNilpotent, PolyQ,
                  SingularChange, StructureTensor, Vec, apply_change,
@@ -53,7 +59,7 @@ from lnz import (BasisChange, ElementInDerivedSubalgebra, Gradation,
 from lnz import analysis, linalg, transform
 from lnz.algebra import _integer_cells
 from lnz.linalg import _eliminate
-from lnz.verify import _naive_series_dims
+from lnz.verify import _brute_block_sizes, _naive_series_dims
 from test_linalg import gauss_jordan_kernel
 
 
@@ -1194,7 +1200,7 @@ def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
         loops.append(1)
         return per_term(*args)
     monkeypatch.setattr(analysis, "_series_by_terms", spy)
-    forms = [("0,2", (1,), 9), ("1,2", (2,), 10), ("1,2", (2,), 16)] \
+    forms = [("0,2", (1,), 9), ("1,2", (1,), 10), ("1,2", (1,), 16)] \
         + [("34", (1,), n) for n in (9, 10, 16)]
     certified = 0
     for row_id, values, n in forms:
@@ -1218,3 +1224,158 @@ def test_series_of_permuted_catalog_forms_runs_the_per_term_loop(
             assert [len(term) for term in rows] \
                 == _naive_series_dims(algebra)
     assert len(loops) == len(forms) - certified and certified == 2
+
+
+def ref_bracket(algebra, x, y):
+    """[x, y] by the triple loop over the ``Fraction`` table: every left
+    index, right index and target, zeros included."""
+    n = algebra.dim
+    out = [Fraction(0)] * n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                out[k - 1] += (x.coords[i - 1] * y.coords[j - 1]
+                               * algebra.coefficient(i, j, k))
+    return tuple(out)
+
+
+def random_vec(rng, n):
+    density = rng.choice((0.0, 0.3, 1.0))
+    return Vec(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                     if rng.random() < density else 0 for _ in range(n)))
+
+
+def check_bracket(algebra, x, y):
+    got = bracket(algebra, x, y)
+    want = ref_bracket(algebra, x, y)
+    assert got.coords == want
+    assert got.support == tuple((k, v) for k, v in enumerate(want, 1) if v)
+    assert got.is_zero() == (not any(want))
+    return got
+
+
+def test_bracket_matches_the_triple_loop_on_random_tables():
+    rng = random.Random(4001)
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        algebra = random_rational_table(rng, n, triangular=rng.random() < 0.5)
+        zero = Vec((0,) * n)
+        x, y = random_vec(rng, n), random_vec(rng, n)
+        for left, right in ((x, y), (y, x), (x, x), (zero, y), (x, zero)):
+            check_bracket(algebra, left, right)
+        # the same Vecs again, and a product (which comes with its
+        # support) fed back in on either side
+        product = check_bracket(algebra, x, y)
+        check_bracket(algebra, product, x)
+        check_bracket(algebra, y, product)
+        check_bracket(algebra, x, y)
+
+
+def test_bracket_support_leaves_out_cancelled_targets():
+    # [e_1, e_1] = e_3 + e_4 and [e_2, e_1] = -e_3 + 2 e_4: with x = e_1 + e_2
+    # target 3 cancels, and with x = 2 e_1 - e_2 target 4 does
+    algebra = StructureTensor(4, {(1, 1): [(3, 1), (4, 1)],
+                                  (2, 1): [(3, -1), (4, 2)]})
+    e1 = Vec.basis(4, 1)
+    cases = [((1, 1, 0, 0), ((4, Fraction(3)),)),
+             ((2, -1, 0, 0), ((3, Fraction(3)),)),
+             ((0, 0, 1, 1), ())]
+    for coords, support in cases:
+        got = check_bracket(algebra, Vec(coords), e1)
+        assert got.support == support
+    # every target cancels: the product is zero, with an empty support
+    algebra = StructureTensor(3, {(1, 1): [(3, 1)], (2, 1): [(3, -1)]})
+    got = check_bracket(algebra, Vec((1, 1, 0)), Vec.basis(3, 1))
+    assert got.is_zero() and got.support == () and got == Vec((0, 0, 0))
+
+
+def test_vec_is_zero_exactly_when_every_coordinate_is():
+    rng = random.Random(4002)
+    vecs = [Vec(()), Vec((0, 0)), Vec(("0", Fraction(0))), Vec((0, "1/3")),
+            Vec.basis(3, 2), -Vec.basis(3, 2), Vec.basis(3, 2) - Vec.basis(3, 2),
+            Vec((1, -1)) + Vec((-1, 1)), Vec((2, 0, 0)).scale(0)]
+    vecs += [random_vec(rng, rng.randint(1, 6)) for _ in range(60)]
+    for v in vecs:
+        assert v.is_zero() == all(x == 0 for x in v.coords)
+        assert v.support == tuple((k, x) for k, x in enumerate(v.coords, 1)
+                                  if x != 0)
+
+
+def test_vec_with_its_support_read_pickles_and_copies_equal():
+    import copy
+    algebra = StructureTensor(3, {(1, 1): [(2, Fraction(1, 2))],
+                                  (1, 2): [(3, -1)]})
+    read = Vec((1, 0, "2/3"))
+    read.support
+    vecs = [read, Vec.basis(3, 1),
+            bracket(algebra, Vec.basis(3, 1), Vec((1, 1, 0)))]
+    for v in vecs:
+        assert v.support
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                     copy.deepcopy(v)):
+            assert twin == v and hash(twin) == hash(v)
+            assert twin.support == v.support and not twin.is_zero()
+        assert v == Vec(v.coords) and hash(v) == hash(Vec(v.coords))
+
+
+def ref_matmul(a, b):
+    return tuple(sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+                 for i in range(a.rows) for j in range(b.cols))
+
+
+def test_matmul_matches_the_fraction_triple_loop():
+    rng = random.Random(4003)
+
+    def matrix(r, c, density):
+        return MatrixQ(r, c, tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if rng.random() < density else Fraction(0) for _ in range(r * c)))
+
+    for r in range(7):
+        for k in range(7):
+            for c in range(7):
+                for density in (0, 0.5, 1):
+                    a, b = matrix(r, k, density), matrix(k, c, density)
+                    got = a @ b
+                    assert (got.rows, got.cols) == (r, c)
+                    assert got.entries == ref_matmul(a, b)
+                    assert all(type(x) is Fraction for x in got.entries)
+                    v = [Fraction(rng.randint(-3, 3), 2) for _ in range(k)]
+                    assert a.apply(v) == ref_matmul(a, MatrixQ(k, 1, tuple(v)))
+    a = MatrixQ.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionMismatch, match=r"^cannot multiply 2x3 by 2x3$"):
+        a @ a
+    with pytest.raises(DimensionMismatch,
+                       match=r"^vector of length 2 vs 3 columns$"):
+        a.apply([1, 2])
+
+
+def test_oracles_stay_off_the_fast_path(monkeypatch):
+    # fresh catalog tables at n = 9 and seeded Jordan conjugates, their
+    # expected series dims and partitions found before the fast path's
+    # primitives are made to raise; the brute-force oracles must still
+    # give them, on tables built afresh
+    instances = list(enumerate_catalog((9,)))
+    expected = [list(lower_central_series(inst.tensor).dims)
+                for inst in instances]
+    rng = random.Random(4004)
+    conjugates = []
+    for _ in range(30):
+        partition = random_partition(rng, rng.randint(1, 7))
+        u = unimodular(rng, sum(partition))
+        jordan = block_diag(*[jordan_block(k) for k in partition])
+        conjugates.append((partition, u @ jordan @ invert(u)))
+    from lnz import algebra as algebra_module
+
+    def refuse(*args):
+        raise AssertionError("an oracle reached the fast path")
+    for module, name in ((algebra_module, "_build_cells"),
+                         (algebra_module, "_times_basis"),
+                         (linalg, "_levels"), (linalg, "_chains")):
+        monkeypatch.setattr(module, name, refuse)
+    for inst, dims in zip(instances, expected):
+        assert _naive_series_dims(inst.row.build(9, inst.values)) == dims
+    for partition, conjugate in conjugates:
+        assert _brute_block_sizes(conjugate) == partition
+    with pytest.raises(AssertionError, match="fast path"):
+        lower_central_series(instances[0].row.build(9, instances[0].values))

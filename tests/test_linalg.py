@@ -502,7 +502,8 @@ def test_constructors_take_exact_values_and_refuse_floats(make):
 
 
 #: Kernels handed a ``MatrixQ`` built with its raw constructor, which
-#: stores its entries as they are, or a vector for a span.
+#: stores its entries as they are, or a vector for a span; the product
+#: and ``apply`` refuse a float on either side.
 KERNELS = {
     "rank": lambda v: rank(MatrixQ(1, 2, (v, 1))),
     "invert": lambda v: invert(MatrixQ(2, 2, (v, 1, 1, 0))),
@@ -510,6 +511,9 @@ KERNELS = {
         MatrixQ(2, 2, (v, 0, 1, 0))),
     "EchelonSpan": lambda v: EchelonSpan(2, [[v, 1]]),
     "kernel_basis": lambda v: kernel_basis(MatrixQ(1, 2, (v, 1))),
+    "matmul_left": lambda v: MatrixQ(1, 2, (v, 1)) @ MatrixQ(2, 1, (2, 1)),
+    "matmul_right": lambda v: MatrixQ(1, 1, (2,)) @ MatrixQ(1, 2, (1, v)),
+    "apply": lambda v: MatrixQ(1, 2, (v, 1)).apply([1, 0]),
 }
 
 
