@@ -6,8 +6,9 @@ Run from the repository root, naming each source tree to measure:
 
 Each tree is timed in its own interpreter, which imports lnz from that
 tree alone; with several trees the rounds alternate between them, the
-first tree of a round rotating.  A round times eleven layers: ``parse``
-of the document, ``lower_central_series``, ``char_sequence_at(e_1)``,
+first tree of a round rotating.  A round times twelve layers: ``parse``
+of the document, ``build`` (``CatalogRow.build`` of the row below, on
+the normal form only), ``lower_central_series``, ``char_sequence_at(e_1)``,
 ``char_sequence_estimate`` (budget 200, seed 0), ``natural_gradation``,
 ``gradation_views`` (``natural_gradation``, then a read of its
 ``sections`` and ``algebra``), ``leibniz_residual``, ``right_annihilator``,
@@ -24,17 +25,17 @@ each as the normal form and after the dense unimodular change M0 * P
 alternating signs), where no Jordan chain of R_(e_1) runs through the
 basis: there the central series is certified
 off the echelons of the powers of R_(e_1), and the Jordan block sizes
-take the power loop.  Every
-timed call but ``parse`` and ``matmul`` gets a tensor parsed afresh from
-its document before the clock starts (``bracket`` gets its series rows
-and basis vectors, built before the clock as well), so no call shares a
-series, integer cells or a vector's support with another, and runs with
-the garbage collector off, as in ``timeit``.
+take the power loop.  Every timed call but ``parse``, ``build`` and
+``matmul`` gets a tensor parsed afresh from its document before the clock
+starts (``bracket`` gets its series rows and basis vectors, built before
+the clock as well), so no call shares a series, integer cells or a
+vector's support with another, and runs with the garbage collector off,
+as in ``timeit``.
 Where ``parse`` hands the tensor its integer cells (``BENCH_32.json``
 on), the other layers do not time building them.  Each layer, form and
 size first makes one untimed call.
 
-A tenth layer, ``decide_equivalence``, takes parameter tuples rather
+A last layer, ``decide_equivalence``, takes parameter tuples rather
 than tables: 40 seeded pairs p != q of the second-type catalog sample
 grid whose nullity signatures agree, per epsilon, at budget 1 for
 epsilon = 0, where the height grid adds six candidates (A4 in {-1, 0,
@@ -64,7 +65,7 @@ from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
-LAYERS = ("parse", "lower_central_series", "char_sequence_at",
+LAYERS = ("parse", "build", "lower_central_series", "char_sequence_at",
           "char_sequence_estimate", "natural_gradation", "gradation_views",
           "leibniz_residual", "right_annihilator", "apply_change", "bracket",
           "matmul")
@@ -151,12 +152,14 @@ def measure(src: str, sizes, repeats: int) -> dict:
     times: dict = {}
     for n in sizes:
         row_id, value = ROWS[n % 2]
-        normal = lnz.row_by_id(row_id).build(n, (Fraction(value),))
+        row, values = lnz.row_by_id(row_id), (Fraction(value),)
+        normal = row.build(n, values)
         change = lnz.completed_second_type_change(normal,
                                                   lnz.GradedChange2(2, 1, 3))
         e1 = lnz.Vec.basis(n, 1)
         calls = {
             "parse": lnz.parse,
+            "build": lambda _: row.build(n, values),
             "lower_central_series": lnz.lower_central_series,
             "char_sequence_at": lambda t: lnz.char_sequence_at(t, e1),
             "char_sequence_estimate": lnz.char_sequence_estimate,
@@ -174,11 +177,14 @@ def measure(src: str, sizes, repeats: int) -> dict:
         factors = {"normal": (change.matrix, change.inverse),
                    "dense": (dense.matrix, dense.inverse)}
         inputs = {"parse": lambda form: documents[form],
+                  "build": lambda form: None,
                   "bracket": lambda form: series_operands(
                       lnz, lnz.parse(documents[form])),
                   "matmul": lambda form: factors[form]}
         for form in documents:
             for layer in LAYERS:
+                if form != "normal" and layer == "build":   # no table
+                    continue
                 spent = times.setdefault(f"{layer}/{form}/{n}", [])
                 for call in range(1 + repeats):     # call 0 warms up
                     arg = (inputs[layer](form) if layer in inputs
@@ -271,6 +277,8 @@ def main(argv=None) -> int:
                                 for n in sizes))
     for layer in LAYERS:
         for form in FORMS:
+            if form != "normal" and layer == "build":
+                continue
             cells = "".join(
                 "  " + " ".join(f"{results[name][layer][form][str(n)]['median']:.3f}"
                                 for name in trees) for n in sizes)

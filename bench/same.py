@@ -18,7 +18,8 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   set after a round trip through its document, ``parse(serialize(t))``,
   as ``lnz.algebra._integer_cells`` gives them, order included.
 * ``series``: the rows (each as its sorted (column, value) pairs), dims
-  and ``nilpotent`` of ``lower_central_series`` on that set.
+  and ``nilpotent`` of ``lower_central_series`` on that set, then on
+  every catalog instance at n = 32.
 * ``gradation``: the piece dims, the section coordinates and
   ``serialize`` of the graded algebra of ``natural_gradation`` on that
   set, or the exception type and text it raises.
@@ -59,6 +60,10 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   with r, k and c in 0..8, at densities 0, 0.2, 0.5 and 1, each entry as
   its (numerator, denominator), so that an empty sum (k = 0) reads the
   same as an int 0 or as a ``Fraction``.
+* ``charseq``: ``char_sequence_at(e_1)`` and ``char_sequence_estimate``
+  at its defaults, each as its parts or the exception it raises, on every
+  catalog instance at n = 9, 10, 16 and 32, as the normal form and after
+  ``bench/layers.py``'s dense change M0 * P.
 
 The JSON output holds, per item and tree, the number of cases and the
 digest, and names the first item, in the order above, whose digests
@@ -83,7 +88,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS = ("right_annihilator", "cells", "series", "gradation", "residual",
          "kernel_basis/functionals", "kernel_basis/random", "build", "names",
-         "equiv", "docs", "verify-all", "documents", "products")
+         "equiv", "docs", "verify-all", "documents", "products", "charseq")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 # a list, a string, five bad dims, an unknown key, an integer over the
 # default digit limit (4,300), deep nesting and truncated JSON
@@ -131,6 +136,21 @@ def tables(lnz, workloads, layers):
     for k, inst in enumerate(lnz.enumerate_catalog((16,))):
         if k % 7 == 0:
             yield inst.tensor
+
+
+def char_sequences(lnz, layers, catalog):
+    """C(e_1) and the estimate of each catalog table, as the normal form
+    and after the dense change of its dimension."""
+    dense = {}
+    for normal in catalog:
+        n = normal.dim
+        if n not in dense:
+            dense[n] = layers.dense_change(lnz, n)
+        for tensor in (normal, lnz.apply_change(normal, dense[n])):
+            yield [outcome(lnz, lambda: lnz.char_sequence_at(
+                       tensor, lnz.Vec.basis(n, 1)).parts),
+                   outcome(lnz, lambda: lnz.char_sequence_estimate(
+                       tensor).parts)]
 
 
 def functionals(lnz, tensor):
@@ -309,12 +329,13 @@ def digests(src: str) -> dict:
     import layers
     import workloads
     table_set = list(tables(lnz, workloads, layers))
+    catalog32 = [inst.tensor for inst in lnz.enumerate_catalog((32,))]
     cases = {
         "right_annihilator": ([v.coords for v in lnz.right_annihilator(t)]
                               for t in table_set),
         "cells": (lnz.algebra._integer_cells(lnz.parse(lnz.serialize(t)))
                   for t in table_set),
-        "series": (series(lnz, t) for t in table_set),
+        "series": (series(lnz, t) for t in table_set + catalog32),
         "gradation": (outcome(lnz, lambda: gradation(lnz, t))
                       for t in table_set),
         "residual": (lnz.leibniz_residual(t).violations for t in table_set),
@@ -329,6 +350,9 @@ def digests(src: str) -> dict:
         "verify-all": verify_all(workloads),
         "documents": documents(lnz, workloads),
         "products": products(lnz, table_set),
+        "charseq": char_sequences(lnz, layers, [
+            inst.tensor for inst in lnz.enumerate_catalog((9, 10, 16))]
+            + catalog32),
     }
     out = {}
     for item in ITEMS:

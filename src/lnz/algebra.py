@@ -189,12 +189,15 @@ class StructureTensor:
         return _tensor(self.dim, dict(self.table), name)
 
 
-def _tensor(dim: int, table: dict, name: str | None) -> StructureTensor:
+def _tensor(dim: int, table: dict, name: str | None,
+            cells: tuple | None = None) -> StructureTensor:
     """A StructureTensor of cells already in normal form, taken as they are:
-    each a sorted tuple of (k, Fraction) with no zero coefficient, and no
-    cell empty."""
+    each a sorted tuple of (k, Fraction) with no zero coefficient, no cell
+    empty, with the integer cells ``_build_cells`` would read, if given."""
     tensor = object.__new__(StructureTensor)
     tensor.__dict__.update(dim=dim, table=table, name=name)
+    if cells is not None:
+        tensor.__dict__["_cells"] = cells
     return tensor
 
 
@@ -527,9 +530,7 @@ def parse(text: str) -> StructureTensor:
             table[(i, j)] = tuple([(k, known[raw]) for k, raw in cell])
             by_left[i - 1].append(
                 (j - 1, tuple([(k - 1, scaled[raw]) for k, raw in cell])))
-    tensor = _tensor(dim, table, name)
-    tensor.__dict__["_cells"] = scale, by_left
-    return tensor
+    return _tensor(dim, table, name, (scale, by_left))
 
 
 # json.dumps(doc, indent=2) puts each value on a line, two spaces a level;

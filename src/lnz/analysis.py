@@ -19,19 +19,22 @@ the estimate read off the series.
 
 The tensor keeps its series and its integer cells
 (``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
-A parsed document comes with its cells; otherwise the first reader of
-either builds it, and every later reader of that tensor object reuses
-it.  The cache is per object, not per content, and is not pickled.
+A parsed document or catalog table comes with its cells; otherwise the
+first reader of either builds it, and every later reader of that object
+reuses it.  The cache is per object, not per content, and not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and
-takes the lexicographic maximum over all such x.  ``char_sequence_estimate``
-certifies that maximum when a nilpotent algebra has an element whose
-powers R_x^k reach the ranks dim L^{k+1} of the central series, and
-otherwise returns a sampled lower bound.  The right annihilator is the
-kernel of the functionals of the integer cells as ``linalg._kernel``'s
-canonical integer rows (``_annihilator_rows``), which ``lnz analyze``
-prints and the battery reads; ``right_annihilator`` is their ``Vec`` view.
+takes the lexicographic maximum over all such x.  ``char_sequence_at``
+reads the profile of a multiple of e_1 off the dims of a series that
+R_(e_1) certified (``CentralSeries.certified``), and builds R_x
+(``_profile``) for any other x.  ``char_sequence_estimate`` certifies
+that maximum when a nilpotent algebra has an element whose powers R_x^k
+reach the ranks dim L^{k+1} of the central series, and otherwise returns
+a sampled lower bound.  The right annihilator is the kernel of the
+functionals of the integer cells as ``linalg._kernel``'s canonical
+integer rows (``_annihilator_rows``), which ``lnz analyze`` prints and
+the battery reads; ``right_annihilator`` is their ``Vec`` view.
 """
 
 from __future__ import annotations
@@ -62,12 +65,14 @@ class CentralSeries:
     hits zero, the zero term is included and ``nilpotent`` is True; when it
     stabilises at a nonzero subspace the repeated term is dropped and
     ``nilpotent`` is False.  ``len(series)`` counts the terms, so for a
-    nilpotent algebra it is the nilindex.
+    nilpotent algebra it is the nilindex.  ``certified``: R_(e_1) certified
+    the terms, so rank R_(e_1)^k = dims[k]; equality and repr ignore it.
     """
 
     ambient_dim: int
     rows: tuple = field(hash=False)     # dicts do not hash; the rest does
     nilpotent: bool
+    certified: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
     def terms(self) -> tuple:
@@ -105,7 +110,7 @@ def _build_series(algebra: StructureTensor) -> CentralSeries:
     n = algebra.dim
     _, by_left = _integer_cells(algebra)
     terms = _certified_series(n, by_left)
-    return (CentralSeries(n, terms, True) if terms is not None
+    return (CentralSeries(n, terms, True, True) if terms is not None
             else CentralSeries(n, *_series_by_terms(n, by_left)))
 
 
@@ -323,13 +328,19 @@ def char_sequence_at(algebra: StructureTensor, x: Vec) -> CharSequence:
     """Jordan block sizes of right multiplication by x, descending.
 
     x must lie outside the derived subalgebra; right multiplication must
-    be nilpotent (NotNilpotent propagates otherwise).
+    be nilpotent (NotNilpotent propagates otherwise).  A multiple of e_1
+    has dims[k] - dims[k+1] blocks longer than k when R_(e_1) certified
+    the series (rank R_x^k = dims[k]); any other x goes to ``_profile``.
     """
     series = lower_central_series(algebra)
     if _derived(series).contains(x):
         raise ElementInDerivedSubalgebra(
             "characteristic sequence needs an element outside [L, L]")
-    return _profile(_integer_cells(algebra)[1], x.coords)
+    x = x.coords
+    if series.certified and x[0] and not any(x[1:]):
+        d = [a - b for a, b in zip(series.dims, series.dims[1:])]
+        return CharSequence([sum(c > k for c in d) for k in range(d[0])])
+    return _profile(_integer_cells(algebra)[1], x)
 
 
 def char_sequence_estimate(algebra: StructureTensor, budget: int = 200,

@@ -9,7 +9,9 @@ dimension only).  "First type" algebras come in eight labelled families
 
 The catalog row table records, for each family label, the fixed slots,
 the free parameters with their admissible sets, and the parity rule.
-``enumerate_catalog`` instantiates all of it.
+``enumerate_catalog`` instantiates all of it.  The builders hand the
+tensor sorted cells without zeros and their integer cells (``_sealed``),
+as ``parse`` does; ``build_construction_stage`` uses ``StructureTensor``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import NamedTuple, Sequence
 
-from .algebra import StructureTensor
+from .algebra import StructureTensor, _tensor
 from .errors import (DimensionTooSmall, InadmissibleParams, ParityViolation,
                      UnknownFamily)
 from .linalg import _frac
 
 Q = Fraction
+_ONE = Q(1)
 
 
 DEFAULT_FREE_SAMPLES = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2))
@@ -207,7 +211,7 @@ class CatalogRow:
         params = self.make_params(values)
         cells = (_second_type_cells(n, params) if self.kind == "second" else
                  _type1_cells(n, params.branch, *params.branch_params())[0])
-        return StructureTensor(n, cells, self.label(n, values))
+        return _sealed(n, cells, self.label(n, values))
 
     def label(self, n: int, values: Sequence = ()) -> str:
         """The table's name, ``l(<row>)[<param>=<v>, ...] n=<n>``."""
@@ -400,14 +404,29 @@ def rows_by_label(label: str) -> tuple:
 # building
 
 def _put(cells: dict, i: int, j: int, *terms):
-    """Lay (k, c) terms down in cell (i, j); ``StructureTensor`` merges
-    repeated targets, drops zeros and sorts."""
-    cells.setdefault((i, j), []).extend(terms)
+    """Lay the nonzero ``Fraction`` terms (k, c) down in cell (i, j); only
+    ``build_construction_stage`` repeats a target, for its constructor."""
+    cells.setdefault((i, j), []).extend(t for t in terms if t[1])
+
+
+def _sealed(n: int, cells: dict, name: str) -> StructureTensor:
+    """The tensor of cells ``_put`` laid, each target once: sorted, empty
+    cells dropped, with the integer cells ``_build_cells`` would read."""
+    scale = lcm(*(c.denominator for terms in cells.values() for _, c in terms))
+    table, by_left = {}, [[] for _ in range(n)]
+    for (i, j), terms in cells.items():
+        if terms:
+            terms.sort()
+            table[(i, j)] = tuple(terms)
+            by_left[i - 1].append((j - 1, tuple([
+                (k - 1, c.numerator * (scale // c.denominator))
+                for k, c in terms])))
+    return _tensor(n, table, name, (scale, by_left))
 
 
 def _chain(n: int, skip: int) -> dict:
     """The cells [e_i, e_1] = e_{i+1} for i = 1..n-1 other than skip."""
-    return {(i, 1): [(i + 1, 1)] for i in range(1, n) if i != skip}
+    return {(i, 1): [(i + 1, _ONE)] for i in range(1, n) if i != skip}
 
 
 def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
@@ -421,8 +440,7 @@ def build_second_type(n: int, params: SecondTypeParams) -> StructureTensor:
     Parameters off the catalog rows, where the transform maps go, are built
     too; ``find_second_type_row(params)`` is None exactly for those.
     """
-    return StructureTensor(n, _second_type_cells(n, params),
-                           f"second-type n={n}")
+    return _sealed(n, _second_type_cells(n, params), f"second-type n={n}")
 
 
 def _second_type_cells(n: int, params: SecondTypeParams) -> dict:
@@ -444,7 +462,7 @@ def _second_type_cells(n: int, params: SecondTypeParams) -> dict:
         _put(cells, 1, i, (i + 1, beta))
     if params.epsilon == 1:
         for i in range(4, n):
-            _put(cells, i, n + 3 - i, (n, Q(-1) if i % 2 else Q(1)))
+            _put(cells, i, n + 3 - i, (n, -_ONE if i % 2 else _ONE))
     return cells
 
 
@@ -490,7 +508,7 @@ def _type1_cells(n: int, branch: str, *params) -> tuple:
         _put(cells, n - 2, n - 2, (n - 1, y))
         _put(cells, n - 1, n - 2, (n, y))
     else:                       # x, y = a2, b2
-        _put(cells, 1, n - 2, (n - 1, -1))
+        _put(cells, 1, n - 2, (n - 1, -_ONE))
         _put(cells, 2, n - 2, (n, -(1 + x)))
         _put(cells, n - 1, n - 2, (n, -y))
         _put(cells, 1, n - 1, (n, x))
@@ -501,13 +519,13 @@ def _type1_cells(n: int, branch: str, *params) -> tuple:
 def build_type1_branch_a(n: int, alpha1, alpha2, beta2) -> StructureTensor:
     """First-type shape where e_{n-1} right-annihilates everything."""
     cells, p = _type1_cells(n, "a", alpha1, alpha2, beta2)
-    return StructureTensor(n, cells, "type1a({},{},{}) n={}".format(*p, n))
+    return _sealed(n, cells, "type1a({},{},{}) n={}".format(*p, n))
 
 
 def build_type1_branch_b(n: int, alpha1, a2, b2) -> StructureTensor:
     """First-type shape with [e_1, e_{n-2}] = alpha1*e_2 - e_{n-1}."""
     cells, p = _type1_cells(n, "b", alpha1, a2, b2)
-    return StructureTensor(n, cells, "type1b({},{},{}) n={}".format(*p, n))
+    return _sealed(n, cells, "type1b({},{},{}) n={}".format(*p, n))
 
 
 def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:

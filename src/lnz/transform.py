@@ -6,7 +6,8 @@ generator e_m is scaled by B4 (m = 4 for second type, n - 2 for first
 type).  One builder regenerates every other basis vector by
 right-bracketing with the new e_1, so the whole change is an invertible
 matrix and can be pushed through any structure tensor directly; the
-change keeps the integer columns it was built from.  The closed-form
+change keeps the integer columns it was built from, builds its matrix on
+first read, and inverts by swapping them with its inverse's.  The closed-form
 maps below say what happens to the family parameters; the checks in
 ``verify`` replay them through the direct route for thousands of cases.
 
@@ -71,8 +72,9 @@ Q = Fraction
 class BasisChange:
     """Invertible change of basis; column i of ``matrix`` is the new
     basis vector e'_i written in the old coordinates.  The integer columns
-    of the matrix and of its inverse are kept for ``apply_change``, and
-    ``inverse`` is built from them on first read."""
+    of the matrix and of its inverse are kept for ``apply_change`` and
+    ``inverted``; ``inverse``, and ``matrix`` of a change made from its
+    columns, are built from them on first read."""
 
     matrix: MatrixQ
 
@@ -80,7 +82,13 @@ class BasisChange:
         if self.matrix.rows != self.matrix.cols:
             raise SingularChange("change matrix must be square")
         _keep_columns(self, _int_rows(self.matrix.column(i)
-                                      for i in range(self.dim)))
+                                      for i in range(self.matrix.cols)))
+
+    def __getattr__(self, name):    # only what ``__dict__`` does not hold
+        if name != "matrix" or "_cols" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__[name] = value = _matrix_of_columns(*self._cols)
+        return value
 
     @cached_property
     def inverse(self) -> MatrixQ:
@@ -88,7 +96,7 @@ class BasisChange:
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return len(self._cols[1])
 
     def column(self, i: int) -> Vec:
         """New basis vector e'_i (1-based) in old coordinates."""
@@ -97,7 +105,11 @@ class BasisChange:
         return Vec(self.matrix.column(i - 1))
 
     def inverted(self) -> "BasisChange":
-        return BasisChange(self.inverse)
+        """The inverse change, of the kept columns swapped."""
+        change = object.__new__(BasisChange)
+        change.__dict__.update(_cols=self._inverse_cols,
+                               _inverse_cols=self._cols)
+        return change
 
 
 def _keep_columns(change: BasisChange, cols: tuple):
@@ -106,8 +118,7 @@ def _keep_columns(change: BasisChange, cols: tuple):
     inverse = _inverse_columns(*cols)
     if inverse is None:
         raise SingularChange("change matrix is singular")
-    object.__setattr__(change, "_cols", cols)
-    object.__setattr__(change, "_inverse_cols", inverse)
+    change.__dict__.update(_cols=cols, _inverse_cols=inverse)
 
 
 def apply_change(algebra: StructureTensor, change: BasisChange) -> StructureTensor:
@@ -225,8 +236,8 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
     Every other e'_j is [e'_{j-1}, e'_1], for j = 2..m-1 and then
     j = m+1..n, each an integer row over its own scale from
     ``_times_basis`` on the integer cells of the table.  The change keeps
-    these columns, brought to one scale, rather than reading them back
-    off its matrix.
+    these columns, brought to one scale, and those of its inverse; its
+    matrix is built only when read.
     """
     n = algebra.dim
     if not 1 <= m <= n:
@@ -247,7 +258,6 @@ def _generated_change(algebra: StructureTensor, g: GradedChange2, m: int,
     scale = lcm(*(s for s, _ in cols))
     cols = [{k: x * (scale // s) for k, x in col.items()} for s, col in cols]
     change = object.__new__(BasisChange)
-    object.__setattr__(change, "matrix", _matrix_of_columns(scale, cols))
     _keep_columns(change, (scale, cols))
     return change
 

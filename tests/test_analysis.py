@@ -28,6 +28,7 @@ from lnz import (
     char_sequence_estimate,
     completed_second_type_change,
     derived_span,
+    enumerate_catalog,
     leibniz_residual,
     lower_central_series,
     natural_gradation,
@@ -36,7 +37,9 @@ from lnz import (
     row_by_id,
     serialize,
 )
+from lnz.algebra import _integer_cells
 from lnz.cli import main
+from lnz.verify import _unimodular
 
 CHAIN9 = build_second_type(9, SecondTypeParams(0, (0, 0, 0, 0), 0))
 
@@ -154,6 +157,42 @@ def test_char_sequence_rejects_derived_elements():
             char_sequence_at(CHAIN9, Vec.basis(9, i))
     with pytest.raises(ElementInDerivedSubalgebra):
         char_sequence_at(CHAIN9, Vec(tuple(Fraction(0) for _ in range(9))))
+
+
+def test_char_sequence_at_e1_is_read_off_a_certified_series(monkeypatch):
+    # the 439 battery instances, and each moved as verify moves tables:
+    # where R_(e_1) certified the series, C(e_1) is read off its dims and
+    # _profile never runs; elsewhere _profile builds R_(e_1).  Both must
+    # give _profile at e_1, and so must -2 * e_1
+    profile, calls = lnz.analysis._profile, []
+    monkeypatch.setattr(lnz.analysis, "_profile",
+                        lambda *args: calls.append(args) or profile(*args))
+    rng = random.Random(0)
+    seen = {"certified": 0, "profiled": 0, "derived": 0}
+    for inst in enumerate_catalog((9, 10)):
+        n = inst.n
+        e1 = Vec.basis(n, 1)
+        moved = apply_change(inst.tensor, BasisChange(_unimodular(rng, n)))
+        for tensor in (inst.tensor, moved):
+            certified = lower_central_series(tensor).certified
+            assert certified or tensor is moved
+            if derived_span(tensor).contains(e1):
+                for x in (e1, -2 * e1):
+                    with pytest.raises(ElementInDerivedSubalgebra):
+                        char_sequence_at(tensor, x)
+                seen["derived"] += 1
+                continue
+            expected = profile(_integer_cells(tensor)[1], e1.coords)
+            for x in (e1, -2 * e1):
+                del calls[:]
+                assert char_sequence_at(tensor, x) == expected
+                assert len(calls) == (0 if certified else 1)
+            seen["certified" if certified else "profiled"] += 1
+            if tensor is inst.tensor:
+                assert expected.parts == (n - 3, 3)
+                with pytest.raises(ElementInDerivedSubalgebra):
+                    char_sequence_at(tensor, Vec.basis(n, 2))
+    assert seen == {"certified": 741, "profiled": 107, "derived": 30}
 
 
 def test_estimate_attains_maximum_on_catalog():
@@ -369,7 +408,9 @@ def test_analyze_builds_one_series_per_document(monkeypatch, tmp_path, capsys):
 
 
 def test_each_tensor_builds_its_cells_and_series_once(monkeypatch):
-    algebra = build_second_type(10, SecondTypeParams(0, (1, 0, 2, 0), -1))
+    # a constructed tensor: the catalog builders hand theirs its cells
+    algebra = StructureTensor(10, build_second_type(
+        10, SecondTypeParams(0, (1, 0, 2, 0), -1)).table)
     cells = count_builds(monkeypatch, lnz.algebra, "_build_cells")
     series = count_builds(monkeypatch)
     for _ in range(2):          # the second round reuses what the first built

@@ -30,6 +30,8 @@ from lnz import (
     rows_by_label,
     serialize,
 )
+from lnz.algebra import StructureTensor, _build_cells
+from lnz.catalog import _second_type_cells, _type1_cells
 
 
 def cell(algebra, i, j):
@@ -256,6 +258,53 @@ def test_first_type_row_build_matches_build_first_type():
                 cases += 1
     assert cases == 3 * 35
     assert row_by_id("34").build(9, (2,)).name == "l(34)[lambda=2] n=9"
+
+
+def built_tables(n):
+    """(tensor, laid cells) of every builder at n: each row over its sample
+    grid, through ``CatalogRow.build`` and through its type's builder, then
+    the second type with zero alphas at beta = 0 and -1 and both
+    first-type branches at zero and nonzero parameters."""
+    for row in CATALOG_ROWS:
+        if row.parity == "even" and n % 2:
+            continue
+        for values in row.sample_grid(DEFAULT_FREE_SAMPLES):
+            params = row.make_params(values)
+            if row.kind == "second":
+                laid = _second_type_cells(n, params)
+                yield build_second_type(n, params), laid
+            else:
+                p = params.branch_params()
+                laid = _type1_cells(n, params.branch, *p)[0]
+                yield (build_type1_branch_a if params.branch == "a"
+                       else build_type1_branch_b)(n, *p), laid
+            yield row.build(n, values), laid
+    for epsilon in (0, 1) if n % 2 == 0 else (0,):
+        for beta in (0, -1):
+            params = SecondTypeParams(epsilon, (0, 0, 0, 0), beta)
+            yield build_second_type(n, params), _second_type_cells(n, params)
+    for p in ((0, 0, 0), (0, -1, 0), (1, 0, -1), (Fraction(1, 2), 3, 0)):
+        for branch, build in (("a", build_type1_branch_a),
+                              ("b", build_type1_branch_b)):
+            yield build(n, *p), _type1_cells(n, branch, *p)[0]
+
+
+@pytest.mark.parametrize("n", [9, 10, 16, 40])
+def test_builders_hand_the_tensor_its_table_and_integer_cells(n):
+    # the builders drop zeros and sort themselves, without the constructor:
+    # the table must be the constructor's normal form of the laid cells,
+    # and the integer cells those _build_cells reads off that table
+    cases = 0
+    for built, laid in built_tables(n):
+        assert built.table == StructureTensor(n, laid).table, built.name
+        assert all(type(c) is Fraction and c
+                   for terms in built.table.values() for _, c in terms)
+        cells = vars(built)["_cells"]
+        assert cells == _build_cells(built), built.name
+        assert all(type(c) is int for row in cells[1] for _, cell in row
+                   for _, c in cell)
+        cases += 1
+    assert cases > 100
 
 
 # ----------------------------------------------------------------------

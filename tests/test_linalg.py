@@ -179,6 +179,26 @@ def test_invert_and_change_inverse_match_gauss_jordan():
     assert 30 <= singular <= 200
 
 
+def test_inverting_a_change_swaps_its_kept_columns(monkeypatch):
+    # inverted() eliminates nothing: inverting twice calls _inverse_columns
+    # zero times, on a change read from a matrix and on a generated one
+    algebra = build_second_type(9, SecondTypeParams(0, (1, 0, 2, 0), -1))
+    changes = [BasisChange(MatrixQ.from_rows(
+                   [[2, 1, 0], [0, Q(1, 3), 3], [1, 0, 1]])),
+               lnz.completed_second_type_change(algebra,
+                                                GradedChange2(2, 1, 3))]
+    calls, real = [], lnz.transform._inverse_columns
+    monkeypatch.setattr(lnz.transform, "_inverse_columns",
+                        lambda *cols: calls.append(cols) or real(*cols))
+    for change in changes:
+        once, twice = change.inverted(), change.inverted().inverted()
+        assert once.matrix == change.inverse and once.inverse == change.matrix
+        assert twice == change and twice.inverse == change.inverse
+    moved = lnz.apply_change(algebra, changes[1])
+    assert lnz.apply_change(moved, changes[1].inverted()) == algebra
+    assert calls == []
+
+
 def test_change_of_a_non_square_matrix_names_the_shape():
     with pytest.raises(SingularChange) as info:
         BasisChange(MatrixQ.from_rows([[1, 0, 2], [0, 1, 5]]))

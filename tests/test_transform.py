@@ -172,6 +172,22 @@ def test_completed_changes_match_the_bracket_reference():
     assert singular < len(firsts) // 2
 
 
+def test_completed_change_builds_its_matrix_only_when_read(monkeypatch):
+    # apply_change and dim read the kept integer columns; the Fraction
+    # matrix is built on its first read, once, and equals the change built
+    # from it
+    built, real = [], lnz.transform._matrix_of_columns
+    monkeypatch.setattr(lnz.transform, "_matrix_of_columns",
+                        lambda *cols: built.append(cols) or real(*cols))
+    algebra = build_second_type(10, SecondTypeParams(1, (0, 0, 0, 1), -1))
+    change = completed_second_type_change(algebra, GradedChange2(2, 1, 3))
+    moved = apply_change(algebra, change)
+    assert change.dim == 10 and built == []
+    assert change.matrix is change.matrix and len(built) == 1
+    again = BasisChange(change.matrix)
+    assert again == change and apply_change(algebra, again) == moved
+
+
 def test_singular_completed_changes_raise_as_before():
     b4_zero = GradedChange2(Q(2, 3), Q(5, 7), Q(0))
     a1_eq_a4 = GradedChange2(Q(5, 7), Q(5, 7), Q(3))
