@@ -6,8 +6,8 @@ generator e_m is scaled by B4 (m = 4 for second type, n - 2 for first
 type).  One builder regenerates every other basis vector by
 right-bracketing with the new e_1, so the whole change is an invertible
 matrix and can be pushed through any structure tensor directly; the
-change keeps the integer columns it was built from, builds its matrix on
-first read, and inverts by swapping them with its inverse's.  The closed-form
+change keeps the integer columns it was built from and its inverse's,
+swaps them to invert, and builds its matrix on first read.  The closed-form
 maps below say what happens to the family parameters; the checks in
 ``verify`` replay them through the direct route for thousands of cases.
 
