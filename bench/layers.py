@@ -32,8 +32,10 @@ the clock as well), so no call shares a series, integer cells or a
 vector's support with another, and runs with the garbage collector off,
 as in ``timeit``.
 Where ``parse`` hands the tensor its integer cells (``BENCH_32.json``
-on), the other layers do not time building them.  Each layer, form and
-size first makes one untimed call.
+on), the other layers do not time building them.  ``build`` builds only
+the ``Fraction`` table, where it built the integer cells as well in
+``BENCH_41.json``, so its figures there are not comparable with later
+ones.  Each layer, form and size first makes one untimed call.
 
 A last layer, ``decide_equivalence``, takes parameter tuples rather
 than tables: 40 seeded pairs p != q of the second-type catalog sample

@@ -16,7 +16,9 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   instance at n = 16 (49).
 * ``cells``: the integer cells ``(scale, by_left)`` of each table of that
   set after a round trip through its document, ``parse(serialize(t))``,
-  as ``lnz.algebra._integer_cells`` gives them, order included.
+  as ``lnz.algebra._integer_cells`` gives them, order included; then
+  those of every catalog instance at n = 9, 10, 16 and 32, read off the
+  tensor exactly as ``CatalogRow.build`` returns it.
 * ``series``: the rows (each as its sorted (column, value) pairs), dims
   and ``nilpotent`` of ``lower_central_series`` on that set, then on
   every catalog instance at n = 32.
@@ -25,8 +27,6 @@ alone, and hashes what lnz gives on fixed seeded inputs.  The items:
   set, or the exception type and text it raises.
 * ``residual``: the violations of ``leibniz_residual`` on that set, in
   order, each with its defect.
-* ``kernel_basis/functionals``: ``kernel_basis`` of the stacked functionals
-  sum_j c^k_(i,j) x_j of each table of that set.
 * ``kernel_basis/random``: ``kernel_basis`` of 3,000 random rational
   matrices, r and c in 0..8, at densities 0, 0.2, 0.5 and 1.
 * ``build``: ``CatalogRow.build`` of every row over its sample grid at
@@ -83,12 +83,13 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ITEMS = ("right_annihilator", "cells", "series", "gradation", "residual",
-         "kernel_basis/functionals", "kernel_basis/random", "build", "names",
-         "equiv", "docs", "verify-all", "documents", "products", "charseq")
+         "kernel_basis/random", "build", "names", "equiv", "docs",
+         "verify-all", "documents", "products", "charseq")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 # a list, a string, five bad dims, an unknown key, an integer over the
 # default digit limit (4,300), deep nesting and truncated JSON
@@ -151,18 +152,6 @@ def char_sequences(lnz, layers, catalog):
                        tensor, lnz.Vec.basis(n, 1)).parts),
                    outcome(lnz, lambda: lnz.char_sequence_estimate(
                        tensor).parts)]
-
-
-def functionals(lnz, tensor):
-    """The stacked functionals of a table as a ``MatrixQ``, one row per
-    (i, k) in order of first appearance."""
-    n = tensor.dim
-    rows: dict = {}
-    for (i, j), terms in tensor.table.items():
-        for k, c in terms:
-            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] = c
-    return lnz.MatrixQ(len(rows), n, tuple(x for r in rows.values()
-                                           for x in r))
 
 
 def random_matrices(lnz):
@@ -333,14 +322,14 @@ def digests(src: str) -> dict:
     cases = {
         "right_annihilator": ([v.coords for v in lnz.right_annihilator(t)]
                               for t in table_set),
-        "cells": (lnz.algebra._integer_cells(lnz.parse(lnz.serialize(t)))
-                  for t in table_set),
+        "cells": chain((lnz.algebra._integer_cells(lnz.parse(
+                            lnz.serialize(t))) for t in table_set),
+                       (lnz.algebra._integer_cells(inst.tensor)
+                        for inst in lnz.enumerate_catalog((9, 10, 16, 32)))),
         "series": (series(lnz, t) for t in table_set + catalog32),
         "gradation": (outcome(lnz, lambda: gradation(lnz, t))
                       for t in table_set),
         "residual": (lnz.leibniz_residual(t).violations for t in table_set),
-        "kernel_basis/functionals": (lnz.kernel_basis(functionals(lnz, t))
-                                     for t in table_set),
         "kernel_basis/random": (lnz.kernel_basis(m)
                                 for m in random_matrices(lnz)),
         "build": builds(lnz),

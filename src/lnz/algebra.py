@@ -25,7 +25,7 @@ and words a fault only when it fails (``_cell_fault``), and converts each
 distinct coefficient once, straight from the digits its pattern matched.
 Its cells go to the tensor as they are, without a second pass through
 the constructor's normaliser, and so do its integer cells, each distinct
-numerator scaled once.  Only a tensor built in memory has its integer
+numerator scaled once.  Every tensor built in memory has its integer
 cells built from its ``Fraction`` table (``_build_cells``), on first read.
 """
 
@@ -189,15 +189,12 @@ class StructureTensor:
         return _tensor(self.dim, dict(self.table), name)
 
 
-def _tensor(dim: int, table: dict, name: str | None,
-            cells: tuple | None = None) -> StructureTensor:
+def _tensor(dim: int, table: dict, name: str | None) -> StructureTensor:
     """A StructureTensor of cells already in normal form, taken as they are:
     each a sorted tuple of (k, Fraction) with no zero coefficient, no cell
-    empty, with the integer cells ``_build_cells`` would read, if given."""
+    empty.  Its integer cells are built on first read (``_integer_cells``)."""
     tensor = object.__new__(StructureTensor)
     tensor.__dict__.update(dim=dim, table=table, name=name)
-    if cells is not None:
-        tensor.__dict__["_cells"] = cells
     return tensor
 
 
@@ -246,15 +243,16 @@ def _build_cells(algebra: StructureTensor) -> tuple:
     ``scale``, the lcm of its denominators.  ``by_left[i]`` lists
     ``(j, ((k, c), ...))`` for every cell (i, j), all 0-based, in the
     table's order.  A positive multiple of the table has the same spans and
-    Jordan block profiles.  Only constructed tensors need it: ``parse``
-    hands a document's tensor the same cells."""
+    Jordan block profiles.  Every tensor built in memory gets its cells
+    here, on first read; only ``parse`` stores the same cells itself.
+    Each cell tuple is made from a list, so none is resized as it fills."""
     scale = lcm(*(c.denominator for terms in algebra.table.values()
                   for _, c in terms))
     by_left: list = [[] for _ in range(algebra.dim)]
     for (i, j), terms in algebra.table.items():
-        by_left[i - 1].append((j - 1, tuple(
+        by_left[i - 1].append((j - 1, tuple([
             (k - 1, c.numerator * (scale // c.denominator))
-            for k, c in terms)))
+            for k, c in terms])))
     return scale, by_left
 
 
@@ -269,7 +267,7 @@ def _memo(algebra: StructureTensor, key: str, build):
 
 def _integer_cells(algebra: StructureTensor) -> tuple:
     """The integer cells of the table, kept per tensor: those ``parse``
-    read, or ``_build_cells`` on first call."""
+    stored, or else ``_build_cells``'s, from the first call on."""
     return _memo(algebra, "_cells", _build_cells)
 
 
@@ -473,9 +471,9 @@ def parse(text: str) -> StructureTensor:
     """Read an algebra document.
 
     Each distinct coefficient is read once.  The tensor comes with its
-    integer cells (``_integer_cells``) as well as its table: their scale is
-    the lcm of the distinct denominators, and each distinct numerator is
-    scaled once, so no reader of a parsed document runs ``_build_cells``.
+    integer cells (``_integer_cells``) as well as its table, the one
+    tensor that is not left to ``_build_cells``: their scale is the lcm of
+    the distinct denominators, and each distinct numerator is scaled once.
 
     Raises DocumentError for syntax and schema problems (with line/column
     when the JSON reader reports one), IndexOutOfRange for basis indices
@@ -530,7 +528,9 @@ def parse(text: str) -> StructureTensor:
             table[(i, j)] = tuple([(k, known[raw]) for k, raw in cell])
             by_left[i - 1].append(
                 (j - 1, tuple([(k - 1, scaled[raw]) for k, raw in cell])))
-    return _tensor(dim, table, name, (scale, by_left))
+    tensor = _tensor(dim, table, name)
+    tensor.__dict__["_cells"] = scale, by_left
+    return tensor
 
 
 # json.dumps(doc, indent=2) puts each value on a line, two spaces a level;

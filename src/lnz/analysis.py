@@ -19,9 +19,9 @@ the estimate read off the series.
 
 The tensor keeps its series and its integer cells
 (``algebra._integer_cells``) for as long as it lives (``algebra._memo``).
-A parsed document or catalog table comes with its cells; otherwise the
-first reader of either builds it, and every later reader of that object
-reuses it.  The cache is per object, not per content, and not pickled.
+A parsed document comes with its cells; otherwise the first reader of
+either builds it, and every later reader of that object reuses it.  The
+cache is per object, not per content, and not pickled.
 
 The characteristic sequence orders, for each element x outside [L, L],
 the Jordan block sizes of right multiplication by x (descending), and

@@ -10,8 +10,8 @@ dimension only).  "First type" algebras come in eight labelled families
 The catalog row table records, for each family label, the fixed slots,
 the free parameters with their admissible sets, and the parity rule.
 ``enumerate_catalog`` instantiates all of it.  The builders hand the
-tensor sorted cells without zeros and their integer cells (``_sealed``),
-as ``parse`` does; ``build_construction_stage`` uses ``StructureTensor``.
+tensor sorted cells without zeros (``_sealed``), past the constructor's
+normaliser; ``build_construction_stage`` uses ``StructureTensor``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .algebra import StructureTensor, _tensor
@@ -411,17 +410,13 @@ def _put(cells: dict, i: int, j: int, *terms):
 
 def _sealed(n: int, cells: dict, name: str) -> StructureTensor:
     """The tensor of cells ``_put`` laid, each target once: sorted, empty
-    cells dropped, with the integer cells ``_build_cells`` would read."""
-    scale = lcm(*(c.denominator for terms in cells.values() for _, c in terms))
-    table, by_left = {}, [[] for _ in range(n)]
-    for (i, j), terms in cells.items():
+    cells dropped.  Its integer cells are built on first read."""
+    table = {}
+    for key, terms in cells.items():
         if terms:
             terms.sort()
-            table[(i, j)] = tuple(terms)
-            by_left[i - 1].append((j - 1, tuple([
-                (k - 1, c.numerator * (scale // c.denominator))
-                for k, c in terms])))
-    return _tensor(n, table, name, (scale, by_left))
+            table[key] = tuple(terms)
+    return _tensor(n, table, name)
 
 
 def _chain(n: int, skip: int) -> dict:
@@ -529,11 +524,9 @@ def build_type1_branch_b(n: int, alpha1, a2, b2) -> StructureTensor:
 
 
 def build_first_type(n: int, params: FirstTypeParams) -> StructureTensor:
-    if n < 9:
-        raise DimensionTooSmall(f"first-type families need n >= 9, got {n}")
     row = row_by_id(str(params.family_id))
     values = _solve_row_values(row, params.p)
-    problems = (row.violations(values, n) if values is not None else
+    problems = (row.violations(values) if values is not None else
                 ["subscript does not match the pattern "
                  f"({', '.join(_slot_text(s) for s in row.slots)})"])
     if problems:

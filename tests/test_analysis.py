@@ -408,9 +408,7 @@ def test_analyze_builds_one_series_per_document(monkeypatch, tmp_path, capsys):
 
 
 def test_each_tensor_builds_its_cells_and_series_once(monkeypatch):
-    # a constructed tensor: the catalog builders hand theirs its cells
-    algebra = StructureTensor(10, build_second_type(
-        10, SecondTypeParams(0, (1, 0, 2, 0), -1)).table)
+    algebra = build_second_type(10, SecondTypeParams(0, (1, 0, 2, 0), -1))
     cells = count_builds(monkeypatch, lnz.algebra, "_build_cells")
     series = count_builds(monkeypatch)
     for _ in range(2):          # the second round reuses what the first built

@@ -235,6 +235,35 @@ def test_replay_makes_no_bracket_and_no_invert_call(monkeypatch):
     assert calls == {"bracket": 1, "invert": 1}
 
 
+def test_replay_builds_the_integer_cells_of_its_input_alone(monkeypatch):
+    # the completed change and apply_change share the cells of the normal
+    # form they move; the normal form that extract_* rebuilds is compared
+    # by its table and never gets cells
+    built, moved, rebuilt = [], [], []
+    build, move = lnz.algebra._build_cells, lnz.verify.apply_change
+    compare = lnz.transform._rebuilt
+    monkeypatch.setattr(lnz.algebra, "_build_cells",
+                        lambda a: built.append(a) or build(a))
+    monkeypatch.setattr(lnz.verify, "apply_change",
+                        lambda a, change: moved.append(a) or move(a, change))
+
+    def kept(algebra, read):
+        def reading():
+            params, normal = read()
+            rebuilt.append(normal)
+            return params, normal
+        return compare(algebra, reading)
+    monkeypatch.setattr(lnz.transform, "_rebuilt", kept)
+    rng = random.Random(11)
+    for family in lnz.verify._FAMILIES:
+        for _ in range(5):
+            p, g, mapped = lnz.verify._draw_mapped(rng, family)
+            assert lnz.verify._replay(family, 10, p, g) == mapped
+    assert len(built) == len(moved) == len(rebuilt) == 20
+    assert all(b is m for b, m in zip(built, moved))
+    assert not any("_cells" in vars(normal) for normal in rebuilt)
+
+
 # ----------------------------------------------------------------------
 # the four closed-form parameter maps
 
